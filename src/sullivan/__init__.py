@@ -6,7 +6,7 @@ classification machinery."""
 __version__ = "0.1.0"
 
 from .graded import AlgebraError, AlgElement, Derivation, FreeAlgebra, Generator
-from .linalg import RatMatrix, kernel_basis, image_basis, rref, solve
+from .linalg import RatMatrix, kernel_basis, image_basis, rank, rref, solve
 from .cdga import (
     Cdga,
     CdgaError,

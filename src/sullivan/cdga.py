@@ -34,6 +34,7 @@ from .linalg import (
     image_basis,
     kernel_basis,
     quotient_basis,
+    rank,
     rref,
     solve,
     span_basis,
@@ -103,8 +104,10 @@ class Cdga:
             if r.is_zero() or not r.is_homogeneous():
                 raise CdgaError("relations must be nonzero homogeneous")
         self._basis_cache = {}
+        self._quotient_cache = {}
         self._rel_cache = {}
         self._diff_cache = {}
+        self._rank_cache = {}
         self._h_cache = {}
         if check:
             defects = self.validate()
@@ -150,22 +153,25 @@ class Cdga:
                     continue
                 for m in self.algebra.basis_of_degree(k - dr):
                     prod = AlgElement(self.algebra, {m: Fraction(1)}) * r
-                    if prod.is_zero():
-                        continue
-                    v = [Fraction(0)] * len(monos)
-                    for mono, c in prod.terms.items():
-                        v[index[mono]] = c
-                    vectors.append(v)
+                    vectors.append({index[mono]: c
+                                    for mono, c in prod.terms.items()})
             self._rel_cache[k] = span_basis(vectors, len(monos))
         return self._rel_cache[k]
 
+    def _quotient_basis(self, k):
+        """(degree-k quotient basis, its index): non-pivot monomials."""
+        if k not in self._quotient_cache:
+            monos, index = self.free_basis(k)
+            if self.relations:
+                pivots = set(self._rel_echelon(k).pivots)
+                monos = [m for i, m in enumerate(monos) if i not in pivots]
+                index = {m: i for i, m in enumerate(monos)}
+            self._quotient_cache[k] = (monos, index)
+        return self._quotient_cache[k]
+
     def basis(self, k):
         """Monomial labels of the degree-k quotient basis."""
-        monos, _ = self.free_basis(k)
-        if not self.relations:
-            return monos
-        pivots = set(self._rel_echelon(k).pivots)
-        return [m for i, m in enumerate(monos) if i not in pivots]
+        return self._quotient_basis(k)[0]
 
     def dim(self, k):
         return len(self.basis(k))
@@ -176,25 +182,27 @@ class Cdga:
             elem = elem.word_truncate(self.word_cap)
         if not self.relations:
             return elem
-        out = self.algebra.zero()
+        terms = {}
         for k, piece in elem.degree_parts().items():
             monos, index = self.free_basis(k)
-            v = [Fraction(0)] * len(monos)
-            for m, c in piece.terms.items():
-                v[index[m]] = c
-            v = self._rel_echelon(k).reduce(v)
-            out = out + AlgElement(
-                self.algebra, {m: c for m, c in zip(monos, v) if c})
-        return out
+            v = self._rel_echelon(k).reduce(
+                {index[m]: c for m, c in piece.terms.items()})
+            terms.update((monos[i], c) for i, c in v.items())
+        return AlgElement(self.algebra, terms)
 
-    def coords(self, elem, k):
-        basis = self.basis(k)
-        index = {m: i for i, m in enumerate(basis)}
-        v = [Fraction(0)] * len(basis)
+    def _sparse_coords(self, elem, k):
+        index = self._quotient_basis(k)[1]
+        out = {}
         for m, c in self.reduce(elem).terms.items():
             if self.algebra.mono_degree(m) != k:
                 raise CdgaError(f"element not homogeneous of degree {k}")
-            v[index[m]] = c
+            out[index[m]] = c
+        return out
+
+    def coords(self, elem, k):
+        v = [Fraction(0)] * self.dim(k)
+        for i, c in self._sparse_coords(elem, k).items():
+            v[i] = c
         return v
 
     def element(self, k, coords):
@@ -209,17 +217,14 @@ class Cdga:
         return self.reduce(a * b)
 
     def diff_matrix(self, k):
-        """Matrix of d: degree k -> degree k+1 over the quotient bases."""
+        """Matrix of d: degree k -> degree k+1 over the quotient bases,
+        assembled from its sparse columns."""
         if k not in self._diff_cache:
-            src = self.basis(k)
-            tgt_len = self.dim(k + 1)
-            cols = []
-            for m in src:
-                dm = self.d(AlgElement(self.algebra, {m: Fraction(1)}))
-                cols.append(self.coords(dm, k + 1))
-            data = [[cols[j][i] for j in range(len(src))]
-                    for i in range(tgt_len)]
-            self._diff_cache[k] = RatMatrix(data, cols=len(src))
+            cols = [self._sparse_coords(
+                        self.d(AlgElement(self.algebra, {m: Fraction(1)})),
+                        k + 1)
+                    for m in self.basis(k)]
+            self._diff_cache[k] = RatMatrix.from_columns(cols, self.dim(k + 1))
         return self._diff_cache[k]
 
     # ----- validation -----
@@ -247,20 +252,23 @@ class Cdga:
     def _h_data(self, k):
         if k not in self._h_cache:
             z = kernel_basis(self.diff_matrix(k))
-            if k == 0:
-                b = span_basis([], self.dim(0))
-            else:
-                b = image_basis(self.diff_matrix(k - 1))
+            b = (image_basis(self.diff_matrix(k - 1)) if k
+                 else span_basis([], self.dim(0)))
             reps = quotient_basis(b, z)
-            n = self.dim(k)
-            cols = reps + b.vectors
-            mat = RatMatrix([[cols[j][i] for j in range(len(cols))]
-                             for i in range(n)], cols=len(cols))
+            mat = RatMatrix.from_columns(reps + b.rows, self.dim(k))
             self._h_cache[k] = (z, b, reps, mat)
         return self._h_cache[k]
 
     def h_dim(self, k):
-        return len(self._h_data(k)[2])
+        """dim H^k = dim C^k - rank d_k - rank d_(k-1), from ranks alone
+        unless the representatives are already known."""
+        if k in self._h_cache:
+            return len(self._h_cache[k][2])
+        for j in (k - 1, k):
+            if j >= 0 and j not in self._rank_cache:
+                self._rank_cache[j] = rank(self.diff_matrix(j))
+        return (self.dim(k) - self._rank_cache.get(k, 0)
+                - self._rank_cache.get(k - 1, 0))
 
     def h_representatives(self, k):
         return [self.element(k, v) for v in self._h_data(k)[2]]
@@ -347,10 +355,8 @@ class CdgaMorphism:
     def h_matrix(self, k):
         """Matrix of H^k(phi) from source to target class coordinates."""
         src_reps = self.source.h_representatives(k)
-        tgt_dim = self.target.h_dim(k)
         cols = [self.target.class_coords(self.apply(r), k) for r in src_reps]
-        return RatMatrix([[cols[j][i] for j in range(len(cols))]
-                          for i in range(tgt_dim)], cols=len(cols))
+        return RatMatrix.from_columns(cols, self.target.h_dim(k))
 
 
 def identity_morphism(c):
@@ -415,23 +421,30 @@ def _transport(elem, renames, target_alg):
     return substitute(elem, images, target_alg)
 
 
+def _joined(factors):
+    """The free algebra on the factors' generators (clashes renamed) with
+    their differentials and relations moved over:
+    (per-factor specs and renames, algebra, images, relations)."""
+    per = _disjoint_specs(factors)
+    alg = FreeAlgebra.build([s for fspecs, _ in per for s in fspecs])
+    images = {}
+    relations = []
+    for c, (_, renames) in zip(factors, per):
+        for g in c.algebra.generators:
+            dg = c.differential.images.get(g.ordinal)
+            if dg is not None:
+                images[renames[g.ordinal]] = _transport(dg, renames, alg)
+        relations.extend(_transport(r, renames, alg) for r in c.relations)
+    return per, alg, images, relations
+
+
 def tensor_product(a, b, name=None):
     """Tensor CDGA with the two inclusions; Kunneth holds degreewise."""
     for c in (a, b):
         if c.word_cap is not None:
             raise CdgaError("tensor products of word-capped quotients "
                             "are not supported")
-    per = _disjoint_specs([a, b])
-    specs = per[0][0] + per[1][0]
-    alg = FreeAlgebra.build(specs)
-    images = {}
-    relations = []
-    for c, (fspecs, renames) in zip((a, b), per):
-        for g in c.algebra.generators:
-            dg = c.differential.images.get(g.ordinal)
-            if dg is not None:
-                images[renames[g.ordinal]] = _transport(dg, renames, alg)
-        relations.extend(_transport(r, renames, alg) for r in c.relations)
+    per, alg, images, relations = _joined([a, b])
     d = Derivation(alg, +1, images)
     t = Cdga(name or f"{a.name}(x){b.name}", alg, d, relations=relations)
     incl_a = CdgaMorphism(a, t, {
@@ -455,17 +468,7 @@ def fibered_product_augmented(factors, name=None):
     for c in factors:
         if c.word_cap is not None:
             raise CdgaError("word-capped factors are not supported")
-    per = _disjoint_specs(factors)
-    specs = [s for fspecs, _ in per for s in fspecs]
-    alg = FreeAlgebra.build(specs)
-    images = {}
-    relations = []
-    for c, (fspecs, renames) in zip(factors, per):
-        for g in c.algebra.generators:
-            dg = c.differential.images.get(g.ordinal)
-            if dg is not None:
-                images[renames[g.ordinal]] = _transport(dg, renames, alg)
-        relations.extend(_transport(r, renames, alg) for r in c.relations)
+    per, alg, images, relations = _joined(factors)
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             for gi in factors[i].algebra.generators:

@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -77,10 +78,14 @@ def _emit(args, text_fn, json_obj):
     return 0
 
 
+def _is_minimal(c):
+    return (c.is_free and all(g.degree >= 2 for g in c.algebra.generators)
+            and check_minimal_sullivan(c))
+
+
 def _as_model(c, max_degree):
     """Use a free minimal input as-is; otherwise synthesize its model."""
-    if c.is_free and all(g.degree >= 2 for g in c.algebra.generators) \
-            and check_minimal_sullivan(c):
+    if _is_minimal(c):
         return c, None
     res = minimal_model(c, max_degree)
     return res.model, res
@@ -249,8 +254,7 @@ def _report_json(rep):
 
 def cmd_classify(args):
     c = load_cdga(args.file)
-    if c.is_free and all(g.degree >= 2 for g in c.algebra.generators) \
-            and check_minimal_sullivan(c):
+    if _is_minimal(c):
         rep = classify_ellipticity(c, args.bound)
     else:
         rep = classify_space(c, args.bound)
@@ -356,7 +360,9 @@ def cmd_pl_verify(args):
     return code if rep.ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="sullivan",
         description="Exact rational computations with Sullivan models: "
@@ -431,10 +437,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    n = getattr(args, "max_degree", None)
-    if n is not None and n < 2:
-        print("error: -N must be at least 2", file=sys.stderr)
-        return 2
+    for flag, attr, low in (("-N", "max_degree", 2), ("--trials", "trials", 1),
+                            ("--poly-cap", "poly_cap", 0)):
+        if getattr(args, attr, low) < low:
+            print(f"error: {flag} must be at least {low}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except DOMAIN_ERRORS as exc:

@@ -323,11 +323,6 @@ class AlgElement:
     def is_homogeneous(self):
         return len({self.algebra.mono_degree(m) for m in self.terms}) <= 1
 
-    def homogeneous_part(self, k):
-        alg = self.algebra
-        return AlgElement(alg, {m: c for m, c in self.terms.items()
-                                if alg.mono_degree(m) == k})
-
     def degree_parts(self):
         """Decompose into homogeneous pieces: {degree: piece}."""
         parts = {}
@@ -346,9 +341,6 @@ class AlgElement:
         return AlgElement(self.algebra,
                           {m: c for m, c in self.terms.items()
                            if mono_word(m) <= cap})
-
-    def max_word_length(self):
-        return max((mono_word(m) for m in self.terms), default=0)
 
     def in_algebra(self, other):
         """Reinterpret over another universe containing the same ordinals."""
@@ -519,11 +511,6 @@ class _Parser:
         t = self.peek()
         self.i += 1
         return t
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise AlgebraError(f"expected {op!r} in polynomial")
 
     def parse(self):
         # poly := ['-'] term (('+'|'-') term)*

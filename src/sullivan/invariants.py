@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cdga import Cdga, CdgaError, word_length_quotient
 from .graded import AlgElement, Derivation
-from .linalg import RatMatrix, rref, span_basis
+from .linalg import RatMatrix, rank
 from .models import check_minimal_sullivan, minimal_model
 
 __all__ = [
@@ -153,27 +153,16 @@ def pure_filtration_homology(c, k, max_degree):
         return [mono for mono in alg.basis_of_degree(m)
                 if _odd_count(alg, mono) == j]
 
-    def d_matrix(j, m):
-        src = layer(j, m)
+    def d_rank(j, m):
         tgt = layer(j - 1, m + 1)
         index = {mono: i for i, mono in enumerate(tgt)}
-        cols = []
-        for mono in src:
-            img = c.d(AlgElement(alg, {mono: Fraction(1)}))
-            col = [Fraction(0)] * len(tgt)
-            for mm, cc in img.terms.items():
-                col[index[mm]] = cc
-            cols.append(col)
-        return RatMatrix([[cols[jj][i] for jj in range(len(src))]
-                          for i in range(len(tgt))], cols=len(src))
+        cols = [{index[mm]: cc for mm, cc in
+                 c.d(AlgElement(alg, {mono: Fraction(1)})).terms.items()}
+                for mono in layer(j, m)]
+        return rank(RatMatrix.from_columns(cols, len(tgt)))
 
-    dims = []
-    for m in range(max_degree + 1):
-        n_src = len(layer(k, m))
-        rank_out = rref(d_matrix(k, m))[2]
-        rank_in = rref(d_matrix(k + 1, m - 1))[2]
-        dims.append(n_src - rank_out - rank_in)
-    return dims
+    return [len(layer(k, m)) - d_rank(k, m) - d_rank(k + 1, m - 1)
+            for m in range(max_degree + 1)]
 
 
 class Finite:
@@ -217,8 +206,6 @@ def finiteness_test(c, bound):
 
     def h0_dim(m):
         tgt = even_basis(m)
-        if not tgt:
-            return 0
         index = {mono: i for i, mono in enumerate(tgt)}
         vectors = []
         for g in odd_gens:
@@ -227,13 +214,9 @@ def finiteness_test(c, bound):
                 continue
             for mono in even_basis(m - (g.degree + 1)):
                 img = AlgElement(alg, {mono: Fraction(1)}) * dg
-                if img.is_zero():
-                    continue
-                v = [Fraction(0)] * len(tgt)
-                for mm, cc in img.terms.items():
-                    v[index[mm]] = cc
-                vectors.append(v)
-        return len(tgt) - span_basis(vectors, len(tgt)).dim
+                vectors.append({index[mm]: cc
+                                for mm, cc in img.terms.items()})
+        return len(tgt) - rank(RatMatrix.from_rows(vectors, len(tgt)))
 
     dims = []
     zeros = 0
@@ -456,9 +439,8 @@ def cuplength(c, max_degree):
                 if not any(vec):
                     continue
                 known = spans.setdefault(deg, [])
-                before = span_basis(known, len(vec)).dim
-                after = span_basis(known + [vec], len(vec)).dim
-                if after > before:
+                # the vectors kept so far are independent
+                if rank(RatMatrix(known + [vec])) > len(known):
                     known.append(vec)
                     nxt.append((deg, prod))
         if not nxt:
@@ -500,9 +482,9 @@ def toomer_rank(c, cap, max_degree):
         injective = True
         for k in range(max_degree + 1):
             m = proj.h_matrix(k)
-            rank = rref(m)[2]
-            ranks.append({"degree": k, "source_dim": m.cols, "rank": rank})
-            if rank != m.cols:
+            r = rank(m)
+            ranks.append({"degree": k, "source_dim": m.cols, "rank": r})
+            if r != m.cols:
                 injective = False
         details.append({"n": n, "injective": injective, "ranks": ranks})
         if injective:

@@ -1,235 +1,291 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse rows.
 
-Row reduction clears denominators and runs a fraction-free forward pass
-(cross-multiplication updates with gcd containment); rational division
-happens only when the reduced echelon form is finalized.  Pivot choice is
-deterministic (leftmost nonzero column, first available row), so kernels,
-images, quotient representatives and canonical solutions are reproducible.
+A `RatMatrix` keeps its nonzero entries as sparse rows {column:
+Fraction}; its dense `data` is built only when read.  One kernel does
+all elimination: rows become primitive integer rows {column: int} that
+`_eliminate` cancels in turn, fraction-free, against the pivot rows kept
+so far (pivot: leftmost nonzero column, taken by the first row there).
+`rank` counts the kept rows and makes no Fraction.  `_reduced`
+back-substitutes to the reduced echelon form (rows up to scale) for
+`rref`, `span_basis`, `image_basis`, `kernel_basis` and `solve`, which
+make Fractions only for the rows they return.  `quotient_basis` clears
+every kept pivot of each new row instead.
+
+The reduced echelon basis of a subspace is unique, so every result but
+the NoSolution certificate is independent of the elimination order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
 
 
 class LinalgError(ValueError):
     pass
 
 
+def _sparse(vector):
+    """{index: Fraction} of the nonzero entries of a dense vector or dict."""
+    items = vector.items() if isinstance(vector, dict) else enumerate(vector)
+    out = {}
+    for j, x in items:
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if x:
+            out[j] = x
+    return out
+
+
+def _dense(row, n):
+    out = [_ZERO] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
 class RatMatrix:
-    __slots__ = ("rows", "cols", "data")
+    """Exact rational matrix kept as sparse rows {column: Fraction}."""
+
+    __slots__ = ("rows", "cols", "sparse")
 
     def __init__(self, data, cols=None):
-        self.data = [[Fraction(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        if self.rows:
-            widths = {len(r) for r in self.data}
-            if len(widths) != 1:
-                raise LinalgError("ragged rows")
-            self.cols = widths.pop()
-        else:
-            self.cols = 0 if cols is None else cols
+        data = [list(r) for r in data]
+        if len({len(r) for r in data}) > 1:
+            raise LinalgError("ragged rows")
+        self.rows, self.cols = len(data), len(data[0]) if data else cols or 0
+        self.sparse = [_sparse(r) for r in data]
+
+    @classmethod
+    def from_rows(cls, rows, cols):
+        """From sparse rows {column: value} or dense rows."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.sparse = len(rows), cols, [_sparse(r) for r in rows]
+        return m
+
+    @classmethod
+    def from_columns(cls, columns, rows):
+        """From sparse columns {row: value} or dense columns."""
+        return cls.from_rows(columns, rows).transpose()
 
     @staticmethod
     def zero(rows, cols):
-        return RatMatrix([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
+        return RatMatrix.from_rows([{}] * rows, cols)
 
     @staticmethod
     def identity(n):
-        m = RatMatrix.zero(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
+        return RatMatrix.from_rows([{i: 1} for i in range(n)], n)
+
+    @property
+    def data(self):
+        return [_dense(r, self.cols) for r in self.sparse]
+
+    def columns(self):
+        """Sparse columns {row: Fraction}."""
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, x in row.items():
+                out[j][i] = x
+        return out
 
     def mult_vec(self, v):
         if len(v) != self.cols:
             raise LinalgError(f"vector length {len(v)} vs {self.cols} columns")
-        return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
-                for row in self.data]
+        return [sum((x * v[j] for j, x in row.items()), _ZERO)
+                for row in self.sparse]
 
     def transpose(self):
-        return RatMatrix([[self.data[r][c] for r in range(self.rows)]
-                          for c in range(self.cols)], cols=self.rows)
+        return RatMatrix.from_rows(self.columns(), self.rows)
 
     def __eq__(self, other):
-        return (isinstance(other, RatMatrix) and self.cols == other.cols
-                and self.data == other.data)
+        return (isinstance(other, RatMatrix) and self.rows == other.rows
+                and self.cols == other.cols and self.sparse == other.sparse)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"RatMatrix[{self.rows}x{self.cols}: {body}]"
 
 
-def _integerize(row):
-    """Scale a rational row to integers, divided by the common gcd."""
-    denom = 1
-    for x in row:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+# ----- the elimination kernel -----
+
+def _int_row(row):
+    """Primitive integer row proportional to a sparse rational row."""
+    den = lcm(*[x.denominator for x in row.values()])
+    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
-def _forward_eliminate(rows, ncols, limit=None):
-    """Fraction-free forward elimination in place on integer rows.
+def _cancel(v, row, c):
+    """a v - b row (a, b coprime, a > 0) cancelling column c; in place
+    unless v must be scaled."""
+    p, f = row[c], v[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        v = {j: a * x for j, x in v.items()}
+    for j, x in row.items():
+        y = v.get(j)
+        if y is None:
+            v[j] = -b * x
+        elif y == b * x:
+            del v[j]
+        else:
+            v[j] = y - b * x
+    if a != 1:
+        g = gcd(*v.values())
+        if g > 1:
+            v = {j: x // g for j, x in v.items()}
+    return v
 
-    Pivots are searched in columns [0, limit); trailing columns are
-    carried along (for augmented systems).  Returns the pivot columns.
-    """
-    if limit is None:
-        limit = ncols
-    pivots = []
-    pr = 0
-    for c in range(limit):
-        sel = None
-        for r in range(pr, len(rows)):
-            if rows[r][c]:
-                sel = r
+
+def _eliminate(rows, full=False):
+    """Forward pass over sparse integer rows (consumed), in order: each
+    is cancelled at its leftmost column while a kept row has its pivot
+    there (with `full`, at every kept pivot, leftmost first), and what
+    is left is kept, primitive with a positive leading entry, under its
+    leftmost column.  Returns {pivot: row} in the order kept."""
+    piv = {}
+    for v in rows:
+        while v:
+            c = (min((j for j in v if j in piv), default=None) if full
+                 else min(v))
+            if c not in piv:
                 break
-        if sel is None:
-            continue
-        if sel != pr:
-            rows[pr], rows[sel] = rows[sel], rows[pr]
-        p = rows[pr][c]
-        for r in range(pr + 1, len(rows)):
-            f = rows[r][c]
-            if not f:
-                continue
-            new = [p * rows[r][j] - f * rows[pr][j] for j in range(ncols)]
-            g = 0
-            for v in new:
-                g = gcd(g, v)
-            if g > 1:
-                new = [v // g for v in new]
-            rows[r] = new
-        pivots.append(c)
-        pr += 1
-        if pr == len(rows):
-            break
-    return pivots
+            v = _cancel(v, piv[c], c)
+        if v:
+            lead = min(v)
+            g = gcd(*v.values())
+            if v[lead] < 0:
+                g = -g
+            piv[lead] = {j: x // g for j, x in v.items()} if g != 1 else v
+    return piv
+
+
+def _reduced(piv):
+    """Clear every pivot row at the other pivot columns, last pivot
+    first: [(pivot, row)] in pivot order, the reduced echelon form with
+    each row up to its (positive) pivot entry."""
+    order = sorted(piv)
+    for c in reversed(order):
+        row = piv[c]
+        for j in [j for j in row if j != c and j in piv]:
+            row = _cancel(row, piv[j], j)
+        piv[c] = row
+    return [(c, piv[c]) for c in order]
+
+
+def _echelon(rows):
+    """[(pivot, row)]: the reduced echelon form of sparse rational rows,
+    each row 1 at its pivot."""
+    red = _reduced(_eliminate([_int_row(r) for r in rows if r]))
+    return [(c, {j: Fraction(x, row[c]) for j, x in row.items()})
+            for c, row in red]
+
+
+def rank(m):
+    """Rank of a RatMatrix, from one forward pass."""
+    return len(_eliminate([_int_row(r) for r in m.sparse if r]))
 
 
 def rref(m):
     """Reduced row echelon form: (RatMatrix, pivot columns, rank)."""
-    rows = [_integerize(r) for r in m.data]
-    pivots = _forward_eliminate(rows, m.cols)
-    rank = len(pivots)
-    # finalize: rational normalization and elimination above the pivots
-    out = [[Fraction(x) for x in r] for r in rows]
-    for i in reversed(range(rank)):
-        c = pivots[i]
-        p = out[i][c]
-        out[i] = [x / p for x in out[i]]
-        for r in range(i):
-            f = out[r][c]
-            if f:
-                out[r] = [out[r][j] - f * out[i][j] for j in range(m.cols)]
-    return RatMatrix(out, cols=m.cols), pivots, rank
+    red = _echelon(m.sparse)
+    rows = [row for _, row in red] + [{}] * (m.rows - len(red))
+    return RatMatrix.from_rows(rows, m.cols), [c for c, _ in red], len(red)
 
 
 class SubspaceBasis:
-    """Subspace given by reduced-echelon basis rows with pivot columns."""
+    """Subspace given by its reduced echelon basis: sparse rows
+    {column: Fraction}, each 1 at its pivot column."""
 
-    __slots__ = ("ambient", "vectors", "pivots")
+    __slots__ = ("ambient", "rows", "pivots", "_by_pivot")
 
-    def __init__(self, ambient, vectors, pivots):
+    def __init__(self, ambient, rows, pivots):
         self.ambient = ambient
-        self.vectors = vectors
+        self.rows = rows
         self.pivots = pivots
+        self._by_pivot = dict(zip(pivots, rows))
 
     @property
     def dim(self):
-        return len(self.vectors)
+        return len(self.rows)
+
+    @property
+    def vectors(self):
+        return [_dense(r, self.ambient) for r in self.rows]
 
     def reduce(self, v):
-        """Residue of v modulo the subspace (eliminate pivot coordinates)."""
-        v = list(v)
-        for row, c in zip(self.vectors, self.pivots):
+        """Residue of v (dense or sparse) modulo the subspace, as a sparse
+        {column: Fraction}: its pivot coordinates eliminated."""
+        v = _sparse(v)
+        for c in [c for c in v if c in self._by_pivot]:
             f = v[c]
-            if f:
-                for j in range(self.ambient):
-                    v[j] -= f * row[j]
+            for j, x in self._by_pivot[c].items():
+                y = v.get(j, _ZERO) - f * x
+                if y:
+                    v[j] = y
+                else:
+                    del v[j]
         return v
 
     def contains(self, v):
-        return not any(self.reduce(v))
+        return not self.reduce(v)
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient})"
 
 
 def span_basis(vectors, ambient):
-    """Canonical SubspaceBasis spanned by arbitrary vectors."""
-    if not vectors:
-        return SubspaceBasis(ambient, [], [])
-    r, pivots, rank = rref(RatMatrix(vectors, cols=ambient))
-    return SubspaceBasis(ambient, r.data[:rank], pivots)
+    """Canonical SubspaceBasis spanned by vectors (dense or sparse)."""
+    red = _echelon([_sparse(v) for v in vectors])
+    return SubspaceBasis(ambient, [row for _, row in red],
+                         [c for c, _ in red])
 
 
 def kernel_basis(m):
-    """Canonical basis of {v : m v = 0}."""
-    r, pivots, rank = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    vecs = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -r.data[i][f]
-        vecs.append(v)
-    return span_basis(vecs, m.cols)
+    """Canonical basis of {v : m v = 0}.
+
+    With the columns of m reversed, the free-variable vector of a free
+    column f is 1 at f and nonzero elsewhere only at pivots before f;
+    back in the original order, these are the reduced echelon basis."""
+    n = m.cols
+    red = dict(_echelon([{n - 1 - j: x for j, x in r.items()}
+                         for r in m.sparse]))
+    rows = {f: {n - 1 - f: Fraction(1)}
+            for f in range(n - 1, -1, -1) if f not in red}
+    for c, row in red.items():
+        for j, x in row.items():
+            if j != c:
+                rows[j][n - 1 - c] = -x
+    return SubspaceBasis(n, list(rows.values()), [n - 1 - f for f in rows])
 
 
 def image_basis(m):
     """Canonical basis of the column space."""
-    return span_basis(m.transpose().data, m.rows)
+    return span_basis(m.columns(), m.rows)
 
 
 def quotient_basis(sub, within):
     """Coset representatives spanning within/sub.
 
-    Representatives are drawn from `within`'s echelon vectors, reduced
-    modulo `sub`; their count is dim(within) - dim(sub).
+    Representatives are drawn from `within`'s echelon vectors, in order,
+    each reduced modulo `sub` and the representatives before it and
+    scaled to leading entry 1; their count is dim(within) - dim(sub).
     """
     if sub.ambient != within.ambient:
         raise LinalgError("ambient dimensions differ")
-    for i, v in enumerate(sub.vectors):
-        if not within.contains(v):
-            raise LinalgError(
-                f"containment violation: sub basis vector {i} "
-                f"({[str(x) for x in v]}) is not in the larger subspace")
-    stack = [list(v) for v in sub.vectors]
-    stack_pivots = list(sub.pivots)
-    reps = []
-    for w in within.vectors:
-        v = list(w)
-        # reduce against the growing echelon stack
-        changed = True
-        while changed:
-            changed = False
-            for row, c in zip(stack, stack_pivots):
-                if v[c]:
-                    f = v[c] / row[c]
-                    for j in range(len(v)):
-                        v[j] -= f * row[j]
-                    changed = True
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        v = [x / v[lead] for x in v]
-        reps.append(v)
-        k = 0
-        while k < len(stack_pivots) and stack_pivots[k] < lead:
-            k += 1
-        stack.insert(k, v)
-        stack_pivots.insert(k, lead)
-    return reps
+    piv = _eliminate(map(_int_row, sub.rows + within.rows), full=True)
+    if len(piv) != within.dim:
+        i = next(i for i, v in enumerate(sub.rows) if not within.contains(v))
+        raise LinalgError(
+            f"containment violation: sub basis vector {i} "
+            f"({[str(x) for x in sub.vectors[i]]}) is not in the larger "
+            f"subspace")
+    return [_dense({j: Fraction(x, row[c]) for j, x in row.items()},
+                   sub.ambient) for c, row in list(piv.items())[sub.dim:]]
 
 
 class NoSolution:
@@ -251,34 +307,25 @@ class NoSolution:
 def solve(m, b):
     """One exact solution of m x = b (free variables zeroed), or NoSolution.
 
-    The NoSolution certificate y satisfies y.m = 0 and y.b = 1.
+    The NoSolution certificate y satisfies y.m = 0 and y.b = 1: the first
+    vector of the reduced echelon basis of the left kernel of m that is
+    not orthogonal to b, scaled.
     """
     if len(b) != m.rows:
         raise LinalgError(f"rhs length {len(b)} vs {m.rows} rows")
-    n = m.rows
-    aug = [list(m.data[i]) + [Fraction(b[i])]
-           + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    rows = [_integerize(r) for r in aug]
-    width = m.cols + 1 + n
-    pivots = _forward_eliminate(rows, width, limit=m.cols + 1)
-    rank = len(pivots)
-    if pivots and pivots[-1] == m.cols:
-        r = rank - 1
-        scale = Fraction(1, rows[r][m.cols])
-        cert = [scale * rows[r][m.cols + 1 + j] for j in range(n)]
-        return NoSolution(r, cert)
-    # rational back substitution on the coefficient block
-    out = [[Fraction(x) for x in row[:m.cols + 1]] for row in rows]
-    for i in reversed(range(rank)):
-        c = pivots[i]
-        p = out[i][c]
-        out[i] = [x / p for x in out[i]]
-        for r in range(i):
-            f = out[r][c]
-            if f:
-                out[r] = [out[r][j] - f * out[i][j] for j in range(m.cols + 1)]
-    x = [Fraction(0)] * m.cols
-    for i, c in enumerate(pivots):
-        x[c] = out[i][m.cols]
+    aug = [dict(r) for r in m.sparse]
+    for r, x in zip(aug, b):
+        if x:
+            r[m.cols] = Fraction(x)
+    piv = _eliminate([_int_row(r) for r in aug if r])
+    if m.cols in piv:
+        for y in kernel_basis(m.transpose()).rows:
+            t = sum(x * b[i] for i, x in y.items())
+            if t:
+                return NoSolution(len(piv) - 1,
+                                  _dense({i: x / t for i, x in y.items()},
+                                         m.rows))
+    x = [_ZERO] * m.cols
+    for c, row in _reduced(piv):
+        x[c] = Fraction(row.get(m.cols, 0), row[c])
     return x

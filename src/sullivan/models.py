@@ -23,10 +23,10 @@ from .graded import AlgElement, Derivation, FreeAlgebra, format_element, substit
 from .linalg import (
     NoSolution,
     RatMatrix,
+    image_basis,
     kernel_basis,
     quotient_basis,
     solve,
-    span_basis,
 )
 
 __all__ = [
@@ -117,9 +117,6 @@ class RelativeSullivanAlgebra:
                             raise ModelError(
                                 f"D({g.name}) uses later fiber generator {bad}")
             allowed.add(g.ordinal)
-
-    def fiber_degrees(self):
-        return [g.degree for g in self.fiber]
 
     def __repr__(self):
         fib = ", ".join(f"{g.name}:{g.degree}" for g in self.fiber)
@@ -213,13 +210,8 @@ def acyclic_closure(model, verify_to=0):
             cols = []
             for mono in candidates:
                 img = cur_d.apply(AlgElement(alg, {mono: Fraction(1)}))
-                col = [Fraction(0)] * len(target_basis)
-                for mm, c in img.terms.items():
-                    col[index[mm]] = c
-                cols.append(col)
-            mat = RatMatrix([[cols[j][i] for j in range(len(cols))]
-                             for i in range(len(target_basis))],
-                            cols=len(cols))
+                cols.append({index[mm]: c for mm, c in img.terms.items()})
+            mat = RatMatrix.from_columns(cols, len(target_basis))
             sol = solve(mat, rhs)
             if isinstance(sol, NoSolution):
                 raise ModelError(
@@ -434,14 +426,8 @@ def minimal_model(target, max_degree):
 
         # (a) new closed generators spanning coker H^n(phi)
         hmat = phi.h_matrix(n)
-        tgt_dim = target.h_dim(n)
-        image_vs = [[hmat.data[i][j] for i in range(tgt_dim)]
-                    for j in range(hmat.cols)]
-        im = span_basis(image_vs, tgt_dim)
-        full = span_basis([[Fraction(1 if i == j else 0)
-                            for i in range(tgt_dim)]
-                           for j in range(tgt_dim)], tgt_dim)
-        coker = quotient_basis(im, full)
+        full = image_basis(RatMatrix.identity(hmat.rows))
+        coker = quotient_basis(image_basis(hmat), full)
         tgt_reps = target.h_representatives(n)
         cocycle_names = []
         for vec in coker:

@@ -19,7 +19,7 @@ from itertools import combinations, product
 from math import factorial
 
 from .graded import AlgElement, Derivation, FreeAlgebra
-from .linalg import RatMatrix, kernel_basis, rref, span_basis
+from .linalg import RatMatrix, kernel_basis, rank
 
 __all__ = [
     "FormError",
@@ -115,14 +115,6 @@ class PolyForm:
         """Exterior degree (number of y factors); None for the zero form."""
         return self.element.degree()
 
-    def poly_degree(self):
-        alg = self.element.algebra
-        best = 0
-        for mono in self.element.terms:
-            best = max(best, sum(p for o, p in mono
-                                 if alg.degree_of(o) == 0))
-        return best
-
     def d(self):
         return PolyForm(self.dim, _form_diff(self.dim).apply(self.element))
 
@@ -169,6 +161,13 @@ class PolyForm:
             images[src.generator(f"y{k}").ordinal] = yk
         from .graded import substitute
         return PolyForm(n + 1, substitute(self.element, images, tgt))
+
+    def degen_word(self, word):
+        """Pullback along a degeneracy word (outermost first)."""
+        f = self
+        for j in reversed(word):
+            f = f.degen(j)
+        return f
 
     def __add__(self, other):
         self._same(other)
@@ -232,6 +231,19 @@ def normalize_word(word):
     return out
 
 
+def _face_defect(dim, i, word):
+    """Why face i of a dim-simplex, a degeneracy word (outermost first,
+    the p-th letter landing on dimension dim - p) applied to a simplex,
+    cannot exist; None when it can."""
+    if dim < 1 or not 0 <= i <= dim:
+        return f"face index {i} out of range for a {dim}-simplex"
+    for p, j in enumerate(word, start=1):
+        if not 0 <= j <= dim - 1 - p:
+            return (f"degeneracy s{j} out of range in face {i} of a "
+                    f"{dim}-simplex")
+    return None
+
+
 class SimplicialComplexFin:
     """Finite simplicial set: nondegenerate simplices with face data
     (target nondegenerate simplex plus a degeneracy word)."""
@@ -274,12 +286,18 @@ class SimplicialComplexFin:
     def validate(self):
         defects = []
         for sid, dim in self.dims.items():
+            if dim < 0:
+                defects.append(f"simplex {sid} has negative dimension {dim}")
             for i in range(dim + 1):
                 if dim > 0 and (sid, i) not in self.faces:
                     defects.append(f"simplex {sid} missing face {i}")
         if defects:
             return defects
         for (sid, i), (tgt, word) in self.faces.items():
+            bad = _face_defect(self.dims.get(sid, 0), i, word)
+            if bad:
+                defects.append(f"face ({sid},{i}): {bad}")
+                continue
             if tgt not in self.dims:
                 defects.append(f"face ({sid},{i}) hits unknown simplex {tgt}")
                 continue
@@ -337,9 +355,7 @@ class GlobalForm:
                 if dim == 0:
                     break
                 tgt, word = self.complex.faces[(sid, i)]
-                rhs = self.form(tgt)
-                for j in reversed(word):
-                    rhs = rhs.degen(j)
+                rhs = self.form(tgt).degen_word(word)
                 lhs = own.face(i)
                 if lhs != rhs:
                     defects.append(f"face {i} of {sid} disagrees with {tgt}")
@@ -450,27 +466,24 @@ def cochain_differential(c):
 
 def _delta_matrix(K, k):
     src = K.simplices(k)
-    tgt = K.simplices(k + 1)
     index = {sid: i for i, sid in enumerate(src)}
-    data = [[Fraction(0)] * len(src) for _ in tgt]
-    for r, sid in enumerate(tgt):
+    rows = []
+    for sid in K.simplices(k + 1):
+        row = {}
         for i in range(k + 2):
             face, word = K.faces[(sid, i)]
-            if word:
-                continue
-            data[r][index[face]] += -1 if i % 2 else 1
-    return RatMatrix(data, cols=len(src))
+            if not word:
+                j = index[face]
+                row[j] = row.get(j, 0) + (-1 if i % 2 else 1)
+        rows.append(row)
+    return RatMatrix.from_rows(rows, len(src))
 
 
 def cochain_cohomology(K, max_degree):
     """Dimension table of the normalized cochain cohomology."""
-    dims = []
-    for k in range(max_degree + 1):
-        n = len(K.simplices(k))
-        rank_out = rref(_delta_matrix(K, k))[2]
-        rank_in = rref(_delta_matrix(K, k - 1))[2] if k else 0
-        dims.append(n - rank_out - rank_in)
-    return dims
+    return [len(K.simplices(k)) - rank(_delta_matrix(K, k))
+            - (rank(_delta_matrix(K, k - 1)) if k else 0)
+            for k in range(max_degree + 1)]
 
 
 def _front_face(K, sid, p):
@@ -561,74 +574,40 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
     if key in K._sample_cache:
         return K._sample_cache[key]
     order = sorted(K.dims, key=lambda sid: (K.dims[sid], sid))
+    bases = {sid: form_basis(K.dims[sid], degree, poly_cap) for sid in order}
     var_index = {}
-    bases = {}
     for sid in order:
-        bases[sid] = form_basis(K.dims[sid], degree, poly_cap)
         for idx in range(len(bases[sid])):
             var_index[(sid, idx)] = len(var_index)
-    nvars = len(var_index)
     rows = []
 
-    def coords_of(elem, n, k):
-        basis = form_basis(n, k, poly_cap)
-        index = {m: i for i, m in enumerate(basis)}
-        v = [Fraction(0)] * len(basis)
-        for mono, c in elem.terms.items():
-            v[index[mono]] = c
-        return v
+    def equate(n, k, terms):
+        """Rows of sum(sign * move(form on sid)) = 0 in k-forms on the
+        n-simplex, for terms (sid, sign, move)."""
+        index = {m: i for i, m in enumerate(form_basis(n, k, poly_cap))}
+        block = [{} for _ in index]
+        for sid, sign, move in terms:
+            dim = K.dims[sid]
+            for idx, mono in enumerate(bases[sid]):
+                f = PolyForm(dim, AlgElement(form_algebra(dim),
+                                             {mono: Fraction(1)}))
+                col = var_index[(sid, idx)]
+                for m, c in move(f).element.terms.items():
+                    row = block[index[m]]
+                    row[col] = row.get(col, 0) + sign * c
+        rows.extend(block)
 
     for sid in order:
         dim = K.dims[sid]
-        if dim == 0:
-            continue
-        for i in range(dim + 1):
+        for i in range(dim + 1 if dim else 0):
             tgt, word = K.faces[(sid, i)]
-            tgt_len = len(form_basis(dim - 1, degree, poly_cap))
-            if tgt_len == 0:
-                continue
-            block = [[Fraction(0)] * nvars for _ in range(tgt_len)]
-            for idx, mono in enumerate(bases[sid]):
-                f = PolyForm(dim, AlgElement(form_algebra(dim),
-                                             {mono: Fraction(1)}))
-                vec = coords_of(f.face(i).element, dim - 1, degree)
-                col = var_index[(sid, idx)]
-                for r in range(tgt_len):
-                    if vec[r]:
-                        block[r][col] += vec[r]
-            for idx, mono in enumerate(bases[tgt]):
-                f = PolyForm(K.dims[tgt],
-                             AlgElement(form_algebra(K.dims[tgt]),
-                                        {mono: Fraction(1)}))
-                for j in reversed(word):
-                    f = f.degen(j)
-                vec = coords_of(f.element, dim - 1, degree)
-                col = var_index[(tgt, idx)]
-                for r in range(tgt_len):
-                    if vec[r]:
-                        block[r][col] -= vec[r]
-            rows.extend(block)
-    if closed:
-        for sid in order:
-            dim = K.dims[sid]
-            tgt_len = len(form_basis(dim, degree + 1, poly_cap))
-            if tgt_len == 0:
-                continue
-            block = [[Fraction(0)] * nvars for _ in range(tgt_len)]
-            for idx, mono in enumerate(bases[sid]):
-                f = PolyForm(dim, AlgElement(form_algebra(dim),
-                                             {mono: Fraction(1)}))
-                vec = coords_of(f.d().element, dim, degree + 1)
-                col = var_index[(sid, idx)]
-                for r in range(tgt_len):
-                    if vec[r]:
-                        block[r][col] += vec[r]
-            rows.extend(block)
-    rows = [r for r in rows if any(r)]
-    kernel = kernel_basis(RatMatrix(rows, cols=nvars)) if rows else \
-        span_basis([[Fraction(1 if i == j else 0) for j in range(nvars)]
-                    for i in range(nvars)], nvars)
-    result = (order, bases, var_index, kernel.vectors)
+            equate(dim - 1, degree,
+                   [(sid, 1, lambda f, i=i: f.face(i)),
+                    (tgt, -1, lambda f, word=word: f.degen_word(word))])
+        if closed:
+            equate(dim, degree + 1, [(sid, 1, PolyForm.d)])
+    kernel = kernel_basis(RatMatrix.from_rows(rows, len(var_index)))
+    result = (order, bases, var_index, kernel.rows)
     K._sample_cache[key] = result
     return result
 
@@ -655,9 +634,8 @@ def _sample(K, degree, poly_cap, seed, closed):
     for kv in kernel:
         c = rng.randint(-3, 3)
         if c:
-            for i in range(nvars):
-                if kv[i]:
-                    vec[i] += c * kv[i]
+            for i, x in kv.items():
+                vec[i] += c * x
     return _assemble(K, degree, order, bases, var_index, vec)
 
 
@@ -686,7 +664,10 @@ class StokesReport:
 
     @property
     def ok(self):
-        return all(t["passed"] for t in self.trials)
+        """Every trial exact, and the sampled cocycles reach every class."""
+        return (all(t["passed"] for t in self.trials)
+                and all(r["sampled_rank"] == r["h_dim"]
+                        for r in self.cocycle_ranks))
 
     @property
     def passed(self):
@@ -718,26 +699,16 @@ def verify_stokes(K, trials, poly_cap, seed):
     h_dims = cochain_cohomology(K, K.top_dim)
     cocycle_ranks = []
     for k in range(K.top_dim + 1):
-        simplices = K.simplices(k)
-        index = {sid: i for i, sid in enumerate(simplices)}
-        bnd = _delta_matrix(K, k - 1) if k else None
-        bvecs = bnd.transpose().data if bnd is not None else []
-        base = span_basis(bvecs, len(simplices))
-        vectors = list(base.vectors)
-        achieved = base.dim
-        rank = 0
-        for t in range(trials):
-            gf = sample_closed_global_form(K, k, poly_cap, seed + 1000 + t)
-            ch = integrate(gf)
-            v = [Fraction(0)] * len(simplices)
-            for sid, val in ch.values.items():
-                v[index[sid]] = val
-            grown = span_basis(vectors + [v], len(simplices)).dim
-            if grown > achieved:
-                vectors.append(v)
-                achieved = grown
-                rank += 1
-        cocycle_ranks.append({"degree": k, "sampled_rank": rank,
+        index = {sid: i for i, sid in enumerate(K.simplices(k))}
+        cocycles = [
+            {index[sid]: v for sid, v in integrate(sample_closed_global_form(
+                K, k, poly_cap, seed + 1000 + t)).values.items()}
+            for t in range(trials)]
+        # the rank of the sampled cocycles modulo the coboundaries
+        bnd = _delta_matrix(K, k - 1).columns() if k else []
+        sampled = (rank(RatMatrix.from_rows(bnd + cocycles, len(index)))
+                   - rank(RatMatrix.from_rows(bnd, len(index))))
+        cocycle_ranks.append({"degree": k, "sampled_rank": sampled,
                               "h_dim": h_dims[k]})
     return StokesReport(K.name, records, cocycle_ranks, h_dims)
 
@@ -768,6 +739,9 @@ def parse_scomplex_file(text, filename="<scomplex>", check=True):
                 dims[sid] = int(parts[2])
             except ValueError:
                 raise FormError(f"{filename}:{lineno}: bad dimension") from None
+            if dims[sid] < 0:
+                raise FormError(f"{filename}:{lineno}: negative dimension "
+                                f"{dims[sid]}")
         elif kw == "face":
             if len(parts) < 5 or parts[3] != "=":
                 raise FormError(f"{filename}:{lineno}: expected: "
@@ -791,6 +765,9 @@ def parse_scomplex_file(text, filename="<scomplex>", check=True):
             if sid not in dims:
                 raise FormError(f"{filename}:{lineno}: simplex {sid} not "
                                 f"declared before use")
+            bad = _face_defect(dims[sid], i, word)
+            if bad:
+                raise FormError(f"{filename}:{lineno}: {bad}")
             faces[(sid, i)] = (tgt, tuple(word))
         else:
             raise FormError(f"{filename}:{lineno}: unknown keyword {kw!r}")

@@ -177,3 +177,32 @@ def test_byte_identical_output(capsys):
                              "--trials", "4", "--seed", "3")
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def test_pl_verify_fails_when_a_class_is_never_sampled(capsys):
+    # one trial per degree: the sampled 0-cocycle is zero, so the class
+    # of H^0 is never reached although the single Stokes trial passes
+    code, out, err = run(capsys, "pl-verify", str(DATA / "bddelta3.scx"),
+                         "--trials", "1", "--poly-cap", "1", "--seed", "3",
+                         "--json")
+    doc = json.loads(out)
+    assert doc["passed"] == doc["trials"] == 1
+    assert doc["cocycleRanks"][0] == {"degree": 0, "sampled_rank": 0,
+                                      "h_dim": 1}
+    assert doc["ok"] is False
+    assert code == 1
+
+
+def test_pl_verify_negative_poly_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "pl-verify", str(DATA / "bddelta3.scx"),
+                         "--poly-cap", "-1", "--json")
+    assert code == 2
+    assert out == ""
+    assert "--poly-cap" in err
+
+
+def test_pl_verify_zero_trials_is_usage_error(capsys):
+    code, out, err = run(capsys, "pl-verify", "--builtin", "bddelta3",
+                         "--trials", "0")
+    assert code == 2
+    assert "--trials" in err

@@ -1,10 +1,15 @@
 """Exact rational matrix routines."""
 
+import pathlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sullivan.cdga import load_cdga
 from sullivan.linalg import (
     LinalgError,
     NoSolution,
@@ -12,6 +17,7 @@ from sullivan.linalg import (
     image_basis,
     kernel_basis,
     quotient_basis,
+    rank,
     rref,
     solve,
     span_basis,
@@ -147,3 +153,258 @@ def test_quotient_dimension_count():
         sub = span_basis(within.vectors[:k], n)
         reps = quotient_basis(sub, within)
         assert len(reps) == within.dim - sub.dim
+
+
+# ----- oracles the sparse kernel does not share -----
+#
+# A dense reference: the Fraction-row elimination that sullivan.linalg
+# used before its sparse kernel, kept here unchanged in substance.
+
+def _integerize(row):
+    denom = 1
+    for x in row:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in row]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _forward_eliminate(rows, ncols):
+    pivots = []
+    pr = 0
+    for c in range(ncols):
+        sel = next((r for r in range(pr, len(rows)) if rows[r][c]), None)
+        if sel is None:
+            continue
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        p = rows[pr][c]
+        for r in range(pr + 1, len(rows)):
+            f = rows[r][c]
+            if f:
+                new = [p * rows[r][j] - f * rows[pr][j] for j in range(ncols)]
+                g = 0
+                for v in new:
+                    g = gcd(g, v)
+                rows[r] = [v // g for v in new] if g > 1 else new
+        pivots.append(c)
+        pr += 1
+        if pr == len(rows):
+            break
+    return pivots
+
+
+def ref_rref(data, ncols):
+    """(reduced rows, pivots) of a dense matrix, all rows kept."""
+    rows = [_integerize([Fraction(x) for x in r]) for r in data]
+    pivots = _forward_eliminate(rows, ncols)
+    out = [[Fraction(x) for x in r] for r in rows]
+    for i in reversed(range(len(pivots))):
+        c = pivots[i]
+        out[i] = [x / out[i][c] for x in out[i]]
+        for r in range(i):
+            f = out[r][c]
+            if f:
+                out[r] = [out[r][j] - f * out[i][j] for j in range(ncols)]
+    return out, pivots
+
+
+def ref_span(vectors, n):
+    out, pivots = ref_rref(vectors, n)
+    return out[:len(pivots)]
+
+
+def ref_kernel(data, ncols):
+    out, pivots = ref_rref(data, ncols)
+    vecs = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -out[i][f]
+        vecs.append(v)
+    return ref_span(vecs, ncols)
+
+
+def ref_quotient(sub, within):
+    """Each within vector reduced modulo sub and the earlier
+    representatives, scaled to leading entry 1."""
+    stack = [(v, next(j for j, x in enumerate(v) if x)) for v in sub]
+    reps = []
+    for w in within:
+        v = list(w)
+        changed = True
+        while changed:
+            changed = False
+            for row, c in stack:
+                if v[c]:
+                    f = v[c] / row[c]
+                    v = [a - f * b for a, b in zip(v, row)]
+                    changed = True
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None:
+            v = [x / v[lead] for x in v]
+            reps.append(v)
+            stack.append((v, lead))
+    return reps
+
+
+def _domain(data, ncols):
+    """The same matrix as a sympy DomainMatrix over QQ (or skip)."""
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in r]
+                         for r in data], (len(data), ncols), QQ)
+
+
+def _from_domain(dm):
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in row]
+            for row in dm.to_list()]
+
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0 if rows == 0 else 1, max_cols))
+    return [draw(st.lists(ENTRIES, min_size=cols, max_size=cols))
+            for _ in range(rows)], cols
+
+
+EXAMPLES = [([], 3), ([[Fraction(0)] * 4] * 3, 4),
+            ([[Fraction(2), Fraction(-1, 2), Fraction(0)]], 3),
+            ([[Fraction(3)], [Fraction(0)], [Fraction(-1, 3)]], 1)]
+
+
+def examples(f):
+    for data in EXAMPLES:
+        f = example(data)(f)
+    return f
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@examples
+def test_rref_and_rank_match_dense_reference_and_sympy(mc):
+    data, cols = mc
+    m = RatMatrix(data, cols=cols)
+    red, pivots, rk = rref(m)
+    want, want_pivots = ref_rref(data, cols)
+    assert (red.data, pivots, rk) == (want, want_pivots, len(want_pivots))
+    assert rank(m) == rk
+    dm = _domain(data, cols)
+    sym, sym_pivots = dm.rref()
+    assert list(sym_pivots) == pivots and dm.rank() == rk
+    assert _from_domain(sym) == red.data
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@examples
+def test_kernel_and_image_match_dense_reference_and_sympy(mc):
+    data, cols = mc
+    m = RatMatrix(data, cols=cols)
+    kernel, image = kernel_basis(m), image_basis(m)
+    assert kernel.vectors == ref_kernel(data, cols)
+    transposed = [list(c) for c in zip(*data)] if data else []
+    assert image.vectors == ref_span(transposed, len(data))
+    dm = _domain(data, cols)
+    null = dm.nullspace()
+    sym_kernel = _from_domain(null) if null.shape[0] else []
+    assert kernel.vectors == ref_span(sym_kernel, cols)
+    assert kernel.dim == cols - dm.rank()
+    assert image.dim == dm.rank()
+    for v in kernel.vectors:
+        assert not any(m.mult_vec(v))
+
+
+@st.composite
+def quotient_cases(draw):
+    """A matrix whose rows span `within`, and integer combinations of
+    within's basis spanning `sub`."""
+    data, cols = draw(matrices())
+    dim = span_basis(data, cols).dim
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim,
+                                    max_size=dim), max_size=dim))
+    return data, cols, combos
+
+
+@settings(max_examples=150, deadline=None)
+@given(quotient_cases())
+@example(([], 3, []))
+@example(([[Fraction(0)] * 4] * 3, 4, []))
+@example((EXAMPLES[2][0], 3, [[1]]))
+@example(([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]], 2,
+          [[0, 1]]))
+def test_quotient_matches_dense_reference_and_sympy(case):
+    data, cols, combos = case
+    within = span_basis(data, cols)
+    sub_vs = [[sum(a * v[j] for a, v in zip(co, within.vectors))
+               for j in range(cols)] for co in combos]
+    sub = span_basis(sub_vs, cols)
+    reps = quotient_basis(sub, within)
+    assert reps == ref_quotient(ref_span(sub_vs, cols), ref_span(data, cols))
+    assert len(reps) == within.dim - sub.dim
+    # sub and the representatives together span within
+    both = sub.vectors + reps
+    assert ref_span(both, cols) == within.vectors
+    assert _domain(both, cols).rank() == within.dim
+
+
+@st.composite
+def systems(draw):
+    data, cols = draw(matrices())
+    return data, cols, draw(st.lists(ENTRIES, min_size=len(data),
+                                     max_size=len(data)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+@example(([], 3, []))
+@example(([[Fraction(0)] * 4] * 3, 4, [Fraction(0), Fraction(1), 0]))
+@example((EXAMPLES[2][0], 3, [Fraction(5)]))
+@example((EXAMPLES[3][0], 1, [Fraction(1), Fraction(1), Fraction(0)]))
+def test_solve_matches_dense_reference_and_sympy(case):
+    data, cols, b = case
+    m = RatMatrix(data, cols=cols)
+    x = solve(m, b)
+    aug = [r + [Fraction(bi)] for r, bi in zip(data, b)]
+    red, pivots = ref_rref(aug, cols + 1)
+    consistent = cols not in pivots
+    assert consistent == (_domain(aug, cols + 1).rank()
+                          == _domain(data, cols).rank())
+    if consistent:
+        want = [Fraction(0)] * cols
+        for i, c in enumerate(pivots):
+            want[c] = red[i][cols]
+        assert x == want
+        assert m.mult_vec(x) == b
+    else:
+        assert isinstance(x, NoSolution)
+        y = x.certificate
+        assert len(y) == len(data)
+        for j in range(cols):
+            assert sum(y[i] * data[i][j] for i in range(len(data))) == 0
+        assert sum(yi * bi for yi, bi in zip(y, b)) == 1
+
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+# top degree of each file in the README commands; -N 12 otherwise
+README_DEGREE = {"nonformal": 12, "h_cp2": 12, "model_s3": 20,
+                 "model_s2": 12, "elliptic6": 40}
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.cdga")),
+                         ids=lambda p: p.stem)
+def test_rank_only_h_dim_matches_representatives(path):
+    c = load_cdga(path)
+    top = README_DEGREE.get(path.stem, 12)
+    dims = [c.h_dim(k) for k in range(top + 1)]  # ranks only
+    assert not c._h_cache
+    assert dims == [len(c.h_representatives(k)) for k in range(top + 1)]

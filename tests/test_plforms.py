@@ -10,6 +10,7 @@ from sullivan.plforms import (
     FormError,
     GlobalForm,
     PolyForm,
+    SimplicialComplexFin,
     boundary_delta,
     builtin_complex,
     cochain_cohomology,
@@ -18,6 +19,7 @@ from sullivan.plforms import (
     delta_complex,
     form_basis,
     integrate,
+    load_scomplex,
     normalize_word,
     parse_scomplex_file,
     sample_closed_global_form,
@@ -281,3 +283,30 @@ def test_integration_is_not_multiplicative():
     assert lhs.value("01") == Fraction(1, 2)
     assert rhs.value("01") == 0
     assert lhs != rhs
+
+
+# ----- malformed .scx input -----
+
+@pytest.mark.parametrize("lines, message", [
+    (["simplex a -1"], "negative dimension -1"),
+    (["simplex v 0", "simplex e 1", "face e 5 = v"],
+     "face index 5 out of range for a 1-simplex"),
+    (["simplex p 0", "simplex T 2", "face T 0 = p s5"],
+     "degeneracy s5 out of range in face 0 of a 2-simplex"),
+], ids=["negative-dimension", "face-index", "degeneracy-index"])
+def test_malformed_scx_is_rejected_at_its_line(tmp_path, lines, message):
+    path = tmp_path / "bad.scx"
+    path.write_text("\n".join(["scomplex bad"] + lines) + "\n")
+    with pytest.raises(FormError) as exc:
+        load_scomplex(path)
+    assert str(exc.value) == f"{path}:{len(lines) + 1}: {message}"
+
+
+def test_validate_reports_out_of_range_faces():
+    K = SimplicialComplexFin("k", {"v": 0, "e": 1, "a": -1},
+                             {("e", 0): ("v", ()), ("e", 1): ("v", ()),
+                              ("e", 5): ("v", ())}, check=False)
+    assert K.validate() == ["simplex a has negative dimension -1"]
+    del K.dims["a"]
+    assert K.validate() == [
+        "face (e,5): face index 5 out of range for a 1-simplex"]
