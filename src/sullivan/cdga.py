@@ -26,7 +26,9 @@ from .graded import (
     Derivation,
     FreeAlgebra,
     format_element,
+    monomial_columns,
     parse_poly,
+    substitute,
 )
 from .linalg import (
     NoSolution,
@@ -148,13 +150,9 @@ class Cdga:
             monos, index = self.free_basis(k)
             vectors = []
             for r in self.relations:
-                dr = r.degree()
-                if dr > k:
-                    continue
-                for m in self.algebra.basis_of_degree(k - dr):
-                    prod = AlgElement(self.algebra, {m: Fraction(1)}) * r
-                    vectors.append({index[mono]: c
-                                    for mono, c in prod.terms.items()})
+                vectors += monomial_columns(lambda e, r=r: e * r, self.algebra,
+                                            self.free_basis(k - r.degree())[0],
+                                            index)
             self._rel_cache[k] = span_basis(vectors, len(monos))
         return self._rel_cache[k]
 
@@ -190,19 +188,13 @@ class Cdga:
             terms.update((monos[i], c) for i, c in v.items())
         return AlgElement(self.algebra, terms)
 
-    def _sparse_coords(self, elem, k):
+    def coords(self, elem, k):
         index = self._quotient_basis(k)[1]
-        out = {}
+        v = [Fraction(0)] * self.dim(k)
         for m, c in self.reduce(elem).terms.items():
             if self.algebra.mono_degree(m) != k:
                 raise CdgaError(f"element not homogeneous of degree {k}")
-            out[index[m]] = c
-        return out
-
-    def coords(self, elem, k):
-        v = [Fraction(0)] * self.dim(k)
-        for i, c in self._sparse_coords(elem, k).items():
-            v[i] = c
+            v[index[m]] = c
         return v
 
     def element(self, k, coords):
@@ -220,10 +212,8 @@ class Cdga:
         """Matrix of d: degree k -> degree k+1 over the quotient bases,
         assembled from its sparse columns."""
         if k not in self._diff_cache:
-            cols = [self._sparse_coords(
-                        self.d(AlgElement(self.algebra, {m: Fraction(1)})),
-                        k + 1)
-                    for m in self.basis(k)]
+            cols = monomial_columns(self.d, self.algebra, self.basis(k),
+                                    self._quotient_basis(k + 1)[1])
             self._diff_cache[k] = RatMatrix.from_columns(cols, self.dim(k + 1))
         return self._diff_cache[k]
 
@@ -334,23 +324,8 @@ class CdgaMorphism:
         return self.images.get(g.ordinal, self.target.algebra.zero())
 
     def apply(self, elem):
-        tgt = self.target
-        out = tgt.algebra.zero()
-        for mono, coeff in elem.terms.items():
-            acc = tgt.algebra.scalar(coeff)
-            for o, p in mono:
-                img = self.images.get(o)
-                if img is None:
-                    acc = tgt.algebra.zero()
-                    break
-                for _ in range(p):
-                    acc = tgt.mult(acc, img)
-                    if acc.is_zero():
-                        break
-                if acc.is_zero():
-                    break
-            out = out + acc
-        return tgt.reduce(out)
+        return self.target.reduce(substitute(
+            elem, self.images, self.target.algebra, missing_zero=True))
 
     def h_matrix(self, k):
         """Matrix of H^k(phi) from source to target class coordinates."""
@@ -415,12 +390,6 @@ def _disjoint_specs(factors):
     return per_factor
 
 
-def _transport(elem, renames, target_alg):
-    images = {o: target_alg.gen_elem(name) for o, name in renames.items()}
-    from .graded import substitute
-    return substitute(elem, images, target_alg)
-
-
 def _joined(factors):
     """The free algebra on the factors' generators (clashes renamed) with
     their differentials and relations moved over:
@@ -430,11 +399,12 @@ def _joined(factors):
     images = {}
     relations = []
     for c, (_, renames) in zip(factors, per):
+        move = {o: alg.gen_elem(name) for o, name in renames.items()}
         for g in c.algebra.generators:
             dg = c.differential.images.get(g.ordinal)
             if dg is not None:
-                images[renames[g.ordinal]] = _transport(dg, renames, alg)
-        relations.extend(_transport(r, renames, alg) for r in c.relations)
+                images[renames[g.ordinal]] = substitute(dg, move, alg)
+        relations.extend(substitute(r, move, alg) for r in c.relations)
     return per, alg, images, relations
 
 

@@ -6,6 +6,13 @@ ordinal; odd-degree generators never carry a power above 1 (their squares
 vanish).  Elements store monomial -> Fraction maps with no zero
 coefficients, so element equality is dict equality.  All values are
 immutable by convention and all arithmetic is exact.
+
+Two facts about the free algebra carry the rest of the package, and each
+has one routine here: a map out of it is fixed by the images of the
+generators (`substitute`, the one multiplicative extension), and so is a
+derivation (`Derivation.apply`, the one Leibniz rule).  Linear maps in
+monomial bases are read off as sparse coordinate columns by one
+assembler, `monomial_columns`.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ __all__ = [
     "AlgElement",
     "Derivation",
     "substitute",
+    "monomial_columns",
     "parse_poly",
     "format_element",
 ]
@@ -158,7 +166,7 @@ class FreeAlgebra:
     def parse(self, text):
         return parse_poly(text, self)
 
-    def basis_of_degree(self, n, word_min=0, word_max=None):
+    def basis_of_degree(self, n, word_max=None):
         """All monomials of total degree n, canonically ordered
         (lexicographic in the exponent vector over ordinals).
 
@@ -174,8 +182,7 @@ class FreeAlgebra:
 
         def rec(i, rem, wl, acc):
             if rem == 0:
-                if wl >= word_min:
-                    out.append(tuple(acc))
+                out.append(tuple(acc))
                 return
             if i == len(gens):
                 return
@@ -226,6 +233,18 @@ def mono_mul(alg, m1, m2):
     return (-1 if inversions % 2 else 1), mono
 
 
+def _add_term(terms, m, c):
+    """terms[m] += c in place for a nonzero c, dropping a zero sum."""
+    if m in terms:
+        s = terms[m] + c
+        if s:
+            terms[m] = s
+        else:
+            del terms[m]
+    else:
+        terms[m] = c
+
+
 class AlgElement:
     """Sparse exact-rational combination of monomials, in canonical form."""
 
@@ -255,10 +274,6 @@ class AlgElement:
         return (self.algebra.same_universe(other.algebra)
                 and self.terms == other.terms)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.algebra.generators,
                      tuple(sorted(self.terms.items()))))
@@ -267,11 +282,7 @@ class AlgElement:
         self._need_same(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
+            _add_term(terms, m, c)
         return AlgElement(self.algebra, terms)
 
     def __sub__(self, other):
@@ -297,12 +308,8 @@ class AlgElement:
                 sm = mono_mul(alg, m1, m2)
                 if sm is None:
                     continue
-                sign, m = sm
-                s = out.get(m, 0) + sign * c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                c = c1 * c2
+                _add_term(out, sm[1], c if sm[0] > 0 else -c)
         return AlgElement(alg, out)
 
     def __rmul__(self, other):
@@ -388,30 +395,32 @@ class Derivation:
         return self.images.get(g.ordinal, self.algebra.zero())
 
     def apply(self, elem):
+        """The Leibniz rule letter by letter, with dg moved to the front:
+        d(pre g^p suf) = (-1)^(|pre||g|) p dg (pre g^(p-1) suf).  Moving
+        dg past pre g^(p-1) gives that sign because |dg| = |g| + shift
+        and the shift is odd."""
         alg = self.algebra
         if elem.algebra is not alg and not elem.algebra.same_universe(alg):
             bad = alg.foreign_generator(elem.algebra)
             raise AlgebraError(f"derivation applied across universes "
                                f"(generator {bad})")
-        out = alg.zero()
+        out = {}
         for mono, coeff in elem.terms.items():
             prefix_deg = 0
             for i, (o, p) in enumerate(mono):
                 img = self.images.get(o)
                 gdeg = alg.degree_of(o)
                 if img is not None:
-                    # all p copies contribute equally: an even generator
-                    # commutes past its own copies without sign
-                    rest = list(mono[:i])
-                    if p > 1:
-                        rest.append((o, p - 1))
-                    pre = AlgElement(alg, {tuple(rest): Fraction(1)})
-                    suf = AlgElement(alg, {mono[i + 1:]: Fraction(1)})
-                    sign = -1 if prefix_deg % 2 else 1
-                    out = out + (pre * img * suf).scale(coeff * sign * p)
+                    rest = (mono[:i] + ((o, p - 1),) + mono[i + 1:] if p > 1
+                            else mono[:i] + mono[i + 1:])
+                    c0 = coeff * (-p if prefix_deg * gdeg % 2 else p)
+                    for m, c in img.terms.items():
+                        sm = mono_mul(alg, m, rest)
+                        if sm is not None:
+                            x = c0 * c
+                            _add_term(out, sm[1], x if sm[0] > 0 else -x)
                 prefix_deg += p * gdeg
-            # the unit monomial contributes nothing
-        return out
+        return AlgElement(alg, out)
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):
@@ -429,10 +438,6 @@ class Derivation:
                 return False
         return True
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self):
         parts = ", ".join(
             f"{self.algebra.by_ordinal(o).name} -> {format_element(e)}"
@@ -447,27 +452,32 @@ def substitute(elem, images, target, missing_zero=False):
     from the map raise, unless missing_zero is set (then they kill the
     term, as in setting base generators to zero).
     """
-    out = target.zero()
+    out = {}
     for mono, coeff in elem.terms.items():
         acc = target.scalar(coeff)
-        dead = False
         for o, p in mono:
             if o not in images:
                 if missing_zero:
-                    dead = True
                     break
                 raise AlgebraError(f"no image for generator ordinal {o}")
-            img = images[o]
             for _ in range(p):
-                acc = acc * img
-                if acc.is_zero():
-                    break
-            if acc.is_zero():
+                acc = acc * images[o]
+            if not acc.terms:
                 break
-        if dead or acc.is_zero():
-            continue
-        out = out + acc
-    return out
+        else:
+            for m, c in acc.terms.items():
+                _add_term(out, m, c)
+    return AlgElement(target, out)
+
+
+def monomial_columns(f, algebra, monos, index):
+    """Sparse coordinate columns of a linear map in monomial bases: for
+    each monomial m of `monos`, {index[n]: c} over the terms c*n of f(m),
+    where f takes and returns elements and m is taken over `algebra`."""
+    one = Fraction(1)
+    return [{index[n]: c
+             for n, c in f(AlgElement(algebra, {m: one})).terms.items()}
+            for m in monos]
 
 
 # ----- parsing and printing -----

@@ -19,7 +19,14 @@ from fractions import Fraction
 from math import factorial
 
 from .cdga import Cdga, CdgaError, CdgaMorphism, check_quasi_iso
-from .graded import AlgElement, Derivation, FreeAlgebra, format_element, substitute
+from .graded import (
+    AlgElement,
+    Derivation,
+    FreeAlgebra,
+    format_element,
+    monomial_columns,
+    substitute,
+)
 from .linalg import (
     NoSolution,
     RatMatrix,
@@ -202,17 +209,12 @@ def acyclic_closure(model, verify_to=0):
         target_basis = alg.basis_of_degree(m + 1)
         index = {mono: i for i, mono in enumerate(target_basis)}
         dv = cur_d.apply(alg.gen_elem(v.name))
-        rhs = [Fraction(0)] * len(target_basis)
-        for mono, c in dv.terms.items():
-            rhs[index[mono]] = c
         correction = alg.zero()
         if not dv.is_zero():
-            cols = []
-            for mono in candidates:
-                img = cur_d.apply(AlgElement(alg, {mono: Fraction(1)}))
-                cols.append({index[mm]: c for mm, c in img.terms.items()})
-            mat = RatMatrix.from_columns(cols, len(target_basis))
-            sol = solve(mat, rhs)
+            mat = RatMatrix.from_columns(
+                monomial_columns(cur_d.apply, alg, candidates, index),
+                len(target_basis))
+            sol = solve(mat, [dv.terms.get(mono, 0) for mono in target_basis])
             if isinstance(sol, NoSolution):
                 raise ModelError(
                     f"acyclic closure correction unsolvable for {v.name} "

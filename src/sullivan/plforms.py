@@ -18,7 +18,13 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 
-from .graded import AlgElement, Derivation, FreeAlgebra
+from .graded import (
+    AlgElement,
+    Derivation,
+    FreeAlgebra,
+    monomial_columns,
+    substitute,
+)
 from .linalg import RatMatrix, kernel_basis, rank
 
 __all__ = [
@@ -61,23 +67,15 @@ def form_algebra(n):
     return _ALGEBRAS[n]
 
 
-def _t(alg, n, i):
-    """t_i in reduced coordinates (t_0 expands)."""
-    if i == 0:
-        out = alg.one()
-        for j in range(1, n + 1):
-            out = out - alg.gen_elem(f"t{j}")
-        return out
-    return alg.gen_elem(f"t{i}")
-
-
-def _y(alg, n, i):
-    if i == 0:
-        out = alg.zero()
-        for j in range(1, n + 1):
-            out = out - alg.gen_elem(f"y{j}")
-        return out
-    return alg.gen_elem(f"y{i}")
+def _coordinate(alg, n, letter, i):
+    """t_i or y_i (letter "t" or "y") on the n-simplex in reduced
+    coordinates, where t_0 = 1 - sum t_j and y_0 = -sum y_j."""
+    if i:
+        return alg.gen_elem(f"{letter}{i}")
+    out = alg.one() if letter == "t" else alg.zero()
+    for j in range(1, n + 1):
+        out = out - alg.gen_elem(f"{letter}{j}")
+    return out
 
 
 _DIFFS = {}
@@ -125,20 +123,7 @@ class PolyForm:
             raise FormError("no faces on the 0-simplex")
         if not 0 <= i <= n:
             raise FormError(f"face index {i} out of range for dimension {n}")
-        tgt = form_algebra(n - 1)
-        images = {}
-        src = form_algebra(n)
-        for k in range(1, n + 1):
-            if k < i:
-                tk, yk = _t(tgt, n - 1, k), _y(tgt, n - 1, k)
-            elif k == i:
-                tk, yk = tgt.zero(), tgt.zero()
-            else:
-                tk, yk = _t(tgt, n - 1, k - 1), _y(tgt, n - 1, k - 1)
-            images[src.generator(f"t{k}").ordinal] = tk
-            images[src.generator(f"y{k}").ordinal] = yk
-        from .graded import substitute
-        return PolyForm(n - 1, substitute(self.element, images, tgt))
+        return self._pullback(n - 1, lambda j: j + (j >= i))
 
     def degen(self, i):
         """Pullback along the i-th codegeneracy, landing on dimension n+1."""
@@ -146,21 +131,18 @@ class PolyForm:
         if not 0 <= i <= n:
             raise FormError(f"degeneracy index {i} out of range for "
                             f"dimension {n}")
-        tgt = form_algebra(n + 1)
-        images = {}
-        src = form_algebra(n)
-        for k in range(1, n + 1):
-            if k < i:
-                tk, yk = tgt.gen_elem(f"t{k}"), tgt.gen_elem(f"y{k}")
-            elif k == i:
-                tk = tgt.gen_elem(f"t{k}") + tgt.gen_elem(f"t{k + 1}")
-                yk = tgt.gen_elem(f"y{k}") + tgt.gen_elem(f"y{k + 1}")
-            else:
-                tk, yk = tgt.gen_elem(f"t{k + 1}"), tgt.gen_elem(f"y{k + 1}")
-            images[src.generator(f"t{k}").ordinal] = tk
-            images[src.generator(f"y{k}").ordinal] = yk
-        from .graded import substitute
-        return PolyForm(n + 1, substitute(self.element, images, tgt))
+        return self._pullback(n + 1, lambda j: j - (j > i))
+
+    def _pullback(self, m, vertex):
+        """Pullback along the simplicial map from the m-simplex with vertex
+        map `vertex`: t_k and y_k go to the sums of t_j and y_j over the
+        vertices j that `vertex` sends to k."""
+        src, tgt = form_algebra(self.dim), form_algebra(m)
+        images = {src.generator(f"{letter}{k}").ordinal:
+                  sum((_coordinate(tgt, m, letter, j) for j in range(m + 1)
+                       if vertex(j) == k), tgt.zero())
+                  for letter in "ty" for k in range(1, self.dim + 1)}
+        return PolyForm(m, substitute(self.element, images, tgt))
 
     def degen_word(self, word):
         """Pullback along a degeneracy word (outermost first)."""
@@ -588,13 +570,12 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
         block = [{} for _ in index]
         for sid, sign, move in terms:
             dim = K.dims[sid]
-            for idx, mono in enumerate(bases[sid]):
-                f = PolyForm(dim, AlgElement(form_algebra(dim),
-                                             {mono: Fraction(1)}))
-                col = var_index[(sid, idx)]
-                for m, c in move(f).element.terms.items():
-                    row = block[index[m]]
-                    row[col] = row.get(col, 0) + sign * c
+            cols = monomial_columns(lambda e: move(PolyForm(dim, e)).element,
+                                    form_algebra(dim), bases[sid], index)
+            for idx, col in enumerate(cols):
+                j = var_index[(sid, idx)]
+                for i, c in col.items():
+                    block[i][j] = block[i].get(j, 0) + sign * c
         rows.extend(block)
 
     for sid in order:

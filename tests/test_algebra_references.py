@@ -1,0 +1,238 @@
+"""The algebra layer's multiplicative extension, Leibniz rule and face and
+degeneracy pullbacks, checked against earlier straightforward versions
+of the same routines kept here as references.
+
+The references multiply through temporary elements term by term: the
+Leibniz rule as pre * dg * suf per letter, a morphism reducing modulo
+the target's relations after every product, and faces and degeneracies
+through explicit image tables of the coordinates.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sullivan.catalog import cp_cohomology, elliptic_six, wedge_cohomology
+from sullivan.cdga import Cdga, CdgaMorphism, word_length_quotient
+from sullivan.graded import (
+    AlgebraError,
+    AlgElement,
+    Derivation,
+    FreeAlgebra,
+)
+from sullivan.plforms import PolyForm, form_algebra, form_basis
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+# ----- references -----
+
+def reference_substitute(elem, images, target, missing_zero=False):
+    out = target.zero()
+    for mono, coeff in elem.terms.items():
+        acc = target.scalar(coeff)
+        dead = False
+        for o, p in mono:
+            if o not in images:
+                if missing_zero:
+                    dead = True
+                    break
+                raise AlgebraError(f"no image for generator ordinal {o}")
+            img = images[o]
+            for _ in range(p):
+                acc = acc * img
+                if acc.is_zero():
+                    break
+            if acc.is_zero():
+                break
+        if dead or acc.is_zero():
+            continue
+        out = out + acc
+    return out
+
+
+def reference_derivation_apply(d, elem):
+    alg = d.algebra
+    out = alg.zero()
+    for mono, coeff in elem.terms.items():
+        prefix_deg = 0
+        for i, (o, p) in enumerate(mono):
+            img = d.images.get(o)
+            gdeg = alg.degree_of(o)
+            if img is not None:
+                rest = list(mono[:i])
+                if p > 1:
+                    rest.append((o, p - 1))
+                pre = AlgElement(alg, {tuple(rest): Fraction(1)})
+                suf = AlgElement(alg, {mono[i + 1:]: Fraction(1)})
+                sign = -1 if prefix_deg % 2 else 1
+                out = out + (pre * img * suf).scale(coeff * sign * p)
+            prefix_deg += p * gdeg
+    return out
+
+
+def reference_morphism_apply(phi, elem):
+    tgt = phi.target
+    out = tgt.algebra.zero()
+    for mono, coeff in elem.terms.items():
+        acc = tgt.algebra.scalar(coeff)
+        for o, p in mono:
+            img = phi.images.get(o)
+            if img is None:
+                acc = tgt.algebra.zero()
+                break
+            for _ in range(p):
+                acc = tgt.mult(acc, img)
+                if acc.is_zero():
+                    break
+            if acc.is_zero():
+                break
+        out = out + acc
+    return tgt.reduce(out)
+
+
+def _t(alg, n, i):
+    if i == 0:
+        out = alg.one()
+        for j in range(1, n + 1):
+            out = out - alg.gen_elem(f"t{j}")
+        return out
+    return alg.gen_elem(f"t{i}")
+
+
+def _y(alg, n, i):
+    if i == 0:
+        out = alg.zero()
+        for j in range(1, n + 1):
+            out = out - alg.gen_elem(f"y{j}")
+        return out
+    return alg.gen_elem(f"y{i}")
+
+
+def reference_face(form, i):
+    n = form.dim
+    src, tgt = form_algebra(n), form_algebra(n - 1)
+    images = {}
+    for k in range(1, n + 1):
+        if k < i:
+            tk, yk = _t(tgt, n - 1, k), _y(tgt, n - 1, k)
+        elif k == i:
+            tk, yk = tgt.zero(), tgt.zero()
+        else:
+            tk, yk = _t(tgt, n - 1, k - 1), _y(tgt, n - 1, k - 1)
+        images[src.generator(f"t{k}").ordinal] = tk
+        images[src.generator(f"y{k}").ordinal] = yk
+    return PolyForm(n - 1, reference_substitute(form.element, images, tgt))
+
+
+def reference_degen(form, i):
+    n = form.dim
+    src, tgt = form_algebra(n), form_algebra(n + 1)
+    images = {}
+    for k in range(1, n + 1):
+        if k < i:
+            tk, yk = tgt.gen_elem(f"t{k}"), tgt.gen_elem(f"y{k}")
+        elif k == i:
+            tk = tgt.gen_elem(f"t{k}") + tgt.gen_elem(f"t{k + 1}")
+            yk = tgt.gen_elem(f"y{k}") + tgt.gen_elem(f"y{k + 1}")
+        else:
+            tk, yk = tgt.gen_elem(f"t{k + 1}"), tgt.gen_elem(f"y{k + 1}")
+        images[src.generator(f"t{k}").ordinal] = tk
+        images[src.generator(f"y{k}").ordinal] = yk
+    return PolyForm(n + 1, reference_substitute(form.element, images, tgt))
+
+
+# ----- strategies -----
+
+def _combination(draw, alg, monos):
+    """A random combination of some of `monos`, zero only when `monos`
+    is empty."""
+    picked = draw(st.lists(st.sampled_from(monos), min_size=1,
+                           max_size=5)) if monos else []
+    return alg.element({m: draw(COEFFS.filter(bool)) for m in picked})
+
+
+def _element(draw, alg, max_degree):
+    """A random element with parts in several degrees 0..max_degree."""
+    monos = [m for k in range(max_degree + 1)
+             for m in alg.basis_of_degree(k)]
+    return _combination(draw, alg, monos)
+
+
+@st.composite
+def derivation_cases(draw):
+    """A free algebra with odd and even generators in a random order, a
+    derivation of shift +1 or -1 with random images, and an element."""
+    degrees = (draw(st.lists(st.sampled_from([1, 3]), min_size=1,
+                             max_size=2))
+               + draw(st.lists(st.sampled_from([2, 4]), min_size=1,
+                               max_size=2)))
+    degrees = draw(st.permutations(degrees))
+    alg = FreeAlgebra.build([(f"g{i}", d) for i, d in enumerate(degrees)])
+    shift = draw(st.sampled_from([1, -1]))
+    images = {g.name: _combination(draw, alg,
+                                   alg.basis_of_degree(g.degree + shift))
+              for g in alg.generators}
+    return Derivation(alg, shift, images), _element(draw, alg, 8)
+
+
+TARGETS = {
+    "wedge S2vS3": lambda: wedge_cohomology(2, 3),
+    "wedge S2vS2": lambda: wedge_cohomology(2, 2),
+    "CP3": lambda: cp_cohomology(3),
+    "elliptic6 words<=2": lambda: word_length_quotient(elliptic_six(), 2)[0],
+}
+_TARGET_CACHE = {}
+
+
+@st.composite
+def morphism_cases(draw):
+    """A map from a free algebra with zero differential to a target with
+    relations or a word cap, with random images, and a source element."""
+    name = draw(st.sampled_from(sorted(TARGETS)))
+    if name not in _TARGET_CACHE:
+        _TARGET_CACHE[name] = TARGETS[name]()
+    target = _TARGET_CACHE[name]
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    source = Cdga.build("src", [(f"s{i}", d) for i, d in enumerate(degrees)])
+    images = {g.name: _combination(draw, target.algebra,
+                                   target.basis(g.degree))
+              for g in source.algebra.generators}
+    phi = CdgaMorphism(source, target, images, check=False)
+    return phi, _element(draw, source.algebra, 9)
+
+
+@st.composite
+def form_cases(draw):
+    """A random form of mixed exterior degree on a simplex of dimension
+    0..3."""
+    n = draw(st.integers(0, 3))
+    monos = [m for k in range(n + 1) for m in form_basis(n, k, 2)]
+    return PolyForm(n, _combination(draw, form_algebra(n), monos))
+
+
+# ----- tests -----
+
+@settings(max_examples=150, deadline=None)
+@given(derivation_cases())
+def test_derivation_matches_letterwise_leibniz(case):
+    d, x = case
+    assert d.apply(x) == reference_derivation_apply(d, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(morphism_cases())
+def test_morphism_matches_reduction_after_every_product(case):
+    phi, x = case
+    assert phi.apply(x) == reference_morphism_apply(phi, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_cases())
+def test_face_and_degeneracy_match_explicit_image_tables(form):
+    n = form.dim
+    for i in range(n + 1):
+        if n:
+            assert form.face(i) == reference_face(form, i)
+        assert form.degen(i) == reference_degen(form, i)

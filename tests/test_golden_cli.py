@@ -1,8 +1,11 @@
-"""Replay every recorded CLI run of perfbench/golden_cli.json in process.
+"""Replay recorded CLI runs in process.
 
-The records hold the exit code and the exact stdout bytes of each
-command, so any change to the numbers, representatives or rendering of
-a `--json` document fails here.
+The records of perfbench/golden_cli.json hold the exit code and the
+exact stdout bytes of each command, so any change to the numbers,
+representatives or rendering of a `--json` document fails here.  The
+files under tests/data/golden/ hold the default text output of the
+README commands, one file per subcommand, and lock the text renderers
+the same way.
 """
 
 import contextlib
@@ -17,15 +20,40 @@ from sullivan.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RECORDS = json.loads((ROOT / "perfbench" / "golden_cli.json")
                      .read_text(encoding="utf-8"))
+GOLDEN_TEXT = ROOT / "tests" / "data" / "golden"
+README_COMMANDS = [
+    "cohomology data/nonformal.cdga -N 12",
+    "minimal-model data/h_cp2.cdga -N 10",
+    "loop data/model_s3.cdga -N 20",
+    "free-loop data/model_s2.cdga -N 12",
+    "path-space data/model_s2.cdga",
+    "classify data/elliptic6.cdga -N 40 -B 60",
+    "invariants data/h_cp2.cdga -N 12 -B 40",
+    "pl-verify --builtin bddelta3 --trials 20 --poly-cap 3 --seed 1",
+]
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
 
 
 @pytest.mark.parametrize("record", RECORDS,
                          ids=[" ".join(r["argv"]) for r in RECORDS])
 def test_cli_output_matches_record(record, monkeypatch):
     monkeypatch.chdir(ROOT)  # the recorded argv name files under data/
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(record["argv"]))
+    code, out = _run(record["argv"])
     assert code == record["exit"]
-    assert out.getvalue() == record["stdout"]
+    assert out == record["stdout"]
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_cli_text_output_matches_record(command, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = command.split()
+    code, out = _run(argv)
+    assert code == 0
+    assert out == (GOLDEN_TEXT / f"{argv[0]}.txt").read_text(encoding="utf-8")

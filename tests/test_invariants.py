@@ -134,6 +134,15 @@ def test_classify_even_sphere():
     assert rep.euler["chi_V"] == 0
 
 
+@pytest.mark.parametrize("bound, verdict", [
+    (2, "HyperbolicEvidence"),  # h0 dims 1 0 1 end in a nonzero
+    (3, "Inconclusive"),        # 1 0 1 0: the scan stops in a zero run
+    (4, "Elliptic"),            # 1 0 1 0 0: a zero run as long as deg y
+])
+def test_classify_even_sphere_by_scan_bound(bound, verdict):
+    assert classify_ellipticity(sphere_model(2), bound).verdict == verdict
+
+
 def test_classify_six_generator_example():
     rep = classify_ellipticity(elliptic_six(), 60)
     assert rep.verdict == "Elliptic"
