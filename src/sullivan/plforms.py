@@ -22,6 +22,7 @@ from .graded import (
     AlgElement,
     Derivation,
     FreeAlgebra,
+    _add_term,
     monomial_columns,
     substitute,
 )
@@ -79,6 +80,7 @@ def _coordinate(alg, n, letter, i):
 
 
 _DIFFS = {}
+_PULLBACKS = {}  # (n, m, vertex map) -> (images, {monomial: image terms})
 
 
 def _form_diff(n):
@@ -136,13 +138,30 @@ class PolyForm:
     def _pullback(self, m, vertex):
         """Pullback along the simplicial map from the m-simplex with vertex
         map `vertex`: t_k and y_k go to the sums of t_j and y_j over the
-        vertices j that `vertex` sends to k."""
-        src, tgt = form_algebra(self.dim), form_algebra(m)
-        images = {src.generator(f"{letter}{k}").ordinal:
-                  sum((_coordinate(tgt, m, letter, j) for j in range(m + 1)
-                       if vertex(j) == k), tgt.zero())
-                  for letter in "ty" for k in range(1, self.dim + 1)}
-        return PolyForm(m, substitute(self.element, images, tgt))
+        vertices j that `vertex` sends to k.  It is linear, so `_PULLBACKS`
+        keeps each map's generator images and the image of every monomial
+        met so far, and `substitute` runs once per (map, monomial)."""
+        n = self.dim
+        src, tgt = form_algebra(n), form_algebra(m)
+        key = (n, m, tuple(vertex(j) for j in range(m + 1)))
+        if key not in _PULLBACKS:
+            _PULLBACKS[key] = ({src.generator(f"{letter}{k}").ordinal:
+                                sum((_coordinate(tgt, m, letter, j)
+                                     for j, v in enumerate(key[2]) if v == k),
+                                    tgt.zero())
+                                for letter in "ty" for k in range(1, n + 1)},
+                               {})
+        images, table = _PULLBACKS[key]
+        out = {}
+        for mono, coeff in self.element.terms.items():
+            if not coeff:
+                continue
+            if mono not in table:
+                table[mono] = substitute(AlgElement(src, {mono: Fraction(1)}),
+                                         images, tgt).terms
+            for term, c in table[mono].items():
+                _add_term(out, term, coeff * c)
+        return PolyForm(m, AlgElement(tgt, out))
 
     def degen_word(self, word):
         """Pullback along a degeneracy word (outermost first)."""
@@ -333,13 +352,9 @@ class GlobalForm:
                 defects.append(f"form on {sid} has degree "
                                f"{own.form_degree()}, expected {self.degree}")
                 continue
-            for i in range(dim + 1):
-                if dim == 0:
-                    break
+            for i in range(dim + 1 if dim else 0):
                 tgt, word = self.complex.faces[(sid, i)]
-                rhs = self.form(tgt).degen_word(word)
-                lhs = own.face(i)
-                if lhs != rhs:
+                if own.face(i) != self.form(tgt).degen_word(word):
                     defects.append(f"face {i} of {sid} disagrees with {tgt}")
         return defects
 
@@ -561,12 +576,14 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
     for sid in order:
         for idx in range(len(bases[sid])):
             var_index[(sid, idx)] = len(var_index)
+    indices = {(n, k): {m: i for i, m in enumerate(form_basis(n, k, poly_cap))}
+               for n in range(K.top_dim + 1) for k in (degree, degree + 1)}
     rows = []
 
     def equate(n, k, terms):
         """Rows of sum(sign * move(form on sid)) = 0 in k-forms on the
         n-simplex, for terms (sid, sign, move)."""
-        index = {m: i for i, m in enumerate(form_basis(n, k, poly_cap))}
+        index = indices[n, k]
         block = [{} for _ in index]
         for sid, sign, move in terms:
             dim = K.dims[sid]
@@ -662,9 +679,11 @@ class StokesReport:
 def verify_stokes(K, trials, poly_cap, seed):
     """Check integrate(d w) = delta(integrate(w)) exactly on sampled
     global forms, and compare the rank of integration on sampled cocycles
-    with the cochain cohomology dimensions."""
+    with the cochain cohomology dimensions.  The pullback table starts
+    empty, so a call does the same work whatever ran before it."""
     if trials < 1:
         raise FormError("need at least one trial")
+    _PULLBACKS.clear()
     records = []
     for t in range(trials):
         degree = t % (K.top_dim + 1)

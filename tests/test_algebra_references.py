@@ -6,6 +6,11 @@ The references multiply through temporary elements term by term: the
 Leibniz rule as pre * dg * suf per letter, a morphism reducing modulo
 the target's relations after every product, and faces and degeneracies
 through explicit image tables of the coordinates.
+
+The pullbacks keep a table of monomial images; the last tests check that
+it drops explicit zero coefficients, is read on repeated calls, cannot be
+changed through a returned element, composes along degeneracy words, and
+starts empty in every `verify_stokes` call.
 """
 
 from fractions import Fraction
@@ -13,6 +18,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sullivan import plforms
 from sullivan.catalog import cp_cohomology, elliptic_six, wedge_cohomology
 from sullivan.cdga import Cdga, CdgaMorphism, word_length_quotient
 from sullivan.graded import (
@@ -21,7 +27,14 @@ from sullivan.graded import (
     Derivation,
     FreeAlgebra,
 )
-from sullivan.plforms import PolyForm, form_algebra, form_basis
+from sullivan.plforms import (
+    PolyForm,
+    builtin_complex,
+    form_algebra,
+    form_basis,
+    normalize_word,
+    verify_stokes,
+)
 
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -212,6 +225,51 @@ def form_cases(draw):
     return PolyForm(n, _combination(draw, form_algebra(n), monos))
 
 
+@st.composite
+def raw_form_cases(draw):
+    """A form on a simplex of dimension 0..3 built directly from a terms
+    dict, with explicit zero coefficients among the nonzero ones."""
+    n = draw(st.integers(0, 3))
+    monos = [m for k in range(n + 1) for m in form_basis(n, k, 2)]
+    picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=6,
+                           unique=True))
+    zeros = draw(st.integers(1, len(picked)))
+    return PolyForm(n, AlgElement(form_algebra(n), {
+        m: Fraction(0) if i < zeros else draw(COEFFS)
+        for i, m in enumerate(picked)}))
+
+
+def _moves(n):
+    """(pullback, reference) pairs for every face and degeneracy of the
+    n-simplex."""
+    out = [(lambda f, i=i: f.degen(i), lambda f, i=i: reference_degen(f, i))
+           for i in range(n + 1)]
+    if n:
+        out += [(lambda f, i=i: f.face(i), lambda f, i=i: reference_face(f, i))
+                for i in range(n + 1)]
+    return out
+
+
+class _CountingSubstitute:
+    """Counts the calls `plforms` makes to `substitute` while installed."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __enter__(self):
+        self.original = plforms.substitute
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return self.original(*args, **kwargs)
+
+        plforms.substitute = counted
+        return self
+
+    def __exit__(self, *exc):
+        plforms.substitute = self.original
+
+
 # ----- tests -----
 
 @settings(max_examples=150, deadline=None)
@@ -236,3 +294,71 @@ def test_face_and_degeneracy_match_explicit_image_tables(form):
         if n:
             assert form.face(i) == reference_face(form, i)
         assert form.degen(i) == reference_degen(form, i)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_form_cases())
+def test_pullbacks_drop_explicit_zero_coefficients(form):
+    for move, reference in _moves(form.dim):
+        image = move(form)
+        assert image == reference(form)
+        assert all(image.element.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_cases())
+def test_repeated_pullbacks_read_the_table(form):
+    for move, reference in _moves(form.dim):
+        want = reference(form)
+        assert move(form) == want
+        with _CountingSubstitute() as counter:
+            assert move(form) == want
+        assert counter.calls == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_cases())
+def test_mutating_a_pullback_does_not_poison_the_table(form):
+    one = Fraction(1)
+    for move, reference in _moves(form.dim):
+        want = reference(form)
+        image = move(form)
+        terms = image.element.terms
+        for m in list(terms):
+            terms[m] += one
+        terms[()] = terms.get((), 0) + 7
+        assert move(form) == want
+        move(form).element.terms.clear()
+        assert move(form) == want
+
+
+def _words(n, length):
+    """Every normalised degeneracy word of the given length that applies
+    to the n-simplex (outermost letter first)."""
+    if length == 0:
+        return [()]
+    return [(j,) + w for w in _words(n, length - 1)
+            for j in range(n + length)
+            if normalize_word((j,) + w) == (j,) + w]
+
+
+@settings(max_examples=60, deadline=None)
+@given(form_cases())
+def test_degeneracy_words_match_composed_references(form):
+    for length in range(3):
+        for word in _words(form.dim, length):
+            want = form
+            for j in reversed(word):
+                want = reference_degen(want, j)
+            assert form.degen_word(word) == want
+
+
+def test_stokes_work_does_not_depend_on_earlier_calls():
+    """verify_stokes starts from an empty pullback table, so repeating a
+    call repeats its substitutions instead of reading the first call's."""
+    counts = []
+    for _ in range(2):
+        with _CountingSubstitute() as counter:
+            assert verify_stokes(builtin_complex("delta2"), 3, 2, seed=1).ok
+        counts.append(counter.calls)
+    assert counts[0] == counts[1] > 0

@@ -1,10 +1,14 @@
 """Polynomial forms on simplices, simplicial sets, integration, Stokes."""
 
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sullivan.graded import AlgElement
 from sullivan.plforms import (
     Cochain,
     FormError,
@@ -17,6 +21,7 @@ from sullivan.plforms import (
     cochain_cup,
     cochain_differential,
     delta_complex,
+    form_algebra,
     form_basis,
     integrate,
     load_scomplex,
@@ -26,6 +31,8 @@ from sullivan.plforms import (
     sample_global_form,
     verify_stokes,
 )
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 # ----- faces and degeneracies on the coordinate algebras -----
@@ -243,6 +250,56 @@ def test_nonzero_solution_space_on_boundary_sphere():
     assert not gf.is_zero()
 
 
+COMPLEXES = {
+    "delta2": lambda: builtin_complex("delta2"),
+    "bddelta3": lambda: builtin_complex("bddelta3"),
+    "s2_one_cell": lambda: load_scomplex(DATA / "s2_one_cell.scx"),
+}
+
+
+def _nonzero_sample(K, degree):
+    for seed in range(50):
+        gf = sample_global_form(K, degree, 2, seed)
+        if not gf.is_zero():
+            return gf
+    raise AssertionError(f"no nonzero degree-{degree} sample on {K.name}")
+
+
+def _constrained_monomial(K, gf):
+    """A simplex and a monomial of its form basis with a nonzero face:
+    changing that coefficient moves a face restriction of the simplex
+    and nothing it is compared with."""
+    for sid in sorted(K.dims):
+        n = K.dims[sid]
+        for mono in form_basis(n, gf.degree, 2) if n else ():
+            form = PolyForm(n, AlgElement(form_algebra(n), {mono: Fraction(1)}))
+            if any(not form.face(i).is_zero() for i in range(n + 1)):
+                return sid, form
+    raise AssertionError(f"no constrained monomial on {K.name}")
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+@pytest.mark.parametrize("degree", [0, 1])
+def test_validation_rejects_a_changed_coefficient(name, degree):
+    K = COMPLEXES[name]()
+    gf = _nonzero_sample(K, degree)
+    GlobalForm(K, degree, gf.assignment)
+    sid, bump = _constrained_monomial(K, gf)
+    assignment = dict(gf.assignment)
+    assignment[sid] = gf.form(sid) + bump
+    with pytest.raises(FormError, match="incompatible global form"):
+        GlobalForm(K, degree, assignment)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_validation_rejects_the_wrong_exterior_degree(name):
+    K = COMPLEXES[name]()
+    gf = _nonzero_sample(K, 0)
+    with pytest.raises(FormError, match="incompatible global form: "
+                       r"form on \S+ has degree 0, expected 1"):
+        GlobalForm(K, 1, gf.assignment)
+
+
 def test_stokes_delta2():
     rep = verify_stokes(builtin_complex("delta2"), 12, 2, seed=1)
     assert rep.ok
@@ -310,3 +367,55 @@ def test_validate_reports_out_of_range_faces():
     del K.dims["a"]
     assert K.validate() == [
         "face (e,5): face index 5 out of range for a 1-simplex"]
+
+
+# ----- fuzzing the .scx format -----
+
+SCX_SEEDS = [
+    ["scomplex circle", "simplex p 0", "simplex e 1",
+     "face e 0 = p", "face e 1 = p"],
+    (DATA / "s2_one_cell.scx").read_text().splitlines(),
+    ["scomplex interval", "simplex a 0", "simplex b 0", "simplex e 1",
+     "face e 0 = b", "face e 1 = a"],
+    ["scomplex empty"],
+    [],
+]
+SCX_IDS = st.sampled_from(["p", "a", "b", "e", "T", "q"])
+SCX_NUMBERS = st.one_of(st.integers(-2, 4).map(str),
+                        st.sampled_from(["x", "1.5", ""]))
+SCX_LINES = st.one_of(
+    st.builds("scomplex {}".format, SCX_IDS),
+    st.builds("simplex {} {}".format, SCX_IDS, SCX_NUMBERS),
+    st.builds("face {} {} {} {} {}".format, SCX_IDS, SCX_NUMBERS,
+              st.sampled_from(["=", "->"]), SCX_IDS,
+              st.lists(st.sampled_from(["s0", "s1", "s2", "s-1", "sx", "t0",
+                                        "s"]), max_size=3).map(" ".join)),
+    st.sampled_from(["scomplex", "simplex p", "face T 0 =", "vertex p",
+                     "# comment", ""]),
+)
+
+
+@st.composite
+def scx_texts(draw):
+    """A valid .scx file, or none, with a few lines deleted or inserted."""
+    lines = list(draw(st.sampled_from(SCX_SEEDS)))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines)))
+        if lines and draw(st.booleans()):
+            del lines[min(i, len(lines) - 1)]
+        else:
+            lines.insert(i, draw(SCX_LINES))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(scx_texts())
+def test_scx_parser_and_stokes_raise_only_form_errors(text):
+    try:
+        K = parse_scomplex_file(text)
+    except FormError:
+        return
+    try:
+        verify_stokes(K, 2, 1, 0)
+    except FormError:
+        pass
