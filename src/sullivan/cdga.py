@@ -28,6 +28,7 @@ from .graded import (
     format_element,
     monomial_columns,
     parse_poly,
+    read_text,
     substitute,
 )
 from .linalg import (
@@ -544,8 +545,8 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
 
 
 def load_cdga(path, check=True):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cdga_file(fh.read(), filename=str(path), check=check)
+    return parse_cdga_file(read_text(path, CdgaError), filename=str(path),
+                           check=check)
 
 
 def format_cdga(c, comments=()):

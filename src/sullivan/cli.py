@@ -19,7 +19,7 @@ from .cdga import (
     load_cdga,
     parse_cdga_file,
 )
-from .graded import AlgebraError, format_element
+from .graded import AlgebraError, format_element, read_text
 from .invariants import (
     classify_ellipticity,
     classify_space,
@@ -46,8 +46,7 @@ DOMAIN_ERRORS = (CdgaError, FormError, AlgebraError, LinalgError, OSError)
 
 
 def _sniff(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path, CdgaError)
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -81,6 +80,17 @@ def _emit(args, text_fn, json_obj):
 def _is_minimal(c):
     return (c.is_free and all(g.degree >= 2 for g in c.algebra.generators)
             and check_minimal_sullivan(c))
+
+
+def _model_json(c):
+    """The generators of a free model and its nonzero differentials (the
+    images a `Derivation` keeps), in ordinal order."""
+    alg = c.algebra
+    images = sorted(c.differential.images.items())
+    return {"generators": [{"name": g.name, "degree": g.degree}
+                           for g in alg.generators],
+            "differentials": {alg.by_ordinal(o).name: format_element(e)
+                              for o, e in images}}
 
 
 def _as_model(c, max_degree):
@@ -135,8 +145,8 @@ def cmd_cohomology(args):
 def cmd_minimal_model(args):
     target = load_cdga(args.file)
     res = minimal_model(target, args.max_degree)
-    obj = {"schema": 1, "command": "minimal-model", "target": target.name}
-    obj.update(res.to_json_dict())
+    obj = {"schema": 1, "command": "minimal-model", "target": target.name,
+           **_model_json(res.model), "certifiedDegree": res.certified_degree}
 
     def text():
         comments = [f"stage {s['degree']}: added {len(s['cocycle_gens'])} "
@@ -185,12 +195,7 @@ def cmd_free_loop(args):
         "command": "free-loop",
         "name": c.name,
         "maxDegree": args.max_degree,
-        "generators": [{"name": g.name, "degree": g.degree}
-                       for g in fl.algebra.generators],
-        "differentials": {
-            g.name: format_element(e) for g, e in
-            ((fl.algebra.by_ordinal(o), e)
-             for o, e in sorted(fl.differential.images.items()))},
+        **_model_json(fl),
         "dims": dims,
     }
 
@@ -211,11 +216,7 @@ def cmd_path_space(args):
         "schema": 1,
         "command": "path-space",
         "name": c.name,
-        "generators": [{"name": g.name, "degree": g.degree}
-                       for g in rel.total.algebra.generators],
-        "differentials": {
-            rel.total.algebra.by_ordinal(o).name: format_element(e)
-            for o, e in sorted(rel.total.differential.images.items())},
+        **_model_json(rel.total),
         "fiber": [g.name for g in rel.fiber],
     }
 

@@ -12,7 +12,8 @@ has one routine here: a map out of it is fixed by the images of the
 generators (`substitute`, the one multiplicative extension), and so is a
 derivation (`Derivation.apply`, the one Leibniz rule).  Linear maps in
 monomial bases are read off as sparse coordinate columns by one
-assembler, `monomial_columns`.
+assembler, `monomial_columns`.  Each algebra keeps those bases in a
+per-degree table, each degree built once from the lower ones.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "monomial_columns",
     "parse_poly",
     "format_element",
+    "read_text",
 ]
 
 
@@ -79,6 +81,7 @@ class FreeAlgebra:
         self.allow_degree0 = allow_degree0
         self._by_ordinal = {g.ordinal: g for g in gens}
         self._by_name = {g.name: g for g in gens}
+        self._bases = {}
 
     @classmethod
     def build(cls, specs, allow_degree0=False):
@@ -88,7 +91,8 @@ class FreeAlgebra:
 
     def extend(self, specs):
         """New algebra with extra (name, degree) generators appended after
-        the existing ones (ordinals continue, old monomials stay valid)."""
+        the existing ones (ordinals continue, old monomials stay valid).
+        It starts its own basis table: new generators move every `ends`."""
         nxt = max((g.ordinal for g in self.generators), default=-1) + 1
         new = [Generator(n, d, nxt + i) for i, (n, d) in enumerate(specs)]
         return FreeAlgebra(self.generators + tuple(new),
@@ -170,37 +174,33 @@ class FreeAlgebra:
         """All monomials of total degree n, canonically ordered
         (lexicographic in the exponent vector over ordinals).
 
-        Refuses to enumerate when degree-0 generators exist, since their
-        powers would be unbounded.
+        Each degree is built once, from the lower ones, into the table
+        `_bases[r] = (basis, ends)`: the monomials in the last k generators
+        come first, and `ends[k]` is their count.  Refuses to enumerate
+        when degree-0 generators exist, since their powers are unbounded.
         """
         if n < 0:
             return []
         if any(g.degree == 0 for g in self.generators):
             raise AlgebraError("basis enumeration needs all degrees >= 1")
-        gens = self.generators
-        out = []
-
-        def rec(i, rem, wl, acc):
-            if rem == 0:
-                out.append(tuple(acc))
-                return
-            if i == len(gens):
-                return
-            g = gens[i]
-            cap = 1 if g.is_odd else rem // g.degree
-            for p in range(cap + 1):
-                if p * g.degree > rem:
-                    break
-                if word_max is not None and wl + p > word_max:
-                    break
-                if p:
-                    acc.append((g.ordinal, p))
-                rec(i + 1, rem - p * g.degree, wl + p, acc)
-                if p:
-                    acc.pop()
-
-        rec(0, n, 0, [])
-        return out
+        bases = self._bases
+        for r in range(n + 1):
+            if r in bases:
+                continue
+            basis, ends = ([UNIT], [1]) if r == 0 else ([], [0])
+            for k, g in enumerate(reversed(self.generators)):
+                top = 1 if g.is_odd else r
+                for p in range(1, min(top, r // g.degree) + 1):
+                    lower, lower_ends = bases[r - p * g.degree]
+                    head = ((g.ordinal, p),)
+                    basis += [head + m for m in lower[:lower_ends[k]]]
+                ends.append(len(basis))
+            # one store per degree: concurrent fillers store equal values
+            bases[r] = (basis, ends)
+        basis = bases[n][0]
+        if word_max is None:
+            return list(basis)
+        return [m for m in basis if mono_word(m) <= word_max]
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
@@ -594,6 +594,19 @@ class _Parser:
         if g.is_odd and power > 1:
             return self.alg.zero()
         return AlgElement(self.alg, {((g.ordinal, power),): Fraction(1)})
+
+
+def read_text(path, error):
+    """The text of a UTF-8 file.  Undecodable bytes raise `error` naming
+    the path and the line of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text "
+                    f"(byte 0x{data[exc.start]:02x})") from None
 
 
 def parse_poly(text, algebra):

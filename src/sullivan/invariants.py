@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .cdga import Cdga, CdgaError, word_length_quotient
-from .graded import AlgElement, Derivation, monomial_columns
+from .graded import AlgElement, Derivation, FreeAlgebra, monomial_columns
 from .linalg import RatMatrix, rank
 from .models import check_minimal_sullivan, minimal_model
 
@@ -195,16 +195,11 @@ def finiteness_test(c, bound):
     alg = pure.algebra
 
     odd_gens = [g for g in alg.generators if g.degree % 2 == 1]
-    even_monos = {}
-
-    def even_basis(m):
-        if m not in even_monos:
-            even_monos[m] = [mono for mono in alg.basis_of_degree(m)
-                             if _odd_count(alg, mono) == 0]
-        return even_monos[m]
+    # the even monomials of alg, in its canonical order
+    even = FreeAlgebra([g for g in alg.generators if g.degree % 2 == 0])
 
     def h0_dim(m):
-        tgt = even_basis(m)
+        tgt = even.basis_of_degree(m)
         index = {mono: i for i, mono in enumerate(tgt)}
         vectors = []
         for g in odd_gens:
@@ -212,7 +207,7 @@ def finiteness_test(c, bound):
             if dg is not None:
                 vectors += monomial_columns(
                     lambda e, dg=dg: e * dg, alg,
-                    even_basis(m - (g.degree + 1)), index)
+                    even.basis_of_degree(m - (g.degree + 1)), index)
         return len(tgt) - rank(RatMatrix.from_rows(vectors, len(tgt)))
 
     dims = []

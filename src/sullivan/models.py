@@ -23,7 +23,6 @@ from .graded import (
     AlgElement,
     Derivation,
     FreeAlgebra,
-    format_element,
     monomial_columns,
     substitute,
 )
@@ -370,19 +369,6 @@ class MinimalModelResult:
 
     def generator_profile(self):
         return [(g.name, g.degree) for g in self.model.algebra.generators]
-
-    def to_json_dict(self):
-        diffs = {}
-        for g in self.model.algebra.generators:
-            dg = self.model.differential.images.get(g.ordinal)
-            if dg is not None and not dg.is_zero():
-                diffs[g.name] = format_element(dg)
-        return {
-            "generators": [{"name": g.name, "degree": g.degree}
-                           for g in self.model.algebra.generators],
-            "differentials": diffs,
-            "certifiedDegree": self.certified_degree,
-        }
 
     def __repr__(self):
         gens = ", ".join(f"{n}:{d}" for n, d in self.generator_profile())

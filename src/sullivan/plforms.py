@@ -24,6 +24,7 @@ from .graded import (
     FreeAlgebra,
     _add_term,
     monomial_columns,
+    read_text,
     substitute,
 )
 from .linalg import RatMatrix, kernel_basis, rank
@@ -780,5 +781,5 @@ def parse_scomplex_file(text, filename="<scomplex>", check=True):
 
 
 def load_scomplex(path, check=True):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scomplex_file(fh.read(), filename=str(path), check=check)
+    return parse_scomplex_file(read_text(path, FormError),
+                               filename=str(path), check=check)

@@ -7,13 +7,25 @@ Leibniz rule as pre * dg * suf per letter, a morphism reducing modulo
 the target's relations after every product, and faces and degeneracies
 through explicit image tables of the coordinates.
 
-The pullbacks keep a table of monomial images; the last tests check that
-it drops explicit zero coefficients, is read on repeated calls, cannot be
-changed through a returned element, composes along degeneracy words, and
-starts empty in every `verify_stokes` call.
+The pullbacks keep a table of monomial images; the pullback tests check
+that it drops explicit zero coefficients, is read on repeated calls,
+cannot be changed through a returned element, composes along degeneracy
+words, and starts empty in every `verify_stokes` call.
+
+Monomial bases are a per-degree table kept on each algebra; the last
+tests check it against the backtracking search it replaced, whatever the
+order in which degrees are asked, through `extend()`, across threads and
+past a thousand generators.
 """
 
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
+from threading import Barrier
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +38,7 @@ from sullivan.graded import (
     AlgElement,
     Derivation,
     FreeAlgebra,
+    Generator,
 )
 from sullivan.plforms import (
     PolyForm,
@@ -103,6 +116,39 @@ def reference_morphism_apply(phi, elem):
                 break
         out = out + acc
     return tgt.reduce(out)
+
+
+def reference_basis(alg, n, word_max=None):
+    """Monomials of degree n by a backtracking search over the generators,
+    one recursion level per generator."""
+    if n < 0:
+        return []
+    if any(g.degree == 0 for g in alg.generators):
+        raise AlgebraError("basis enumeration needs all degrees >= 1")
+    gens = alg.generators
+    out = []
+
+    def rec(i, rem, wl, acc):
+        if rem == 0:
+            out.append(tuple(acc))
+            return
+        if i == len(gens):
+            return
+        g = gens[i]
+        cap = 1 if g.is_odd else rem // g.degree
+        for p in range(cap + 1):
+            if p * g.degree > rem:
+                break
+            if word_max is not None and wl + p > word_max:
+                break
+            if p:
+                acc.append((g.ordinal, p))
+            rec(i + 1, rem - p * g.degree, wl + p, acc)
+            if p:
+                acc.pop()
+
+    rec(0, n, 0, [])
+    return out
 
 
 def _t(alg, n, i):
@@ -362,3 +408,117 @@ def test_stokes_work_does_not_depend_on_earlier_calls():
             assert verify_stokes(builtin_complex("delta2"), 3, 2, seed=1).ok
         counts.append(counter.calls)
     assert counts[0] == counts[1] > 0
+
+
+# ----- monomial bases -----
+
+WORD_MAX = st.one_of(st.none(), st.integers(0, 5))
+
+
+@st.composite
+def shuffled_algebras(draw):
+    """0..8 generators of degrees 1..7 with scattered ordinals, declared
+    in a shuffled order."""
+    degrees = draw(st.lists(st.integers(1, 7), max_size=8))
+    ordinals = draw(st.lists(st.integers(0, 40), min_size=len(degrees),
+                             max_size=len(degrees), unique=True))
+    gens = [Generator(f"g{o}", d, o) for d, o in zip(degrees, ordinals)]
+    return FreeAlgebra(draw(st.permutations(gens)))
+
+
+@st.composite
+def basis_queries(draw):
+    """Degrees -1..16 with repeats, asked ascending, descending or in a
+    random order, each with a word cap or none."""
+    degrees = draw(st.lists(st.integers(-1, 16), min_size=1, max_size=10))
+    order = draw(st.sampled_from(["ascending", "descending", "random"]))
+    if order != "random":
+        degrees.sort(reverse=order == "descending")
+    return [(n, draw(WORD_MAX)) for n in degrees]
+
+
+@contextmanager
+def _recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, limit))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_algebras(), basis_queries())
+def test_basis_table_matches_the_search_in_any_order(alg, queries):
+    for n, word_max in queries:
+        assert (alg.basis_of_degree(n, word_max=word_max)
+                == reference_basis(alg, n, word_max))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_algebras(), basis_queries())
+def test_mutating_a_basis_does_not_poison_the_table(alg, queries):
+    for n, word_max in queries:
+        got = alg.basis_of_degree(n, word_max=word_max)
+        got.append(((0, 99),))
+        got.reverse()
+        alg.basis_of_degree(n).clear()
+        assert (alg.basis_of_degree(n, word_max=word_max)
+                == reference_basis(alg, n, word_max))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_algebras(), st.lists(st.integers(1, 7), min_size=1,
+                                     max_size=3),
+       basis_queries())
+def test_extended_algebra_builds_its_own_basis_table(alg, new_degrees, queries):
+    for n in range(17):
+        alg.basis_of_degree(n)
+    ext = alg.extend([(f"h{i}", d) for i, d in enumerate(new_degrees)])
+    for n, word_max in queries:
+        assert (ext.basis_of_degree(n, word_max=word_max)
+                == reference_basis(ext, n, word_max))
+        assert alg.basis_of_degree(n) == reference_basis(alg, n)
+
+
+def test_basis_refuses_degree_zero_generators():
+    alg = FreeAlgebra.build([("t", 0), ("y", 1)], allow_degree0=True)
+    for n in (0, 1, 3, 0):
+        with pytest.raises(AlgebraError, match="degrees >= 1"):
+            alg.basis_of_degree(n)
+    assert alg.basis_of_degree(-1) == []
+
+
+def test_threads_filling_one_algebra_get_the_reference_bases():
+    rng = random.Random(3)
+    for trial in range(6):
+        alg = FreeAlgebra.build([(f"g{i}", rng.randint(1, 7))
+                                 for i in range(rng.randint(4, 8))])
+        want = {n: reference_basis(alg, n) for n in range(-1, 17)}
+        start = Barrier(4)
+
+        def ask(seed):
+            local = random.Random(seed)
+            start.wait()
+            return [(n, alg.basis_of_degree(n))
+                    for n in (local.randint(-1, 16) for _ in range(12))]
+
+        with ThreadPoolExecutor(4) as pool:
+            answers = list(pool.map(ask, range(4 * trial, 4 * trial + 4)))
+        for n, got in (a for batch in answers for a in batch):
+            assert got == want[n]
+
+
+def test_bases_past_a_thousand_generators():
+    """The table has no recursion, so a model with more generators than
+    the interpreter's recursion limit still gets its bases."""
+    rng = random.Random(1)
+    low = {0: 2, 300: 3, 600: 2, 900: 5, 1199: 3}
+    gens = [Generator(f"g{o}", low.get(o, rng.randint(6, 8)), o)
+            for o in range(1200)]
+    rng.shuffle(gens)
+    alg = FreeAlgebra(gens)
+    got = {n: alg.basis_of_degree(n) for n in (8, 5, 7)}
+    with _recursion_limit(5000):
+        for n, basis in got.items():
+            assert basis == reference_basis(alg, n)

@@ -206,3 +206,24 @@ def test_pl_verify_zero_trials_is_usage_error(capsys):
                          "--trials", "0")
     assert code == 2
     assert "--trials" in err
+
+
+FILE_COMMANDS = ["validate", "cohomology", "minimal-model", "loop",
+                 "free-loop", "path-space", "classify", "invariants",
+                 "pl-verify"]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+@pytest.mark.parametrize("text, line", [
+    (b"cdga s2\ngen y 2\n# caf\xff\nrel 4 : y^2\n", 3),
+    (b"scomplex pt\nsimplex p 0\n\n\xfe\xff\n", 4),
+    (b"\xffcdga s2\n", 1),
+])
+def test_non_utf8_file_is_a_domain_error_at_its_line(capsys, tmp_path,
+                                                     command, text, line):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(text)
+    code, out, err = run(capsys, command, str(f))
+    assert code == 1
+    assert err.startswith(f"error: {f}:{line}:")
+    assert "Traceback" not in err
