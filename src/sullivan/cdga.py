@@ -190,8 +190,9 @@ class Cdga:
         return AlgElement(self.algebra, terms)
 
     def coords(self, elem, k):
+        """Sparse coordinates {index: Fraction} in the degree-k basis."""
         index = self._quotient_basis(k)[1]
-        v = [Fraction(0)] * self.dim(k)
+        v = {}
         for m, c in self.reduce(elem).terms.items():
             if self.algebra.mono_degree(m) != k:
                 raise CdgaError(f"element not homogeneous of degree {k}")
@@ -199,9 +200,14 @@ class Cdga:
         return v
 
     def element(self, k, coords):
+        """The degree-k element with sparse coordinates {index: value}."""
         basis = self.basis(k)
-        return AlgElement(self.algebra,
-                          {m: Fraction(c) for m, c in zip(basis, coords) if c})
+        for i in coords:
+            if not 0 <= i < len(basis):
+                raise CdgaError(f"coordinate {i} outside the degree-{k} "
+                                f"basis of size {len(basis)}")
+        return AlgElement(self.algebra, {basis[i]: Fraction(c)
+                                         for i, c in coords.items() if c})
 
     def d(self, elem):
         return self.reduce(self.differential.apply(self.reduce(elem)))
@@ -241,47 +247,51 @@ class Cdga:
     # ----- cohomology -----
 
     def _h_data(self, k):
+        """(sparse H^k representatives, matrix [reps | B^k basis], dim B^k)."""
         if k not in self._h_cache:
             z = kernel_basis(self.diff_matrix(k))
             b = (image_basis(self.diff_matrix(k - 1)) if k
                  else span_basis([], self.dim(0)))
             reps = quotient_basis(b, z)
             mat = RatMatrix.from_columns(reps + b.rows, self.dim(k))
-            self._h_cache[k] = (z, b, reps, mat)
+            self._h_cache[k] = (reps, mat, b.dim)
         return self._h_cache[k]
 
     def h_dim(self, k):
         """dim H^k = dim C^k - rank d_k - rank d_(k-1), from ranks alone
         unless the representatives are already known."""
         if k in self._h_cache:
-            return len(self._h_cache[k][2])
+            return len(self._h_cache[k][0])
         for j in (k - 1, k):
             if j >= 0 and j not in self._rank_cache:
                 self._rank_cache[j] = rank(self.diff_matrix(j))
         return (self.dim(k) - self._rank_cache.get(k, 0)
                 - self._rank_cache.get(k - 1, 0))
 
+    def h_basis(self, k):
+        """Sparse coordinate rows of the chosen H^k representatives."""
+        return self._h_data(k)[0]
+
     def h_representatives(self, k):
-        return [self.element(k, v) for v in self._h_data(k)[2]]
+        return [self.element(k, v) for v in self.h_basis(k)]
 
     def class_coords(self, elem, k):
-        """Coordinates of a cocycle's class in the chosen H^k basis."""
-        _, _, reps, mat = self._h_data(k)
-        v = self.coords(elem, k)
-        sol = solve(mat, v)
+        """Sparse coordinates of a cocycle's class in the chosen H^k basis."""
+        reps, mat, _ = self._h_data(k)
+        sol = solve(mat, self.coords(elem, k))
         if isinstance(sol, NoSolution):
             raise CdgaError(f"element of degree {k} is not a cocycle "
                             f"modulo boundaries")
-        return sol[:len(reps)]
+        return {i: x for i, x in sol.items() if i < len(reps)}
 
     def cohomology(self, max_degree):
         dims = []
         reps = {}
         bdims = []
         for k in range(max_degree + 1):
-            _, b, r, _ = self._h_data(k)
+            r, _, bdim = self._h_data(k)
             dims.append(len(r))
-            bdims.append(b.dim)
+            bdims.append(bdim)
             reps[k] = [self.element(k, v) for v in r]
         return CohomologyReport(max_degree, dims, reps, bdims)
 

@@ -423,11 +423,12 @@ def cuplength(c, max_degree):
                 if prod.is_zero():
                     continue
                 vec = c.class_coords(prod, deg)
-                if not any(vec):
+                if not vec:
                     continue
                 known = spans.setdefault(deg, [])
                 # the vectors kept so far are independent
-                if rank(RatMatrix(known + [vec])) > len(known):
+                if rank(RatMatrix.from_rows(known + [vec],
+                                            c.h_dim(deg))) > len(known):
                     known.append(vec)
                     nxt.append((deg, prod))
         if not nxt:

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals, on sparse rows.
 
-A `RatMatrix` keeps its nonzero entries as sparse rows {column:
-Fraction}; its dense `data` is built only when read.  One kernel does
-all elimination: rows become primitive integer rows {column: int} that
-`_eliminate` cancels in turn, fraction-free, against the pivot rows kept
-so far (pivot: leftmost nonzero column, taken by the first row there).
-`rank` counts the kept rows and makes no Fraction.  `_reduced`
+Vectors go in and out as sparse rows {index: Fraction} of their nonzero
+entries; `combine` sums multiples of them fraction-free.  A `RatMatrix`
+keeps such rows, and builds its dense `data` only when read.  One kernel
+does all elimination: rows become primitive integer rows {column: int}
+that `_eliminate` cancels in turn, fraction-free, against the pivot rows
+kept so far (pivot: leftmost nonzero column, taken by the first row
+there).  `rank` counts the kept rows and makes no Fraction.  `_reduced`
 back-substitutes to the reduced echelon form (rows up to scale) for
 `rref`, `span_basis`, `image_basis`, `kernel_basis` and `solve`, which
 make Fractions only for the rows they return.  `quotient_basis` clears
@@ -27,23 +28,31 @@ class LinalgError(ValueError):
     pass
 
 
-def _sparse(vector):
-    """{index: Fraction} of the nonzero entries of a dense vector or dict."""
-    items = vector.items() if isinstance(vector, dict) else enumerate(vector)
-    out = {}
-    for j, x in items:
-        if type(x) is not Fraction:
-            x = Fraction(x)
-        if x:
-            out[j] = x
-    return out
+def _sparse(row):
+    """Copy of a sparse row {index: value}: Fraction values, zeros dropped."""
+    return {j: x if type(x) is Fraction else Fraction(x)
+            for j, x in row.items() if x}
 
 
-def _dense(row, n):
-    out = [_ZERO] * n
-    for j, x in row.items():
-        out[j] = x
-    return out
+def combine(coeffs, rows):
+    """Sparse sum of c * rows[k] over the coefficients {k: c}, fraction-free:
+    every entry is scaled to one common denominator, the integer
+    numerators are summed, and one Fraction is made per nonzero entry of
+    the sum.  An entry that cancels is left out."""
+    terms = []
+    for k, c in coeffs.items():
+        if c:
+            row = rows[k]
+            den = lcm(*[x.denominator for x in row.values()])
+            terms.append((c.numerator, c.denominator * den, den, row))
+    common = lcm(*[t[1] for t in terms])
+    acc = {}
+    for num, den, row_den, row in terms:
+        f = num * (common // den)
+        for j, x in row.items():
+            acc[j] = (acc.get(j, 0)
+                      + f * x.numerator * (row_den // x.denominator))
+    return {j: Fraction(v, common) for j, v in acc.items() if v}
 
 
 class RatMatrix:
@@ -52,22 +61,23 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "sparse")
 
     def __init__(self, data, cols=None):
+        """From dense rows (lists of numbers)."""
         data = [list(r) for r in data]
         if len({len(r) for r in data}) > 1:
             raise LinalgError("ragged rows")
         self.rows, self.cols = len(data), len(data[0]) if data else cols or 0
-        self.sparse = [_sparse(r) for r in data]
+        self.sparse = [_sparse(dict(enumerate(r))) for r in data]
 
     @classmethod
     def from_rows(cls, rows, cols):
-        """From sparse rows {column: value} or dense rows."""
+        """From sparse rows {column: value}."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.sparse = len(rows), cols, [_sparse(r) for r in rows]
         return m
 
     @classmethod
     def from_columns(cls, columns, rows):
-        """From sparse columns {row: value} or dense columns."""
+        """From sparse columns {row: value}."""
         return cls.from_rows(columns, rows).transpose()
 
     @staticmethod
@@ -80,7 +90,9 @@ class RatMatrix:
 
     @property
     def data(self):
-        return [_dense(r, self.cols) for r in self.sparse]
+        """Dense rows, built on each read."""
+        return [[row.get(j, _ZERO) for j in range(self.cols)]
+                for row in self.sparse]
 
     def columns(self):
         """Sparse columns {row: Fraction}."""
@@ -89,12 +101,6 @@ class RatMatrix:
             for j, x in row.items():
                 out[j][i] = x
         return out
-
-    def mult_vec(self, v):
-        if len(v) != self.cols:
-            raise LinalgError(f"vector length {len(v)} vs {self.cols} columns")
-        return [sum((x * v[j] for j, x in row.items()), _ZERO)
-                for row in self.sparse]
 
     def transpose(self):
         return RatMatrix.from_rows(self.columns(), self.rows)
@@ -213,12 +219,8 @@ class SubspaceBasis:
     def dim(self):
         return len(self.rows)
 
-    @property
-    def vectors(self):
-        return [_dense(r, self.ambient) for r in self.rows]
-
     def reduce(self, v):
-        """Residue of v (dense or sparse) modulo the subspace, as a sparse
+        """Residue of a sparse row v modulo the subspace, as a sparse
         {column: Fraction}: its pivot coordinates eliminated."""
         v = _sparse(v)
         for c in [c for c in v if c in self._by_pivot]:
@@ -231,15 +233,12 @@ class SubspaceBasis:
                     del v[j]
         return v
 
-    def contains(self, v):
-        return not self.reduce(v)
-
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient})"
 
 
 def span_basis(vectors, ambient):
-    """Canonical SubspaceBasis spanned by vectors (dense or sparse)."""
+    """Canonical SubspaceBasis spanned by sparse rows."""
     red = _echelon([_sparse(v) for v in vectors])
     return SubspaceBasis(ambient, [row for _, row in red],
                          [c for c, _ in red])
@@ -269,7 +268,7 @@ def image_basis(m):
 
 
 def quotient_basis(sub, within):
-    """Coset representatives spanning within/sub.
+    """Coset representatives spanning within/sub, as sparse rows.
 
     Representatives are drawn from `within`'s echelon vectors, in order,
     each reduced modulo `sub` and the representatives before it and
@@ -279,13 +278,11 @@ def quotient_basis(sub, within):
         raise LinalgError("ambient dimensions differ")
     piv = _eliminate(map(_int_row, sub.rows + within.rows), full=True)
     if len(piv) != within.dim:
-        i = next(i for i, v in enumerate(sub.rows) if not within.contains(v))
-        raise LinalgError(
-            f"containment violation: sub basis vector {i} "
-            f"({[str(x) for x in sub.vectors[i]]}) is not in the larger "
-            f"subspace")
-    return [_dense({j: Fraction(x, row[c]) for j, x in row.items()},
-                   sub.ambient) for c, row in list(piv.items())[sub.dim:]]
+        i = next(i for i, v in enumerate(sub.rows) if within.reduce(v))
+        raise LinalgError(f"containment violation: sub basis vector {i} "
+                          f"is not in the larger subspace")
+    return [{j: Fraction(x, row[c]) for j, x in row.items()}
+            for c, row in list(piv.items())[sub.dim:]]
 
 
 class NoSolution:
@@ -305,27 +302,29 @@ class NoSolution:
 
 
 def solve(m, b):
-    """One exact solution of m x = b (free variables zeroed), or NoSolution.
+    """One exact solution of m x = b for a sparse right-hand side
+    b {row: value}: a sparse row {column: Fraction} with the free
+    variables zero, or NoSolution.
 
-    The NoSolution certificate y satisfies y.m = 0 and y.b = 1: the first
-    vector of the reduced echelon basis of the left kernel of m that is
-    not orthogonal to b, scaled.
+    The NoSolution certificate y, a sparse row {row: Fraction}, satisfies
+    y.m = 0 and y.b = 1: the first vector of the reduced echelon basis of
+    the left kernel of m that is not orthogonal to b, scaled.
     """
-    if len(b) != m.rows:
-        raise LinalgError(f"rhs length {len(b)} vs {m.rows} rows")
     aug = [dict(r) for r in m.sparse]
-    for r, x in zip(aug, b):
+    for i, x in b.items():
+        if not 0 <= i < m.rows:
+            raise LinalgError(f"rhs index {i} outside {m.rows} rows")
         if x:
-            r[m.cols] = Fraction(x)
+            aug[i][m.cols] = Fraction(x)
     piv = _eliminate([_int_row(r) for r in aug if r])
     if m.cols in piv:
         for y in kernel_basis(m.transpose()).rows:
-            t = sum(x * b[i] for i, x in y.items())
+            t = sum(x * b[i] for i, x in y.items() if i in b)
             if t:
                 return NoSolution(len(piv) - 1,
-                                  _dense({i: x / t for i, x in y.items()},
-                                         m.rows))
-    x = [_ZERO] * m.cols
+                                  {i: x / t for i, x in y.items()})
+    x = {}
     for c, row in _reduced(piv):
-        x[c] = Fraction(row.get(m.cols, 0), row[c])
+        if m.cols in row:
+            x[c] = Fraction(row[m.cols], row[c])
     return x

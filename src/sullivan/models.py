@@ -29,6 +29,7 @@ from .graded import (
 from .linalg import (
     NoSolution,
     RatMatrix,
+    combine,
     image_basis,
     kernel_basis,
     quotient_basis,
@@ -213,13 +214,13 @@ def acyclic_closure(model, verify_to=0):
             mat = RatMatrix.from_columns(
                 monomial_columns(cur_d.apply, alg, candidates, index),
                 len(target_basis))
-            sol = solve(mat, [dv.terms.get(mono, 0) for mono in target_basis])
+            sol = solve(mat, {index[mono]: c for mono, c in dv.terms.items()})
             if isinstance(sol, NoSolution):
                 raise ModelError(
                     f"acyclic closure correction unsolvable for {v.name} "
                     f"in degree {m}")
             correction = AlgElement(
-                alg, {mono: c for mono, c in zip(candidates, sol) if c})
+                alg, {candidates[j]: c for j, c in sol.items()})
         bar = f"{v.name}_bar"
         alg = alg.extend([(bar, m - 1)])
         d_images = {n: e.in_algebra(alg) for n, e in d_images.items()}
@@ -416,29 +417,19 @@ def minimal_model(target, max_degree):
         hmat = phi.h_matrix(n)
         full = image_basis(RatMatrix.identity(hmat.rows))
         coker = quotient_basis(image_basis(hmat), full)
-        tgt_reps = target.h_representatives(n)
         cocycle_names = []
         for vec in coker:
             name = fresh_name()
-            rep = target.algebra.zero()
-            for c, r in zip(vec, tgt_reps):
-                if c:
-                    rep = rep + r.scale(c)
             new_specs.append((name, n))
-            new_phi[name] = target.reduce(rep)
+            new_phi[name] = target.element(n, combine(vec, target.h_basis(n)))
             cocycle_names.append(name)
 
         # (b) generators of degree n killing ker H^(n+1)(phi)
-        kmat = phi.h_matrix(n + 1)
-        kernel = kernel_basis(kmat)
-        src_reps = model.h_representatives(n + 1)
+        kernel = kernel_basis(phi.h_matrix(n + 1))
         kernel_names = []
-        for vec in kernel.vectors:
+        for vec in kernel.rows:
             name = fresh_name()
-            zeta = model.algebra.zero()
-            for c, r in zip(vec, src_reps):
-                if c:
-                    zeta = zeta + r.scale(c)
+            zeta = model.element(n + 1, combine(vec, model.h_basis(n + 1)))
             img = phi.apply(zeta)
             b = target.algebra.zero()
             if not img.is_zero():

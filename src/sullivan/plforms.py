@@ -27,7 +27,7 @@ from .graded import (
     read_text,
     substitute,
 )
-from .linalg import RatMatrix, kernel_basis, rank
+from .linalg import RatMatrix, combine, kernel_basis, rank
 
 __all__ = [
     "FormError",
@@ -617,7 +617,7 @@ def _assemble(K, degree, order, bases, var_index, vec):
         alg = form_algebra(K.dims[sid])
         terms = {}
         for idx, mono in enumerate(bases[sid]):
-            c = vec[var_index[(sid, idx)]]
+            c = vec.get(var_index[(sid, idx)])
             if c:
                 terms[mono] = c
         assignment[sid] = PolyForm(K.dims[sid], AlgElement(alg, terms))
@@ -628,14 +628,9 @@ def _sample(K, degree, poly_cap, seed, closed):
     order, bases, var_index, kernel = _compatibility_kernel(
         K, degree, poly_cap, closed)
     rng = random.Random(seed)
-    nvars = len(var_index)
-    vec = [Fraction(0)] * nvars
-    for kv in kernel:
-        c = rng.randint(-3, 3)
-        if c:
-            for i, x in kv.items():
-                vec[i] += c * x
-    return _assemble(K, degree, order, bases, var_index, vec)
+    coeffs = {k: rng.randint(-3, 3) for k in range(len(kernel))}
+    return _assemble(K, degree, order, bases, var_index,
+                     combine(coeffs, kernel))
 
 
 def sample_global_form(K, degree, poly_cap, seed):

@@ -61,9 +61,18 @@ def test_validate_catches_broken_differential():
 def test_d_squared_zero_on_all_fixture_bases():
     for c in all_fixtures():
         for k in range(0, 10):
-            for mono in c.basis(k):
-                e = c.element(k, [1 if m == mono else 0 for m in c.basis(k)])
+            for i in range(c.dim(k)):
+                e = c.element(k, {i: 1})
                 assert c.d(c.d(e)).is_zero()
+
+
+def test_element_rejects_coordinate_outside_basis():
+    c = sphere_cohomology(2)
+    assert c.dim(2) == 1
+    assert c.element(2, {0: 3}) == c.algebra.parse("3*y")
+    for i in (1, -1):
+        with pytest.raises(CdgaError, match="outside the degree-2 basis"):
+            c.element(2, {i: 1})
 
 
 def test_nonformal_cohomology_table():

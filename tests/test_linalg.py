@@ -14,6 +14,7 @@ from sullivan.linalg import (
     LinalgError,
     NoSolution,
     RatMatrix,
+    combine,
     image_basis,
     kernel_basis,
     quotient_basis,
@@ -22,6 +23,27 @@ from sullivan.linalg import (
     solve,
     span_basis,
 )
+
+
+def dense(row, n):
+    """The dense list of length n of a sparse row {index: value}."""
+    return [row.get(j, Fraction(0)) for j in range(n)]
+
+
+def sparse(vector):
+    """The sparse row {index: value} of a dense list."""
+    return {j: x for j, x in enumerate(vector) if x}
+
+
+def vectors(basis):
+    """A SubspaceBasis's rows as dense lists."""
+    return [dense(r, basis.ambient) for r in basis.rows]
+
+
+def apply(m, x):
+    """m x as a dense list, for a sparse x."""
+    return [sum((a * x.get(j, 0) for j, a in row.items()), Fraction(0))
+            for row in m.sparse]
 
 
 def test_rref_dependent_rows():
@@ -55,19 +77,20 @@ def test_kernel_of_zero_map():
 def test_kernel_simple():
     m = RatMatrix([[1, 1]])
     k = kernel_basis(m)
-    assert k.vectors == [[Fraction(1), Fraction(-1)]]
+    assert vectors(k) == [[Fraction(1), Fraction(-1)]]
 
 
 def test_quotient_basis_representative():
-    sub = span_basis([[1, 0, 0]], 3)
-    within = span_basis([[1, 0, 0], [0, 1, 0]], 3)
+    sub = span_basis([sparse([1, 0, 0])], 3)
+    within = span_basis([sparse([1, 0, 0]), sparse([0, 1, 0])], 3)
     reps = quotient_basis(sub, within)
-    assert reps == [[Fraction(0), Fraction(1), Fraction(0)]]
+    assert [dense(r, 3) for r in reps] == [[Fraction(0), Fraction(1),
+                                            Fraction(0)]]
 
 
 def test_quotient_containment_violation():
-    sub = span_basis([[0, 0, 1]], 3)
-    within = span_basis([[1, 0, 0], [0, 1, 0]], 3)
+    sub = span_basis([sparse([0, 0, 1])], 3)
+    within = span_basis([sparse([1, 0, 0]), sparse([0, 1, 0])], 3)
     with pytest.raises(LinalgError, match="containment"):
         quotient_basis(sub, within)
 
@@ -75,20 +98,20 @@ def test_quotient_containment_violation():
 def test_solve_identity():
     m = RatMatrix.identity(3)
     b = [Fraction(5), Fraction(-1), Fraction(2, 3)]
-    assert solve(m, b) == b
+    assert dense(solve(m, sparse(b)), 3) == b
 
 
 def test_solve_zeroes_free_variables():
     m = RatMatrix([[1, 1]])
-    assert solve(m, [2]) == [Fraction(2), Fraction(0)]
+    assert dense(solve(m, sparse([2])), 2) == [Fraction(2), Fraction(0)]
 
 
 def test_solve_no_solution_with_certificate():
     m = RatMatrix([[0]])
-    res = solve(m, [1])
+    res = solve(m, sparse([1]))
     assert isinstance(res, NoSolution)
     assert not res
-    y = res.certificate
+    y = dense(res.certificate, 1)
     assert sum(y[i] * m.data[i][0] for i in range(1)) == 0
     assert sum(y[i] * Fraction(1) for i in range(1)) != 0
 
@@ -96,9 +119,9 @@ def test_solve_no_solution_with_certificate():
 def test_solve_certificate_nontrivial():
     m = RatMatrix([[1, 2], [2, 4]])
     b = [Fraction(1), Fraction(3)]
-    res = solve(m, b)
+    res = solve(m, sparse(b))
     assert isinstance(res, NoSolution)
-    y = res.certificate
+    y = dense(res.certificate, 2)
     for c in range(2):
         assert sum(y[r] * m.data[r][c] for r in range(2)) == 0
     assert sum(y[r] * b[r] for r in range(2)) != 0
@@ -127,10 +150,10 @@ def test_solve_recovers_constructed_solution():
         cols = rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
         x0 = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-        b = m.mult_vec(x0)
-        x = solve(m, b)
+        b = apply(m, sparse(x0))
+        x = solve(m, sparse(b))
         assert not isinstance(x, NoSolution)
-        assert m.mult_vec(x) == b
+        assert apply(m, x) == b
 
 
 def test_kernel_vectors_annihilate():
@@ -138,8 +161,8 @@ def test_kernel_vectors_annihilate():
     for _ in range(100):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
         k = kernel_basis(m)
-        for v in k.vectors:
-            assert all(x == 0 for x in m.mult_vec(v))
+        for v in k.rows:
+            assert all(x == 0 for x in apply(m, v))
 
 
 def test_quotient_dimension_count():
@@ -148,9 +171,9 @@ def test_quotient_dimension_count():
         n = rng.randint(2, 6)
         vs = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
               for _ in range(rng.randint(1, n))]
-        within = span_basis(vs, n)
+        within = span_basis([sparse(v) for v in vs], n)
         k = rng.randint(0, within.dim)
-        sub = span_basis(within.vectors[:k], n)
+        sub = span_basis(within.rows[:k], n)
         reps = quotient_basis(sub, within)
         assert len(reps) == within.dim - sub.dim
 
@@ -311,17 +334,17 @@ def test_kernel_and_image_match_dense_reference_and_sympy(mc):
     data, cols = mc
     m = RatMatrix(data, cols=cols)
     kernel, image = kernel_basis(m), image_basis(m)
-    assert kernel.vectors == ref_kernel(data, cols)
+    assert vectors(kernel) == ref_kernel(data, cols)
     transposed = [list(c) for c in zip(*data)] if data else []
-    assert image.vectors == ref_span(transposed, len(data))
+    assert vectors(image) == ref_span(transposed, len(data))
     dm = _domain(data, cols)
     null = dm.nullspace()
     sym_kernel = _from_domain(null) if null.shape[0] else []
-    assert kernel.vectors == ref_span(sym_kernel, cols)
+    assert vectors(kernel) == ref_span(sym_kernel, cols)
     assert kernel.dim == cols - dm.rank()
     assert image.dim == dm.rank()
-    for v in kernel.vectors:
-        assert not any(m.mult_vec(v))
+    for v in kernel.rows:
+        assert not any(apply(m, v))
 
 
 @st.composite
@@ -329,7 +352,7 @@ def quotient_cases(draw):
     """A matrix whose rows span `within`, and integer combinations of
     within's basis spanning `sub`."""
     data, cols = draw(matrices())
-    dim = span_basis(data, cols).dim
+    dim = span_basis([sparse(r) for r in data], cols).dim
     combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim,
                                     max_size=dim), max_size=dim))
     return data, cols, combos
@@ -344,16 +367,16 @@ def quotient_cases(draw):
           [[0, 1]]))
 def test_quotient_matches_dense_reference_and_sympy(case):
     data, cols, combos = case
-    within = span_basis(data, cols)
-    sub_vs = [[sum(a * v[j] for a, v in zip(co, within.vectors))
+    within = span_basis([sparse(r) for r in data], cols)
+    sub_vs = [[sum(a * v[j] for a, v in zip(co, vectors(within)))
                for j in range(cols)] for co in combos]
-    sub = span_basis(sub_vs, cols)
-    reps = quotient_basis(sub, within)
+    sub = span_basis([sparse(v) for v in sub_vs], cols)
+    reps = [dense(r, cols) for r in quotient_basis(sub, within)]
     assert reps == ref_quotient(ref_span(sub_vs, cols), ref_span(data, cols))
     assert len(reps) == within.dim - sub.dim
     # sub and the representatives together span within
-    both = sub.vectors + reps
-    assert ref_span(both, cols) == within.vectors
+    both = vectors(sub) + reps
+    assert ref_span(both, cols) == vectors(within)
     assert _domain(both, cols).rank() == within.dim
 
 
@@ -373,7 +396,7 @@ def systems(draw):
 def test_solve_matches_dense_reference_and_sympy(case):
     data, cols, b = case
     m = RatMatrix(data, cols=cols)
-    x = solve(m, b)
+    x = solve(m, sparse(b))
     aug = [r + [Fraction(bi)] for r, bi in zip(data, b)]
     red, pivots = ref_rref(aug, cols + 1)
     consistent = cols not in pivots
@@ -383,15 +406,67 @@ def test_solve_matches_dense_reference_and_sympy(case):
         want = [Fraction(0)] * cols
         for i, c in enumerate(pivots):
             want[c] = red[i][cols]
-        assert x == want
-        assert m.mult_vec(x) == b
+        assert dense(x, cols) == want
+        assert apply(m, x) == b
     else:
         assert isinstance(x, NoSolution)
-        y = x.certificate
+        y = dense(x.certificate, len(data))
         assert len(y) == len(data)
         for j in range(cols):
             assert sum(y[i] * data[i][j] for i in range(len(data))) == 0
         assert sum(yi * bi for yi, bi in zip(y, b)) == 1
+
+
+def test_solve_rejects_rhs_index_outside_rows():
+    m = RatMatrix.identity(2)
+    for i in (2, -1):
+        with pytest.raises(LinalgError, match="rhs index"):
+            solve(m, {i: Fraction(1)})
+
+
+def ref_combine(coeffs, rows):
+    """sum of c * rows[k] in plain Fraction arithmetic, zeros dropped."""
+    total = {}
+    for k, c in coeffs.items():
+        for j, x in rows[k].items():
+            total[j] = total.get(j, Fraction(0)) + c * x
+    return {j: x for j, x in total.items() if x}
+
+
+COEFFS = st.one_of(st.integers(-3, 3),
+                   st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+NONZERO = st.builds(Fraction, st.sampled_from([i for i in range(-6, 7) if i]),
+                    st.integers(1, 4))
+ROWS = st.dictionaries(st.integers(0, 7), NONZERO, max_size=6)
+
+
+@st.composite
+def combinations(draw):
+    """Sparse rows (some empty) and coefficients (some zero or negative),
+    with a negated copy of row 0 at the same coefficient when asked, so
+    that the sum cancels."""
+    rows = draw(st.lists(ROWS, max_size=5))
+    coeffs = draw(st.dictionaries(st.integers(0, len(rows) - 1), COEFFS,
+                                  max_size=5)) if rows else {}
+    if rows and draw(st.booleans()):
+        rows.append({j: -x for j, x in rows[0].items()})
+        coeffs[0] = coeffs[len(rows) - 1] = draw(COEFFS)
+    return coeffs, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(combinations())
+@example(({}, []))
+@example(({0: 2, 1: 0}, [{}, {0: Fraction(1, 3)}]))
+@example(({0: 1, 1: -1}, [{0: Fraction(1, 2), 1: Fraction(1, 3)},
+                          {0: Fraction(1, 2), 2: Fraction(-5, 4)}]))
+@example(({0: Fraction(-2, 3), 1: Fraction(1, 6)},
+          [{0: Fraction(1, 4), 3: Fraction(3)}, {0: Fraction(1), 3: 12}]))
+def test_combine_matches_fraction_sum(case):
+    coeffs, rows = case
+    got = combine(coeffs, rows)
+    assert got == ref_combine(coeffs, rows)
+    assert all(type(x) is Fraction and x for x in got.values())
 
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"

@@ -36,3 +36,18 @@ def test_tracer_target_resolves(module, qualname):
 def test_copied_bindings_the_tracer_patches():
     assert sullivan.models.substitute is sullivan.graded.substitute
     assert sullivan.cdga.rref is sullivan.linalg.rref
+
+
+def test_rref_hook_reads_the_matrix():
+    """The tracer's rref after-hook counts through `RatMatrix.data`, `rows`
+    and `cols`; removing any of them must fail here, not only in the
+    benchmark's own (slow) tests."""
+    t = tracer.Tracer()
+    t.job = 0
+    before, after = t._hooks("linalg.rref")
+    assert before is None
+    m = sullivan.linalg.RatMatrix.from_rows([{0: 1, 2: 3}, {}, {1: 2}], 3)
+    after((m,), sullivan.linalg.rref(m))
+    assert t.job_counts[0] == {"linalg.rref.entries": 9, "linalg.rref.nnz": 3,
+                               "linalg.rref.rows": 3,
+                               "linalg.rref.rank_sum": 2}

@@ -15,6 +15,8 @@ from sullivan.plforms import (
     GlobalForm,
     PolyForm,
     SimplicialComplexFin,
+    _assemble,
+    _compatibility_kernel,
     boundary_delta,
     builtin_complex,
     cochain_cohomology,
@@ -255,6 +257,35 @@ COMPLEXES = {
     "bddelta3": lambda: builtin_complex("bddelta3"),
     "s2_one_cell": lambda: load_scomplex(DATA / "s2_one_cell.scx"),
 }
+
+
+def _dense_sample(K, degree, poly_cap, seed, closed):
+    """The sampler as it was before sparse rows: the kernel vectors summed
+    into a dense list of Fractions, one scaled entry at a time."""
+    order, bases, var_index, kernel = _compatibility_kernel(
+        K, degree, poly_cap, closed)
+    rng = random.Random(seed)
+    vec = [Fraction(0)] * len(var_index)
+    for kv in kernel:
+        c = rng.randint(-3, 3)
+        if c:
+            for i, x in kv.items():
+                vec[i] += c * x
+    return _assemble(K, degree, order, bases, var_index, dict(enumerate(vec)))
+
+
+@pytest.mark.parametrize("name", ["delta3", "bddelta3", "s2_one_cell"])
+def test_sampled_families_match_the_dense_loop(name):
+    K = (load_scomplex(DATA / "s2_one_cell.scx") if name == "s2_one_cell"
+         else builtin_complex(name))
+    for degree in range(K.top_dim + 1):
+        for poly_cap in (1, 2, 3):
+            for seed in (1, 7, 301):
+                for closed, sample in ((False, sample_global_form),
+                                       (True, sample_closed_global_form)):
+                    want = _dense_sample(K, degree, poly_cap, seed, closed)
+                    got = sample(K, degree, poly_cap, seed)
+                    assert got.assignment == want.assignment
 
 
 def _nonzero_sample(K, degree):
