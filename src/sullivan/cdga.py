@@ -26,6 +26,7 @@ from .graded import (
     Derivation,
     FreeAlgebra,
     format_element,
+    memo_linear,
     monomial_columns,
     parse_poly,
     read_text,
@@ -212,6 +213,28 @@ class Cdga:
     def d(self, elem):
         return self.reduce(self.differential.apply(self.reduce(elem)))
 
+    def extend(self, specs, images, carry=()):
+        """This free CDGA with (name, degree) generators `specs` adjoined and
+        d extended by `images` {name: element}.  It takes over, re-indexed,
+        the differential matrices of the degrees in `carry`: d of an old
+        monomial stays, so only new monomials need new columns."""
+        if not self.is_free:
+            raise CdgaError(f"{self.name}: only a free CDGA extends")
+        alg = self.algebra.extend(specs)
+        new = Cdga(self.name, alg, Derivation(alg, +1, {
+            k: AlgElement(alg, e.terms)
+            for k, e in {**self.differential.images, **images}.items()},
+            check=False), check=False)
+        for k in (k for k in carry if k in self._diff_cache):
+            old_rows, rows = self.basis(k + 1), new._quotient_basis(k + 1)[1]
+            old = dict(zip(self.basis(k), self._diff_cache[k].columns()))
+            new._diff_cache[k] = RatMatrix.from_columns([
+                {rows[old_rows[i]]: x for i, x in old[mono].items()}
+                if mono in old
+                else monomial_columns(new.d, alg, [mono], rows)[0]
+                for mono in new.basis(k)], len(rows))
+        return new
+
     def mult(self, a, b):
         return self.reduce(a * b)
 
@@ -301,11 +324,14 @@ class Cdga:
 
 class CdgaMorphism:
     """Algebra map determined by generator images; checked to commute
-    with the differentials.  Generators without an image map to zero."""
+    with the differentials.  Generators without an image map to zero.
+    A `table` {monomial: image terms}, which morphisms agreeing on its
+    monomials may share, makes `apply` expand each monomial once."""
 
-    def __init__(self, source, target, images, check=True):
+    def __init__(self, source, target, images, check=True, table=None):
         self.source = source
         self.target = target
+        self._table = table
         imgs = {}
         for key, elem in images.items():
             g = (source.algebra.generator(key) if isinstance(key, str)
@@ -335,6 +361,12 @@ class CdgaMorphism:
         return self.images.get(g.ordinal, self.target.algebra.zero())
 
     def apply(self, elem):
+        if self._table is not None:
+            return memo_linear(self._apply, elem, self._table,
+                               self.target.algebra)
+        return self._apply(elem)
+
+    def _apply(self, elem):
         return self.target.reduce(substitute(
             elem, self.images, self.target.algebra, missing_zero=True))
 

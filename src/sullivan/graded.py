@@ -30,6 +30,7 @@ __all__ = [
     "Derivation",
     "substitute",
     "monomial_columns",
+    "memo_linear",
     "parse_poly",
     "format_element",
     "read_text",
@@ -54,6 +55,7 @@ class Generator:
 # A monomial is a tuple of (ordinal, power) pairs, sorted by ordinal,
 # powers > 0, odd generators with power exactly 1.  () is the unit.
 UNIT = ()
+_SMALL = {k: Fraction(k) for k in (-2, -1, 1, 2)}  # shared coefficients
 
 
 class FreeAlgebra:
@@ -81,6 +83,7 @@ class FreeAlgebra:
         self.allow_degree0 = allow_degree0
         self._by_ordinal = {g.ordinal: g for g in gens}
         self._by_name = {g.name: g for g in gens}
+        self._degrees = {g.ordinal: g.degree for g in gens}
         self._bases = {}
 
     @classmethod
@@ -165,7 +168,7 @@ class FreeAlgebra:
             last = o
 
     def mono_degree(self, m):
-        return sum(p * self.degree_of(o) for o, p in m)
+        return sum(p * self._degrees[o] for o, p in m)
 
     def parse(self, text):
         return parse_poly(text, self)
@@ -215,8 +218,8 @@ def mono_mul(alg, m1, m2):
     """Product of two monomials: (sign, monomial), or None when an odd
     generator repeats.  The Koszul sign counts the odd-odd inversions
     needed to merge the two sorted letter sequences."""
-    odd1 = [o for o, p in m1 if alg.degree_of(o) % 2]
-    odd2 = [o for o, p in m2 if alg.degree_of(o) % 2]
+    odd1 = [o for o, p in m1 if alg._degrees[o] % 2]
+    odd2 = [o for o, p in m2 if alg._degrees[o] % 2]
     if set(odd1) & set(odd2):
         return None
     inversions = 0
@@ -404,12 +407,13 @@ class Derivation:
             bad = alg.foreign_generator(elem.algebra)
             raise AlgebraError(f"derivation applied across universes "
                                f"(generator {bad})")
+        degrees = alg._degrees
         out = {}
         for mono, coeff in elem.terms.items():
             prefix_deg = 0
             for i, (o, p) in enumerate(mono):
                 img = self.images.get(o)
-                gdeg = alg.degree_of(o)
+                gdeg = degrees[o]
                 if img is not None:
                     rest = (mono[:i] + ((o, p - 1),) + mono[i + 1:] if p > 1
                             else mono[:i] + mono[i + 1:])
@@ -473,11 +477,30 @@ def substitute(elem, images, target, missing_zero=False):
 def monomial_columns(f, algebra, monos, index):
     """Sparse coordinate columns of a linear map in monomial bases: for
     each monomial m of `monos`, {index[n]: c} over the terms c*n of f(m),
-    where f takes and returns elements and m is taken over `algebra`."""
+    where f takes and returns elements and m is taken over `algebra`.
+    The coefficients -2..2, nearly all of them, share one Fraction each
+    rather than taking one per matrix entry."""
     one = Fraction(1)
-    return [{index[n]: c
+    return [{index[n]: _SMALL.get(c.numerator, c) if c.denominator == 1
+             else c
              for n, c in f(AlgElement(algebra, {m: one})).terms.items()}
             for m in monos]
+
+
+def memo_linear(f, elem, table, target):
+    """The linear map f on `elem`, as an element of `target`, with f of
+    each monomial read from `table` {monomial: image terms}, or computed
+    and kept there when missing."""
+    out = {}
+    for mono, coeff in elem.terms.items():
+        if not coeff:
+            continue
+        if mono not in table:
+            table[mono] = f(AlgElement(elem.algebra,
+                                       {mono: Fraction(1)})).terms
+        for term, c in table[mono].items():
+            _add_term(out, term, coeff * c)
+    return AlgElement(target, out)
 
 
 # ----- parsing and printing -----

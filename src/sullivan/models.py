@@ -4,7 +4,10 @@ Minimal models are built degree by degree against any degreewise-finite
 target: at stage n we first adjoin closed generators hitting the cokernel
 of H^n(phi), then degree-n generators killing the kernel of H^(n+1)(phi),
 with all representative choices delegated to the deterministic echelon
-conventions of the linear algebra layer.
+conventions of the linear algebra layer.  The model is extended, not
+rebuilt, and stage n certifies what has become final: d^2 = 0 and the
+chain-map identity on its generators, and H^(n-1)(phi) an isomorphism,
+since no generator of degree n or more changes H^(n-1).
 
 The based path space is realized as an inductively corrected acyclic
 closure (D vbar = v - C with C solved degreewise so that D^2 = 0), the
@@ -18,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .cdga import Cdga, CdgaError, CdgaMorphism, check_quasi_iso
+from .cdga import Cdga, CdgaError, CdgaMorphism
 from .graded import (
     AlgElement,
     Derivation,
@@ -33,6 +36,7 @@ from .linalg import (
     image_basis,
     kernel_basis,
     quotient_basis,
+    rank,
     solve,
 )
 
@@ -191,28 +195,20 @@ def acyclic_closure(model, verify_to=0):
     _require_free(model, "acyclic closure")
     if not check_minimal_sullivan(model):
         raise ModelError("acyclic closure needs a minimal model")
-    alg = model.algebra
-    d_images = {}
-    for g in alg.generators:
-        dg = model.differential.images.get(g.ordinal)
-        if dg is not None:
-            d_images[g.name] = dg
-    bar_names = []
+    total = model
     bar_ordinals = set()
     for v in _bar_order(model):
-        cur_d = Derivation(alg, +1,
-                           {n: e.in_algebra(alg) for n, e in d_images.items()},
-                           check=False)
+        alg = total.algebra
         m = v.degree
         candidates = [mono for mono in alg.basis_of_degree(m)
                       if any(o in bar_ordinals for o, _ in mono)]
         target_basis = alg.basis_of_degree(m + 1)
         index = {mono: i for i, mono in enumerate(target_basis)}
-        dv = cur_d.apply(alg.gen_elem(v.name))
+        dv = total.d(alg.gen_elem(v.name))
         correction = alg.zero()
         if not dv.is_zero():
             mat = RatMatrix.from_columns(
-                monomial_columns(cur_d.apply, alg, candidates, index),
+                monomial_columns(total.d, alg, candidates, index),
                 len(target_basis))
             sol = solve(mat, {index[mono]: c for mono, c in dv.terms.items()})
             if isinstance(sol, NoSolution):
@@ -222,14 +218,15 @@ def acyclic_closure(model, verify_to=0):
             correction = AlgElement(
                 alg, {candidates[j]: c for j, c in sol.items()})
         bar = f"{v.name}_bar"
-        alg = alg.extend([(bar, m - 1)])
-        d_images = {n: e.in_algebra(alg) for n, e in d_images.items()}
-        d_images[bar] = alg.gen_elem(v.name) - correction.in_algebra(alg)
-        bar_names.append(bar)
-        bar_ordinals.add(alg.generator(bar).ordinal)
-    d = Derivation(alg, +1, d_images)
-    total = Cdga(f"{model.name}-acyclic", alg, d)
-    rel = RelativeSullivanAlgebra(model, bar_names, total)
+        total = total.extend([(bar, m - 1)],
+                             {bar: alg.gen_elem(v.name) - correction})
+        bar_ordinals.add(total.algebra.generator(bar).ordinal)
+    alg = total.algebra
+    total = Cdga(f"{model.name}-acyclic", alg,
+                 Derivation(alg, +1, total.differential.images))
+    rel = RelativeSullivanAlgebra(
+        model, [g.name for g in alg.generators if g.ordinal in bar_ordinals],
+        total)
     for k in range(1, verify_to + 1):
         if total.h_dim(k) != 0:
             raise ModelError(
@@ -378,58 +375,55 @@ class MinimalModelResult:
 
 def minimal_model(target, max_degree):
     """Construct the minimal Sullivan model of `target` with its
-    quasi-isomorphism, certified through `max_degree`.
+    quasi-isomorphism, certified through `max_degree` - 1.
 
     Requires H^0 = Q and H^1 = 0, and target bases computable through
     degree max_degree + 2.
+
+    One model grows through the stages, carrying the differential
+    matrices the next stage reads (`Cdga.extend`), and the morphisms share
+    one table of phi per monomial, each degree dropped after its last read.
+    Stage n certifies its generators (d^2 = 0 and the chain-map identity)
+    and H^(n-1)(phi), which no later stage changes; the input checks
+    cover H^0.
     """
     if target.dim(0) != 1:
         raise ModelError("target must be connected (degree 0 = Q)")
     if target.h_dim(1) != 0:
         raise ModelError("target has H^1 != 0; minimal model synthesis "
                          "needs a simply connected target")
-    alg = FreeAlgebra.build([])
-    d_images = {}
-    phi_images = {}
+    phi_table = {}
+    model = Cdga.build(f"model({target.name})", [], check=False)
+    phi = CdgaMorphism(model, target, {}, check=False, table=phi_table)
     stages = []
 
-    def current():
-        d = Derivation(alg, +1,
-                       {name: e.in_algebra(alg)
-                        for name, e in d_images.items()}, check=False)
-        model = Cdga("model", alg, d, check=False)
-        phi = CdgaMorphism(model, target, dict(phi_images), check=False)
-        return model, phi
-
     for n in range(2, max_degree + 1):
-        model, phi = current()
-        new_specs = []
-        new_d = {}
-        new_phi = {}
-        count = 0
+        new_d, new_phi = {}, {}
 
         def fresh_name():
-            nonlocal count
-            count += 1
-            return f"v{n}" if count == 1 else f"v{n}_{count}"
+            return f"v{n}_{len(new_phi) + 1}" if new_phi else f"v{n}"
 
         # (a) new closed generators spanning coker H^n(phi)
         hmat = phi.h_matrix(n)
         full = image_basis(RatMatrix.identity(hmat.rows))
-        coker = quotient_basis(image_basis(hmat), full)
-        cocycle_names = []
-        for vec in coker:
-            name = fresh_name()
-            new_specs.append((name, n))
-            new_phi[name] = target.element(n, combine(vec, target.h_basis(n)))
-            cocycle_names.append(name)
+        for vec in quotient_basis(image_basis(hmat), full):
+            new_phi[fresh_name()] = target.element(
+                n, combine(vec, target.h_basis(n)))
+        cocycle_names = list(new_phi)
 
-        # (b) generators of degree n killing ker H^(n+1)(phi)
-        kernel = kernel_basis(phi.h_matrix(n + 1))
-        kernel_names = []
-        for vec in kernel.rows:
-            name = fresh_name()
-            zeta = model.element(n + 1, combine(vec, model.h_basis(n + 1)))
+        # (b) generators of degree n killing ker H^(n+1)(phi), their d
+        # checked to be cocycles in one pass over the rows of d_(n+1)
+        zs = [combine(vec, model.h_basis(n + 1))
+              for vec in kernel_basis(phi.h_matrix(n + 1)).rows]
+        cols = {j: {} for z in zs for j in z}  # d_(n+1) where the zs reach
+        for i, row in enumerate(model.diff_matrix(n + 1).sparse if zs else []):
+            for j in cols.keys() & row.keys():
+                cols[j][i] = row[j]
+        if any(combine(z, cols) for z in zs):
+            raise ModelError(f"d^2 != 0 on a generator of degree {n}")
+        del cols
+        for z in zs:
+            zeta = model.element(n + 1, z)
             img = phi.apply(zeta)
             b = target.algebra.zero()
             if not img.is_zero():
@@ -439,28 +433,35 @@ def minimal_model(target, max_degree):
                         f"internal consistency: phi of a kernel class is "
                         f"not exact in degree {n + 1}")
                 b = target.element(n, sol)
-            new_specs.append((name, n))
-            new_d[name] = zeta
-            new_phi[name] = b
-            kernel_names.append(name)
+            name = fresh_name()
+            new_d[name], new_phi[name] = zeta, b
 
-        if new_specs:
-            alg = alg.extend(new_specs)
-            d_images = {k: e.in_algebra(alg) for k, e in d_images.items()}
-            for k, e in new_d.items():
-                d_images[k] = e.in_algebra(alg)
-            phi_images.update(new_phi)
-        stages.append({"degree": n,
-                       "cocycle_gens": cocycle_names,
-                       "kernel_gens": kernel_names})
+        # H^(n-1) is final: no generator of degree n or more changes it.
+        # Equal dimensions (from ranks) and a surjection make H^(n-1)(phi)
+        # an isomorphism; only a nonzero target needs representatives.
+        dim = target.h_dim(n - 1)
+        if (model.h_dim(n - 1) != dim
+                or (dim and rank(phi.h_matrix(n - 1)) != dim)):
+            raise ModelError(f"constructed map is not a quasi-isomorphism "
+                             f"in degree {n - 1}")
+        if new_phi:
+            model = model.extend([(name, n) for name in new_phi], new_d,
+                                 range(n - 1, n + 2) if n < max_degree else ())
+            phi = CdgaMorphism(model, target, {**phi.images, **new_phi},
+                               check=False, table=phi_table)
+            d_target = target.diff_matrix(n).columns()
+            for name in new_phi:  # d phi(v) = phi(dv), in coordinates
+                if (combine(target.coords(phi.image_of(name), n), d_target)
+                        != target.coords(phi.apply(
+                            model.differential.image_of(name)), n + 1)):
+                    raise ModelError(f"not a chain map at {name}")
+        for mono in [m for m in phi_table
+                     if model.algebra.mono_degree(m) <= n]:
+            del phi_table[mono]
+        stages.append({"degree": n, "cocycle_gens": cocycle_names,
+                       "kernel_gens": list(new_d)})
 
-    d = Derivation(alg, +1, {n: e.in_algebra(alg) for n, e in d_images.items()})
-    model = Cdga(f"model({target.name})", alg, d)
-    phi = CdgaMorphism(model, target, phi_images)
     if model.algebra.generators and not check_minimal_sullivan(model):
         raise ModelError("constructed model is not minimal")
-    rep = check_quasi_iso(phi, max_degree - 1)
-    if not rep.ok:
-        raise ModelError("constructed map is not a quasi-isomorphism "
-                         f"through degree {max_degree - 1}")
+    phi_table.clear()
     return MinimalModelResult(model, phi, max_degree, stages)

@@ -22,7 +22,7 @@ from .graded import (
     AlgElement,
     Derivation,
     FreeAlgebra,
-    _add_term,
+    memo_linear,
     monomial_columns,
     read_text,
     substitute,
@@ -153,16 +153,8 @@ class PolyForm:
                                 for letter in "ty" for k in range(1, n + 1)},
                                {})
         images, table = _PULLBACKS[key]
-        out = {}
-        for mono, coeff in self.element.terms.items():
-            if not coeff:
-                continue
-            if mono not in table:
-                table[mono] = substitute(AlgElement(src, {mono: Fraction(1)}),
-                                         images, tgt).terms
-            for term, c in table[mono].items():
-                _add_term(out, term, coeff * c)
-        return PolyForm(m, AlgElement(tgt, out))
+        return PolyForm(m, memo_linear(lambda e: substitute(e, images, tgt),
+                                       self.element, table, tgt))
 
     def degen_word(self, word):
         """Pullback along a degeneracy word (outermost first)."""

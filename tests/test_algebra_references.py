@@ -12,12 +12,19 @@ that it drops explicit zero coefficients, is read on repeated calls,
 cannot be changed through a returned element, composes along degeneracy
 words, and starts empty in every `verify_stokes` call.
 
-Monomial bases are a per-degree table kept on each algebra; the last
+Monomial bases are a per-degree table kept on each algebra; the basis
 tests check it against the backtracking search it replaced, whatever the
 order in which degrees are asked, through `extend()`, across threads and
 past a thousand generators.
+
+Minimal-model synthesis extends one model and one morphism through its
+stages; the last tests check it byte for byte against the synthesis that
+rebuilt both at every stage and once more for its closing checks, and run
+those closing checks, rebuilt from scratch, on every result.
 """
 
+import importlib.util
+import pathlib
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -32,13 +39,37 @@ from hypothesis import strategies as st
 
 from sullivan import plforms
 from sullivan.catalog import cp_cohomology, elliptic_six, wedge_cohomology
-from sullivan.cdga import Cdga, CdgaMorphism, word_length_quotient
+from sullivan.cdga import (
+    Cdga,
+    CdgaMorphism,
+    check_quasi_iso,
+    format_cdga,
+    load_cdga,
+    parse_cdga_file,
+    word_length_quotient,
+)
 from sullivan.graded import (
     AlgebraError,
     AlgElement,
     Derivation,
     FreeAlgebra,
     Generator,
+    format_element,
+)
+from sullivan.linalg import (
+    NoSolution,
+    RatMatrix,
+    combine,
+    image_basis,
+    kernel_basis,
+    quotient_basis,
+    solve,
+)
+from sullivan.models import (
+    MinimalModelResult,
+    ModelError,
+    check_minimal_sullivan,
+    minimal_model,
 )
 from sullivan.plforms import (
     PolyForm,
@@ -149,6 +180,92 @@ def reference_basis(alg, n, word_max=None):
 
     rec(0, n, 0, [])
     return out
+
+
+def reference_minimal_model(target, max_degree):
+    """The synthesis that rebuilt the model and the morphism at every
+    stage, then once more for its closing checks."""
+    if target.dim(0) != 1:
+        raise ModelError("target must be connected (degree 0 = Q)")
+    if target.h_dim(1) != 0:
+        raise ModelError("target has H^1 != 0; minimal model synthesis "
+                         "needs a simply connected target")
+    alg = FreeAlgebra.build([])
+    d_images = {}
+    phi_images = {}
+    stages = []
+
+    def current():
+        d = Derivation(alg, +1,
+                       {name: e.in_algebra(alg)
+                        for name, e in d_images.items()}, check=False)
+        model = Cdga("model", alg, d, check=False)
+        phi = CdgaMorphism(model, target, dict(phi_images), check=False)
+        return model, phi
+
+    for n in range(2, max_degree + 1):
+        model, phi = current()
+        new_specs = []
+        new_d = {}
+        new_phi = {}
+        count = 0
+
+        def fresh_name():
+            nonlocal count
+            count += 1
+            return f"v{n}" if count == 1 else f"v{n}_{count}"
+
+        # (a) new closed generators spanning coker H^n(phi)
+        hmat = phi.h_matrix(n)
+        full = image_basis(RatMatrix.identity(hmat.rows))
+        coker = quotient_basis(image_basis(hmat), full)
+        cocycle_names = []
+        for vec in coker:
+            name = fresh_name()
+            new_specs.append((name, n))
+            new_phi[name] = target.element(n, combine(vec, target.h_basis(n)))
+            cocycle_names.append(name)
+
+        # (b) generators of degree n killing ker H^(n+1)(phi)
+        kernel = kernel_basis(phi.h_matrix(n + 1))
+        kernel_names = []
+        for vec in kernel.rows:
+            name = fresh_name()
+            zeta = model.element(n + 1, combine(vec, model.h_basis(n + 1)))
+            img = phi.apply(zeta)
+            b = target.algebra.zero()
+            if not img.is_zero():
+                sol = solve(target.diff_matrix(n), target.coords(img, n + 1))
+                if isinstance(sol, NoSolution):
+                    raise ModelError(
+                        f"internal consistency: phi of a kernel class is "
+                        f"not exact in degree {n + 1}")
+                b = target.element(n, sol)
+            new_specs.append((name, n))
+            new_d[name] = zeta
+            new_phi[name] = b
+            kernel_names.append(name)
+
+        if new_specs:
+            alg = alg.extend(new_specs)
+            d_images = {k: e.in_algebra(alg) for k, e in d_images.items()}
+            for k, e in new_d.items():
+                d_images[k] = e.in_algebra(alg)
+            phi_images.update(new_phi)
+        stages.append({"degree": n,
+                       "cocycle_gens": cocycle_names,
+                       "kernel_gens": kernel_names})
+
+    d = Derivation(alg, +1, {n: e.in_algebra(alg) for n, e in d_images.items()})
+    model = Cdga(f"model({target.name})", alg, d)
+    phi = CdgaMorphism(model, target, phi_images)
+    if model.algebra.generators and not check_minimal_sullivan(model):
+        raise ModelError("constructed model is not minimal")
+    rep = check_quasi_iso(phi, max_degree - 1)
+    if not rep.ok:
+        raise ModelError("constructed map is not a quasi-isomorphism "
+                         f"through degree {max_degree - 1}")
+    return MinimalModelResult(model, phi, max_degree, stages)
 
 
 def _t(alg, n, i):
@@ -329,7 +446,13 @@ def test_derivation_matches_letterwise_leibniz(case):
 @given(morphism_cases())
 def test_morphism_matches_reduction_after_every_product(case):
     phi, x = case
-    assert phi.apply(x) == reference_morphism_apply(phi, x)
+    want = reference_morphism_apply(phi, x)
+    assert phi.apply(x) == want
+    # with a table of monomial images: filled by the first call, then read
+    tabled = CdgaMorphism(phi.source, phi.target, phi.images, check=False,
+                          table={})
+    assert tabled.apply(x) == want
+    assert tabled.apply(x) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -522,3 +645,80 @@ def test_bases_past_a_thousand_generators():
     with _recursion_limit(5000):
         for n, basis in got.items():
             assert basis == reference_basis(alg, n)
+
+
+# ----- minimal models against the rebuilding synthesis -----
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _synthesis_targets():
+    """(label, target builder, N): every simply connected `data/*.cdga`,
+    H*(CP^2..4), four wedges of spheres, and the benchmark's seeded
+    `.cdga` texts for seeds 0-3."""
+    out = []
+    for path in sorted((ROOT / "data").glob("*.cdga")):
+        if load_cdga(path).h_dim(1) == 0:
+            out.append((path.stem, lambda path=path: load_cdga(path), 9))
+    out += [(f"cp{n}", lambda n=n: cp_cohomology(n), 2 * n + 4)
+            for n in (2, 3, 4)]
+    out += [(f"wedge{spheres}", lambda s=spheres: wedge_cohomology(*s), top)
+            for spheres, top in [((2, 2), 10), ((3, 3), 14), ((2, 3), 12),
+                                 ((2, 2, 2), 8)]]
+    workloads = _workloads()
+    for seed in range(4):
+        for p, _, _, top in workloads.ModelSynthesis.cases:
+            text = workloads.seeded_cdga_text(p, seed)
+            out.append((f"{p[0]}-seed{seed}",
+                        lambda t=text: parse_cdga_file(t, "<seeded>"), top))
+    return out
+
+
+SYNTHESIS_TARGETS = _synthesis_targets()
+_RESULTS = {}
+
+
+def _result(label, build, top):
+    if label not in _RESULTS:
+        _RESULTS[label] = minimal_model(build(), top)
+    return _RESULTS[label]
+
+
+def _phi_images(res):
+    return {g.name: format_element(res.quasi_iso.image_of(g.name))
+            for g in res.model.algebra.generators}
+
+
+@pytest.mark.parametrize("label, build, top", SYNTHESIS_TARGETS,
+                         ids=[t[0] for t in SYNTHESIS_TARGETS])
+def test_minimal_model_matches_the_rebuilding_synthesis(label, build, top):
+    got = _result(label, build, top)
+    want = reference_minimal_model(build(), top)
+    assert format_cdga(got.model) == format_cdga(want.model)
+    assert _phi_images(got) == _phi_images(want)
+    assert got.stages == want.stages
+    assert got.certified_degree == want.certified_degree
+
+
+@pytest.mark.parametrize("label, build, top", SYNTHESIS_TARGETS,
+                         ids=[t[0] for t in SYNTHESIS_TARGETS])
+def test_rebuilt_closing_checks_pass_on_every_model(label, build, top):
+    """The checks the synthesis no longer runs at its end, run on a model
+    and a morphism built afresh from the result's generator images."""
+    res = _result(label, build, top)
+    alg = res.model.algebra
+    model = Cdga(res.model.name, alg,
+                 Derivation(alg, +1, res.model.differential.images),
+                 check=True)
+    phi = CdgaMorphism(model, res.quasi_iso.target, res.quasi_iso.images,
+                       check=True)
+    assert check_minimal_sullivan(model) or not alg.generators
+    assert check_quasi_iso(phi, top - 1).ok

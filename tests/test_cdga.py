@@ -134,6 +134,25 @@ def test_inclusion_fails_quasi_iso_at_degree_four():
     assert row["source_dim"] == 1 and row["rank"] == 0
 
 
+def test_extension_carries_the_matrices_it_is_asked_for():
+    """Every differential matrix of an extension, carried over or built
+    afresh, is the one a CDGA built from scratch on the same data has."""
+    base = nonformal_model()
+    for k in range(12):
+        base.diff_matrix(k)
+    ext = base.extend([("t", 4)], {}, carry=range(12))
+    for k in range(12):
+        ext.diff_matrix(k)
+    t = ext.algebra.gen_elem("t")
+    ext = ext.extend([("s", 7)], {"s": t * t}, carry=range(3, 9))
+    fresh = Cdga("fresh", ext.algebra, ext.differential)
+    assert ext.differential.image_of("s").terms == (t * t).terms
+    for k in range(12):
+        assert ext.diff_matrix(k) == fresh.diff_matrix(k)
+    with pytest.raises(CdgaError, match="free"):
+        sphere_cohomology(2).extend([("t", 3)], {})
+
+
 def test_morphism_rejects_non_chain_map():
     m = sphere_model(2)
     # dropping z in an endomorphism of the free model breaks phi(dz) = d(phi z)

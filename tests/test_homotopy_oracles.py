@@ -1,14 +1,22 @@
-"""Minimal models of wedges of spheres against theory the package does not
-implement: the Bott-Samelson theorem, H*(Omega(S^a v S^b)) = the tensor
+"""Models against theory the package does not implement: for wedges of
+spheres the Bott-Samelson theorem, H*(Omega(S^a v S^b)) = the tensor
 algebra on classes of degrees a-1 and b-1, and the graded-Witt ranks of
-the free graded Lie algebra whose universal enveloping algebra that is.
-Both series are computed here from their formulas alone."""
+the free graded Lie algebra whose universal enveloping algebra that is;
+for products the Kunneth formula on free loop spaces, L(X x Y) = LX x LY
+(Vigue-Poirrier and Sullivan).  The series are computed here from their
+formulas alone."""
 
 import pytest
 
-from sullivan.catalog import wedge_cohomology
+from sullivan.catalog import (
+    cp_model,
+    elliptic_six,
+    product_model,
+    sphere_model,
+    wedge_cohomology,
+)
 from sullivan.invariants import loop_poincare_series
-from sullivan.models import minimal_model
+from sullivan.models import free_loop_model, minimal_model
 
 
 def tensor_algebra_series(degrees, order):
@@ -69,3 +77,28 @@ def test_loop_series_is_bott_samelson(a, b, top):
     model = minimal_model(wedge_cohomology(a, b), top).model
     got = loop_poincare_series(model, top - 2).coefficients
     assert got == tensor_algebra_series([a - 1, b - 1], top - 2)
+
+
+def free_loop_dims(model, top):
+    loops = free_loop_model(model)
+    return [loops.h_dim(k) for k in range(top + 1)]
+
+
+def convolution(a, b):
+    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
+
+
+def test_free_loops_of_the_two_sphere():
+    # LS^2: one class in degree 0 and one in every degree from 1 on
+    assert free_loop_dims(sphere_model(2), 16) == [1] * 17
+
+
+@pytest.mark.parametrize("a, b", [
+    (sphere_model(2), cp_model(2)),
+    (sphere_model(3), elliptic_six()),
+    (cp_model(2), cp_model(3)),
+], ids=["S2xCP2", "S3xelliptic6", "CP2xCP3"])
+def test_free_loops_of_a_product_are_the_kunneth_convolution(a, b):
+    top = 16
+    assert free_loop_dims(product_model(a, b), top) == convolution(
+        free_loop_dims(a, top), free_loop_dims(b, top))

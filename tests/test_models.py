@@ -2,6 +2,7 @@
 
 import pytest
 
+from sullivan import graded, models
 from sullivan.catalog import (
     cp_cohomology,
     cp_model,
@@ -140,6 +141,86 @@ def test_minimal_model_stage_log():
     by_degree = {s["degree"]: s for s in res.stages}
     assert by_degree[2]["cocycle_gens"] != []
     assert by_degree[3]["kernel_gens"] != []
+
+
+# ----- the synthesis certificate -----
+
+def test_synthesis_calls_the_leibniz_rule_at_most_half_as_often(
+        monkeypatch):
+    calls = 0
+    original = graded.Derivation.apply
+
+    def counted(self, elem):
+        nonlocal calls
+        calls += 1
+        return original(self, elem)
+
+    monkeypatch.setattr(graded.Derivation, "apply", counted)
+    minimal_model(wedge_cohomology(2, 2), 10)
+    # 1,949 calls at commit 7a3e530, which rebuilt the model at every
+    # stage and once more for the closing checks
+    assert calls <= 1949 // 2
+
+
+def test_certificate_catches_a_flipped_kernel_differential(monkeypatch):
+    """dv3 = -v2^2 still squares to zero, so only the chain-map identity
+    d phi(v3) = phi(dv3) can see the flip."""
+    original = Cdga.extend
+
+    def flip_first(self, specs, images, carry=()):
+        images = dict(images)
+        for name in list(images)[:1]:
+            images[name] = -images[name]
+        return original(self, specs, images, carry)
+
+    monkeypatch.setattr(Cdga, "extend", flip_first)
+    with pytest.raises(ModelError, match="not a chain map at v3"):
+        minimal_model(sphere_model(2), 6)
+
+
+def test_certificate_catches_a_perturbed_preimage(monkeypatch):
+    original = models.solve
+
+    def doubled(m, b):
+        return {j: 2 * x for j, x in original(m, b).items()}
+
+    monkeypatch.setattr(models, "solve", doubled)
+    with pytest.raises(ModelError, match="not a chain map at v3"):
+        minimal_model(sphere_model(2), 6)
+
+
+def test_certificate_catches_a_differential_that_is_no_cocycle(monkeypatch):
+    """Shift the model's first cohomology representative off the cocycles:
+    the kernel generators built from it get a d that squares to nonzero."""
+    original = Cdga.h_basis
+
+    def shifted(self, k):
+        reps = original(self, k)
+        if not self.is_free or k < 5 or not reps:
+            return reps
+        return [{**reps[0], 0: reps[0].get(0, 0) + 1}] + reps[1:]
+
+    monkeypatch.setattr(Cdga, "h_basis", shifted)
+    with pytest.raises(ModelError, match="d\\^2 != 0"):
+        minimal_model(wedge_cohomology(2, 2), 6)
+
+
+@pytest.mark.parametrize("edit", [lambda vecs: vecs[:-1],
+                                  lambda vecs: vecs + vecs[-1:],
+                                  lambda vecs: vecs[:1] * len(vecs)],
+                         ids=["dropped", "extra", "collapsed"])
+def test_certificate_catches_a_wrong_set_of_cocycle_generators(
+        monkeypatch, edit):
+    """One cocycle generator too few, or one too many, gives H^2 of the
+    model the wrong dimension; two on one class give the right dimension
+    but a map that is not onto."""
+    original = models.quotient_basis
+    monkeypatch.setattr(models, "quotient_basis",
+                        lambda sub, within: edit(original(sub, within)))
+    with pytest.raises(ModelError,
+                       match="not a quasi-isomorphism in degree 2"):
+        minimal_model(wedge_cohomology(2, 2), 6)
+
 
 
 # ----- relative algebras: fiber, pushout -----
