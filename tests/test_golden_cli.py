@@ -4,7 +4,9 @@ The records of perfbench/golden_cli.json hold the exit code and the
 exact stdout bytes of each command, so any change to the numbers,
 representatives or rendering of a `--json` document fails here.  The
 files under tests/data/golden/ hold the default text output of the
-README commands, one file per subcommand, and lock the text renderers
+README commands, one file per subcommand, and tests/data/golden_text.json
+(written by tests/record_golden_text.py) holds the default text output of
+every data file through every subcommand; both lock the text renderers
 the same way.
 """
 
@@ -15,12 +17,14 @@ import pathlib
 
 import pytest
 
+from record_golden_text import GOLDEN_TEXT as TEXT_LOCK, text_commands
 from sullivan.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RECORDS = json.loads((ROOT / "perfbench" / "golden_cli.json")
                      .read_text(encoding="utf-8"))
 GOLDEN_TEXT = ROOT / "tests" / "data" / "golden"
+TEXT_RECORDS = json.loads(TEXT_LOCK.read_text(encoding="utf-8"))
 README_COMMANDS = [
     "cohomology data/nonformal.cdga -N 12",
     "minimal-model data/h_cp2.cdga -N 10",
@@ -57,3 +61,16 @@ def test_cli_text_output_matches_record(command, monkeypatch):
     code, out = _run(argv)
     assert code == 0
     assert out == (GOLDEN_TEXT / f"{argv[0]}.txt").read_text(encoding="utf-8")
+
+
+def test_text_lock_covers_every_data_file():
+    assert [r["argv"] for r in TEXT_RECORDS] == text_commands()
+
+
+@pytest.mark.parametrize("record", TEXT_RECORDS,
+                         ids=[" ".join(r["argv"]) for r in TEXT_RECORDS])
+def test_cli_text_output_matches_lock(record, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out = _run(record["argv"])
+    assert code == record["exit"]
+    assert out == record["stdout"]
