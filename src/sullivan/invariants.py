@@ -34,6 +34,7 @@ __all__ = [
     "exponent_numerology",
     "euler_characteristics",
     "EllipticityReport",
+    "report_json",
     "classify_ellipticity",
     "classify_space",
     "torus_rank_bound",
@@ -284,6 +285,31 @@ class EllipticityReport:
 
     def __repr__(self):
         return f"EllipticityReport({self.verdict})"
+
+
+def report_json(rep):
+    """The JSON keys of an ellipticity report, in document order; a key
+    whose part of the report is absent is left out (`numerology` is then
+    null)."""
+    out = {"verdict": rep.verdict, "formalDimension": rep.formal_dimension}
+    if rep.profile is not None:
+        out["exponents"] = {"even": rep.profile.even_exponents,
+                            "odd": rep.profile.odd_exponents}
+    out["numerology"] = list(rep.numerology) if rep.numerology else None
+    if rep.euler:
+        out["chi"] = {"H": rep.euler["chi_H"], "V": rep.euler["chi_V"],
+                      "pi": rep.euler["chi_pi"]}
+    if rep.h_dims is not None:
+        out["hDims"] = rep.h_dims
+    if rep.h0_dims is not None:
+        out["pureQuotientDims"] = rep.h0_dims
+    if rep.v_dims is not None:
+        out["vDims"] = {str(k): v for k, v in sorted(rep.v_dims.items())}
+    if rep.gap_report is not None:
+        out["gapProbe"] = [{"k": k, "status": s} for k, s in rep.gap_report]
+    if rep.bound is not None:
+        out["bound"] = rep.bound
+    return out
 
 
 def _v_histogram(c):
@@ -578,14 +604,14 @@ def full_invariants(model, max_degree, bound, report=None):
     toomer_n, _ = toomer_rank(model, max(cap, 1), max_degree)
     series = loop_poincare_series(model, max_degree)
     profile = report.profile or ExponentProfile.of(model)
+    rep = report_json(report)
     return {
-        "verdict": report.verdict,
-        "formalDimension": report.formal_dimension,
+        "verdict": rep["verdict"],
+        "formalDimension": rep["formalDimension"],
         "exponents": {"even": profile.even_exponents,
                       "odd": profile.odd_exponents},
-        "numerology": list(report.numerology) if report.numerology else None,
-        "chi": ({"H": report.euler["chi_H"], "V": report.euler["chi_V"],
-                 "pi": report.euler["chi_pi"]} if report.euler else None),
+        "numerology": rep["numerology"],
+        "chi": rep.get("chi"),
         "cuplength": low,
         "catUpper": upper,
         "toomerN": toomer_n,

@@ -19,6 +19,8 @@ import json
 import os
 import pathlib
 
+from sullivan.cli import main as cli_main
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_TEXT = ROOT / "tests" / "data" / "golden_text.json"
 MODEL_COMMANDS = ("cohomology", "minimal-model", "loop", "free-loop",
@@ -38,12 +40,10 @@ def text_commands():
 
 def run(argv):
     """Run `sullivan.cli.main(argv)` in process: (exit code, stdout)."""
-    from sullivan.cli import main
-
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
+        code = cli_main(list(argv))
     return code, out.getvalue()
 
 

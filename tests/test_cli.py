@@ -163,6 +163,23 @@ def test_pl_verify_needs_input(capsys):
     assert code == 2
 
 
+def test_pl_verify_with_builtin_and_file_is_usage_error(capsys):
+    code, out, err = run(capsys, "pl-verify", "--builtin", "bddelta3",
+                         str(DATA / "s2_one_cell.scx"), "--trials", "2")
+    assert code == 2
+    assert out == ""
+    assert "--builtin" in err and "FILE" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_negative_bound_is_usage_error(capsys, command):
+    code, out, err = run(capsys, command, str(DATA / "h_cp2.cdga"),
+                         "-B", "-3")
+    assert code == 2
+    assert out == ""
+    assert "-B" in err
+
+
 def test_byte_identical_output(capsys):
     runs = []
     for _ in range(2):

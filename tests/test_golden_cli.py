@@ -10,15 +10,12 @@ every data file through every subcommand; both lock the text renderers
 the same way.
 """
 
-import contextlib
-import io
 import json
 import pathlib
 
 import pytest
 
-from record_golden_text import GOLDEN_TEXT as TEXT_LOCK, text_commands
-from sullivan.cli import main
+from record_golden_text import GOLDEN_TEXT as TEXT_LOCK, run, text_commands
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RECORDS = json.loads((ROOT / "perfbench" / "golden_cli.json")
@@ -37,19 +34,11 @@ README_COMMANDS = [
 ]
 
 
-def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
-    return code, out.getvalue()
-
-
 @pytest.mark.parametrize("record", RECORDS,
                          ids=[" ".join(r["argv"]) for r in RECORDS])
 def test_cli_output_matches_record(record, monkeypatch):
     monkeypatch.chdir(ROOT)  # the recorded argv name files under data/
-    code, out = _run(record["argv"])
+    code, out = run(record["argv"])
     assert code == record["exit"]
     assert out == record["stdout"]
 
@@ -58,7 +47,7 @@ def test_cli_output_matches_record(record, monkeypatch):
 def test_cli_text_output_matches_record(command, monkeypatch):
     monkeypatch.chdir(ROOT)
     argv = command.split()
-    code, out = _run(argv)
+    code, out = run(argv)
     assert code == 0
     assert out == (GOLDEN_TEXT / f"{argv[0]}.txt").read_text(encoding="utf-8")
 
@@ -71,6 +60,6 @@ def test_text_lock_covers_every_data_file():
                          ids=[" ".join(r["argv"]) for r in TEXT_RECORDS])
 def test_cli_text_output_matches_lock(record, monkeypatch):
     monkeypatch.chdir(ROOT)
-    code, out = _run(record["argv"])
+    code, out = run(record["argv"])
     assert code == record["exit"]
     assert out == record["stdout"]
