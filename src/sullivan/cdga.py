@@ -111,6 +111,7 @@ class Cdga:
         self._quotient_cache = {}
         self._rel_cache = {}
         self._diff_cache = {}
+        self._kernels = {}
         self._rank_cache = {}
         self._h_cache = {}
         if check:
@@ -217,7 +218,8 @@ class Cdga:
         """This free CDGA with (name, degree) generators `specs` adjoined and
         d extended by `images` {name: element}.  It takes over, re-indexed,
         the differential matrices of the degrees in `carry`: d of an old
-        monomial stays, so only new monomials need new columns."""
+        monomial stays, so only new monomials need new columns.  A kernel
+        of d whose basis gains nothing stays the kernel, and is carried."""
         if not self.is_free:
             raise CdgaError(f"{self.name}: only a free CDGA extends")
         alg = self.algebra.extend(specs)
@@ -233,6 +235,8 @@ class Cdga:
                 if mono in old
                 else monomial_columns(new.d, alg, [mono], rows)[0]
                 for mono in new.basis(k)], len(rows))
+            if k in self._kernels and new.basis(k) == self.basis(k):
+                new._kernels[k] = self._kernels[k]
         return new
 
     def mult(self, a, b):
@@ -272,7 +276,11 @@ class Cdga:
     def _h_data(self, k):
         """(sparse H^k representatives, matrix [reps | B^k basis], dim B^k)."""
         if k not in self._h_cache:
-            z = kernel_basis(self.diff_matrix(k))
+            z = self._kernels.pop(k, None)  # carried in by `extend`
+            if z is None:  # the top kernel taken here is kept for `extend`
+                z = kernel_basis(self.diff_matrix(k))
+                if k >= max(self._kernels, default=k):
+                    self._kernels = {k: z}
             b = (image_basis(self.diff_matrix(k - 1)) if k
                  else span_basis([], self.dim(0)))
             reps = quotient_basis(b, z)

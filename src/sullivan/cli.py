@@ -303,8 +303,9 @@ def build_parser():
         sp.add_argument("file", nargs="?" if fn is cmd_pl_verify else None)
         if n_default is not None:
             sp.add_argument("-N", "--max-degree", type=int, default=n_default,
-                            help=f"top degree to compute (default "
-                                 f"{n_default}, must be >= 2)")
+                            help="accepted and ignored: classify scans to -B"
+                            if fn is cmd_classify else f"top degree to "
+                            f"compute (default {n_default}, must be >= 2)")
         if bound:
             sp.add_argument("-B", "--bound", type=int, default=40,
                             help="scan bound for finiteness detection "

@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import combine, scaled
+
 __all__ = [
     "AlgebraError",
     "Generator",
@@ -488,19 +490,14 @@ def monomial_columns(f, algebra, monos, index):
 
 
 def memo_linear(f, elem, table, target):
-    """The linear map f on `elem`, as an element of `target`, with f of
-    each monomial read from `table` {monomial: image terms}, or computed
-    and kept there when missing."""
-    out = {}
+    """The linear map f on `elem`, as an element of `target`: `table` keeps
+    f of each monomial met so far as `scaled` integer terms, filled here
+    for the monomials of `elem` it lacks, and `combine` sums them."""
     for mono, coeff in elem.terms.items():
-        if not coeff:
-            continue
-        if mono not in table:
-            table[mono] = f(AlgElement(elem.algebra,
-                                       {mono: Fraction(1)})).terms
-        for term, c in table[mono].items():
-            _add_term(out, term, coeff * c)
-    return AlgElement(target, out)
+        if coeff and mono not in table:
+            table[mono] = scaled(f(AlgElement(elem.algebra,
+                                              {mono: Fraction(1)})).terms)
+    return AlgElement(target, combine(elem.terms, table, prescaled=True))
 
 
 # ----- parsing and printing -----

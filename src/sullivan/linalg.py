@@ -34,24 +34,27 @@ def _sparse(row):
             for j, x in row.items() if x}
 
 
-def combine(coeffs, rows):
+def scaled(row):
+    """A sparse rational row as (d, {index: integer numerator over d})."""
+    den = lcm(*[x.denominator for x in row.values()])
+    return den, {j: x.numerator * (den // x.denominator)
+                 for j, x in row.items()}
+
+
+def combine(coeffs, rows, prescaled=False):
     """Sparse sum of c * rows[k] over the coefficients {k: c}, fraction-free:
-    every entry is scaled to one common denominator, the integer
-    numerators are summed, and one Fraction is made per nonzero entry of
-    the sum.  An entry that cancels is left out."""
-    terms = []
-    for k, c in coeffs.items():
-        if c:
-            row = rows[k]
-            den = lcm(*[x.denominator for x in row.values()])
-            terms.append((c.numerator, c.denominator * den, den, row))
-    common = lcm(*[t[1] for t in terms])
+    the rows, read as `scaled` (or kept so, when `prescaled`), are summed
+    in integers over one common denominator, and one Fraction is made per
+    nonzero entry of the sum.  An entry that cancels is left out."""
+    terms = [(c.numerator, c.denominator,
+              *(rows[k] if prescaled else scaled(rows[k])))
+             for k, c in coeffs.items() if c]
+    common = lcm(*[den * row_den for _, den, row_den, _ in terms])
     acc = {}
     for num, den, row_den, row in terms:
-        f = num * (common // den)
+        f = num * (common // (den * row_den))
         for j, x in row.items():
-            acc[j] = (acc.get(j, 0)
-                      + f * x.numerator * (row_den // x.denominator))
+            acc[j] = acc.get(j, 0) + f * x
     return {j: Fraction(v, common) for j, v in acc.items() if v}
 
 
@@ -222,16 +225,10 @@ class SubspaceBasis:
     def reduce(self, v):
         """Residue of a sparse row v modulo the subspace, as a sparse
         {column: Fraction}: its pivot coordinates eliminated."""
-        v = _sparse(v)
-        for c in [c for c in v if c in self._by_pivot]:
-            f = v[c]
-            for j, x in self._by_pivot[c].items():
-                y = v.get(j, _ZERO) - f * x
-                if y:
-                    v[j] = y
-                else:
-                    del v[j]
-        return v
+        coeffs = {c: -x for c, x in v.items() if c in self._by_pivot}
+        if not coeffs:
+            return _sparse(v)
+        return combine({-1: 1, **coeffs}, {-1: v, **self._by_pivot})
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient})"

@@ -398,6 +398,16 @@ def minimal_model(target, max_degree):
     stages = []
 
     for n in range(2, max_degree + 1):
+        # H^(n-1) is final: no generator of degree n or more changes it.
+        # Equal dimensions (from ranks) and a surjection make H^(n-1)(phi)
+        # an isomorphism; only a nonzero target needs representatives.
+        # Nothing reads d_(n-2) after this check.
+        dim = target.h_dim(n - 1)
+        if (model.h_dim(n - 1) != dim
+                or (dim and rank(phi.h_matrix(n - 1)) != dim)):
+            raise ModelError(f"constructed map is not a quasi-isomorphism "
+                             f"in degree {n - 1}")
+        model._diff_cache.pop(n - 2, None)
         new_d, new_phi = {}, {}
 
         def fresh_name():
@@ -436,14 +446,6 @@ def minimal_model(target, max_degree):
             name = fresh_name()
             new_d[name], new_phi[name] = zeta, b
 
-        # H^(n-1) is final: no generator of degree n or more changes it.
-        # Equal dimensions (from ranks) and a surjection make H^(n-1)(phi)
-        # an isomorphism; only a nonzero target needs representatives.
-        dim = target.h_dim(n - 1)
-        if (model.h_dim(n - 1) != dim
-                or (dim and rank(phi.h_matrix(n - 1)) != dim)):
-            raise ModelError(f"constructed map is not a quasi-isomorphism "
-                             f"in degree {n - 1}")
         if new_phi:
             model = model.extend([(name, n) for name in new_phi], new_d,
                                  range(n - 1, n + 2) if n < max_degree else ())

@@ -81,7 +81,7 @@ def _coordinate(alg, n, letter, i):
 
 
 _DIFFS = {}
-_PULLBACKS = {}  # (n, m, vertex map) -> (images, {monomial: image terms})
+_PULLBACKS = {}  # (n, m, vertex map) -> (images, {monomial: scaled image})
 
 
 def _form_diff(n):
@@ -339,16 +339,23 @@ class GlobalForm:
     def validate(self):
         defects = []
         for sid in sorted(self.complex.dims):
-            dim = self.complex.dims[sid]
             own = self.form(sid)
-            if not own.is_zero() and own.form_degree() != self.degree:
-                defects.append(f"form on {sid} has degree "
-                               f"{own.form_degree()}, expected {self.degree}")
-                continue
-            for i in range(dim + 1 if dim else 0):
-                tgt, word = self.complex.faces[(sid, i)]
-                if own.face(i) != self.form(tgt).degen_word(word):
-                    defects.append(f"face {i} of {sid} disagrees with {tgt}")
+            degrees = {own.element.algebra.mono_degree(m)
+                       for m in own.element.terms}
+            if own.dim != self.complex.dims[sid] or len(degrees) > 1:
+                defects.append(f"form on {sid} is not a homogeneous form "
+                               f"on a {self.complex.dims[sid]}-simplex")
+            elif degrees - {self.degree}:
+                defects.append(f"form on {sid} has degree {degrees.pop()}, "
+                               f"expected {self.degree}")
+            else:
+                for i in range(own.dim + 1 if own.dim else 0):
+                    tgt, word = self.complex.faces[(sid, i)]
+                    other = self.form(tgt)
+                    if (other.dim != self.complex.dims[tgt]
+                            or own.face(i) != other.degen_word(word)):
+                        defects.append(f"face {i} of {sid} disagrees "
+                                       f"with {tgt}")
         return defects
 
     def d(self):
@@ -565,38 +572,41 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
         return K._sample_cache[key]
     order = sorted(K.dims, key=lambda sid: (K.dims[sid], sid))
     bases = {sid: form_basis(K.dims[sid], degree, poly_cap) for sid in order}
-    var_index = {}
-    for sid in order:
-        for idx in range(len(bases[sid])):
-            var_index[(sid, idx)] = len(var_index)
+    var_index = {key: j for j, key in enumerate(
+        (sid, idx) for sid in order for idx in range(len(bases[sid])))}
     indices = {(n, k): {m: i for i, m in enumerate(form_basis(n, k, poly_cap))}
                for n in range(K.top_dim + 1) for k in (degree, degree + 1)}
-    rows = []
+    rows, blocks = [], K._sample_cache.setdefault((degree, poly_cap), {})
 
     def equate(n, k, terms):
         """Rows of sum(sign * move(form on sid)) = 0 in k-forms on the
-        n-simplex, for terms (sid, sign, move)."""
+        n-simplex, for terms (sid, sign, (PolyForm method, *args)); the
+        signed block of a move is built once per simplex dimension, and
+        shared by the open and the closed system."""
         index = indices[n, k]
         block = [{} for _ in index]
-        for sid, sign, move in terms:
+        for sid, sign, (name, *args) in terms:
             dim = K.dims[sid]
-            cols = monomial_columns(lambda e: move(PolyForm(dim, e)).element,
-                                    form_algebra(dim), bases[sid], index)
-            for idx, col in enumerate(cols):
+            at = (dim, sign, name, *args)
+            if at not in blocks:
+                blocks[at] = [{i: sign * c for i, c in col.items()}
+                              for col in monomial_columns(
+                    lambda e: getattr(PolyForm(dim, e), name)(*args).element,
+                    form_algebra(dim), bases[sid], index)]
+            for idx, col in enumerate(blocks[at]):
                 j = var_index[(sid, idx)]
-                for i, c in col.items():
-                    block[i][j] = block[i].get(j, 0) + sign * c
+                for i, c in col.items():  # the terms' simplices differ
+                    block[i][j] = c
         rows.extend(block)
 
     for sid in order:
         dim = K.dims[sid]
         for i in range(dim + 1 if dim else 0):
             tgt, word = K.faces[(sid, i)]
-            equate(dim - 1, degree,
-                   [(sid, 1, lambda f, i=i: f.face(i)),
-                    (tgt, -1, lambda f, word=word: f.degen_word(word))])
+            equate(dim - 1, degree, [(sid, 1, ("face", i)),
+                                     (tgt, -1, ("degen_word", word))])
         if closed:
-            equate(dim, degree + 1, [(sid, 1, PolyForm.d)])
+            equate(dim, degree + 1, [(sid, 1, ("d",))])
     kernel = kernel_basis(RatMatrix.from_rows(rows, len(var_index)))
     result = (order, bases, var_index, kernel.rows)
     K._sample_cache[key] = result

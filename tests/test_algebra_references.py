@@ -10,7 +10,11 @@ through explicit image tables of the coordinates.
 The pullbacks keep a table of monomial images; the pullback tests check
 that it drops explicit zero coefficients, is read on repeated calls,
 cannot be changed through a returned element, composes along degeneracy
-words, and starts empty in every `verify_stokes` call.
+words, and starts empty in every `verify_stokes` call.  `memo_linear`,
+which keeps those tables as scaled integer rows and sums them with
+`combine`, is checked against the Fraction loop it replaced, and the
+face-compatibility system, built once per (simplex dimension, map),
+against its assembly per (simplex, face).
 
 Monomial bases are a per-degree table kept on each algebra; the basis
 tests check it against the backtracking search it replaced, whatever the
@@ -55,6 +59,8 @@ from sullivan.graded import (
     FreeAlgebra,
     Generator,
     format_element,
+    memo_linear,
+    substitute,
 )
 from sullivan.linalg import (
     NoSolution,
@@ -76,6 +82,7 @@ from sullivan.plforms import (
     builtin_complex,
     form_algebra,
     form_basis,
+    load_scomplex,
     normalize_word,
     verify_stokes,
 )
@@ -268,6 +275,26 @@ def reference_minimal_model(target, max_degree):
     return MinimalModelResult(model, phi, max_degree, stages)
 
 
+def reference_memo_linear(f, elem, table, target):
+    """f on `elem` with the image terms of each monomial kept in `table`
+    and summed as Fractions, one product and one sum per (term, image
+    term)."""
+    out = {}
+    for mono, coeff in elem.terms.items():
+        if not coeff:
+            continue
+        if mono not in table:
+            table[mono] = f(AlgElement(elem.algebra,
+                                       {mono: Fraction(1)})).terms
+        for term, c in table[mono].items():
+            s = out.get(term, 0) + coeff * c
+            if s:
+                out[term] = s
+            else:
+                out.pop(term, None)
+    return AlgElement(target, out)
+
+
 def _t(alg, n, i):
     if i == 0:
         out = alg.one()
@@ -317,6 +344,47 @@ def reference_degen(form, i):
         images[src.generator(f"t{k}").ordinal] = tk
         images[src.generator(f"y{k}").ordinal] = yk
     return PolyForm(n + 1, reference_substitute(form.element, images, tgt))
+
+
+def reference_compatibility_rows(K, degree, poly_cap, closed):
+    """(rows, variable count) of the face-compatibility system assembled
+    one block per (simplex, face), through the reference face and
+    degeneracy tables, entries summed into the rows."""
+    order = sorted(K.dims, key=lambda sid: (K.dims[sid], sid))
+    start, nvars = {}, 0
+    for sid in order:
+        start[sid] = nvars
+        nvars += len(form_basis(K.dims[sid], degree, poly_cap))
+    rows = []
+
+    def equate(n, k, terms):
+        index = {m: i for i, m in enumerate(form_basis(n, k, poly_cap))}
+        block = [{} for _ in index]
+        for sid, sign, move in terms:
+            dim = K.dims[sid]
+            for idx, mono in enumerate(form_basis(dim, degree, poly_cap)):
+                j = start[sid] + idx
+                image = move(PolyForm(dim, AlgElement(form_algebra(dim),
+                                                      {mono: Fraction(1)})))
+                for m, c in image.element.terms.items():
+                    block[index[m]][j] = block[index[m]].get(j, 0) + sign * c
+        rows.extend(block)
+
+    def degen_word(form, word):
+        for j in reversed(word):
+            form = reference_degen(form, j)
+        return form
+
+    for sid in order:
+        dim = K.dims[sid]
+        for i in range(dim + 1 if dim else 0):
+            tgt, word = K.faces[(sid, i)]
+            equate(dim - 1, degree,
+                   [(sid, 1, lambda f, i=i: reference_face(f, i)),
+                    (tgt, -1, lambda f, word=word: degen_word(f, word))])
+        if closed:
+            equate(dim, degree + 1, [(sid, 1, PolyForm.d)])
+    return rows, nvars
 
 
 # ----- strategies -----
@@ -377,6 +445,41 @@ def morphism_cases(draw):
               for g in source.algebra.generators}
     phi = CdgaMorphism(source, target, images, check=False)
     return phi, _element(draw, source.algebra, 9)
+
+
+SWAP_SOURCE = FreeAlgebra.build([("a", 2), ("b", 2), ("c", 3), ("e", 3)])
+SWAP_TARGET = FreeAlgebra.build([("u", 1), ("v", 1), ("w", 2), ("z", 3)])
+
+
+@st.composite
+def memo_cases(draw):
+    """(f, element, target) for `memo_linear`.  Either a morphism into a
+    target with relations or a word cap, whose images get fractional
+    coefficients from the reduction, or a substitution sending a and b to
+    one image and c and e to another, with mixed-denominator images.  The
+    element has mixed-denominator and negative coefficients, explicit
+    zeros, and pairs of terms with equal images and opposite
+    coefficients, which cancel."""
+    if draw(st.booleans()):
+        phi, x = draw(morphism_cases())
+        f, target = phi._apply, phi.target.algebra
+    else:
+        src, tgt = SWAP_SOURCE, SWAP_TARGET
+        ab = _combination(draw, tgt, tgt.basis_of_degree(2))
+        ce = _combination(draw, tgt, tgt.basis_of_degree(3))
+        images = {src.generator(g).ordinal: img
+                  for g, img in (("a", ab), ("b", ab), ("c", ce), ("e", ce))}
+        swap = {src.generator(g).ordinal: src.gen_elem(h)
+                for g, h in (("a", "b"), ("b", "a"), ("c", "e"), ("e", "c"))}
+        x = _element(draw, src, 8)
+        x = (x - substitute(x, swap, src)
+             + _element(draw, src, 8).scale(draw(COEFFS)))
+        f, target = (lambda e: substitute(e, images, tgt)), tgt
+    terms = dict(x.terms)
+    basis = [m for k in range(9) for m in x.algebra.basis_of_degree(k)]
+    for m in draw(st.lists(st.sampled_from(basis), max_size=3)):
+        terms[m] = Fraction(0)
+    return f, AlgElement(x.algebra, terms), target
 
 
 @st.composite
@@ -453,6 +556,30 @@ def test_morphism_matches_reduction_after_every_product(case):
                           table={})
     assert tabled.apply(x) == want
     assert tabled.apply(x) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(memo_cases())
+def test_memo_linear_matches_the_fraction_loop(case):
+    f, x, target = case
+    ref_table, table, calls = {}, {}, []
+
+    def counted(e):
+        calls.append(e)
+        return f(e)
+
+    want = reference_memo_linear(f, x, ref_table, target)
+    got = memo_linear(counted, x, table, target)
+    assert got == want
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+    assert table.keys() == ref_table.keys() == {m for m, c in x.terms.items()
+                                                if c}
+    # a mutated result leaves the table as it was, and a repeat reads it
+    got.terms.clear()
+    got.terms[()] = Fraction(7)
+    calls.clear()
+    assert memo_linear(counted, x, table, target) == want
+    assert calls == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -722,3 +849,34 @@ def test_rebuilt_closing_checks_pass_on_every_model(label, build, top):
                        check=True)
     assert check_minimal_sullivan(model) or not alg.generators
     assert check_quasi_iso(phi, top - 1).ok
+
+
+# ----- the face-compatibility system against its per-face assembly -----
+
+BLOCK_COMPLEXES = {
+    "delta2": lambda: builtin_complex("delta2"),
+    "delta3": lambda: builtin_complex("delta3"),
+    "bddelta3": lambda: builtin_complex("bddelta3"),
+    "s2_one_cell": lambda: load_scomplex(ROOT / "data" / "s2_one_cell.scx"),
+}
+
+
+@pytest.mark.parametrize("poly_cap", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(BLOCK_COMPLEXES))
+def test_blocks_built_once_match_the_per_face_assembly(
+        monkeypatch, name, poly_cap):
+    """Every degree, open and closed: the rows handed to `kernel_basis`
+    and the kernel equal those of the per-(simplex, face) assembly."""
+    K = BLOCK_COMPLEXES[name]()
+    seen = []
+    monkeypatch.setattr(plforms, "kernel_basis",
+                        lambda m: seen.append(m) or kernel_basis(m))
+    for degree in range(K.top_dim + 1):
+        for closed in (False, True):
+            seen.clear()
+            kernel = plforms._compatibility_kernel(K, degree, poly_cap,
+                                                   closed)[3]
+            want = RatMatrix.from_rows(*reference_compatibility_rows(
+                K, degree, poly_cap, closed))
+            assert seen == [want]
+            assert kernel == kernel_basis(want).rows

@@ -131,6 +131,18 @@ def test_classify_wedge_hyperbolic(capsys):
     assert doc["vDims"]["7"] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["elliptic6.cdga", "-B", "60"], ["elliptic6.cdga", "-B", "60", "--json"],
+    ["h_wedge_s3s3.cdga", "--json"]])
+def test_classify_accepts_and_ignores_max_degree(capsys, argv):
+    """classify scans to -B whatever -N says."""
+    path, *rest = argv
+    outs = [run(capsys, "classify", str(DATA / path), "-N", n, *rest)
+            for n in ("2", "40")]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
 def test_invariants_report(capsys):
     code, out, err = run(capsys, "invariants", str(DATA / "h_cp2.cdga"),
                          "-N", "12", "-B", "40", "--json")

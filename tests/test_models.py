@@ -2,7 +2,7 @@
 
 import pytest
 
-from sullivan import graded, models
+from sullivan import cdga, graded, models
 from sullivan.catalog import (
     cp_cohomology,
     cp_model,
@@ -160,6 +160,24 @@ def test_synthesis_calls_the_leibniz_rule_at_most_half_as_often(
     # 1,949 calls at commit 7a3e530, which rebuilt the model at every
     # stage and once more for the closing checks
     assert calls <= 1949 // 2
+
+
+def test_synthesis_reuses_the_kernel_carried_into_each_stage(monkeypatch):
+    """Stage n takes the kernel of d_(n+1) for H^(n+1); stage n+1 reads it
+    again, carried through `Cdga.extend`, since d_(n+1) only gained zero
+    rows.  Taking it afresh at every stage made 37 calls."""
+    calls = 0
+    original = cdga.kernel_basis
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return original(m)
+
+    monkeypatch.setattr(cdga, "kernel_basis", counted)
+    monkeypatch.setattr(models, "kernel_basis", counted)
+    minimal_model(wedge_cohomology(2, 2), 10)
+    assert calls == 29
 
 
 def test_certificate_catches_a_flipped_kernel_differential(monkeypatch):
