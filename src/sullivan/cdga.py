@@ -28,6 +28,7 @@ from .graded import (
     format_element,
     memo_linear,
     monomial_columns,
+    on_monomials,
     parse_poly,
     read_text,
     substitute,
@@ -153,9 +154,9 @@ class Cdga:
             monos, index = self.free_basis(k)
             vectors = []
             for r in self.relations:
-                vectors += monomial_columns(lambda e, r=r: e * r, self.algebra,
-                                            self.free_basis(k - r.degree())[0],
-                                            index)
+                vectors += monomial_columns(
+                    on_monomials(lambda e, r=r: e * r, self.algebra),
+                    self.free_basis(k - r.degree())[0], index)
             self._rel_cache[k] = span_basis(vectors, len(monos))
         return self._rel_cache[k]
 
@@ -232,8 +233,7 @@ class Cdga:
             old = dict(zip(self.basis(k), self._diff_cache[k].columns()))
             new._diff_cache[k] = RatMatrix.from_columns([
                 {rows[old_rows[i]]: x for i, x in old[mono].items()}
-                if mono in old
-                else monomial_columns(new.d, alg, [mono], rows)[0]
+                if mono in old else new._d_columns(k, [mono])[0]
                 for mono in new.basis(k)], len(rows))
             if k in self._kernels and new.basis(k) == self.basis(k):
                 new._kernels[k] = self._kernels[k]
@@ -242,13 +242,25 @@ class Cdga:
     def mult(self, a, b):
         return self.reduce(a * b)
 
+    def _d_columns(self, k, monos):
+        """Sparse columns of d on degree-k basis monomials, from the
+        Leibniz kernel.  A word cap drops what its basis lacks; relations
+        reduce each column in free coordinates, then reindex it."""
+        index = self._quotient_basis(k + 1)[1]
+        leibniz = self.differential.leibniz
+        if not self.relations:
+            return monomial_columns(leibniz, monos, index)
+        free, free_index = self.free_basis(k + 1)
+        rel = self._rel_echelon(k + 1)
+        return [{index[free[i]]: c for i, c in rel.reduce(col).items()}
+                for col in monomial_columns(leibniz, monos, free_index)]
+
     def diff_matrix(self, k):
         """Matrix of d: degree k -> degree k+1 over the quotient bases,
         assembled from its sparse columns."""
         if k not in self._diff_cache:
-            cols = monomial_columns(self.d, self.algebra, self.basis(k),
-                                    self._quotient_basis(k + 1)[1])
-            self._diff_cache[k] = RatMatrix.from_columns(cols, self.dim(k + 1))
+            self._diff_cache[k] = RatMatrix.from_columns(
+                self._d_columns(k, self.basis(k)), self.dim(k + 1))
         return self._diff_cache[k]
 
     # ----- validation -----

@@ -330,7 +330,8 @@ def _usage_error(args):
     for flag, attr, low in (("-N", "max_degree", 2), ("-B", "bound", 0),
                             ("--trials", "trials", 1),
                             ("--poly-cap", "poly_cap", 0)):
-        if getattr(args, attr, low) < low:
+        if getattr(args, attr, low) < low and not (
+                attr == "max_degree" and args.command == "classify"):
             return f"{flag} must be at least {low}"
     if args.command == "pl-verify" and (args.builtin is None) == \
             (args.file is None):

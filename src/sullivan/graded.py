@@ -10,19 +10,21 @@ immutable by convention and all arithmetic is exact.
 Two facts about the free algebra carry the rest of the package, and each
 has one routine here: a map out of it is fixed by the images of the
 generators (`substitute`, the one multiplicative extension), and so is a
-derivation (`Derivation.apply`, the one Leibniz rule).  Linear maps in
-monomial bases are read off as sparse coordinate columns by one
-assembler, `monomial_columns`.  Each algebra keeps those bases in a
-per-degree table, each degree built once from the lower ones.
+derivation (`Derivation.leibniz`, the one Leibniz rule, in integers).
+Linear maps in monomial bases are read off as sparse coordinate columns
+by one assembler, `monomial_columns`.  Each algebra keeps those bases in
+a per-degree table, each degree built once from the lower ones.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .linalg import combine, scaled
+from .linalg import combine, ratio, scaled
 
 __all__ = [
     "AlgebraError",
@@ -32,6 +34,7 @@ __all__ = [
     "Derivation",
     "substitute",
     "monomial_columns",
+    "on_monomials",
     "memo_linear",
     "parse_poly",
     "format_element",
@@ -57,7 +60,6 @@ class Generator:
 # A monomial is a tuple of (ordinal, power) pairs, sorted by ordinal,
 # powers > 0, odd generators with power exactly 1.  () is the unit.
 UNIT = ()
-_SMALL = {k: Fraction(k) for k in (-2, -1, 1, 2)}  # shared coefficients
 
 
 class FreeAlgebra:
@@ -216,26 +218,30 @@ def mono_word(m):
     return sum(p for _, p in m)
 
 
-def mono_mul(alg, m1, m2):
+def mono_mul(alg, m1, m2, odd1=None, odd2=None):
     """Product of two monomials: (sign, monomial), or None when an odd
     generator repeats.  The Koszul sign counts the odd-odd inversions
-    needed to merge the two sorted letter sequences."""
-    odd1 = [o for o, p in m1 if alg._degrees[o] % 2]
-    odd2 = [o for o, p in m2 if alg._degrees[o] % 2]
-    if set(odd1) & set(odd2):
-        return None
+    needed to merge the two sorted letter sequences; `odd1` and `odd2`,
+    the odd letters of m1 and m2 in order, may be passed precomputed."""
+    degrees = alg._degrees
+    if odd1 is None:
+        odd1 = [o for o, _ in m1 if degrees[o] % 2]
+    if odd2 is None:
+        odd2 = [o for o, _ in m2 if degrees[o] % 2]
     inversions = 0
     for a in odd1:
-        for b in odd2:
-            if a > b:
-                inversions += 1
-    merged = {}
+        k = bisect_left(odd2, a)
+        if k < len(odd2) and odd2[k] == a:
+            return None
+        inversions += k
+    mono = list(m2)
     for o, p in m1:
-        merged[o] = p
-    for o, p in m2:
-        merged[o] = merged.get(o, 0) + p
-    mono = tuple(sorted(merged.items()))
-    return (-1 if inversions % 2 else 1), mono
+        k = bisect_left(mono, (o,))
+        if k < len(mono) and mono[k][0] == o:
+            mono[k] = (o, mono[k][1] + p)
+        else:
+            mono.insert(k, (o, p))
+    return (-1 if inversions % 2 else 1), tuple(mono)
 
 
 def _add_term(terms, m, c):
@@ -372,7 +378,8 @@ class Derivation:
     """A degree-`shift` derivation given by generator images; extends to
     products by the graded Leibniz rule d(ab) = da*b + (-1)^|a| a*db.
 
-    Generators missing from `images` map to zero.
+    Generators missing from `images` map to zero.  `leibniz` reads them
+    over one common denominator `den`, as integer terms.
     """
 
     def __init__(self, algebra, shift, images, check=True):
@@ -394,55 +401,65 @@ class Derivation:
                         f"expected {g.degree + shift}")
             imgs[g.ordinal] = elem
         self.images = imgs
+        degrees = algebra._degrees
+        self.den = den = lcm(*[c.denominator for e in imgs.values()
+                               for c in e.terms.values()])
+        self._scaled = {
+            o: [(m, c.numerator * (den // c.denominator),
+                 [a for a, _ in m if degrees[a] % 2])
+                for m, c in e.terms.items()]
+            for o, e in imgs.items()}
 
     def image_of(self, name):
         g = self.algebra.generator(name)
         return self.images.get(g.ordinal, self.algebra.zero())
 
-    def apply(self, elem):
-        """The Leibniz rule letter by letter, with dg moved to the front:
+    def leibniz(self, mono):
+        """d of one monomial in integers, (den, {monomial: c}) for
+        d(mono) = sum c/den * monomial: the Leibniz rule letter by letter,
+        with dg moved to the front,
         d(pre g^p suf) = (-1)^(|pre||g|) p dg (pre g^(p-1) suf).  Moving
         dg past pre g^(p-1) gives that sign because |dg| = |g| + shift
         and the shift is odd."""
+        alg, degrees = self.algebra, self.algebra._degrees
+        odd = [o for o, _ in mono if degrees[o] % 2]
+        out = {}
+        prefix_deg = 0
+        for i, (o, p) in enumerate(mono):
+            img = self._scaled.get(o)
+            gdeg = degrees[o]
+            if img is not None:
+                rest = (mono[:i] + ((o, p - 1),) + mono[i + 1:] if p > 1
+                        else mono[:i] + mono[i + 1:])
+                rest_odd = [a for a in odd if a != o] if gdeg % 2 else odd
+                c0 = -p if prefix_deg * gdeg % 2 else p
+                for m, c, m_odd in img:
+                    sm = mono_mul(alg, m, rest, m_odd, rest_odd)
+                    if sm is not None:
+                        x = c0 * c if sm[0] > 0 else -c0 * c
+                        out[sm[1]] = out.get(sm[1], 0) + x
+            prefix_deg += p * gdeg
+        return self.den, {m: c for m, c in out.items() if c}
+
+    def apply(self, elem):
+        """d of an element: `leibniz` of each monomial, summed by
+        `combine`."""
         alg = self.algebra
         if elem.algebra is not alg and not elem.algebra.same_universe(alg):
             bad = alg.foreign_generator(elem.algebra)
             raise AlgebraError(f"derivation applied across universes "
                                f"(generator {bad})")
-        degrees = alg._degrees
-        out = {}
-        for mono, coeff in elem.terms.items():
-            prefix_deg = 0
-            for i, (o, p) in enumerate(mono):
-                img = self.images.get(o)
-                gdeg = degrees[o]
-                if img is not None:
-                    rest = (mono[:i] + ((o, p - 1),) + mono[i + 1:] if p > 1
-                            else mono[:i] + mono[i + 1:])
-                    c0 = coeff * (-p if prefix_deg * gdeg % 2 else p)
-                    for m, c in img.terms.items():
-                        sm = mono_mul(alg, m, rest)
-                        if sm is not None:
-                            x = c0 * c
-                            _add_term(out, sm[1], x if sm[0] > 0 else -x)
-                prefix_deg += p * gdeg
-        return AlgElement(alg, out)
+        return AlgElement(alg, combine(
+            elem.terms, {m: self.leibniz(m) for m, c in elem.terms.items()
+                         if c}, prescaled=True))
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
-        if self.shift != other.shift:
-            return False
-        if not self.algebra.same_universe(other.algebra):
-            return False
-        keys = set(self.images) | set(other.images)
-        zero = self.algebra.zero()
-        for o in keys:
-            a = self.images.get(o, zero)
-            b = other.images.get(o, zero)
-            if dict(a.terms) != dict(b.terms):
-                return False
-        return True
+        return (self.shift == other.shift
+                and self.algebra.same_universe(other.algebra)
+                and {o: e.terms for o, e in self.images.items()}
+                == {o: e.terms for o, e in other.images.items()})
 
     def __repr__(self):
         parts = ", ".join(
@@ -476,27 +493,31 @@ def substitute(elem, images, target, missing_zero=False):
     return AlgElement(target, out)
 
 
-def monomial_columns(f, algebra, monos, index):
+def monomial_columns(f, monos, index):
     """Sparse coordinate columns of a linear map in monomial bases: for
-    each monomial m of `monos`, {index[n]: c} over the terms c*n of f(m),
-    where f takes and returns elements and m is taken over `algebra`.
-    The coefficients -2..2, nearly all of them, share one Fraction each
-    rather than taking one per matrix entry."""
+    each monomial m of `monos`, {index[n]: c/den} over the terms n: c of
+    f(m) = (den, {n: integer c}), as `Derivation.leibniz` and the maps
+    of `on_monomials` give them.  A monomial missing from `index` is
+    dropped, which projects onto a word-capped basis."""
+    return [{index[n]: ratio(c, den) for n, c in terms.items() if n in index}
+            for den, terms in map(f, monos)]
+
+
+def on_monomials(f, algebra):
+    """The linear map f on elements of `algebra` as the map that sends a
+    monomial m to the `scaled` terms of f(m)."""
     one = Fraction(1)
-    return [{index[n]: _SMALL.get(c.numerator, c) if c.denominator == 1
-             else c
-             for n, c in f(AlgElement(algebra, {m: one})).terms.items()}
-            for m in monos]
+    return lambda m: scaled(f(AlgElement(algebra, {m: one})).terms)
 
 
 def memo_linear(f, elem, table, target):
     """The linear map f on `elem`, as an element of `target`: `table` keeps
     f of each monomial met so far as `scaled` integer terms, filled here
     for the monomials of `elem` it lacks, and `combine` sums them."""
+    f = on_monomials(f, elem.algebra)
     for mono, coeff in elem.terms.items():
         if coeff and mono not in table:
-            table[mono] = scaled(f(AlgElement(elem.algebra,
-                                              {mono: Fraction(1)})).terms)
+            table[mono] = f(mono)
     return AlgElement(target, combine(elem.terms, table, prescaled=True))
 
 
@@ -564,25 +585,12 @@ class _Parser:
 
     def term(self):
         # term := rat ['*' factor ...] | factor ('*' factor)*
-        kind, val = self.peek()
-        if kind == "num":
-            coeff = self.rat()
-            out = self.alg.scalar(coeff)
-            while True:
-                kind, val = self.peek()
-                if kind == "op" and val == "*":
-                    self.next()
-                    out = out * self.factor()
-                else:
-                    return out
-        out = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                out = out * self.factor()
-            else:
-                return out
+        out = (self.alg.scalar(self.rat()) if self.peek()[0] == "num"
+               else self.factor())
+        while self.peek() == ("op", "*"):
+            self.next()
+            out = out * self.factor()
+        return out
 
     def rat(self):
         kind, val = self.next()

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .cdga import Cdga, CdgaError, word_length_quotient
-from .graded import AlgElement, Derivation, FreeAlgebra, monomial_columns
+from .graded import Derivation, FreeAlgebra, monomial_columns, on_monomials
 from .linalg import RatMatrix, rank
 from .models import check_minimal_sullivan, minimal_model
 
@@ -94,11 +94,8 @@ class ExponentProfile:
 
 def _even_part(elem):
     alg = elem.algebra
-    keep = {}
-    for mono, c in elem.terms.items():
-        if all(alg.degree_of(o) % 2 == 0 for o, _ in mono):
-            keep[mono] = c
-    return AlgElement(alg, keep)
+    return alg.element({m: c for m, c in elem.terms.items()
+                        if all(alg.degree_of(o) % 2 == 0 for o, _ in m)})
 
 
 def is_pure(c):
@@ -158,7 +155,8 @@ def pure_filtration_homology(c, k, max_degree):
         tgt = layer(j - 1, m + 1)
         index = {mono: i for i, mono in enumerate(tgt)}
         return rank(RatMatrix.from_columns(
-            monomial_columns(c.d, alg, layer(j, m), index), len(tgt)))
+            monomial_columns(c.differential.leibniz, layer(j, m), index),
+            len(tgt)))
 
     return [len(layer(k, m)) - d_rank(k, m) - d_rank(k + 1, m - 1)
             for m in range(max_degree + 1)]
@@ -207,7 +205,7 @@ def finiteness_test(c, bound):
             dg = pure.differential.images.get(g.ordinal)
             if dg is not None:
                 vectors += monomial_columns(
-                    lambda e, dg=dg: e * dg, alg,
+                    on_monomials(lambda e, dg=dg: e * dg, alg),
                     even.basis_of_degree(m - (g.degree + 1)), index)
         return len(tgt) - rank(RatMatrix.from_rows(vectors, len(tgt)))
 

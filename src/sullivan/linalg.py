@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
+_SMALL = {k: Fraction(k) for k in (-2, -1, 1, 2)}  # shared coefficients
 
 
 class LinalgError(ValueError):
@@ -41,10 +42,17 @@ def scaled(row):
                  for j, x in row.items()}
 
 
+def ratio(num, den):
+    """num/den as a Fraction (integers, den > 0); the values -2..2, nearly
+    all matrix entries, share one Fraction each."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else _SMALL.get(q) or Fraction(q)
+
+
 def combine(coeffs, rows, prescaled=False):
     """Sparse sum of c * rows[k] over the coefficients {k: c}, fraction-free:
     the rows, read as `scaled` (or kept so, when `prescaled`), are summed
-    in integers over one common denominator, and one Fraction is made per
+    in integers over one common denominator, and one `ratio` is made per
     nonzero entry of the sum.  An entry that cancels is left out."""
     terms = [(c.numerator, c.denominator,
               *(rows[k] if prescaled else scaled(rows[k])))
@@ -55,7 +63,7 @@ def combine(coeffs, rows, prescaled=False):
         f = num * (common // (den * row_den))
         for j, x in row.items():
             acc[j] = acc.get(j, 0) + f * x
-    return {j: Fraction(v, common) for j, v in acc.items() if v}
+    return {j: ratio(v, common) for j, v in acc.items() if v}
 
 
 class RatMatrix:
@@ -80,8 +88,13 @@ class RatMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows):
-        """From sparse columns {row: value}."""
-        return cls.from_rows(columns, rows).transpose()
+        """From sparse columns {row: value}, in one pass."""
+        m = cls.zero(rows, len(columns))
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                if x:
+                    m.sparse[i][j] = x if type(x) is Fraction else Fraction(x)
+        return m
 
     @staticmethod
     def zero(rows, cols):

@@ -26,7 +26,6 @@ from .graded import (
     AlgElement,
     Derivation,
     FreeAlgebra,
-    monomial_columns,
     substitute,
 )
 from .linalg import (
@@ -202,15 +201,12 @@ def acyclic_closure(model, verify_to=0):
         m = v.degree
         candidates = [mono for mono in alg.basis_of_degree(m)
                       if any(o in bar_ordinals for o, _ in mono)]
-        target_basis = alg.basis_of_degree(m + 1)
-        index = {mono: i for i, mono in enumerate(target_basis)}
         dv = total.d(alg.gen_elem(v.name))
         correction = alg.zero()
         if not dv.is_zero():
-            mat = RatMatrix.from_columns(
-                monomial_columns(total.d, alg, candidates, index),
-                len(target_basis))
-            sol = solve(mat, {index[mono]: c for mono, c in dv.terms.items()})
+            mat = RatMatrix.from_columns(total._d_columns(m, candidates),
+                                         total.dim(m + 1))
+            sol = solve(mat, total.coords(dv, m + 1))
             if isinstance(sol, NoSolution):
                 raise ModelError(
                     f"acyclic closure correction unsolvable for {v.name} "

@@ -24,6 +24,7 @@ from .graded import (
     FreeAlgebra,
     memo_linear,
     monomial_columns,
+    on_monomials,
     read_text,
     substitute,
 )
@@ -80,15 +81,15 @@ def _coordinate(alg, n, letter, i):
     return out
 
 
-_DIFFS = {}
+_DIFFS = {}  # n -> (d on the n-simplex, {monomial: scaled d of it})
 _PULLBACKS = {}  # (n, m, vertex map) -> (images, {monomial: scaled image})
 
 
 def _form_diff(n):
     if n not in _DIFFS:
         alg = form_algebra(n)
-        _DIFFS[n] = Derivation(alg, +1, {
-            f"t{i}": alg.gen_elem(f"y{i}") for i in range(1, n + 1)})
+        _DIFFS[n] = (Derivation(alg, +1, {
+            f"t{i}": alg.gen_elem(f"y{i}") for i in range(1, n + 1)}), {})
     return _DIFFS[n]
 
 
@@ -117,7 +118,10 @@ class PolyForm:
         return self.element.degree()
 
     def d(self):
-        return PolyForm(self.dim, _form_diff(self.dim).apply(self.element))
+        """The exterior derivative, read through a table as faces are."""
+        diff, table = _form_diff(self.dim)
+        return PolyForm(self.dim, memo_linear(diff.apply, self.element, table,
+                                              diff.algebra))
 
     def face(self, i):
         """Restriction along the i-th coface, landing on dimension n-1."""
@@ -590,9 +594,9 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
             at = (dim, sign, name, *args)
             if at not in blocks:
                 blocks[at] = [{i: sign * c for i, c in col.items()}
-                              for col in monomial_columns(
+                              for col in monomial_columns(on_monomials(
                     lambda e: getattr(PolyForm(dim, e), name)(*args).element,
-                    form_algebra(dim), bases[sid], index)]
+                    form_algebra(dim)), bases[sid], index)]
             for idx, col in enumerate(blocks[at]):
                 j = var_index[(sid, idx)]
                 for i, c in col.items():  # the terms' simplices differ
@@ -678,10 +682,12 @@ def verify_stokes(K, trials, poly_cap, seed):
     """Check integrate(d w) = delta(integrate(w)) exactly on sampled
     global forms, and compare the rank of integration on sampled cocycles
     with the cochain cohomology dimensions.  The pullback table starts
-    empty, so a call does the same work whatever ran before it."""
+    empty, and so do the tables of d, so a call does the same work
+    whatever ran before it."""
     if trials < 1:
         raise FormError("need at least one trial")
     _PULLBACKS.clear()
+    _DIFFS.clear()
     records = []
     for t in range(trials):
         degree = t % (K.top_dim + 1)

@@ -16,6 +16,13 @@ which keeps those tables as scaled integer rows and sums them with
 face-compatibility system, built once per (simplex dimension, map),
 against its assembly per (simplex, face).
 
+Differential matrices are assembled from the integer Leibniz kernel
+`Derivation.leibniz`; they are checked against the assembly they
+replaced, through elements (the reference Leibniz rule, then the
+quotient's reduction, then coordinates), on free algebras, word-length
+quotients and relation quotients.  `PolyForm.d` reads a table as the
+pullbacks do, emptied by every `verify_stokes` call.
+
 Monomial bases are a per-degree table kept on each algebra; the basis
 tests check it against the backtracking search it replaced, whatever the
 order in which degrees are asked, through `extend()`, across threads and
@@ -41,8 +48,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sullivan import plforms
-from sullivan.catalog import cp_cohomology, elliptic_six, wedge_cohomology
+from sullivan import graded, plforms
+from sullivan.catalog import (
+    cp_cohomology,
+    elliptic_six,
+    sphere_model,
+    wedge_cohomology,
+)
 from sullivan.cdga import (
     Cdga,
     CdgaMorphism,
@@ -50,6 +62,7 @@ from sullivan.cdga import (
     format_cdga,
     load_cdga,
     parse_cdga_file,
+    tensor_product,
     word_length_quotient,
 )
 from sullivan.graded import (
@@ -75,6 +88,7 @@ from sullivan.models import (
     MinimalModelResult,
     ModelError,
     check_minimal_sullivan,
+    free_loop_model,
     minimal_model,
 )
 from sullivan.plforms import (
@@ -88,6 +102,9 @@ from sullivan.plforms import (
 )
 
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# denominators 1..12, so that one element mixes several
+MIXED = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 # ----- references -----
@@ -275,6 +292,20 @@ def reference_minimal_model(target, max_degree):
     return MinimalModelResult(model, phi, max_degree, stages)
 
 
+def reference_diff_matrix(c, k):
+    """The matrix of d from degree k, assembled through elements as it
+    was before the integer kernel: d of each basis monomial by the
+    reference Leibniz rule, reduced in the quotient, read in the
+    degree-(k+1) coordinates."""
+    index = c._quotient_basis(k + 1)[1]
+    cols = []
+    for m in c.basis(k):
+        x = AlgElement(c.algebra, {m: Fraction(1)})
+        dx = c.reduce(reference_derivation_apply(c.differential, c.reduce(x)))
+        cols.append({index[n]: v for n, v in dx.terms.items()})
+    return RatMatrix.from_rows(cols, c.dim(k + 1)).transpose()
+
+
 def reference_memo_linear(f, elem, table, target):
     """f on `elem` with the image terms of each monomial kept in `table`
     and summed as Fractions, one product and one sum per (term, image
@@ -389,36 +420,58 @@ def reference_compatibility_rows(K, degree, poly_cap, closed):
 
 # ----- strategies -----
 
-def _combination(draw, alg, monos):
+def _combination(draw, alg, monos, coeffs=COEFFS):
     """A random combination of some of `monos`, zero only when `monos`
     is empty."""
     picked = draw(st.lists(st.sampled_from(monos), min_size=1,
                            max_size=5)) if monos else []
-    return alg.element({m: draw(COEFFS.filter(bool)) for m in picked})
+    return alg.element({m: draw(coeffs.filter(bool)) for m in picked})
 
 
-def _element(draw, alg, max_degree):
+def _element(draw, alg, max_degree, coeffs=COEFFS):
     """A random element with parts in several degrees 0..max_degree."""
     monos = [m for k in range(max_degree + 1)
              for m in alg.basis_of_degree(k)]
-    return _combination(draw, alg, monos)
+    return _combination(draw, alg, monos, coeffs)
 
 
 @st.composite
-def derivation_cases(draw):
+def derivation_cases(draw, shifts=(1, -1)):
     """A free algebra with odd and even generators in a random order, a
-    derivation of shift +1 or -1 with random images, and an element."""
+    derivation of a shift in `shifts` with random images, and an
+    element; images and element have mixed denominators."""
     degrees = (draw(st.lists(st.sampled_from([1, 3]), min_size=1,
                              max_size=2))
                + draw(st.lists(st.sampled_from([2, 4]), min_size=1,
                                max_size=2)))
     degrees = draw(st.permutations(degrees))
     alg = FreeAlgebra.build([(f"g{i}", d) for i, d in enumerate(degrees)])
-    shift = draw(st.sampled_from([1, -1]))
+    shift = draw(st.sampled_from(shifts))
     images = {g.name: _combination(draw, alg,
-                                   alg.basis_of_degree(g.degree + shift))
+                                   alg.basis_of_degree(g.degree + shift),
+                                   MIXED)
               for g in alg.generators}
-    return Derivation(alg, shift, images), _element(draw, alg, 8)
+    return Derivation(alg, shift, images), _element(draw, alg, 8, MIXED)
+
+
+@st.composite
+def cdga_cases(draw):
+    """An unchecked CDGA (d^2 need not vanish) over a random derivation
+    of shift +1: free, word-capped at 1..3, or cut by one to three random
+    homogeneous relations of degree 2..6."""
+    d, _ = draw(derivation_cases(shifts=(1,)))
+    alg = d.algebra
+    kind = draw(st.sampled_from(["free", "capped", "relations"]))
+    if kind == "capped":
+        return Cdga(kind, alg, d, word_cap=draw(st.integers(1, 3)),
+                    check=False)
+    relations = []
+    if kind == "relations":
+        for k in draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)):
+            r = _combination(draw, alg, alg.basis_of_degree(k), MIXED)
+            if r:
+                relations.append(r)
+    return Cdga(kind, alg, d, relations=relations, check=False)
 
 
 TARGETS = {
@@ -536,6 +589,23 @@ class _CountingSubstitute:
         plforms.substitute = self.original
 
 
+@contextmanager
+def _counting_leibniz():
+    """The monomials passed to `Derivation.leibniz` while installed."""
+    calls = []
+    original = graded.Derivation.leibniz
+
+    def counted(self, mono):
+        calls.append(mono)
+        return original(self, mono)
+
+    graded.Derivation.leibniz = counted
+    try:
+        yield calls
+    finally:
+        graded.Derivation.leibniz = original
+
+
 # ----- tests -----
 
 @settings(max_examples=150, deadline=None)
@@ -543,6 +613,100 @@ class _CountingSubstitute:
 def test_derivation_matches_letterwise_leibniz(case):
     d, x = case
     assert d.apply(x) == reference_derivation_apply(d, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(derivation_cases())
+def test_leibniz_kernel_matches_letterwise_leibniz(case):
+    """d of each monomial, as nonzero integers over the derivation's one
+    common denominator."""
+    d, x = case
+    for m in x.terms:
+        den, terms = d.leibniz(m)
+        assert den == d.den and type(den) is int and den > 0
+        assert all(type(c) is int and c for c in terms.values())
+        want = reference_derivation_apply(d, AlgElement(d.algebra,
+                                                        {m: Fraction(1)}))
+        assert {n: Fraction(c, den) for n, c in terms.items()} == want.terms
+
+
+def _assert_diff_matrices(c, top):
+    for k in range(top + 1):
+        got = c.diff_matrix(k)
+        assert got == reference_diff_matrix(c, k), f"degree {k}"
+        assert all(type(x) is Fraction for row in got.sparse
+                   for x in row.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(cdga_cases())
+def test_diff_matrix_matches_the_element_assembly(c):
+    _assert_diff_matrices(c, 8)
+
+
+@st.composite
+def extension_cases(draw):
+    """A free unchecked CDGA with its differential matrices of degrees
+    0..7 built, and a new generator t of degree 1..5 with a random dt."""
+    d, _ = draw(derivation_cases(shifts=(1,)))
+    c = Cdga("c", d.algebra, d, check=False)
+    for k in range(8):
+        c.diff_matrix(k)
+    degree = draw(st.integers(1, 5))
+    alg = c.algebra.extend([("t", degree)])
+    dt = _combination(draw, alg, alg.basis_of_degree(degree + 1), MIXED)
+    return c, degree, dt
+
+
+@settings(max_examples=60, deadline=None)
+@given(extension_cases())
+def test_extend_carries_old_columns_and_assembles_new_ones(case):
+    c, degree, dt = case
+    new = c.extend([("t", degree)], {"t": dt}, carry=range(8))
+    _assert_diff_matrices(new, 7)
+
+
+NAMED_CDGAS = {
+    "wedge S2vS3": lambda: wedge_cohomology(2, 3),
+    "CP3": lambda: cp_cohomology(3),
+    "H(CP2) (x) elliptic6": lambda: tensor_product(
+        cp_cohomology(2), elliptic_six())[0],
+    "H(S3vS3) (x) S2": lambda: tensor_product(
+        load_cdga(ROOT / "data" / "h_wedge_s3s3.cdga"), sphere_model(2))[0],
+    **{f"elliptic6 words<={n}": lambda n=n: word_length_quotient(
+        elliptic_six(), n)[0] for n in (1, 2, 3)},
+    **{path.stem: lambda path=path: load_cdga(path)
+       for path in sorted((ROOT / "data").glob("*.cdga"))
+       if "rel " in path.read_text()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_CDGAS))
+def test_named_quotients_match_the_element_assembly(name):
+    _assert_diff_matrices(NAMED_CDGAS[name](), 14)
+
+
+def test_free_loop_ranks_apply_no_derivation_per_monomial(monkeypatch):
+    """The free-loop model of S2xS2xS4 and its h_dim through degree 10:
+    the 27 calls are the model's own d^2 check and S on the three
+    differentials; the differential matrices read `leibniz` alone (1,014
+    calls when they went through `apply` one monomial at a time)."""
+    calls = 0
+    original = graded.Derivation.apply
+
+    def counted(self, elem):
+        nonlocal calls
+        calls += 1
+        return original(self, elem)
+
+    model = Cdga.build("S2xS2xS4", [("y", 2), ("z", 3), ("y_2", 2),
+                                    ("z_2", 3), ("y_3", 4), ("z_3", 7)],
+                       {"z": "y^2", "z_2": "y_2^2", "z_3": "y_3^2"})
+    monkeypatch.setattr(graded.Derivation, "apply", counted)
+    loops = free_loop_model(model)
+    dims = [loops.h_dim(k) for k in range(11)]
+    assert dims == [1, 2, 3, 5, 8, 11, 14, 17, 20, 24, 29]
+    assert calls == 27
 
 
 @settings(max_examples=100, deadline=None)
@@ -657,6 +821,27 @@ def test_stokes_work_does_not_depend_on_earlier_calls():
         with _CountingSubstitute() as counter:
             assert verify_stokes(builtin_complex("delta2"), 3, 2, seed=1).ok
         counts.append(counter.calls)
+    assert counts[0] == counts[1] > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_cases())
+def test_form_differential_reads_its_table(form):
+    diff = plforms._form_diff(form.dim)[0]
+    want = PolyForm(form.dim, reference_derivation_apply(diff, form.element))
+    assert form.d() == want
+    with _counting_leibniz() as calls:
+        assert form.d() == want
+    assert calls == []
+
+
+def test_stokes_differentials_do_not_depend_on_earlier_calls():
+    """verify_stokes also starts from empty tables of d."""
+    counts = []
+    for _ in range(2):
+        with _counting_leibniz() as calls:
+            assert verify_stokes(builtin_complex("delta2"), 3, 2, seed=1).ok
+        counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
 
@@ -775,8 +960,6 @@ def test_bases_past_a_thousand_generators():
 
 
 # ----- minimal models against the rebuilding synthesis -----
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _workloads():

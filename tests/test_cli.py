@@ -143,6 +143,18 @@ def test_classify_accepts_and_ignores_max_degree(capsys, argv):
     assert outs[0][0] == 0
 
 
+def test_classify_has_no_floor_on_the_ignored_max_degree(capsys):
+    """-N 1 is below the floor of every subcommand that reads -N."""
+    outs = [run(capsys, "classify", str(DATA / "elliptic6.cdga"), "-N", n,
+                "-B", "2") for n in ("1", "40")]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+    code, out, err = run(capsys, "cohomology", str(DATA / "elliptic6.cdga"),
+                         "-N", "1")
+    assert code == 2
+    assert "-N must be at least 2" in err
+
+
 def test_invariants_report(capsys):
     code, out, err = run(capsys, "invariants", str(DATA / "h_cp2.cdga"),
                          "-N", "12", "-B", "40", "--json")

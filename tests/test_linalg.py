@@ -469,6 +469,33 @@ def test_combine_matches_fraction_sum(case):
     assert all(type(x) is Fraction and x for x in got.values())
 
 
+ENTRIES = st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-3, 3),
+                    NONZERO)
+
+
+@st.composite
+def column_lists(draw):
+    """(sparse columns, row count): zeros, ints and Fractions as values,
+    some columns empty."""
+    n = draw(st.integers(0, 6))
+    col = (st.dictionaries(st.integers(0, n - 1), ENTRIES, max_size=n)
+           if n else st.just({}))
+    return draw(st.lists(col, max_size=6)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_lists())
+@example(([], 0))
+@example(([{}, {2: 0, 0: Fraction(0)}, {1: 3}], 3))
+def test_from_columns_matches_the_transposed_rows(case):
+    cols, n = case
+    got = RatMatrix.from_columns(cols, n)
+    assert got == RatMatrix.from_rows(cols, n).transpose()
+    assert (got.rows, got.cols) == (n, len(cols))
+    assert all(type(x) is Fraction and x for row in got.sparse
+               for x in row.values())
+
+
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 # top degree of each file in the README commands; -N 12 otherwise
 README_DEGREE = {"nonformal": 12, "h_cp2": 12, "model_s3": 20,

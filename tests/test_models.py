@@ -148,17 +148,18 @@ def test_minimal_model_stage_log():
 def test_synthesis_calls_the_leibniz_rule_at_most_half_as_often(
         monkeypatch):
     calls = 0
-    original = graded.Derivation.apply
+    original = graded.Derivation.leibniz
 
-    def counted(self, elem):
+    def counted(self, mono):
         nonlocal calls
         calls += 1
-        return original(self, elem)
+        return original(self, mono)
 
-    monkeypatch.setattr(graded.Derivation, "apply", counted)
+    monkeypatch.setattr(graded.Derivation, "leibniz", counted)
     minimal_model(wedge_cohomology(2, 2), 10)
-    # 1,949 calls at commit 7a3e530, which rebuilt the model at every
-    # stage and once more for the closing checks
+    # 1,949 calls of the then per-monomial `Derivation.apply` at commit
+    # 7a3e530, which rebuilt the model at every stage and once more for
+    # the closing checks
     assert calls <= 1949 // 2
 
 
