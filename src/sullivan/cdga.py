@@ -36,11 +36,11 @@ from .graded import (
 from .linalg import (
     NoSolution,
     RatMatrix,
+    homology_dim,
     image_basis,
     kernel_basis,
     quotient_basis,
     rank,
-    rref,
     solve,
     span_basis,
 )
@@ -77,11 +77,10 @@ class CdgaFileError(CdgaError):
 class CohomologyReport:
     """Per-degree dimensions and deterministic cocycle representatives."""
 
-    def __init__(self, max_degree, dims, representatives, boundary_dims):
+    def __init__(self, max_degree, dims, representatives):
         self.max_degree = max_degree
         self.dims = dims
         self.representatives = representatives
-        self.boundary_dims = boundary_dims
 
     def dim(self, k):
         return self.dims[k] if 0 <= k <= self.max_degree else 0
@@ -156,7 +155,7 @@ class Cdga:
             for r in self.relations:
                 vectors += monomial_columns(
                     on_monomials(lambda e, r=r: e * r, self.algebra),
-                    self.free_basis(k - r.degree())[0], index)
+                    self.free_basis(k - r.degree())[0], index)[1]
             self._rel_cache[k] = span_basis(vectors, len(monos))
         return self._rel_cache[k]
 
@@ -219,8 +218,9 @@ class Cdga:
         """This free CDGA with (name, degree) generators `specs` adjoined and
         d extended by `images` {name: element}.  It takes over, re-indexed,
         the differential matrices of the degrees in `carry`: d of an old
-        monomial stays, so only new monomials need new columns.  A kernel
-        of d whose basis gains nothing stays the kernel, and is carried."""
+        monomial stays, so only new monomials need new columns, and an old
+        one is scaled by new den // old den (d keeps the old images).  A
+        kernel of d whose basis gains nothing stays, and is carried."""
         if not self.is_free:
             raise CdgaError(f"{self.name}: only a free CDGA extends")
         alg = self.algebra.extend(specs)
@@ -230,11 +230,12 @@ class Cdga:
             check=False), check=False)
         for k in (k for k in carry if k in self._diff_cache):
             old_rows, rows = self.basis(k + 1), new._quotient_basis(k + 1)[1]
-            old = dict(zip(self.basis(k), self._diff_cache[k].columns()))
+            m, den = self._diff_cache[k], new.differential.den
+            old, s = dict(zip(self.basis(k), m.transpose().num)), den // m.den
             new._diff_cache[k] = RatMatrix.from_columns([
-                {rows[old_rows[i]]: x for i, x in old[mono].items()}
-                if mono in old else new._d_columns(k, [mono])[0]
-                for mono in new.basis(k)], len(rows))
+                {rows[old_rows[i]]: s * x for i, x in old[mono].items()}
+                if mono in old else new._d_columns(k, [mono])[1][0]
+                for mono in new.basis(k)], len(rows), den)
             if k in self._kernels and new.basis(k) == self.basis(k):
                 new._kernels[k] = self._kernels[k]
         return new
@@ -243,24 +244,26 @@ class Cdga:
         return self.reduce(a * b)
 
     def _d_columns(self, k, monos):
-        """Sparse columns of d on degree-k basis monomials, from the
-        Leibniz kernel.  A word cap drops what its basis lacks; relations
-        reduce each column in free coordinates, then reindex it."""
+        """d on degree-k basis monomials as (den, sparse columns over den)
+        from the Leibniz kernel.  A word cap drops what its basis lacks;
+        relations reduce each column in free coordinates, then reindex it."""
         index = self._quotient_basis(k + 1)[1]
         leibniz = self.differential.leibniz
         if not self.relations:
             return monomial_columns(leibniz, monos, index)
         free, free_index = self.free_basis(k + 1)
         rel = self._rel_echelon(k + 1)
-        return [{index[free[i]]: c for i, c in rel.reduce(col).items()}
-                for col in monomial_columns(leibniz, monos, free_index)]
+        den, cols = monomial_columns(leibniz, monos, free_index)
+        return den, [{index[free[i]]: c for i, c in rel.reduce(col).items()}
+                     for col in cols]
 
     def diff_matrix(self, k):
         """Matrix of d: degree k -> degree k+1 over the quotient bases,
-        assembled from its sparse columns."""
+        assembled from its sparse columns over their den."""
         if k not in self._diff_cache:
+            den, cols = self._d_columns(k, self.basis(k))
             self._diff_cache[k] = RatMatrix.from_columns(
-                self._d_columns(k, self.basis(k)), self.dim(k + 1))
+                cols, self.dim(k + 1), den)
         return self._diff_cache[k]
 
     # ----- validation -----
@@ -286,18 +289,17 @@ class Cdga:
     # ----- cohomology -----
 
     def _h_data(self, k):
-        """(sparse H^k representatives, matrix [reps | B^k basis], dim B^k)."""
+        """(sparse H^k representatives, matrix [reps | B^k basis])."""
         if k not in self._h_cache:
             z = self._kernels.pop(k, None)  # carried in by `extend`
             if z is None:  # the top kernel taken here is kept for `extend`
                 z = kernel_basis(self.diff_matrix(k))
                 if k >= max(self._kernels, default=k):
                     self._kernels = {k: z}
-            b = (image_basis(self.diff_matrix(k - 1)) if k
-                 else span_basis([], self.dim(0)))
+            b = image_basis(self.diff_matrix(k - 1))  # d_(-1) has no columns
             reps = quotient_basis(b, z)
             mat = RatMatrix.from_columns(reps + b.rows, self.dim(k))
-            self._h_cache[k] = (reps, mat, b.dim)
+            self._h_cache[k] = (reps, mat)
         return self._h_cache[k]
 
     def h_dim(self, k):
@@ -305,11 +307,8 @@ class Cdga:
         unless the representatives are already known."""
         if k in self._h_cache:
             return len(self._h_cache[k][0])
-        for j in (k - 1, k):
-            if j >= 0 and j not in self._rank_cache:
-                self._rank_cache[j] = rank(self.diff_matrix(j))
-        return (self.dim(k) - self._rank_cache.get(k, 0)
-                - self._rank_cache.get(k - 1, 0))
+        return homology_dim(self.dim(k), k, k - 1, self._rank_cache,
+                            self.diff_matrix)
 
     def h_basis(self, k):
         """Sparse coordinate rows of the chosen H^k representatives."""
@@ -320,7 +319,7 @@ class Cdga:
 
     def class_coords(self, elem, k):
         """Sparse coordinates of a cocycle's class in the chosen H^k basis."""
-        reps, mat, _ = self._h_data(k)
+        reps, mat = self._h_data(k)
         sol = solve(mat, self.coords(elem, k))
         if isinstance(sol, NoSolution):
             raise CdgaError(f"element of degree {k} is not a cocycle "
@@ -328,15 +327,9 @@ class Cdga:
         return {i: x for i, x in sol.items() if i < len(reps)}
 
     def cohomology(self, max_degree):
-        dims = []
-        reps = {}
-        bdims = []
-        for k in range(max_degree + 1):
-            r, _, bdim = self._h_data(k)
-            dims.append(len(r))
-            bdims.append(bdim)
-            reps[k] = [self.element(k, v) for v in r]
-        return CohomologyReport(max_degree, dims, reps, bdims)
+        reps = {k: self.h_representatives(k) for k in range(max_degree + 1)}
+        return CohomologyReport(max_degree, [len(r) for r in reps.values()],
+                                reps)
 
     def __repr__(self):
         return f"Cdga({self.name})"
@@ -419,14 +412,14 @@ def check_quasi_iso(phi, max_degree):
     table = []
     for k in range(max_degree + 1):
         m = phi.h_matrix(k)
-        _, _, rank = rref(m)
+        r = rank(m)
         table.append({
             "degree": k,
             "source_dim": m.cols,
             "target_dim": m.rows,
-            "rank": rank,
-            "injective": rank == m.cols,
-            "surjective": rank == m.rows,
+            "rank": r,
+            "injective": r == m.cols,
+            "surjective": r == m.rows,
         })
     return QuasiIsoReport(max_degree, table)
 
@@ -582,7 +575,10 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
     for lineno, gname, poly in diffs:
         try:
             alg.generator(gname)
+            if gname in images:
+                raise AlgebraError(f"repeated diff for {gname}")
             images[gname] = parse_poly(poly, alg)
+            Derivation(alg, +1, {gname: images[gname]})  # degree check here
         except AlgebraError as exc:
             raise CdgaFileError(filename, lineno, str(exc)) from None
     relations = []

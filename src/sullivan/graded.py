@@ -11,9 +11,10 @@ Two facts about the free algebra carry the rest of the package, and each
 has one routine here: a map out of it is fixed by the images of the
 generators (`substitute`, the one multiplicative extension), and so is a
 derivation (`Derivation.leibniz`, the one Leibniz rule, in integers).
-Linear maps in monomial bases are read off as sparse coordinate columns
-by one assembler, `monomial_columns`.  Each algebra keeps those bases in
-a per-degree table, each degree built once from the lower ones.
+Linear maps in monomial bases are read off as integer columns over one
+denominator by one assembler, `monomial_columns`.  Each algebra keeps
+those bases in a per-degree table, each degree built once from the lower
+ones.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import combine, ratio, scaled
+from .linalg import combine, scaled
 
 __all__ = [
     "AlgebraError",
@@ -494,13 +495,17 @@ def substitute(elem, images, target, missing_zero=False):
 
 
 def monomial_columns(f, monos, index):
-    """Sparse coordinate columns of a linear map in monomial bases: for
-    each monomial m of `monos`, {index[n]: c/den} over the terms n: c of
-    f(m) = (den, {n: integer c}), as `Derivation.leibniz` and the maps
-    of `on_monomials` give them.  A monomial missing from `index` is
-    dropped, which projects onto a word-capped basis."""
-    return [{index[n]: ratio(c, den) for n, c in terms.items() if n in index}
-            for den, terms in map(f, monos)]
+    """A linear map in monomial bases as (den, integer columns): for each
+    monomial m of `monos`, the sparse column {index[n]: c * (den // d)}
+    over the terms n: c of f(m) = (d, {n: integer c}), as
+    `Derivation.leibniz` and the maps of `on_monomials` give them, with
+    den the lcm of the d.  A monomial missing from `index` is dropped,
+    which projects onto a word-capped basis."""
+    cols = [(d, {index[n]: c for n, c in terms.items() if n in index})
+            for d, terms in map(f, monos)]
+    den = lcm(*[d for d, _ in cols])
+    return den, [v if d == den else
+                 {i: c * (den // d) for i, c in v.items()} for d, v in cols]
 
 
 def on_monomials(f, algebra):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cdga import Cdga, CdgaError, word_length_quotient
 from .graded import Derivation, FreeAlgebra, monomial_columns, on_monomials
-from .linalg import RatMatrix, rank
+from .linalg import RatMatrix, homology_dim, rank
 from .models import check_minimal_sullivan, minimal_model
 
 __all__ = [
@@ -151,15 +151,16 @@ def pure_filtration_homology(c, k, max_degree):
         return [mono for mono in alg.basis_of_degree(m)
                 if _odd_count(alg, mono) == j]
 
-    def d_rank(j, m):
+    def d_matrix(key):  # d on layer j of degree m
+        j, m = key
         tgt = layer(j - 1, m + 1)
         index = {mono: i for i, mono in enumerate(tgt)}
-        return rank(RatMatrix.from_columns(
-            monomial_columns(c.differential.leibniz, layer(j, m), index),
-            len(tgt)))
+        den, cols = monomial_columns(c.differential.leibniz, layer(j, m),
+                                     index)
+        return RatMatrix.from_columns(cols, len(tgt), den)
 
-    return [len(layer(k, m)) - d_rank(k, m) - d_rank(k + 1, m - 1)
-            for m in range(max_degree + 1)]
+    return [homology_dim(len(layer(k, m)), (k, m), (k + 1, m - 1), {},
+                         d_matrix) for m in range(max_degree + 1)]
 
 
 class Finite:
@@ -206,7 +207,7 @@ def finiteness_test(c, bound):
             if dg is not None:
                 vectors += monomial_columns(
                     on_monomials(lambda e, dg=dg: e * dg, alg),
-                    even.basis_of_degree(m - (g.degree + 1)), index)
+                    even.basis_of_degree(m - (g.degree + 1)), index)[1]
         return len(tgt) - rank(RatMatrix.from_rows(vectors, len(tgt)))
 
     dims = []

@@ -1,16 +1,18 @@
-"""Exact linear algebra over the rationals, on sparse rows.
+"""Exact linear algebra over the rationals, on sparse integer rows.
 
 Vectors go in and out as sparse rows {index: Fraction} of their nonzero
 entries; `combine` sums multiples of them fraction-free.  A `RatMatrix`
-keeps such rows, and builds its dense `data` only when read.  One kernel
-does all elimination: rows become primitive integer rows {column: int}
-that `_eliminate` cancels in turn, fraction-free, against the pivot rows
+keeps sparse integer rows {column: int} over one positive denominator
+`den`: integer entries, such as the Leibniz kernel's, go in as they are,
+and rational ones are brought over one denominator once, on entry.  One
+kernel does all elimination: `_eliminate` makes each integer row
+primitive and cancels it in turn, fraction-free, against the pivot rows
 kept so far (pivot: leftmost nonzero column, taken by the first row
 there).  `rank` counts the kept rows and makes no Fraction.  `_reduced`
-back-substitutes to the reduced echelon form (rows up to scale) for
-`rref`, `span_basis`, `image_basis`, `kernel_basis` and `solve`, which
-make Fractions only for the rows they return.  `quotient_basis` clears
-every kept pivot of each new row instead.
+back-substitutes to the reduced echelon form, each row up to its pivot
+entry, which a `SubspaceBasis` keeps as it is for `quotient_basis` to
+read.  Fractions are made only for the vectors that leave: basis rows,
+representatives and solutions, and the views `columns()` and `data`.
 
 The reduced echelon basis of a subspace is unique, so every result but
 the NoSolution certificate is independent of the elimination order.
@@ -27,12 +29,6 @@ _SMALL = {k: Fraction(k) for k in (-2, -1, 1, 2)}  # shared coefficients
 
 class LinalgError(ValueError):
     pass
-
-
-def _sparse(row):
-    """Copy of a sparse row {index: value}: Fraction values, zeros dropped."""
-    return {j: x if type(x) is Fraction else Fraction(x)
-            for j, x in row.items() if x}
 
 
 def scaled(row):
@@ -67,63 +63,64 @@ def combine(coeffs, rows, prescaled=False):
 
 
 class RatMatrix:
-    """Exact rational matrix kept as sparse rows {column: Fraction}."""
+    """Exact rational matrix: sparse integer rows `num` {column: int} of
+    nonzero entries over one positive denominator `den`, so that entry
+    (i, j) is num[i][j] / den."""
 
-    __slots__ = ("rows", "cols", "sparse")
+    __slots__ = ("rows", "cols", "num", "den")
 
-    def __init__(self, data, cols=None):
-        """From dense rows (lists of numbers)."""
-        data = [list(r) for r in data]
-        if len({len(r) for r in data}) > 1:
-            raise LinalgError("ragged rows")
-        self.rows, self.cols = len(data), len(data[0]) if data else cols or 0
-        self.sparse = [_sparse(dict(enumerate(r))) for r in data]
+    def __init__(self, num, cols, den=1):
+        """From sparse rows {column: value} of nonzero entries over `den`,
+        kept as they are when all are integers, else cleared into den."""
+        dens = {x.denominator for row in num for x in row.values()
+                if type(x) is not int}
+        if dens:
+            d = lcm(*dens)
+            num = [{j: x.numerator * (d // x.denominator)
+                    for j, x in row.items()} for row in num]
+            den *= d
+        self.rows, self.cols, self.num, self.den = len(num), cols, num, den
 
     @classmethod
     def from_rows(cls, rows, cols):
-        """From sparse rows {column: value}."""
-        m = cls.__new__(cls)
-        m.rows, m.cols, m.sparse = len(rows), cols, [_sparse(r) for r in rows]
-        return m
+        """From sparse rows {column: value}, zeros dropped."""
+        return cls([{j: x for j, x in r.items() if x} for r in rows], cols)
 
     @classmethod
-    def from_columns(cls, columns, rows):
-        """From sparse columns {row: value}, in one pass."""
-        m = cls.zero(rows, len(columns))
+    def from_columns(cls, columns, rows, den=1):
+        """From sparse columns {row: value} over `den`, in one pass."""
+        num = [{} for _ in range(rows)]
         for j, col in enumerate(columns):
             for i, x in col.items():
                 if x:
-                    m.sparse[i][j] = x if type(x) is Fraction else Fraction(x)
-        return m
-
-    @staticmethod
-    def zero(rows, cols):
-        return RatMatrix.from_rows([{}] * rows, cols)
+                    num[i][j] = x
+        return cls(num, len(columns), den)
 
     @staticmethod
     def identity(n):
-        return RatMatrix.from_rows([{i: 1} for i in range(n)], n)
+        return RatMatrix([{i: 1} for i in range(n)], n)
 
     @property
     def data(self):
-        """Dense rows, built on each read."""
-        return [[row.get(j, _ZERO) for j in range(self.cols)]
-                for row in self.sparse]
+        """Dense Fraction rows, built on each read."""
+        return [[Fraction(row[j], self.den) if j in row else _ZERO
+                 for j in range(self.cols)] for row in self.num]
 
     def columns(self):
-        """Sparse columns {row: Fraction}."""
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.sparse):
-            for j, x in row.items():
-                out[j][i] = x
-        return out
+        """Sparse Fraction columns {row: value}."""
+        return [{i: Fraction(x, self.den) for i, x in col.items()}
+                for col in self.transpose().num]
 
     def transpose(self):
-        return RatMatrix.from_rows(self.columns(), self.rows)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.num):
+            for j, x in row.items():
+                out[j][i] = x
+        return RatMatrix(out, self.rows, self.den)
 
     def __eq__(self, other):
         return (isinstance(other, RatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.sparse == other.sparse)
+                and self.columns() == other.columns())
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -131,14 +128,6 @@ class RatMatrix:
 
 
 # ----- the elimination kernel -----
-
-def _int_row(row):
-    """Primitive integer row proportional to a sparse rational row."""
-    den = lcm(*[x.denominator for x in row.values()])
-    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-    g = gcd(*out.values())
-    return {j: x // g for j, x in out.items()} if g > 1 else out
-
 
 def _cancel(v, row, c):
     """a v - b row (a, b coprime, a > 0) cancelling column c; in place
@@ -164,13 +153,16 @@ def _cancel(v, row, c):
 
 
 def _eliminate(rows, full=False):
-    """Forward pass over sparse integer rows (consumed), in order: each
-    is cancelled at its leftmost column while a kept row has its pivot
-    there (with `full`, at every kept pivot, leftmost first), and what
-    is left is kept, primitive with a positive leading entry, under its
-    leftmost column.  Returns {pivot: row} in the order kept."""
+    """Forward pass over sparse integer rows (left as they are), in
+    order: each, made primitive, is cancelled at its leftmost column while
+    a kept row has its pivot there (with `full`, at every kept pivot,
+    leftmost first), and what is left is kept, primitive with a positive
+    leading entry, under its leftmost column.  Returns {pivot: row} in
+    the order kept."""
     piv = {}
     for v in rows:
+        g = gcd(*v.values())  # 0 for an empty row, which stays empty
+        v = {j: x // g for j, x in v.items()} if g > 1 else dict(v)
         while v:
             c = (min((j for j in v if j in piv), default=None) if full
                  else min(v))
@@ -188,7 +180,7 @@ def _eliminate(rows, full=False):
 
 def _reduced(piv):
     """Clear every pivot row at the other pivot columns, last pivot
-    first: [(pivot, row)] in pivot order, the reduced echelon form with
+    first: {pivot: row} in pivot order, the reduced echelon form with
     each row up to its (positive) pivot entry."""
     order = sorted(piv)
     for c in reversed(order):
@@ -196,52 +188,54 @@ def _reduced(piv):
         for j in [j for j in row if j != c and j in piv]:
             row = _cancel(row, piv[j], j)
         piv[c] = row
-    return [(c, piv[c]) for c in order]
-
-
-def _echelon(rows):
-    """[(pivot, row)]: the reduced echelon form of sparse rational rows,
-    each row 1 at its pivot."""
-    red = _reduced(_eliminate([_int_row(r) for r in rows if r]))
-    return [(c, {j: Fraction(x, row[c]) for j, x in row.items()})
-            for c, row in red]
+    return {c: piv[c] for c in order}
 
 
 def rank(m):
     """Rank of a RatMatrix, from one forward pass."""
-    return len(_eliminate([_int_row(r) for r in m.sparse if r]))
+    return len(_eliminate(m.num))
+
+
+def homology_dim(dim, d_out, d_in, ranks, matrix):
+    """dim ker d_out / im d_in = dim - rank d_out - rank d_in, for maps out
+    of and into a space of that dimension, keys that `matrix` builds;
+    `ranks` {key: rank} keeps each rank (a fresh {} if no map is shared)."""
+    for key in (d_out, d_in):
+        if key not in ranks:
+            ranks[key] = rank(matrix(key))
+        dim -= ranks[key]
+    return dim
 
 
 def rref(m):
     """Reduced row echelon form: (RatMatrix, pivot columns, rank)."""
-    red = _echelon(m.sparse)
-    rows = [row for _, row in red] + [{}] * (m.rows - len(red))
-    return RatMatrix.from_rows(rows, m.cols), [c for c, _ in red], len(red)
+    red = SubspaceBasis(m.cols, _reduced(_eliminate(m.num)))
+    return (RatMatrix.from_rows(red.rows + [{}] * (m.rows - red.dim), m.cols),
+            red.pivots, red.dim)
 
 
 class SubspaceBasis:
-    """Subspace given by its reduced echelon basis: sparse rows
-    {column: Fraction}, each 1 at its pivot column."""
+    """Subspace given by its reduced echelon basis, kept as {pivot: the
+    reduced row times its positive pivot entry} in pivot order; `rows`
+    views them as sparse rows {column: Fraction}, 1 at their pivots."""
 
-    __slots__ = ("ambient", "rows", "pivots", "_by_pivot")
+    __slots__ = ("ambient", "_piv", "rows", "pivots", "dim")
 
-    def __init__(self, ambient, rows, pivots):
-        self.ambient = ambient
-        self.rows = rows
-        self.pivots = pivots
-        self._by_pivot = dict(zip(pivots, rows))
-
-    @property
-    def dim(self):
-        return len(self.rows)
+    def __init__(self, ambient, piv):
+        self.ambient, self._piv = ambient, piv
+        self.pivots, self.dim = list(piv), len(piv)
+        self.rows = [{j: Fraction(x, row[c]) for j, x in row.items()}
+                     for c, row in piv.items()]
 
     def reduce(self, v):
         """Residue of a sparse row v modulo the subspace, as a sparse
         {column: Fraction}: its pivot coordinates eliminated."""
-        coeffs = {c: -x for c, x in v.items() if c in self._by_pivot}
+        coeffs = {c: -x for c, x in v.items() if c in self._piv}
         if not coeffs:
-            return _sparse(v)
-        return combine({-1: 1, **coeffs}, {-1: v, **self._by_pivot})
+            return {j: Fraction(x) for j, x in v.items() if x}
+        return combine({-1: 1, **coeffs}, {
+            -1: scaled(v), **{c: (self._piv[c][c], self._piv[c])
+                              for c in coeffs}}, prescaled=True)
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient})"
@@ -249,9 +243,8 @@ class SubspaceBasis:
 
 def span_basis(vectors, ambient):
     """Canonical SubspaceBasis spanned by sparse rows."""
-    red = _echelon([_sparse(v) for v in vectors])
-    return SubspaceBasis(ambient, [row for _, row in red],
-                         [c for c, _ in red])
+    rows = RatMatrix.from_rows(vectors, ambient).num
+    return SubspaceBasis(ambient, _reduced(_eliminate(rows)))
 
 
 def kernel_basis(m):
@@ -259,22 +252,27 @@ def kernel_basis(m):
 
     With the columns of m reversed, the free-variable vector of a free
     column f is 1 at f and nonzero elsewhere only at pivots before f;
-    back in the original order, these are the reduced echelon basis."""
+    back in the original order, these are the reduced echelon basis,
+    each kept over the lcm of the pivot entries it reads."""
     n = m.cols
-    red = dict(_echelon([{n - 1 - j: x for j, x in r.items()}
-                         for r in m.sparse]))
-    rows = {f: {n - 1 - f: Fraction(1)}
-            for f in range(n - 1, -1, -1) if f not in red}
+    red = _reduced(_eliminate([{n - 1 - j: x for j, x in r.items()}
+                               for r in m.num]))
+    terms = {f: [] for f in range(n - 1, -1, -1) if f not in red}
     for c, row in red.items():
         for j, x in row.items():
             if j != c:
-                rows[j][n - 1 - c] = -x
-    return SubspaceBasis(n, list(rows.values()), [n - 1 - f for f in rows])
+                terms[j].append((n - 1 - c, x, row[c]))
+    piv = {}
+    for f, ts in terms.items():
+        den = lcm(*[p for _, _, p in ts])
+        piv[n - 1 - f] = {n - 1 - f: den,
+                          **{c: -x * (den // p) for c, x, p in ts}}
+    return SubspaceBasis(n, piv)
 
 
 def image_basis(m):
     """Canonical basis of the column space."""
-    return span_basis(m.columns(), m.rows)
+    return SubspaceBasis(m.rows, _reduced(_eliminate(m.transpose().num)))
 
 
 def quotient_basis(sub, within):
@@ -286,7 +284,7 @@ def quotient_basis(sub, within):
     """
     if sub.ambient != within.ambient:
         raise LinalgError("ambient dimensions differ")
-    piv = _eliminate(map(_int_row, sub.rows + within.rows), full=True)
+    piv = _eliminate([*sub._piv.values(), *within._piv.values()], full=True)
     if len(piv) != within.dim:
         i = next(i for i, v in enumerate(sub.rows) if within.reduce(v))
         raise LinalgError(f"containment violation: sub basis vector {i} "
@@ -320,21 +318,20 @@ def solve(m, b):
     y.m = 0 and y.b = 1: the first vector of the reduced echelon basis of
     the left kernel of m that is not orthogonal to b, scaled.
     """
-    aug = [dict(r) for r in m.sparse]
+    aug = list(m.num)  # row i of [num | den b], scaled to integers
     for i, x in b.items():
         if not 0 <= i < m.rows:
             raise LinalgError(f"rhs index {i} outside {m.rows} rows")
         if x:
-            aug[i][m.cols] = Fraction(x)
-    piv = _eliminate([_int_row(r) for r in aug if r])
+            x *= m.den
+            aug[i] = {j: x.denominator * y for j, y in aug[i].items()}
+            aug[i][m.cols] = x.numerator
+    piv = _eliminate(aug)
     if m.cols in piv:
         for y in kernel_basis(m.transpose()).rows:
             t = sum(x * b[i] for i, x in y.items() if i in b)
             if t:
                 return NoSolution(len(piv) - 1,
                                   {i: x / t for i, x in y.items()})
-    x = {}
-    for c, row in _reduced(piv):
-        if m.cols in row:
-            x[c] = Fraction(row[m.cols], row[c])
-    return x
+    return {c: Fraction(row[m.cols], row[c])
+            for c, row in _reduced(piv).items() if m.cols in row}

@@ -204,8 +204,8 @@ def acyclic_closure(model, verify_to=0):
         dv = total.d(alg.gen_elem(v.name))
         correction = alg.zero()
         if not dv.is_zero():
-            mat = RatMatrix.from_columns(total._d_columns(m, candidates),
-                                         total.dim(m + 1))
+            den, cols = total._d_columns(m, candidates)
+            mat = RatMatrix.from_columns(cols, total.dim(m + 1), den)
             sol = solve(mat, total.coords(dv, m + 1))
             if isinstance(sol, NoSolution):
                 raise ModelError(
@@ -418,13 +418,10 @@ def minimal_model(target, max_degree):
         cocycle_names = list(new_phi)
 
         # (b) generators of degree n killing ker H^(n+1)(phi), their d
-        # checked to be cocycles in one pass over the rows of d_(n+1)
+        # checked to be cocycles against the integer columns of d_(n+1)
         zs = [combine(vec, model.h_basis(n + 1))
               for vec in kernel_basis(phi.h_matrix(n + 1)).rows]
-        cols = {j: {} for z in zs for j in z}  # d_(n+1) where the zs reach
-        for i, row in enumerate(model.diff_matrix(n + 1).sparse if zs else []):
-            for j in cols.keys() & row.keys():
-                cols[j][i] = row[j]
+        cols = model.diff_matrix(n + 1).transpose().num if zs else []
         if any(combine(z, cols) for z in zs):
             raise ModelError(f"d^2 != 0 on a generator of degree {n}")
         del cols

@@ -28,7 +28,7 @@ from .graded import (
     read_text,
     substitute,
 )
-from .linalg import RatMatrix, combine, kernel_basis, rank
+from .linalg import RatMatrix, combine, homology_dim, kernel_basis, rank
 
 __all__ = [
     "FormError",
@@ -482,8 +482,9 @@ def _delta_matrix(K, k):
 
 def cochain_cohomology(K, max_degree):
     """Dimension table of the normalized cochain cohomology."""
-    return [len(K.simplices(k)) - rank(_delta_matrix(K, k))
-            - (rank(_delta_matrix(K, k - 1)) if k else 0)
+    ranks = {-1: 0}
+    return [homology_dim(len(K.simplices(k)), k, k - 1, ranks,
+                         lambda j: _delta_matrix(K, j))
             for k in range(max_degree + 1)]
 
 
@@ -593,10 +594,11 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
             dim = K.dims[sid]
             at = (dim, sign, name, *args)
             if at not in blocks:
-                blocks[at] = [{i: sign * c for i, c in col.items()}
-                              for col in monomial_columns(on_monomials(
+                den, cols = monomial_columns(on_monomials(
                     lambda e: getattr(PolyForm(dim, e), name)(*args).element,
-                    form_algebra(dim)), bases[sid], index)]
+                    form_algebra(dim)), bases[sid], index)
+                blocks[at] = [{i: Fraction(sign * c, den)
+                               for i, c in col.items()} for col in cols]
             for idx, col in enumerate(blocks[at]):
                 j = var_index[(sid, idx)]
                 for i, c in col.items():  # the terms' simplices differ

@@ -255,8 +255,9 @@ def test_criterion_11_property_suites():
 
     for _ in range(200):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        mat = RatMatrix([[Fraction(rng.randint(-4, 4)) for _ in range(cols)]
-                         for _ in range(rows)], cols=cols)
+        mat = RatMatrix.from_rows([
+            {j: Fraction(rng.randint(-4, 4)) for j in range(cols)}
+            for _ in range(rows)], cols)
         assert rref(mat)[2] + kernel_basis(mat).dim == cols
 
     for _ in range(12):

@@ -34,8 +34,10 @@ rebuilt both at every stage and once more for its closing checks, and run
 those closing checks, rebuilt from scratch, on every result.
 """
 
+import cProfile
 import importlib.util
 import pathlib
+import pstats
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -634,8 +636,10 @@ def _assert_diff_matrices(c, top):
     for k in range(top + 1):
         got = c.diff_matrix(k)
         assert got == reference_diff_matrix(c, k), f"degree {k}"
-        assert all(type(x) is Fraction for row in got.sparse
+        assert all(type(x) is int and x for row in got.num
                    for x in row.values())
+        if c.is_free and got.cols:  # the Leibniz kernel's, as they are
+            assert got.den == c.differential.den
 
 
 @settings(max_examples=150, deadline=None)
@@ -707,6 +711,25 @@ def test_free_loop_ranks_apply_no_derivation_per_monomial(monkeypatch):
     dims = [loops.h_dim(k) for k in range(11)]
     assert dims == [1, 2, 3, 5, 8, 11, 14, 17, 20, 24, 29]
     assert calls == 27
+
+
+def test_free_loop_ranks_make_no_fraction():
+    """h_dim through degree 10 of a built free-loop model of S2xS2xS4
+    whose d has denominator 6: the Leibniz kernel's integers reach the
+    elimination as they are, so cProfile sees no `Fraction` made."""
+    model = Cdga.build("S2xS2xS4", [("y", 2), ("z", 3), ("y_2", 2),
+                                    ("z_2", 3), ("y_3", 4), ("z_3", 7)],
+                       {"z": "1/2*y^2", "z_2": "-2/3*y_2^2",
+                        "z_3": "3*y_3^2"})
+    loops = free_loop_model(model)
+    assert loops.differential.den == 6
+    profile = cProfile.Profile()
+    dims = profile.runcall(lambda: [loops.h_dim(k) for k in range(11)])
+    assert dims == [1, 2, 3, 5, 8, 11, 14, 17, 20, 24, 29]
+    made = [calls for (path, _, name), (calls, *_) in
+            pstats.Stats(profile).stats.items()
+            if name == "__new__" and pathlib.Path(path).name == "fractions.py"]
+    assert sum(made) == 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -264,6 +264,27 @@ def test_file_errors_carry_line_numbers():
         parse_cdga_file("cdga t\ngen y 2\nrel 6 : y^2\n", filename="f")
 
 
+# a comment and a blank line first, so that line 1 would be wrong
+WRONG_DEGREE_DIFF = "cdga a\n# x squared\n\ngen x 2\ngen z 3\ndiff z = x\n"
+REPEATED_DIFF = "cdga a\ngen x 2\ngen z 3\ndiff z = x^2\ndiff z = 5*x^2\n"
+
+
+def test_diff_errors_name_their_own_line():
+    with pytest.raises(CdgaFileError) as exc:
+        parse_cdga_file(WRONG_DEGREE_DIFF, filename="f")
+    assert str(exc.value) == "f:6: image of z has degree 2, expected 4"
+    assert exc.value.line == 6
+    with pytest.raises(CdgaFileError, match="^f:6: inhomogeneous"):
+        parse_cdga_file(WRONG_DEGREE_DIFF.replace("= x", "= x^2 + x"),
+                        filename="f")
+    with pytest.raises(CdgaFileError) as exc:
+        parse_cdga_file(REPEATED_DIFF, filename="f")
+    assert str(exc.value) == "f:5: repeated diff for z"
+    # a zero image has no degree, and stays allowed
+    c = parse_cdga_file(WRONG_DEGREE_DIFF.replace("= x", "= 0"))
+    assert c.differential.images == {}
+
+
 def test_file_relation_presentation():
     text = """\
 cdga h_s2

@@ -40,6 +40,20 @@ def test_parse_error_carries_line_number(capsys, tmp_path):
     assert "oops.cdga:3" in err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("cdga a\n# x squared\n\ngen x 2\ngen z 3\ndiff z = x\n",
+     "a.cdga:6: image of z has degree 2, expected 4"),
+    ("cdga a\ngen x 2\ngen z 3\ndiff z = x^2\ndiff z = 5*x^2\n",
+     "a.cdga:5: repeated diff for z")])
+def test_diff_errors_exit_1_at_their_line(capsys, tmp_path, text, where):
+    f = tmp_path / "a.cdga"
+    f.write_text(text)
+    code, out, err = run(capsys, "minimal-model", str(f), "-N", "4")
+    assert code == 1
+    assert out == ""
+    assert where in err
+
+
 def test_missing_file_is_domain_error(capsys):
     code, out, err = run(capsys, "cohomology", "no_such_file.cdga")
     assert code == 1

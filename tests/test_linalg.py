@@ -3,7 +3,7 @@
 import pathlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +14,7 @@ from sullivan.linalg import (
     LinalgError,
     NoSolution,
     RatMatrix,
+    _eliminate,
     combine,
     image_basis,
     kernel_basis,
@@ -42,12 +43,17 @@ def vectors(basis):
 
 def apply(m, x):
     """m x as a dense list, for a sparse x."""
-    return [sum((a * x.get(j, 0) for j, a in row.items()), Fraction(0))
-            for row in m.sparse]
+    return [sum((a * x.get(j, 0) for j, a in enumerate(row)), Fraction(0))
+            for row in m.data]
+
+
+def matrix(data, cols):
+    """The RatMatrix with dense rows `data`."""
+    return RatMatrix.from_rows([sparse(r) for r in data], cols)
 
 
 def test_rref_dependent_rows():
-    m = RatMatrix([[1, 2], [2, 4]])
+    m = matrix([[1, 2], [2, 4]], 2)
     r, pivots, rank = rref(m)
     assert rank == 1
     assert pivots == [0]
@@ -62,20 +68,20 @@ def test_rref_identity():
 
 
 def test_rref_fractional_full_rank():
-    m = RatMatrix([[Fraction(1, 2), 1], [1, 3]])
+    m = matrix([[Fraction(1, 2), 1], [1, 3]], 2)
     _, _, rank = rref(m)
     assert rank == 2
 
 
 def test_kernel_of_zero_map():
-    m = RatMatrix.zero(2, 3)
+    m = RatMatrix([{}, {}], 3)
     k = kernel_basis(m)
     assert k.dim == 3
     assert image_basis(m).dim == 0
 
 
 def test_kernel_simple():
-    m = RatMatrix([[1, 1]])
+    m = matrix([[1, 1]], 2)
     k = kernel_basis(m)
     assert vectors(k) == [[Fraction(1), Fraction(-1)]]
 
@@ -102,12 +108,12 @@ def test_solve_identity():
 
 
 def test_solve_zeroes_free_variables():
-    m = RatMatrix([[1, 1]])
+    m = matrix([[1, 1]], 2)
     assert dense(solve(m, sparse([2])), 2) == [Fraction(2), Fraction(0)]
 
 
 def test_solve_no_solution_with_certificate():
-    m = RatMatrix([[0]])
+    m = matrix([[0]], 1)
     res = solve(m, sparse([1]))
     assert isinstance(res, NoSolution)
     assert not res
@@ -117,7 +123,7 @@ def test_solve_no_solution_with_certificate():
 
 
 def test_solve_certificate_nontrivial():
-    m = RatMatrix([[1, 2], [2, 4]])
+    m = matrix([[1, 2], [2, 4]], 2)
     b = [Fraction(1), Fraction(3)]
     res = solve(m, sparse(b))
     assert isinstance(res, NoSolution)
@@ -128,9 +134,8 @@ def test_solve_certificate_nontrivial():
 
 
 def _random_matrix(rng, rows, cols):
-    return RatMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                       for _ in range(cols)] for _ in range(rows)],
-                     cols=cols)
+    return matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                    for _ in range(cols)] for _ in range(rows)], cols)
 
 
 def test_rank_nullity_sampled():
@@ -290,19 +295,43 @@ def _from_domain(dm):
 ENTRIES = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+# the integer build's denominator is this times the lcm of the entries'
+SCALES = st.integers(1, 3)
 
 
 @st.composite
 def matrices(draw, max_rows=6, max_cols=6):
+    """(dense Fraction rows, column count, scale of the integer build)."""
     rows = draw(st.integers(0, max_rows))
     cols = draw(st.integers(0 if rows == 0 else 1, max_cols))
-    return [draw(st.lists(ENTRIES, min_size=cols, max_size=cols))
-            for _ in range(rows)], cols
+    return ([draw(st.lists(ENTRIES, min_size=cols, max_size=cols))
+             for _ in range(rows)], cols, draw(SCALES))
 
 
-EXAMPLES = [([], 3), ([[Fraction(0)] * 4] * 3, 4),
-            ([[Fraction(2), Fraction(-1, 2), Fraction(0)]], 3),
-            ([[Fraction(3)], [Fraction(0)], [Fraction(-1, 3)]], 1)]
+def builds(data, cols, scale):
+    """The matrix of `data` built twice: from its sparse Fraction rows, and
+    from integer columns over den = scale * the lcm of its denominators,
+    as the Leibniz kernel hands them over."""
+    den = scale * lcm(1, *[x.denominator for r in data for x in r])
+    columns = [{i: int(r[j] * den) for i, r in enumerate(data) if r[j]}
+               for j in range(cols)]
+    built = [matrix(data, cols),
+             RatMatrix.from_columns(columns, len(data), den)]
+    assert built[1].den == den
+    for m in built:
+        assert (m.rows, m.cols) == (len(data), cols)
+        assert all(type(x) is int and x for r in m.num for x in r.values())
+        assert m.data == [[Fraction(x) for x in r] for r in data]
+        assert m.columns() == [
+            {i: Fraction(r[j]) for i, r in enumerate(data) if r[j]}
+            for j in range(cols)]
+    assert built[0] == built[1]
+    return built
+
+
+EXAMPLES = [([], 3, 1), ([[Fraction(0)] * 4] * 3, 4, 2),
+            ([[Fraction(2), Fraction(-1, 2), Fraction(0)]], 3, 3),
+            ([[Fraction(3)], [Fraction(0)], [Fraction(-1, 3)]], 1, 2)]
 
 
 def examples(f):
@@ -315,106 +344,132 @@ def examples(f):
 @given(matrices())
 @examples
 def test_rref_and_rank_match_dense_reference_and_sympy(mc):
-    data, cols = mc
-    m = RatMatrix(data, cols=cols)
-    red, pivots, rk = rref(m)
+    data, cols, scale = mc
     want, want_pivots = ref_rref(data, cols)
-    assert (red.data, pivots, rk) == (want, want_pivots, len(want_pivots))
-    assert rank(m) == rk
     dm = _domain(data, cols)
     sym, sym_pivots = dm.rref()
-    assert list(sym_pivots) == pivots and dm.rank() == rk
-    assert _from_domain(sym) == red.data
+    for m in builds(data, cols, scale):
+        red, pivots, rk = rref(m)
+        assert (red.data, pivots, rk) == (want, want_pivots, len(want_pivots))
+        assert rank(m) == rk
+        assert list(sym_pivots) == pivots and dm.rank() == rk
+        assert _from_domain(sym) == red.data
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 @examples
 def test_kernel_and_image_match_dense_reference_and_sympy(mc):
-    data, cols = mc
-    m = RatMatrix(data, cols=cols)
-    kernel, image = kernel_basis(m), image_basis(m)
-    assert vectors(kernel) == ref_kernel(data, cols)
-    transposed = [list(c) for c in zip(*data)] if data else []
-    assert vectors(image) == ref_span(transposed, len(data))
+    data, cols, scale = mc
     dm = _domain(data, cols)
     null = dm.nullspace()
     sym_kernel = _from_domain(null) if null.shape[0] else []
-    assert vectors(kernel) == ref_span(sym_kernel, cols)
-    assert kernel.dim == cols - dm.rank()
-    assert image.dim == dm.rank()
-    for v in kernel.rows:
-        assert not any(apply(m, v))
+    transposed = [list(c) for c in zip(*data)] if data else []
+    for m in builds(data, cols, scale):
+        kernel, image = kernel_basis(m), image_basis(m)
+        assert vectors(kernel) == ref_kernel(data, cols)
+        assert vectors(image) == ref_span(transposed, len(data))
+        assert vectors(kernel) == ref_span(sym_kernel, cols)
+        assert kernel.dim == cols - dm.rank()
+        assert image.dim == dm.rank()
+        for v in kernel.rows:
+            assert not any(apply(m, v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@examples
+def test_eliminate_keeps_primitive_rows_positive_at_their_pivots(mc):
+    """The elimination kernel's contract, with and without `full`: one
+    kept row per unit of rank, each primitive and positive at its
+    pivot, its leftmost column; the matrix's rows are left as they
+    are."""
+    data, cols, scale = mc
+    for m in builds(data, cols, scale):
+        before = [dict(r) for r in m.num]
+        for full in (False, True):
+            piv = _eliminate(m.num, full)
+            assert len(piv) == len(ref_span(data, cols))
+            for c, row in piv.items():
+                assert min(row) == c and row[c] > 0
+                assert gcd(*row.values()) == 1
+        assert m.num == before
 
 
 @st.composite
 def quotient_cases(draw):
     """A matrix whose rows span `within`, and integer combinations of
     within's basis spanning `sub`."""
-    data, cols = draw(matrices())
+    data, cols, scale = draw(matrices())
     dim = span_basis([sparse(r) for r in data], cols).dim
     combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim,
                                     max_size=dim), max_size=dim))
-    return data, cols, combos
+    return data, cols, scale, combos
 
 
 @settings(max_examples=150, deadline=None)
 @given(quotient_cases())
-@example(([], 3, []))
-@example(([[Fraction(0)] * 4] * 3, 4, []))
-@example((EXAMPLES[2][0], 3, [[1]]))
-@example(([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]], 2,
+@example(([], 3, 1, []))
+@example(([[Fraction(0)] * 4] * 3, 4, 2, []))
+@example((EXAMPLES[2][0], 3, 3, [[1]]))
+@example(([[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]], 2, 2,
           [[0, 1]]))
 def test_quotient_matches_dense_reference_and_sympy(case):
-    data, cols, combos = case
-    within = span_basis([sparse(r) for r in data], cols)
-    sub_vs = [[sum(a * v[j] for a, v in zip(co, vectors(within)))
-               for j in range(cols)] for co in combos]
-    sub = span_basis([sparse(v) for v in sub_vs], cols)
-    reps = [dense(r, cols) for r in quotient_basis(sub, within)]
-    assert reps == ref_quotient(ref_span(sub_vs, cols), ref_span(data, cols))
-    assert len(reps) == within.dim - sub.dim
-    # sub and the representatives together span within
-    both = vectors(sub) + reps
-    assert ref_span(both, cols) == vectors(within)
-    assert _domain(both, cols).rank() == within.dim
+    """`within` spanned by the matrix's rows, and (built from integer
+    columns) as the column space of its transpose."""
+    data, cols, scale, combos = case
+    transposed = [list(c) for c in zip(*data)] if data else [[]] * cols
+    for within in [span_basis([sparse(r) for r in data], cols),
+                   *map(image_basis, builds(transposed, len(data), scale))]:
+        sub_vs = [[sum(a * v[j] for a, v in zip(co, vectors(within)))
+                   for j in range(cols)] for co in combos]
+        sub = span_basis([sparse(v) for v in sub_vs], cols)
+        reps = [dense(r, cols) for r in quotient_basis(sub, within)]
+        assert reps == ref_quotient(ref_span(sub_vs, cols),
+                                    ref_span(data, cols))
+        assert len(reps) == within.dim - sub.dim
+        # sub and the representatives together span within
+        both = vectors(sub) + reps
+        assert ref_span(both, cols) == vectors(within)
+        assert _domain(both, cols).rank() == within.dim
 
 
 @st.composite
 def systems(draw):
-    data, cols = draw(matrices())
-    return data, cols, draw(st.lists(ENTRIES, min_size=len(data),
-                                     max_size=len(data)))
+    data, cols, scale = draw(matrices())
+    return data, cols, scale, draw(st.lists(ENTRIES, min_size=len(data),
+                                            max_size=len(data)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(systems())
-@example(([], 3, []))
-@example(([[Fraction(0)] * 4] * 3, 4, [Fraction(0), Fraction(1), 0]))
-@example((EXAMPLES[2][0], 3, [Fraction(5)]))
-@example((EXAMPLES[3][0], 1, [Fraction(1), Fraction(1), Fraction(0)]))
+@example(([], 3, 1, []))
+@example(([[Fraction(0)] * 4] * 3, 4, 2, [Fraction(0), Fraction(1), 0]))
+@example((EXAMPLES[2][0], 3, 3, [Fraction(5)]))
+@example((EXAMPLES[3][0], 1, 2, [Fraction(1), Fraction(1), Fraction(0)]))
+@example(([[Fraction(1, 2)]], 1, 3, [Fraction(1, 5)]))
 def test_solve_matches_dense_reference_and_sympy(case):
-    data, cols, b = case
-    m = RatMatrix(data, cols=cols)
-    x = solve(m, sparse(b))
+    data, cols, scale, b = case
     aug = [r + [Fraction(bi)] for r, bi in zip(data, b)]
     red, pivots = ref_rref(aug, cols + 1)
     consistent = cols not in pivots
     assert consistent == (_domain(aug, cols + 1).rank()
                           == _domain(data, cols).rank())
-    if consistent:
-        want = [Fraction(0)] * cols
-        for i, c in enumerate(pivots):
-            want[c] = red[i][cols]
-        assert dense(x, cols) == want
-        assert apply(m, x) == b
-    else:
-        assert isinstance(x, NoSolution)
-        y = dense(x.certificate, len(data))
-        assert len(y) == len(data)
-        for j in range(cols):
-            assert sum(y[i] * data[i][j] for i in range(len(data))) == 0
-        assert sum(yi * bi for yi, bi in zip(y, b)) == 1
+    for m in builds(data, cols, scale):
+        x = solve(m, sparse(b))
+        if consistent:
+            want = [Fraction(0)] * cols
+            for i, c in enumerate(pivots):
+                want[c] = red[i][cols]
+            assert dense(x, cols) == want
+            assert apply(m, x) == b
+        else:
+            assert isinstance(x, NoSolution)
+            y = dense(x.certificate, len(data))
+            assert len(y) == len(data)
+            for j in range(cols):
+                assert sum(y[i] * data[i][j] for i in range(len(data))) == 0
+            assert sum(yi * bi for yi, bi in zip(y, b)) == 1
 
 
 def test_solve_rejects_rhs_index_outside_rows():
@@ -492,8 +547,10 @@ def test_from_columns_matches_the_transposed_rows(case):
     got = RatMatrix.from_columns(cols, n)
     assert got == RatMatrix.from_rows(cols, n).transpose()
     assert (got.rows, got.cols) == (n, len(cols))
-    assert all(type(x) is Fraction and x for row in got.sparse
+    assert all(type(x) is int and x for row in got.num
                for x in row.values())
+    assert got.columns() == [{i: Fraction(x) for i, x in col.items() if x}
+                             for col in cols]
 
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"

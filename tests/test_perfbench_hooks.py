@@ -35,7 +35,7 @@ def test_tracer_target_resolves(module, qualname):
 
 def test_copied_bindings_the_tracer_patches():
     assert sullivan.models.substitute is sullivan.graded.substitute
-    assert sullivan.cdga.rref is sullivan.linalg.rref
+    assert sullivan.cdga.kernel_basis is sullivan.linalg.kernel_basis
 
 
 def test_rref_hook_reads_the_matrix():
