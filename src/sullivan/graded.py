@@ -27,6 +27,8 @@ from math import lcm
 
 from .linalg import combine, scaled
 
+_ONE = Fraction(1)  # the coefficient of a lone monomial, shared
+
 __all__ = [
     "AlgebraError",
     "Generator",
@@ -511,18 +513,16 @@ def monomial_columns(f, monos, index):
 def on_monomials(f, algebra):
     """The linear map f on elements of `algebra` as the map that sends a
     monomial m to the `scaled` terms of f(m)."""
-    one = Fraction(1)
-    return lambda m: scaled(f(AlgElement(algebra, {m: one})).terms)
+    return lambda m: scaled(f(AlgElement(algebra, {m: _ONE})).terms)
 
 
 def memo_linear(f, elem, table, target):
     """The linear map f on `elem`, as an element of `target`: `table` keeps
     f of each monomial met so far as `scaled` integer terms, filled here
     for the monomials of `elem` it lacks, and `combine` sums them."""
-    f = on_monomials(f, elem.algebra)
     for mono, coeff in elem.terms.items():
-        if coeff and mono not in table:
-            table[mono] = f(mono)
+        if mono not in table and coeff:
+            table[mono] = on_monomials(f, elem.algebra)(mono)
     return AlgElement(target, combine(elem.terms, table, prescaled=True))
 
 

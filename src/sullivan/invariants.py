@@ -143,13 +143,14 @@ def pure_filtration_homology(c, k, max_degree):
     layer H_k = ker(d on count k) / d(count k+1) of a pure algebra."""
     if not is_pure(c):
         raise InvariantsError(f"{c.name} is not pure")
-    alg = c.algebra
+    alg, layers = c.algebra, {}  # degree -> {odd-letter count: monomials}
 
     def layer(j, m):
-        if j < 0 or m < 0:
-            return []
-        return [mono for mono in alg.basis_of_degree(m)
-                if _odd_count(alg, mono) == j]
+        if m not in layers:
+            layers[m] = {}
+            for mono in alg.basis_of_degree(m) if m >= 0 else ():
+                layers[m].setdefault(_odd_count(alg, mono), []).append(mono)
+        return layers[m].get(j, [])
 
     def d_matrix(key):  # d on layer j of degree m
         j, m = key

@@ -25,6 +25,7 @@ from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _SMALL = {k: Fraction(k) for k in (-2, -1, 1, 2)}  # shared coefficients
+_NO_ROW = (1, {})
 
 
 class LinalgError(ValueError):
@@ -45,21 +46,35 @@ def ratio(num, den):
     return Fraction(num, den) if r else _SMALL.get(q) or Fraction(q)
 
 
+def scaled_sum(coeffs, rows):
+    """Sum of c * rows[k] over the coefficients {k: c} (int or Fraction)
+    of `scaled` rows, in integers: a scaled row (den, {index: int}), an
+    entry that cancels left out.  A term is skipped, before its
+    coefficient is read, when its row is empty or missing (a zero
+    coefficient needs no row)."""
+    terms, common = [], 1
+    for k, c in coeffs.items():
+        row_den, row = rows.get(k, _NO_ROW)
+        if row and c:
+            d = c.denominator * row_den
+            terms.append((c.numerator, d, row))
+            common = lcm(common, d) if common % d else common
+    acc = {}
+    for num, d, row in terms:
+        f = num * (common // d)
+        for j, x in row.items():
+            acc[j] = acc.get(j, 0) + f * x
+    return common, {j: v for j, v in acc.items() if v}
+
+
 def combine(coeffs, rows, prescaled=False):
     """Sparse sum of c * rows[k] over the coefficients {k: c}, fraction-free:
     the rows, read as `scaled` (or kept so, when `prescaled`), are summed
-    in integers over one common denominator, and one `ratio` is made per
-    nonzero entry of the sum.  An entry that cancels is left out."""
-    terms = [(c.numerator, c.denominator,
-              *(rows[k] if prescaled else scaled(rows[k])))
-             for k, c in coeffs.items() if c]
-    common = lcm(*[den * row_den for _, den, row_den, _ in terms])
-    acc = {}
-    for num, den, row_den, row in terms:
-        f = num * (common // (den * row_den))
-        for j, x in row.items():
-            acc[j] = acc.get(j, 0) + f * x
-    return {j: ratio(v, common) for j, v in acc.items() if v}
+    by `scaled_sum`, and one `ratio` is made per entry of the sum."""
+    if not prescaled:
+        rows = {k: scaled(rows[k]) for k, c in coeffs.items() if c}
+    den, acc = scaled_sum(coeffs, rows)
+    return {j: ratio(v, den) for j, v in acc.items()}
 
 
 class RatMatrix:
@@ -215,27 +230,27 @@ def rref(m):
 
 
 class SubspaceBasis:
-    """Subspace given by its reduced echelon basis, kept as {pivot: the
-    reduced row times its positive pivot entry} in pivot order; `rows`
-    views them as sparse rows {column: Fraction}, 1 at their pivots."""
+    """Subspace given by its reduced echelon basis.  `scaled_rows` keeps
+    it in integers, {pivot: (pivot entry, the reduced row times that
+    positive entry)} in pivot order, each a `scaled` row; `rows` views
+    them as sparse rows {column: Fraction}, 1 at their pivots."""
 
-    __slots__ = ("ambient", "_piv", "rows", "pivots", "dim")
+    __slots__ = ("ambient", "scaled_rows", "rows", "pivots", "dim")
 
     def __init__(self, ambient, piv):
-        self.ambient, self._piv = ambient, piv
-        self.pivots, self.dim = list(piv), len(piv)
+        self.ambient, self.pivots, self.dim = ambient, list(piv), len(piv)
+        self.scaled_rows = {c: (row[c], row) for c, row in piv.items()}
         self.rows = [{j: Fraction(x, row[c]) for j, x in row.items()}
                      for c, row in piv.items()]
 
     def reduce(self, v):
         """Residue of a sparse row v modulo the subspace, as a sparse
         {column: Fraction}: its pivot coordinates eliminated."""
-        coeffs = {c: -x for c, x in v.items() if c in self._piv}
+        coeffs = {c: -x for c, x in v.items() if c in self.scaled_rows}
         if not coeffs:
             return {j: Fraction(x) for j, x in v.items() if x}
-        return combine({-1: 1, **coeffs}, {
-            -1: scaled(v), **{c: (self._piv[c][c], self._piv[c])
-                              for c in coeffs}}, prescaled=True)
+        return combine({-1: 1, **coeffs}, {-1: scaled(v), **{
+            c: self.scaled_rows[c] for c in coeffs}}, prescaled=True)
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient})"
@@ -284,7 +299,8 @@ def quotient_basis(sub, within):
     """
     if sub.ambient != within.ambient:
         raise LinalgError("ambient dimensions differ")
-    piv = _eliminate([*sub._piv.values(), *within._piv.values()], full=True)
+    piv = _eliminate([row for b in (sub, within)
+                      for _, row in b.scaled_rows.values()], full=True)
     if len(piv) != within.dim:
         i = next(i for i, v in enumerate(sub.rows) if within.reduce(v))
         raise LinalgError(f"containment violation: sub basis vector {i} "

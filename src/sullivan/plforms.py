@@ -4,11 +4,13 @@ A form on the n-simplex lives in the coordinate algebra on t_1..t_n
 (degree 0) and y_1..y_n (degree 1) with dt_i = y_i; the index-0
 coordinates are always eliminated through t_0 = 1 - sum t_i and
 y_0 = -sum y_i, and reintroduced transiently inside the face
-substitutions.  Finite simplicial sets are given by nondegenerate
-simplices with face data carrying degeneracy words; integration sends a
-compatible family of k-forms to a normalized rational k-cochain, exactly,
-via the Dirichlet simplex integral
-prod(a_i!) / (k + sum a_i)! for the monomial t^a dt_1...dt_k.
+substitutions.  Faces, degeneracies and d keep tables of their monomial
+images as scaled integers; the sampler builds its compatibility system
+from them and keeps its kernel in integer rows.  Finite simplicial sets
+are given by nondegenerate simplices with face data carrying degeneracy
+words; integration sends a compatible family of k-forms to a normalized
+rational k-cochain, exactly, via the Dirichlet simplex integral
+prod(a_i!) / (k + sum a_i)! for the monomial t^a dt_1...dt_k (a table).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, lcm, prod
 
 from .graded import (
     AlgElement,
@@ -28,7 +30,8 @@ from .graded import (
     read_text,
     substitute,
 )
-from .linalg import RatMatrix, combine, homology_dim, kernel_basis, rank
+from .linalg import (RatMatrix, combine, homology_dim, kernel_basis, rank,
+                     scaled_sum)
 
 __all__ = [
     "FormError",
@@ -82,7 +85,8 @@ def _coordinate(alg, n, letter, i):
 
 
 _DIFFS = {}  # n -> (d on the n-simplex, {monomial: scaled d of it})
-_PULLBACKS = {}  # (n, m, vertex map) -> (images, {monomial: scaled image})
+_PULLBACKS = {}  # (n, m, vertex map) -> (pullback, {monomial: image}, m)
+_INTEGRALS = {}  # k -> {monomial: scaled integral over the k-simplex}
 
 
 def _form_diff(n):
@@ -91,6 +95,48 @@ def _form_diff(n):
         _DIFFS[n] = (Derivation(alg, +1, {
             f"t{i}": alg.gen_elem(f"y{i}") for i in range(1, n + 1)}), {})
     return _DIFFS[n]
+
+
+def _pullback(n, m, vertices):
+    """The pullback along the simplicial map from the m-simplex with vertex
+    map `vertices`: t_k and y_k go to the sums of t_j and y_j over the
+    vertices j sent to k.  It is linear, so `_PULLBACKS` keeps, per map,
+    the image of every monomial met so far, and `substitute` runs once per
+    (map, monomial).  Returns (map on elements, table, m)."""
+    key = (n, m, tuple(vertices))
+    if key not in _PULLBACKS:
+        src, tgt = form_algebra(n), form_algebra(m)
+        images = {src.generator(f"{letter}{k}").ordinal:
+                  sum((_coordinate(tgt, m, letter, j)
+                       for j, v in enumerate(vertices) if v == k), tgt.zero())
+                  for letter in "ty" for k in range(1, n + 1)}
+        _PULLBACKS[key] = (lambda e: substitute(e, images, tgt), {}, m)
+    return _PULLBACKS[key]
+
+
+def _moves(n, name, *args):
+    """The maps that a face, a degeneracy word (outermost first) or d of
+    the n-simplex applies in turn, as `_pullback` gives them."""
+    if name == "d":
+        diff, table = _form_diff(n)
+        return [(diff.apply, table, n)]
+    if name == "face":
+        return [_pullback(n, n - 1, [j + (j >= args[0]) for j in range(n)])]
+    return [_pullback(m, m + 1, [j - (j > i) for j in range(m + 2)])
+            for m, i in enumerate(reversed(args[0]), start=n)]
+
+
+def _scaled_image(moves, n, mono):
+    """A monomial of the n-simplex carried through `moves` in turn, as
+    `scaled` integer terms (den, {monomial: int}): each move's image of a
+    monomial is read from its table, and filled there when missing."""
+    den, terms = 1, {mono: 1}
+    for f, table, m in moves:
+        for x in [x for x in terms if x not in table]:
+            table[x] = on_monomials(f, form_algebra(n))(x)
+        d, terms = scaled_sum(terms, table)
+        den, n = den * d, m
+    return den, terms
 
 
 class PolyForm:
@@ -113,15 +159,9 @@ class PolyForm:
     def is_zero(self):
         return self.element.is_zero()
 
-    def form_degree(self):
-        """Exterior degree (number of y factors); None for the zero form."""
-        return self.element.degree()
-
     def d(self):
         """The exterior derivative, read through a table as faces are."""
-        diff, table = _form_diff(self.dim)
-        return PolyForm(self.dim, memo_linear(diff.apply, self.element, table,
-                                              diff.algebra))
+        return self._move(*_moves(self.dim, "d"))
 
     def face(self, i):
         """Restriction along the i-th coface, landing on dimension n-1."""
@@ -130,7 +170,7 @@ class PolyForm:
             raise FormError("no faces on the 0-simplex")
         if not 0 <= i <= n:
             raise FormError(f"face index {i} out of range for dimension {n}")
-        return self._pullback(n - 1, lambda j: j + (j >= i))
+        return self._move(*_moves(n, "face", i))
 
     def degen(self, i):
         """Pullback along the i-th codegeneracy, landing on dimension n+1."""
@@ -138,27 +178,12 @@ class PolyForm:
         if not 0 <= i <= n:
             raise FormError(f"degeneracy index {i} out of range for "
                             f"dimension {n}")
-        return self._pullback(n + 1, lambda j: j - (j > i))
+        return self._move(*_moves(n, "degen_word", (i,)))
 
-    def _pullback(self, m, vertex):
-        """Pullback along the simplicial map from the m-simplex with vertex
-        map `vertex`: t_k and y_k go to the sums of t_j and y_j over the
-        vertices j that `vertex` sends to k.  It is linear, so `_PULLBACKS`
-        keeps each map's generator images and the image of every monomial
-        met so far, and `substitute` runs once per (map, monomial)."""
-        n = self.dim
-        src, tgt = form_algebra(n), form_algebra(m)
-        key = (n, m, tuple(vertex(j) for j in range(m + 1)))
-        if key not in _PULLBACKS:
-            _PULLBACKS[key] = ({src.generator(f"{letter}{k}").ordinal:
-                                sum((_coordinate(tgt, m, letter, j)
-                                     for j, v in enumerate(key[2]) if v == k),
-                                    tgt.zero())
-                                for letter in "ty" for k in range(1, n + 1)},
-                               {})
-        images, table = _PULLBACKS[key]
-        return PolyForm(m, memo_linear(lambda e: substitute(e, images, tgt),
-                                       self.element, table, tgt))
+    def _move(self, move):
+        f, table, m = move
+        return PolyForm(m, memo_linear(f, self.element, table,
+                                       form_algebra(m)))
 
     def degen_word(self, word):
         """Pullback along a degeneracy word (outermost first)."""
@@ -171,18 +196,11 @@ class PolyForm:
         self._same(other)
         return PolyForm(self.dim, self.element + other.element)
 
-    def __sub__(self, other):
-        self._same(other)
-        return PolyForm(self.dim, self.element - other.element)
-
     def __mul__(self, other):
         if isinstance(other, PolyForm):
             self._same(other)
             return PolyForm(self.dim, self.element * other.element)
         return PolyForm(self.dim, self.element.scale(other))
-
-    def scale(self, c):
-        return PolyForm(self.dim, self.element.scale(c))
 
     def _same(self, other):
         if self.dim != other.dim:
@@ -394,13 +412,6 @@ class Cochain:
                 out.pop(sid, None)
         return Cochain(self.complex, self.degree, out)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return Cochain(self.complex, self.degree,
-                       {sid: c * v for sid, v in self.values.items()})
-
     def _same(self, other):
         if self.complex is not other.complex or self.degree != other.degree:
             raise FormError("cochain mismatch")
@@ -417,35 +428,25 @@ class Cochain:
         return f"Cochain(deg {self.degree}; {vals})"
 
 
-def _simplex_integral(n, exps):
-    """Exact integral of t_1^a1 ... t_n^an dt_1...dt_n over the n-simplex."""
-    num = 1
-    for a in exps:
-        num *= factorial(a)
-    return Fraction(num, factorial(n + sum(exps)))
-
-
 def integrate(gf):
     """The integration cochain map: integrate the top coefficient of each
-    degree-k form over its k-simplex."""
-    K = gf.complex
-    k = gf.degree
+    degree-k form over its k-simplex.  A monomial t^a y_1...y_k (the
+    exterior part of a k-form on the k-simplex) integrates to the
+    Dirichlet integral prod(a_i!) / (k + sum a_i)!, kept in `_INTEGRALS`
+    as a `scaled` row {0: numerator} over that denominator."""
+    K, k = gf.complex, gf.degree
+    table = _INTEGRALS.setdefault(k, {})
     values = {}
     for sid in K.simplices(k):
-        form = gf.form(sid)
-        alg = form.element.algebra
-        total = Fraction(0)
-        for mono, coeff in form.element.terms.items():
-            exps = [0] * k
-            for o, p in mono:
-                g = alg.by_ordinal(o)
-                if g.degree == 0:
-                    exps[int(g.name[1:]) - 1] = p
-            # the exterior part of a k-form on the k-simplex is
-            # y_1 ^ ... ^ y_k, already in ascending storage order
-            total += coeff * _simplex_integral(k, exps)
-        if total:
-            values[sid] = total
+        terms = gf.form(sid).element.terms
+        for mono in terms:
+            if mono not in table:
+                exps = [p for o, p in mono if o < k]  # t_1..t_k come first
+                table[mono] = (factorial(k + sum(exps)),
+                               {0: prod(map(factorial, exps))})
+        value = combine(terms, table, prescaled=True)
+        if value:
+            values[sid] = value[0]
     return Cochain(K, k, values)
 
 
@@ -488,21 +489,12 @@ def cochain_cohomology(K, max_degree):
             for k in range(max_degree + 1)]
 
 
-def _front_face(K, sid, p):
-    """Front p-face: drop the trailing vertices one at a time."""
-    expr = (sid, ())
-    dim = K.dims[sid]
+def _end_face(K, sid, p, back):
+    """Front p-face (drop the trailing vertices one at a time), or back
+    p-face (drop the leading ones)."""
+    expr, dim = (sid, ()), K.dims[sid]
     while dim > p:
-        expr = K.face_expr(expr, dim)
-        dim -= 1
-    return expr
-
-
-def _back_face(K, sid, q):
-    expr = (sid, ())
-    dim = K.dims[sid]
-    while dim > q:
-        expr = K.face_expr(expr, 0)
+        expr = K.face_expr(expr, 0 if back else dim)
         dim -= 1
     return expr
 
@@ -514,8 +506,8 @@ def cochain_cup(a, b):
     p, q = a.degree, b.degree
     values = {}
     for sid in K.simplices(p + q):
-        fa, wa = _front_face(K, sid, p)
-        fb, wb = _back_face(K, sid, q)
+        fa, wa = _end_face(K, sid, p, back=False)
+        fb, wb = _end_face(K, sid, q, back=True)
         va = a.value(fa) if not wa else Fraction(0)
         vb = b.value(fb) if not wb else Fraction(0)
         if va and vb:
@@ -553,25 +545,25 @@ def boundary_delta(n, name=None):
     return SimplicialComplexFin(name or f"bddelta{n}", dims, faces)
 
 
-BUILTIN_COMPLEXES = ("delta2", "delta3", "bddelta3")
+_BUILTINS = {"delta2": (delta_complex, 2), "delta3": (delta_complex, 3),
+             "bddelta3": (boundary_delta, 3)}
+BUILTIN_COMPLEXES = tuple(_BUILTINS)
 
 
 def builtin_complex(name):
-    if name == "delta2":
-        return delta_complex(2)
-    if name == "delta3":
-        return delta_complex(3)
-    if name == "bddelta3":
-        return boundary_delta(3)
-    raise FormError(f"unknown builtin complex {name!r} "
-                    f"(have {', '.join(BUILTIN_COMPLEXES)})")
+    if name not in _BUILTINS:
+        raise FormError(f"unknown builtin complex {name!r} "
+                        f"(have {', '.join(BUILTIN_COMPLEXES)})")
+    build, n = _BUILTINS[name]
+    return build(n)
 
 
 # ----- sampling and Stokes verification -----
 
 def _compatibility_kernel(K, degree, poly_cap, closed=False):
     """Kernel basis of the face-compatibility system (plus closedness when
-    asked) over the per-simplex monomial coefficient spaces."""
+    asked) over the per-simplex monomial coefficient spaces, as the
+    `scaled_rows` of a SubspaceBasis."""
     key = (degree, poly_cap, closed)
     if key in K._sample_cache:
         return K._sample_cache[key]
@@ -581,29 +573,24 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
         (sid, idx) for sid in order for idx in range(len(bases[sid])))}
     indices = {(n, k): {m: i for i, m in enumerate(form_basis(n, k, poly_cap))}
                for n in range(K.top_dim + 1) for k in (degree, degree + 1)}
-    rows, blocks = [], K._sample_cache.setdefault((degree, poly_cap), {})
+    system, blocks = [], K._sample_cache.setdefault((degree, poly_cap), {})
 
     def equate(n, k, terms):
-        """Rows of sum(sign * move(form on sid)) = 0 in k-forms on the
-        n-simplex, for terms (sid, sign, (PolyForm method, *args)); the
-        signed block of a move is built once per simplex dimension, and
-        shared by the open and the closed system."""
-        index = indices[n, k]
-        block = [{} for _ in index]
-        for sid, sign, (name, *args) in terms:
-            dim = K.dims[sid]
-            at = (dim, sign, name, *args)
+        """The equation sum(sign * move(form on sid)) = 0 in k-forms on the
+        n-simplex, for terms (sid, sign, (move name, *args)).  The block of
+        a move, integer columns over a denominator read from the tables of
+        `_moves`, is built once per simplex dimension, and shared by the
+        open and the closed system."""
+        parts = []
+        for sid, sign, move in terms:
+            at = (K.dims[sid], *move)
             if at not in blocks:
-                den, cols = monomial_columns(on_monomials(
-                    lambda e: getattr(PolyForm(dim, e), name)(*args).element,
-                    form_algebra(dim)), bases[sid], index)
-                blocks[at] = [{i: Fraction(sign * c, den)
-                               for i, c in col.items()} for col in cols]
-            for idx, col in enumerate(blocks[at]):
-                j = var_index[(sid, idx)]
-                for i, c in col.items():  # the terms' simplices differ
-                    block[i][j] = c
-        rows.extend(block)
+                moves = _moves(*at)
+                blocks[at] = monomial_columns(
+                    lambda m: _scaled_image(moves, at[0], m), bases[sid],
+                    indices[n, k])
+            parts.append((sid, sign, blocks[at]))
+        system.append((len(indices[n, k]), parts))
 
     for sid in order:
         dim = K.dims[sid]
@@ -613,32 +600,37 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
                                      (tgt, -1, ("degen_word", word))])
         if closed:
             equate(dim, degree + 1, [(sid, 1, ("d",))])
-    kernel = kernel_basis(RatMatrix.from_rows(rows, len(var_index)))
-    result = (order, bases, var_index, kernel.rows)
+    den = lcm(*[d for _, parts in system for _, _, (d, _) in parts])
+    rows = []
+    for size, parts in system:
+        block = [{} for _ in range(size)]
+        for sid, sign, (d, cols) in parts:
+            f = sign * (den // d)
+            for idx, col in enumerate(cols):
+                j = var_index[(sid, idx)]
+                for i, c in col.items():  # the terms' simplices differ
+                    block[i][j] = f * c
+        rows.extend(block)
+    kernel = kernel_basis(RatMatrix(rows, len(var_index), den))
+    result = (order, bases, var_index, kernel.scaled_rows)
     K._sample_cache[key] = result
     return result
 
 
 def _assemble(K, degree, order, bases, var_index, vec):
-    assignment = {}
-    for sid in order:
-        alg = form_algebra(K.dims[sid])
-        terms = {}
-        for idx, mono in enumerate(bases[sid]):
-            c = vec.get(var_index[(sid, idx)])
-            if c:
-                terms[mono] = c
-        assignment[sid] = PolyForm(K.dims[sid], AlgElement(alg, terms))
-    return GlobalForm(K, degree, assignment)
+    return GlobalForm(K, degree, {sid: PolyForm(K.dims[sid], AlgElement(
+        form_algebra(K.dims[sid]),
+        {mono: c for idx, mono in enumerate(bases[sid])
+         if (c := vec.get(var_index[sid, idx]))})) for sid in order})
 
 
 def _sample(K, degree, poly_cap, seed, closed):
     order, bases, var_index, kernel = _compatibility_kernel(
         K, degree, poly_cap, closed)
     rng = random.Random(seed)
-    coeffs = {k: rng.randint(-3, 3) for k in range(len(kernel))}
+    coeffs = {c: rng.randint(-3, 3) for c in kernel}
     return _assemble(K, degree, order, bases, var_index,
-                     combine(coeffs, kernel))
+                     combine(coeffs, kernel, prescaled=True))
 
 
 def sample_global_form(K, degree, poly_cap, seed):
@@ -683,13 +675,13 @@ class StokesReport:
 def verify_stokes(K, trials, poly_cap, seed):
     """Check integrate(d w) = delta(integrate(w)) exactly on sampled
     global forms, and compare the rank of integration on sampled cocycles
-    with the cochain cohomology dimensions.  The pullback table starts
-    empty, and so do the tables of d, so a call does the same work
-    whatever ran before it."""
+    with the cochain cohomology dimensions.  The pullback tables start
+    empty, and so do the tables of d and of integrals, so a call does the
+    same work whatever ran before it."""
     if trials < 1:
         raise FormError("need at least one trial")
-    _PULLBACKS.clear()
-    _DIFFS.clear()
+    for table in (_PULLBACKS, _DIFFS, _INTEGRALS):
+        table.clear()
     records = []
     for t in range(trials):
         degree = t % (K.top_dim + 1)
@@ -735,12 +727,16 @@ def parse_scomplex_file(text, filename="<scomplex>", check=True):
         if kw == "scomplex":
             if len(parts) != 2:
                 raise FormError(f"{filename}:{lineno}: expected: scomplex <name>")
+            if name is not None:
+                raise FormError(f"{filename}:{lineno}: repeated scomplex line")
             name = parts[1]
         elif kw == "simplex":
             if len(parts) != 3:
                 raise FormError(f"{filename}:{lineno}: expected: "
                                 f"simplex <id> <dim>")
             sid = parts[1]
+            if sid in dims:
+                raise FormError(f"{filename}:{lineno}: repeated simplex {sid}")
             try:
                 dims[sid] = int(parts[2])
             except ValueError:
@@ -774,6 +770,9 @@ def parse_scomplex_file(text, filename="<scomplex>", check=True):
             bad = _face_defect(dims[sid], i, word)
             if bad:
                 raise FormError(f"{filename}:{lineno}: {bad}")
+            if (sid, i) in faces:
+                raise FormError(f"{filename}:{lineno}: repeated face {i} of "
+                                f"{sid}")
             faces[(sid, i)] = (tgt, tuple(word))
         else:
             raise FormError(f"{filename}:{lineno}: unknown keyword {kw!r}")

@@ -21,7 +21,8 @@ Differential matrices are assembled from the integer Leibniz kernel
 replaced, through elements (the reference Leibniz rule, then the
 quotient's reduction, then coordinates), on free algebras, word-length
 quotients and relation quotients.  `PolyForm.d` reads a table as the
-pullbacks do, emptied by every `verify_stokes` call.
+pullbacks do, and `integrate` one of monomial integrals, each emptied by
+every `verify_stokes` call.
 
 Monomial bases are a per-degree table kept on each algebra; the basis
 tests check it against the backtracking search it replaced, whatever the
@@ -36,6 +37,7 @@ those closing checks, rebuilt from scratch, on every result.
 
 import cProfile
 import importlib.util
+import math
 import pathlib
 import pstats
 import random
@@ -868,6 +870,20 @@ def test_stokes_differentials_do_not_depend_on_earlier_calls():
     assert counts[0] == counts[1] > 0
 
 
+def test_stokes_integrals_do_not_depend_on_earlier_calls(monkeypatch):
+    """verify_stokes also starts from an empty table of integrals: each
+    monomial's Dirichlet integral is computed afresh in every call."""
+    calls = []
+    monkeypatch.setattr(plforms, "factorial",
+                        lambda n: calls.append(n) or math.factorial(n))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert verify_stokes(builtin_complex("delta2"), 3, 2, seed=1).ok
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 # ----- monomial bases -----
 
 WORD_MAX = st.one_of(st.none(), st.integers(0, 5))
@@ -1085,4 +1101,5 @@ def test_blocks_built_once_match_the_per_face_assembly(
             want = RatMatrix.from_rows(*reference_compatibility_rows(
                 K, degree, poly_cap, closed))
             assert seen == [want]
-            assert kernel == kernel_basis(want).rows
+            assert [{j: Fraction(x, p) for j, x in row.items()}
+                    for p, row in kernel.values()] == kernel_basis(want).rows

@@ -263,6 +263,20 @@ def test_pl_verify_zero_trials_is_usage_error(capsys):
     assert "--trials" in err
 
 
+@pytest.mark.parametrize("extra, line", [
+    ("scomplex again\n", 6), ("simplex e 1\n", 6), ("simplex e 2\n", 6),
+    ("face e 0 = p\n", 6)])
+def test_repeated_scx_line_exits_1_at_its_line(capsys, tmp_path, extra,
+                                                line):
+    f = tmp_path / "c.scx"
+    f.write_text("scomplex circle\nsimplex p 0\nsimplex e 1\n"
+                 "face e 0 = p\nface e 1 = p\n" + extra)
+    code, out, err = run(capsys, "pl-verify", str(f), "--trials", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {f}:{line}: repeated ")
+
+
 FILE_COMMANDS = ["validate", "cohomology", "minimal-model", "loop",
                  "free-loop", "path-space", "classify", "invariants",
                  "pl-verify"]

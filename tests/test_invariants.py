@@ -1,5 +1,7 @@
 """Purity, finiteness, ellipticity numerology, category bounds, series."""
 
+import pathlib
+
 import pytest
 
 from sullivan.catalog import (
@@ -12,7 +14,7 @@ from sullivan.catalog import (
     sphere_model,
     wedge_cohomology,
 )
-from sullivan.cdga import Cdga
+from sullivan.cdga import Cdga, load_cdga
 from sullivan.invariants import (
     ExceededBound,
     ExponentProfile,
@@ -36,6 +38,8 @@ from sullivan.invariants import (
     torus_rank_bound,
 )
 from sullivan.models import loop_cohomology, minimal_model
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 # ----- purity -----
@@ -87,6 +91,20 @@ def test_top_class_sits_in_layer_r():
         n = prof.formal_dimension_candidate
         dims = pure_filtration_homology(c, r, n)
         assert dims[n] > 0
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.cdga")),
+                         ids=lambda path: path.stem)
+def test_bottom_filtration_layer_matches_the_even_subalgebra_quotient(path):
+    """H_0 of the odd-letter filtration of the pure algebra, from the whole
+    basis bucketed by odd-letter count, against `finiteness_test`, which
+    works over the even subalgebra alone, on every shipped model (a
+    cohomology file through its minimal model to degree 10)."""
+    c = load_cdga(path)
+    model = c if c.is_free else minimal_model(c, 10).model
+    pure = model if is_pure(model) else associated_pure(model)
+    want = finiteness_test(model, 24).h0_dims
+    assert pure_filtration_homology(pure, 0, len(want) - 1) == want
 
 
 # ----- finiteness -----

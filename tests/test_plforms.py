@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sullivan import plforms
 from sullivan.graded import AlgElement
+from sullivan.linalg import kernel_basis
 from sullivan.plforms import (
     Cochain,
     FormError,
@@ -170,6 +172,26 @@ face e 1 = p
     assert cochain_cohomology(K, 1) == [1, 1]
 
 
+CIRCLE = ("scomplex circle\nsimplex p 0\nsimplex e 1\n"
+          "face e 0 = p\nface e 1 = p\n")
+REPEATED_SCX = {
+    "scomplex": (CIRCLE + "scomplex circle2\n", 6, "repeated scomplex line"),
+    "simplex": (CIRCLE + "simplex e 1\n", 6, "repeated simplex e"),
+    "simplex-redeclared": (CIRCLE + "simplex e 2\n", 6, "repeated simplex e"),
+    "face": (CIRCLE + "face e 0 = p\n", 6, "repeated face 0 of e"),
+    "face-elsewhere": (CIRCLE.replace("face e 1 = p\n", "face e 0 = p\n"),
+                       5, "repeated face 0 of e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_SCX))
+def test_repeated_scx_line_is_an_error_at_its_own_line(name):
+    text, line, what = REPEATED_SCX[name]
+    with pytest.raises(FormError) as exc:
+        parse_scomplex_file(text, filename="c.scx")
+    assert str(exc.value) == f"c.scx:{line}: {what}"
+
+
 # ----- cochains -----
 
 def test_cochain_cohomology_boundary_delta3():
@@ -220,6 +242,32 @@ def test_volume_normalization_top_monomial():
         assert integrate(gf).value(top) == Fraction(1, math.factorial(n))
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_integrate_matches_sympy_iterated_integrals(k):
+    """Every top-degree monomial of poly degree <= 3 on the k-simplex,
+    against sympy's exact iterated integral over
+    {t_i >= 0, t_1 + ... + t_k <= 1}; each form is integrated twice, so
+    that the second value is read from the table of integrals."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols(f"t1:{k + 1}")
+    K = delta_complex(k)
+    top = "".join(str(v) for v in range(k + 1))
+    alg = form_algebra(k)
+    for mono in form_basis(k, k, 3):
+        integrand = sympy.Integer(1)
+        for o, p in mono:
+            if o < k:
+                integrand *= t[o] ** p
+        for i in reversed(range(k)):
+            integrand = sympy.integrate(integrand,
+                                        (t[i], 0, 1 - sum(t[:i])))
+        want = Fraction(int(integrand.p), int(integrand.q))
+        form = PolyForm(k, AlgElement(alg, {mono: Fraction(3, 7)}))
+        gf = GlobalForm(K, k, {top: form}, check=False)
+        for _ in range(2):
+            assert integrate(gf).values == {top: Fraction(3, 7) * want}
+
+
 # ----- sampling and Stokes -----
 
 def test_sample_is_deterministic():
@@ -260,17 +308,18 @@ COMPLEXES = {
 
 
 def _dense_sample(K, degree, poly_cap, seed, closed):
-    """The sampler as it was before sparse rows: the kernel vectors summed
+    """The sampler as it was before sparse rows: the kernel vectors, read
+    as Fractions from their integer rows over their pivot entries, summed
     into a dense list of Fractions, one scaled entry at a time."""
     order, bases, var_index, kernel = _compatibility_kernel(
         K, degree, poly_cap, closed)
     rng = random.Random(seed)
     vec = [Fraction(0)] * len(var_index)
-    for kv in kernel:
+    for pivot_entry, row in kernel.values():
         c = rng.randint(-3, 3)
         if c:
-            for i, x in kv.items():
-                vec[i] += c * x
+            for i, x in row.items():
+                vec[i] += c * Fraction(x, pivot_entry)
     return _assemble(K, degree, order, bases, var_index, dict(enumerate(vec)))
 
 
@@ -355,10 +404,31 @@ def test_validation_reports_a_face_target_on_the_wrong_dimension():
         "form on p is not a homogeneous form on a 0-simplex"]
 
 
+@pytest.mark.parametrize("name", ["delta3", "bddelta3", "s2_one_cell"])
+def test_compatibility_system_reaches_the_kernel_as_integers(monkeypatch,
+                                                              name):
+    """Blocks read from the integer memo tables: the matrix handed to
+    `kernel_basis` holds only int entries, over one denominator."""
+    K = (load_scomplex(DATA / "s2_one_cell.scx") if name == "s2_one_cell"
+         else builtin_complex(name))
+    seen = []
+    monkeypatch.setattr(plforms, "kernel_basis",
+                        lambda m: seen.append(m) or kernel_basis(m))
+    for degree in range(K.top_dim + 1):
+        sample_closed_global_form(K, degree, 3, seed=1)
+        sample_global_form(K, degree, 3, seed=1)
+    assert len(seen) == 2 * (K.top_dim + 1)
+    assert all(type(x) is int and x for m in seen for row in m.num
+               for x in row.values())
+    assert all(type(m.den) is int and m.den > 0 for m in seen)
+
+
 def test_stokes_builds_each_face_block_once(monkeypatch):
     """One block per (simplex dimension, map), shared by the open and the
-    closed system; assembling one per (simplex, face) took 5,232 face
-    pullbacks here."""
+    closed system and read from the pullback tables, so that every face
+    pullback left is a check of a sampled form in `GlobalForm.validate`;
+    assembling one block per (simplex, face) took 5,232 face pullbacks
+    here, and one per dimension through `PolyForm.face` 3,576."""
     calls = 0
     original = PolyForm.face
 
@@ -369,7 +439,7 @@ def test_stokes_builds_each_face_block_once(monkeypatch):
 
     monkeypatch.setattr(PolyForm, "face", counted)
     assert verify_stokes(builtin_complex("delta3"), 20, 3, 1).ok
-    assert calls == 3576
+    assert calls == 2800
 
 
 def test_stokes_delta2():
