@@ -113,7 +113,7 @@ class Cdga:
         self._diff_cache = {}
         self._kernels = {}
         self._rank_cache = {}
-        self._h_cache = {}
+        self._h_cache, self._class_mats = {}, {}
         if check:
             defects = self.validate()
             if defects:
@@ -289,7 +289,7 @@ class Cdga:
     # ----- cohomology -----
 
     def _h_data(self, k):
-        """(sparse H^k representatives, matrix [reps | B^k basis])."""
+        """(sparse H^k representatives, the SubspaceBasis B^k)."""
         if k not in self._h_cache:
             z = self._kernels.pop(k, None)  # carried in by `extend`
             if z is None:  # the top kernel taken here is kept for `extend`
@@ -297,9 +297,7 @@ class Cdga:
                 if k >= max(self._kernels, default=k):
                     self._kernels = {k: z}
             b = image_basis(self.diff_matrix(k - 1))  # d_(-1) has no columns
-            reps = quotient_basis(b, z)
-            mat = RatMatrix.from_columns(reps + b.rows, self.dim(k))
-            self._h_cache[k] = (reps, mat)
+            self._h_cache[k] = (quotient_basis(b, z), b)
         return self._h_cache[k]
 
     def h_dim(self, k):
@@ -318,9 +316,13 @@ class Cdga:
         return [self.element(k, v) for v in self.h_basis(k)]
 
     def class_coords(self, elem, k):
-        """Sparse coordinates of a cocycle's class in the chosen H^k basis."""
-        reps, mat = self._h_data(k)
-        sol = solve(mat, self.coords(elem, k))
+        """Sparse coordinates of a cocycle's class in the chosen H^k basis,
+        solved against [reps | B^k basis], built on first use."""
+        reps, b = self._h_data(k)
+        if k not in self._class_mats:
+            self._class_mats[k] = RatMatrix.from_columns(reps + b.rows,
+                                                         self.dim(k))
+        sol = solve(self._class_mats[k], self.coords(elem, k))
         if isinstance(sol, NoSolution):
             raise CdgaError(f"element of degree {k} is not a cocycle "
                             f"modulo boundaries")

@@ -103,16 +103,8 @@ def is_pure(c):
     even subalgebra."""
     if not c.is_free:
         raise InvariantsError("purity is defined for free CDGAs")
-    for g in c.algebra.generators:
-        dg = c.differential.images.get(g.ordinal)
-        if dg is None:
-            continue
-        if g.degree % 2 == 0:
-            if not dg.is_zero():
-                return False
-        elif _even_part(dg) != dg:
-            return False
-    return True
+    return all(c.algebra.degree_of(o) % 2 and _even_part(dg) == dg
+               for o, dg in c.differential.images.items())
 
 
 def associated_pure(c):
@@ -120,17 +112,10 @@ def associated_pure(c):
     differential; the result is pure and squares to zero."""
     if not c.is_free:
         raise InvariantsError("associated pure algebra needs a free CDGA")
-    images = {}
-    for g in c.algebra.generators:
-        if g.degree % 2 == 0:
-            continue
-        dg = c.differential.images.get(g.ordinal)
-        if dg is None:
-            continue
-        part = _even_part(dg)
-        if not part.is_zero():
-            images[g.name] = part
-    d = Derivation(c.algebra, +1, images)
+    images = c.differential.images  # Derivation drops a zero even part
+    d = Derivation(c.algebra, +1, {
+        g.ordinal: _even_part(images[g.ordinal]) for g in c.algebra.generators
+        if g.degree % 2 and g.ordinal in images})
     return Cdga(f"{c.name}-pure", c.algebra, d)
 
 

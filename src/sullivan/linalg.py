@@ -11,8 +11,9 @@ kept so far (pivot: leftmost nonzero column, taken by the first row
 there).  `rank` counts the kept rows and makes no Fraction.  `_reduced`
 back-substitutes to the reduced echelon form, each row up to its pivot
 entry, which a `SubspaceBasis` keeps as it is for `quotient_basis` to
-read.  Fractions are made only for the vectors that leave: basis rows,
-representatives and solutions, and the views `columns()` and `data`.
+read.  Fractions are made only for the vectors that leave: basis rows
+when first read, representatives and solutions, and the views
+`columns()` and `data`.
 
 The reduced echelon basis of a subspace is unique, so every result but
 the NoSolution certificate is independent of the elimination order.
@@ -21,6 +22,7 @@ the NoSolution certificate is independent of the elimination order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
@@ -43,7 +45,8 @@ def ratio(num, den):
     """num/den as a Fraction (integers, den > 0); the values -2..2, nearly
     all matrix entries, share one Fraction each."""
     q, r = divmod(num, den)
-    return Fraction(num, den) if r else _SMALL.get(q) or Fraction(q)
+    return (Fraction(num, den) if r else _SMALL[q] if q in _SMALL
+            else Fraction(q))
 
 
 def scaled_sum(coeffs, rows):
@@ -233,15 +236,17 @@ class SubspaceBasis:
     """Subspace given by its reduced echelon basis.  `scaled_rows` keeps
     it in integers, {pivot: (pivot entry, the reduced row times that
     positive entry)} in pivot order, each a `scaled` row; `rows` views
-    them as sparse rows {column: Fraction}, 1 at their pivots."""
-
-    __slots__ = ("ambient", "scaled_rows", "rows", "pivots", "dim")
+    them as sparse rows {column: Fraction}, 1 at their pivots, built on
+    first read."""
 
     def __init__(self, ambient, piv):
         self.ambient, self.pivots, self.dim = ambient, list(piv), len(piv)
         self.scaled_rows = {c: (row[c], row) for c, row in piv.items()}
-        self.rows = [{j: Fraction(x, row[c]) for j, x in row.items()}
-                     for c, row in piv.items()]
+
+    @cached_property
+    def rows(self):
+        return [{j: Fraction(x, p) for j, x in row.items()}
+                for p, row in self.scaled_rows.values()]
 
     def reduce(self, v):
         """Residue of a sparse row v modulo the subspace, as a sparse

@@ -36,6 +36,8 @@ from .linalg import (
     kernel_basis,
     quotient_basis,
     rank,
+    scaled,
+    scaled_sum,
     solve,
 )
 
@@ -78,13 +80,8 @@ def check_minimal_sullivan(c):
     Raises on non-free input or generators of degree < 2."""
     _require_free(c, "minimality check")
     _require_simply_connected(c, "minimality check")
-    for g in c.algebra.generators:
-        dg = c.differential.images.get(g.ordinal)
-        if dg is None:
-            continue
-        if any(w < 2 for w in dg.word_length_split()):
-            return False
-    return True
+    return all(min(dg.word_length_split()) >= 2
+               for dg in c.differential.images.values())
 
 
 class RelativeSullivanAlgebra:
@@ -379,6 +376,8 @@ def minimal_model(target, max_degree):
     One model grows through the stages, carrying the differential
     matrices the next stage reads (`Cdga.extend`), and the morphisms share
     one table of phi per monomial, each degree dropped after its last read.
+    H^k(phi) is taken only where H^k(target) != 0: elsewhere stage k adds
+    no closed generator, and stage k - 1 kills all of H^k(model).
     Stage n certifies its generators (d^2 = 0 and the chain-map identity)
     and H^(n-1)(phi), which no later stage changes; the input checks
     cover H^0.
@@ -409,20 +408,26 @@ def minimal_model(target, max_degree):
         def fresh_name():
             return f"v{n}_{len(new_phi) + 1}" if new_phi else f"v{n}"
 
-        # (a) new closed generators spanning coker H^n(phi)
-        hmat = phi.h_matrix(n)
-        full = image_basis(RatMatrix.identity(hmat.rows))
-        for vec in quotient_basis(image_basis(hmat), full):
-            new_phi[fresh_name()] = target.element(
-                n, combine(vec, target.h_basis(n)))
+        # (a) new closed generators spanning coker H^n(phi): none, and no
+        # H^n(phi) taken, where H^n(target) = 0
+        if target.h_dim(n):
+            hmat = phi.h_matrix(n)
+            full = image_basis(RatMatrix.identity(hmat.rows))
+            for vec in quotient_basis(image_basis(hmat), full):
+                new_phi[fresh_name()] = target.element(
+                    n, combine(vec, target.h_basis(n)))
         cocycle_names = list(new_phi)
 
-        # (b) generators of degree n killing ker H^(n+1)(phi), their d
-        # checked to be cocycles against the integer columns of d_(n+1)
-        zs = [combine(vec, model.h_basis(n + 1))
-              for vec in kernel_basis(phi.h_matrix(n + 1)).rows]
-        cols = model.diff_matrix(n + 1).transpose().num if zs else []
-        if any(combine(z, cols) for z in zs):
+        # (b) generators of degree n killing ker H^(n+1)(phi), all of
+        # H^(n+1)(model) where H^(n+1)(target) = 0; their d checked to be
+        # cocycles in integers, over the columns of den * d_(n+1)
+        zs = model.h_basis(n + 1)
+        if target.h_dim(n + 1):
+            zs = [combine(vec, zs)
+                  for vec in kernel_basis(phi.h_matrix(n + 1)).rows]
+        cols = dict(enumerate((1, col) for col in model.diff_matrix(
+            n + 1).transpose().num)) if zs else {}
+        if any(scaled_sum(scaled(z)[1], cols)[1] for z in zs):
             raise ModelError(f"d^2 != 0 on a generator of degree {n}")
         del cols
         for z in zs:

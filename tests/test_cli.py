@@ -3,12 +3,15 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from sullivan.cli import main
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 
 def run(capsys, *argv):
@@ -296,3 +299,22 @@ def test_non_utf8_file_is_a_domain_error_at_its_line(capsys, tmp_path,
     assert code == 1
     assert err.startswith(f"error: {f}:{line}:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimal-model", "data/h_wedge_s3s3.cdga", "-N", "14", "--json"],
+    ["pl-verify", "data/bddelta3.scx", "--json"],
+], ids=["minimal-model", "pl-verify"])
+def test_output_is_the_same_bytes_under_every_hash_seed(argv):
+    """Each command runs in its own interpreter: stdout may not depend on
+    the order of a set or dict of strings, which the hash seed moves."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-m", "sullivan.cli", *argv],
+                              cwd=ROOT, env=env, capture_output=True,
+                              check=True, timeout=120)
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]

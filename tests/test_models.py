@@ -166,7 +166,10 @@ def test_synthesis_calls_the_leibniz_rule_at_most_half_as_often(
 def test_synthesis_reuses_the_kernel_carried_into_each_stage(monkeypatch):
     """Stage n takes the kernel of d_(n+1) for H^(n+1); stage n+1 reads it
     again, carried through `Cdga.extend`, since d_(n+1) only gained zero
-    rows.  Taking it afresh at every stage made 37 calls."""
+    rows.  Taking it afresh at every stage made 37 calls.  Taking H(phi)
+    also where the target has no cohomology made 29: 9 more kernels of
+    0-row H(phi) matrices and 8 more of 0x0 differentials.  What is left
+    takes each nontrivial kernel (7x6 ... 471x300) once."""
     calls = 0
     original = cdga.kernel_basis
 
@@ -178,7 +181,47 @@ def test_synthesis_reuses_the_kernel_carried_into_each_stage(monkeypatch):
     monkeypatch.setattr(cdga, "kernel_basis", counted)
     monkeypatch.setattr(models, "kernel_basis", counted)
     minimal_model(wedge_cohomology(2, 2), 10)
-    assert calls == 29
+    assert calls == 12
+
+
+def test_synthesis_takes_h_phi_only_where_the_target_has_cohomology(
+        monkeypatch):
+    """H(S2 v S2) is zero above degree 2, so H^k(phi) is taken in degree 2
+    alone: by stage (a) of stage 2 and by the H^2 check of stage 3."""
+    degrees = []
+    original = cdga.CdgaMorphism.h_matrix
+
+    def recorded(self, k):
+        degrees.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(cdga.CdgaMorphism, "h_matrix", recorded)
+    target = wedge_cohomology(2, 2)
+    minimal_model(target, 10)
+    assert degrees == [2, 2]
+    assert all(target.h_dim(k) for k in degrees)
+
+
+def test_a_non_exact_image_is_caught_where_the_target_has_no_cohomology(
+        monkeypatch):
+    """S2 model with an acyclic pair a, b (da = b) beside it: H^4 = 0, so
+    stage 3 kills H^4(model) = <v2^2> without taking H^4(phi).  Adding the
+    non-cocycle x*a to phi(v2^2) must still fail the preimage solve."""
+    target = Cdga.build("S2+ab", [("x", 2), ("y", 3), ("a", 2), ("b", 3)],
+                        {"y": "x^2", "a": "b"})
+    assert [target.h_dim(k) for k in range(7)] == [1, 0, 1, 0, 0, 0, 0]
+    assert minimal_model(target, 6).generator_profile() == [("v2", 2),
+                                                            ("v3", 3)]
+    original = cdga.CdgaMorphism.apply
+    bump = target.algebra.parse("x*a")
+
+    def perturbed(self, elem):
+        img = original(self, elem)
+        return img + bump if elem and elem.degree() == 4 else img
+
+    monkeypatch.setattr(cdga.CdgaMorphism, "apply", perturbed)
+    with pytest.raises(ModelError, match="not exact in degree 4"):
+        minimal_model(target, 6)
 
 
 def test_certificate_catches_a_flipped_kernel_differential(monkeypatch):

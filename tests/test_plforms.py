@@ -1,6 +1,8 @@
 """Polynomial forms on simplices, simplicial sets, integration, Stokes."""
 
+import cProfile
 import pathlib
+import pstats
 import random
 from fractions import Fraction
 
@@ -277,6 +279,34 @@ def test_sample_is_deterministic():
     assert a.assignment == {sid: f for sid, f in b.assignment.items()}
     c = sample_global_form(K, 1, 2, seed=8)
     assert any(a.assignment[s] != c.assignment[s] for s in a.assignment)
+
+
+def fractions_made(profile):
+    return sum(calls for (path, _, name), (calls, *_) in
+               pstats.Stats(profile).stats.items()
+               if name == "__new__"
+               and pathlib.Path(path).name == "fractions.py")
+
+
+def test_compatibility_kernel_makes_no_fraction_until_rows_are_read(
+        monkeypatch):
+    """The delta3 system reaches `kernel_basis` in integers and its basis
+    stays in `scaled_rows`: cProfile sees no `Fraction` made until the
+    `Fraction` view `rows` is read, which makes one per entry."""
+    seen = []
+    monkeypatch.setattr(plforms, "kernel_basis",
+                        lambda m: seen.append(m) or kernel_basis(m))
+    _compatibility_kernel(builtin_complex("delta3"), 1, 3)
+    (system,) = seen
+    profile = cProfile.Profile()
+    basis = profile.runcall(kernel_basis, system)
+    assert basis.dim and fractions_made(profile) == 0
+    profile = cProfile.Profile()
+    rows = profile.runcall(lambda: basis.rows)
+    assert fractions_made(profile) == sum(map(len, rows))
+    assert rows == [{j: Fraction(x, p) for j, x in row.items()}
+                    for p, row in basis.scaled_rows.values()]
+    assert basis.rows is rows
 
 
 def test_sampled_forms_are_compatible():
