@@ -25,6 +25,7 @@ from .graded import (
     AlgElement,
     Derivation,
     FreeAlgebra,
+    directives,
     format_element,
     memo_linear,
     monomial_columns,
@@ -41,6 +42,7 @@ from .linalg import (
     kernel_basis,
     quotient_basis,
     rank,
+    ratios,
     solve,
     span_basis,
 )
@@ -376,10 +378,11 @@ class CdgaMorphism:
         return self.images.get(g.ordinal, self.target.algebra.zero())
 
     def apply(self, elem):
-        if self._table is not None:
-            return memo_linear(self._apply, elem, self._table,
-                               self.target.algebra)
-        return self._apply(elem)
+        if self._table is None:
+            return self._apply(elem)
+        return AlgElement(self.target.algebra, ratios(*memo_linear(
+            elem.terms, [(on_monomials(self._apply, elem.algebra),
+                          self._table)])))
 
     def _apply(self, elem):
         return self.target.reduce(substitute(
@@ -530,19 +533,13 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
     specs = []
     diffs = []
     rels = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        kw = parts[0]
-        rest = parts[1] if len(parts) > 1 else ""
+    for lineno, kw, rest in directives(text):
         if kw == "cdga":
             if name is not None:
                 raise CdgaFileError(filename, lineno, "repeated cdga line")
             if not rest:
                 raise CdgaFileError(filename, lineno, "missing name")
-            name = rest.strip()
+            name = rest
         elif kw == "gen":
             bits = rest.split()
             if len(bits) != 2:
@@ -554,6 +551,9 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
                 raise CdgaFileError(filename, lineno, f"bad degree {deg!r}") from None
             if any(gname == s[0] for s in specs):
                 raise CdgaFileError(filename, lineno, f"duplicate generator {gname}")
+            if deg < 1:
+                raise CdgaFileError(filename, lineno,
+                                    f"generator {gname} has degree {deg}")
             specs.append((gname, deg))
         elif kw == "diff":
             if "=" not in rest:
@@ -569,10 +569,7 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
             raise CdgaFileError(filename, lineno, f"unknown keyword {kw!r}")
     if name is None:
         raise CdgaFileError(filename, 1, "missing cdga header line")
-    try:
-        alg = FreeAlgebra.build(specs)
-    except AlgebraError as exc:
-        raise CdgaFileError(filename, 1, str(exc)) from None
+    alg = FreeAlgebra.build(specs)  # the gen lines have been checked
     images = {}
     for lineno, gname, poly in diffs:
         try:

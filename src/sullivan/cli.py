@@ -21,7 +21,7 @@ from .cdga import (
     load_cdga,
     parse_cdga_file,
 )
-from .graded import AlgebraError, format_element, read_text
+from .graded import AlgebraError, directives, format_element, read_text
 from .invariants import (
     classify_ellipticity,
     classify_space,
@@ -50,16 +50,9 @@ DOMAIN_ERRORS = (CdgaError, FormError, AlgebraError, LinalgError, OSError)
 
 def _sniff(path):
     text = read_text(path, CdgaError)
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kw = line.split()[0]
-        if kw == "cdga":
-            return "cdga", text
-        if kw == "scomplex":
-            return "scomplex", text
-        break
+    kw = next(directives(text), (1, None, ""))[1]
+    if kw in ("cdga", "scomplex"):
+        return kw, text
     raise CdgaError(f"{path}:1: expected a 'cdga' or 'scomplex' header line")
 
 

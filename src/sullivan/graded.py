@@ -12,9 +12,9 @@ has one routine here: a map out of it is fixed by the images of the
 generators (`substitute`, the one multiplicative extension), and so is a
 derivation (`Derivation.leibniz`, the one Leibniz rule, in integers).
 Linear maps in monomial bases are read off as integer columns over one
-denominator by one assembler, `monomial_columns`.  Each algebra keeps
-those bases in a per-degree table, each degree built once from the lower
-ones.
+denominator by one assembler, `monomial_columns`, and memoised per
+monomial by one, `memo_linear`.  Each algebra keeps those bases in a
+per-degree table, each degree built once from the lower ones.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import combine, scaled
+from .linalg import ratios, scaled, scaled_sum
 
 _ONE = Fraction(1)  # the coefficient of a lone monomial, shared
 
@@ -42,6 +42,7 @@ __all__ = [
     "parse_poly",
     "format_element",
     "read_text",
+    "directives",
 ]
 
 
@@ -445,16 +446,15 @@ class Derivation:
         return self.den, {m: c for m, c in out.items() if c}
 
     def apply(self, elem):
-        """d of an element: `leibniz` of each monomial, summed by
-        `combine`."""
+        """d of an element: `leibniz` of each monomial, through
+        `memo_linear` with a fresh table."""
         alg = self.algebra
         if elem.algebra is not alg and not elem.algebra.same_universe(alg):
             bad = alg.foreign_generator(elem.algebra)
             raise AlgebraError(f"derivation applied across universes "
                                f"(generator {bad})")
-        return AlgElement(alg, combine(
-            elem.terms, {m: self.leibniz(m) for m, c in elem.terms.items()
-                         if c}, prescaled=True))
+        return AlgElement(alg, ratios(*memo_linear(
+            elem.terms, [(self.leibniz, {})])))
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):
@@ -516,14 +516,19 @@ def on_monomials(f, algebra):
     return lambda m: scaled(f(AlgElement(algebra, {m: _ONE})).terms)
 
 
-def memo_linear(f, elem, table, target):
-    """The linear map f on `elem`, as an element of `target`: `table` keeps
-    f of each monomial met so far as `scaled` integer terms, filled here
-    for the monomials of `elem` it lacks, and `combine` sums them."""
-    for mono, coeff in elem.terms.items():
-        if mono not in table and coeff:
-            table[mono] = on_monomials(f, elem.algebra)(mono)
-    return AlgElement(target, combine(elem.terms, table, prescaled=True))
+def memo_linear(terms, maps):
+    """Sparse terms {monomial: coefficient} carried through the linear
+    maps `maps` in turn, as `scaled` integer terms (den, {monomial: int}).
+    A map is (image, table): `image` sends a monomial to its `scaled`
+    image, which `table` keeps, filled here where it lacks a monomial."""
+    den = 1
+    for image, table in maps:
+        for mono, coeff in terms.items():
+            if mono not in table and coeff:
+                table[mono] = image(mono)
+        d, terms = scaled_sum(terms, table)
+        den *= d
+    return den, terms
 
 
 # ----- parsing and printing -----
@@ -640,6 +645,16 @@ def read_text(path, error):
         line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}:{line}: not UTF-8 text "
                     f"(byte 0x{data[exc.start]:02x})") from None
+
+
+def directives(text):
+    """(line number, keyword, rest) per line of a line format, skipping
+    comments (`#` on) and blank lines; any whitespace ends the keyword."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            kw, *rest = line.split(None, 1)
+            yield lineno, kw, "".join(rest)
 
 
 def parse_poly(text, algebra):

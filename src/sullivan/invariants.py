@@ -169,6 +169,18 @@ class ExceededBound:
         return f"ExceededBound({self.bound})"
 
 
+def _zero_window_scan(dim, bound, window):
+    """dim(m) for m = 0..bound until `window` zeros in a row above degree
+    0: (dims, their top nonzero degree, or None if no window was found)."""
+    dims, zeros = [], 0
+    for m in range(bound + 1):
+        dims.append(dim(m))
+        zeros = zeros + 1 if m and not dims[-1] else 0
+        if zeros >= window:
+            return dims, max((i for i, v in enumerate(dims) if v), default=0)
+    return dims, None
+
+
 def finiteness_test(c, bound):
     """Decide finiteness of H* via the associated pure algebra's bottom
     filtration layer, scanning for a zero window of length >= the largest
@@ -196,23 +208,11 @@ def finiteness_test(c, bound):
                     even.basis_of_degree(m - (g.degree + 1)), index)[1]
         return len(tgt) - rank(RatMatrix.from_rows(vectors, len(tgt)))
 
-    dims = []
-    zeros = 0
-    for m in range(bound + 1):
-        d = h0_dim(m)
-        dims.append(d)
-        if m == 0:
-            continue
-        zeros = 0 if d else zeros + 1
-        if zeros >= window:
-            last = max((i for i, v in enumerate(dims) if v), default=0)
-            return Finite(sum(dims), last, dims)
-    trailing = 0
-    for v in reversed(dims):
-        if v:
-            break
-        trailing += 1
-    return ExceededBound(bound, dims, trailing)
+    dims, last = _zero_window_scan(h0_dim, bound, window)
+    if last is not None:
+        return Finite(sum(dims), last, dims)
+    top = max((i for i, v in enumerate(dims) if v), default=-1)
+    return ExceededBound(bound, dims, len(dims) - 1 - top)
 
 
 def exponent_numerology(profile, n):
@@ -365,18 +365,10 @@ def classify_space(target, bound):
     3n - 2, and decide by the vanishing of homotopy ranks in [2n, 3n-2].
     Elliptic candidates are handed to classify_ellipticity; otherwise the
     report carries the generator growth table and the gap probe."""
-    window = target.max_generator_degree()
-    dims = []
-    zeros = 0
-    fdim = None
-    for m in range(bound + 1):
-        d = target.h_dim(m)
-        dims.append(d)
-        if m > 0:
-            zeros = zeros + 1 if d == 0 else 0
-            if zeros >= window:
-                fdim = max(i for i, v in enumerate(dims) if v)
-                break
+    dims, fdim = _zero_window_scan(target.h_dim, bound,
+                                   target.max_generator_degree())
+    if fdim == 0 and not dims[0]:
+        raise CdgaError(f"{target.name}: H^0 = 0, not a connected space")
     if fdim is None:
         return EllipticityReport("Inconclusive", bound=bound, h_dims=dims)
     if fdim == 0:

@@ -11,9 +11,9 @@ kept so far (pivot: leftmost nonzero column, taken by the first row
 there).  `rank` counts the kept rows and makes no Fraction.  `_reduced`
 back-substitutes to the reduced echelon form, each row up to its pivot
 entry, which a `SubspaceBasis` keeps as it is for `quotient_basis` to
-read.  Fractions are made only for the vectors that leave: basis rows
-when first read, representatives and solutions, and the views
-`columns()` and `data`.
+read.  Fractions are made only for the vectors that leave, most by
+`ratios`: basis rows when first read, representatives and solutions,
+and the views `columns()` and `data`.
 
 The reduced echelon basis of a subspace is unique, so every result but
 the NoSolution certificate is independent of the elimination order.
@@ -70,14 +70,17 @@ def scaled_sum(coeffs, rows):
     return common, {j: v for j, v in acc.items() if v}
 
 
-def combine(coeffs, rows, prescaled=False):
+def ratios(den, row):
+    """A `scaled` row (den, {index: int}) as a sparse row of Fractions."""
+    return {j: ratio(v, den) for j, v in row.items()}
+
+
+def combine(coeffs, rows):
     """Sparse sum of c * rows[k] over the coefficients {k: c}, fraction-free:
-    the rows, read as `scaled` (or kept so, when `prescaled`), are summed
-    by `scaled_sum`, and one `ratio` is made per entry of the sum."""
-    if not prescaled:
-        rows = {k: scaled(rows[k]) for k, c in coeffs.items() if c}
-    den, acc = scaled_sum(coeffs, rows)
-    return {j: ratio(v, den) for j, v in acc.items()}
+    the rows, read as `scaled`, are summed by `scaled_sum`, and one
+    `ratio` is made per entry of the sum."""
+    return ratios(*scaled_sum(coeffs, {k: scaled(rows[k])
+                                       for k, c in coeffs.items() if c}))
 
 
 class RatMatrix:
@@ -126,8 +129,7 @@ class RatMatrix:
 
     def columns(self):
         """Sparse Fraction columns {row: value}."""
-        return [{i: Fraction(x, self.den) for i, x in col.items()}
-                for col in self.transpose().num]
+        return [ratios(self.den, col) for col in self.transpose().num]
 
     def transpose(self):
         out = [{} for _ in range(self.cols)]
@@ -254,8 +256,8 @@ class SubspaceBasis:
         coeffs = {c: -x for c, x in v.items() if c in self.scaled_rows}
         if not coeffs:
             return {j: Fraction(x) for j, x in v.items() if x}
-        return combine({-1: 1, **coeffs}, {-1: scaled(v), **{
-            c: self.scaled_rows[c] for c in coeffs}}, prescaled=True)
+        return ratios(*scaled_sum({-1: 1, **coeffs}, {-1: scaled(v), **{
+            c: self.scaled_rows[c] for c in coeffs}}))
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient})"
@@ -310,8 +312,7 @@ def quotient_basis(sub, within):
         i = next(i for i, v in enumerate(sub.rows) if within.reduce(v))
         raise LinalgError(f"containment violation: sub basis vector {i} "
                           f"is not in the larger subspace")
-    return [{j: Fraction(x, row[c]) for j, x in row.items()}
-            for c, row in list(piv.items())[sub.dim:]]
+    return [ratios(row[c], row) for c, row in list(piv.items())[sub.dim:]]
 
 
 class NoSolution:

@@ -24,13 +24,14 @@ from .graded import (
     AlgElement,
     Derivation,
     FreeAlgebra,
+    directives,
     memo_linear,
     monomial_columns,
     on_monomials,
     read_text,
     substitute,
 )
-from .linalg import (RatMatrix, combine, homology_dim, kernel_basis, rank,
+from .linalg import (RatMatrix, homology_dim, kernel_basis, rank, ratios,
                      scaled_sum)
 
 __all__ = [
@@ -84,16 +85,16 @@ def _coordinate(alg, n, letter, i):
     return out
 
 
-_DIFFS = {}  # n -> (d on the n-simplex, {monomial: scaled d of it})
-_PULLBACKS = {}  # (n, m, vertex map) -> (pullback, {monomial: image}, m)
-_INTEGRALS = {}  # k -> {monomial: scaled integral over the k-simplex}
+_DIFFS = {}  # n -> (leibniz of d on the n-simplex, its table)
+_PULLBACKS = {}  # (n, m, vertex map) -> (monomial image, its table)
+_INTEGRALS = {}  # k -> (monomial integral over the k-simplex, its table)
 
 
 def _form_diff(n):
     if n not in _DIFFS:
         alg = form_algebra(n)
-        _DIFFS[n] = (Derivation(alg, +1, {
-            f"t{i}": alg.gen_elem(f"y{i}") for i in range(1, n + 1)}), {})
+        _DIFFS[n] = Derivation(alg, +1, {f"t{i}": alg.gen_elem(f"y{i}")
+                                         for i in range(1, n + 1)}).leibniz, {}
     return _DIFFS[n]
 
 
@@ -102,7 +103,7 @@ def _pullback(n, m, vertices):
     map `vertices`: t_k and y_k go to the sums of t_j and y_j over the
     vertices j sent to k.  It is linear, so `_PULLBACKS` keeps, per map,
     the image of every monomial met so far, and `substitute` runs once per
-    (map, monomial).  Returns (map on elements, table, m)."""
+    (map, monomial)."""
     key = (n, m, tuple(vertices))
     if key not in _PULLBACKS:
         src, tgt = form_algebra(n), form_algebra(m)
@@ -110,33 +111,23 @@ def _pullback(n, m, vertices):
                   sum((_coordinate(tgt, m, letter, j)
                        for j, v in enumerate(vertices) if v == k), tgt.zero())
                   for letter in "ty" for k in range(1, n + 1)}
-        _PULLBACKS[key] = (lambda e: substitute(e, images, tgt), {}, m)
+        _PULLBACKS[key] = (on_monomials(
+            lambda e: substitute(e, images, tgt), src), {})
     return _PULLBACKS[key]
 
 
 def _moves(n, name, *args):
-    """The maps that a face, a degeneracy word (outermost first) or d of
-    the n-simplex applies in turn, as `_pullback` gives them."""
+    """The dimension that a face, a degeneracy word (outermost first) or d
+    of the n-simplex lands on, and the maps of `memo_linear` it applies in
+    turn."""
     if name == "d":
-        diff, table = _form_diff(n)
-        return [(diff.apply, table, n)]
+        return n, [_form_diff(n)]
     if name == "face":
-        return [_pullback(n, n - 1, [j + (j >= args[0]) for j in range(n)])]
-    return [_pullback(m, m + 1, [j - (j > i) for j in range(m + 2)])
-            for m, i in enumerate(reversed(args[0]), start=n)]
-
-
-def _scaled_image(moves, n, mono):
-    """A monomial of the n-simplex carried through `moves` in turn, as
-    `scaled` integer terms (den, {monomial: int}): each move's image of a
-    monomial is read from its table, and filled there when missing."""
-    den, terms = 1, {mono: 1}
-    for f, table, m in moves:
-        for x in [x for x in terms if x not in table]:
-            table[x] = on_monomials(f, form_algebra(n))(x)
-        d, terms = scaled_sum(terms, table)
-        den, n = den * d, m
-    return den, terms
+        return n - 1, [_pullback(n, n - 1,
+                                 [j + (j >= args[0]) for j in range(n)])]
+    return n + len(args[0]), [
+        _pullback(m, m + 1, [j - (j > i) for j in range(m + 2)])
+        for m, i in enumerate(reversed(args[0]), start=n)]
 
 
 class PolyForm:
@@ -174,23 +165,22 @@ class PolyForm:
 
     def degen(self, i):
         """Pullback along the i-th codegeneracy, landing on dimension n+1."""
-        n = self.dim
-        if not 0 <= i <= n:
-            raise FormError(f"degeneracy index {i} out of range for "
-                            f"dimension {n}")
-        return self._move(*_moves(n, "degen_word", (i,)))
-
-    def _move(self, move):
-        f, table, m = move
-        return PolyForm(m, memo_linear(f, self.element, table,
-                                       form_algebra(m)))
+        return self.degen_word((i,))
 
     def degen_word(self, word):
-        """Pullback along a degeneracy word (outermost first)."""
-        f = self
-        for j in reversed(word):
-            f = f.degen(j)
-        return f
+        """Pullback along a degeneracy word (outermost first), in one
+        pass; each letter is checked at the dimension it applies to."""
+        if not word:
+            return self
+        for n, i in enumerate(reversed(word), start=self.dim):
+            if not 0 <= i <= n:
+                raise FormError(f"degeneracy index {i} out of range for "
+                                f"dimension {n}")
+        return self._move(*_moves(self.dim, "degen_word", word))
+
+    def _move(self, m, maps):
+        return PolyForm(m, AlgElement(form_algebra(m), ratios(
+            *memo_linear(self.element.terms, maps))))
 
     def __add__(self, other):
         self._same(other)
@@ -428,42 +418,32 @@ class Cochain:
         return f"Cochain(deg {self.degree}; {vals})"
 
 
+def _integral(k, mono):
+    exps = [p for o, p in mono if o < k]  # t_1..t_k come first
+    return factorial(k + sum(exps)), {0: prod(map(factorial, exps))}
+
+
 def integrate(gf):
     """The integration cochain map: integrate the top coefficient of each
     degree-k form over its k-simplex.  A monomial t^a y_1...y_k (the
     exterior part of a k-form on the k-simplex) integrates to the
-    Dirichlet integral prod(a_i!) / (k + sum a_i)!, kept in `_INTEGRALS`
-    as a `scaled` row {0: numerator} over that denominator."""
+    Dirichlet integral prod(a_i!) / (k + sum a_i)!, which `_integral`
+    gives as a `scaled` row {0: numerator} and `_INTEGRALS[k]` keeps."""
     K, k = gf.complex, gf.degree
-    table = _INTEGRALS.setdefault(k, {})
-    values = {}
-    for sid in K.simplices(k):
-        terms = gf.form(sid).element.terms
-        for mono in terms:
-            if mono not in table:
-                exps = [p for o, p in mono if o < k]  # t_1..t_k come first
-                table[mono] = (factorial(k + sum(exps)),
-                               {0: prod(map(factorial, exps))})
-        value = combine(terms, table, prescaled=True)
-        if value:
-            values[sid] = value[0]
-    return Cochain(K, k, values)
+    move = _INTEGRALS.setdefault(k, (lambda mono: _integral(k, mono), {}))
+    return Cochain(K, k, {sid: ratios(*memo_linear(
+        gf.form(sid).element.terms, [move])).get(0)
+        for sid in K.simplices(k)})
 
 
 def cochain_differential(c):
-    """(delta c)(x) = sum_i (-1)^i c(d_i x); degenerate faces contribute 0."""
-    K = c.complex
-    values = {}
-    for sid in K.simplices(c.degree + 1):
-        total = Fraction(0)
-        for i in range(c.degree + 2):
-            tgt, word = K.faces[(sid, i)]
-            if word:
-                continue
-            total += (-1 if i % 2 else 1) * c.value(tgt)
-        if total:
-            values[sid] = total
-    return Cochain(K, c.degree + 1, values)
+    """(delta c)(x) = sum_i (-1)^i c(d_i x), degenerate faces giving 0:
+    the rows of `_delta_matrix` applied to the values of c."""
+    K, k = c.complex, c.degree
+    values = [c.value(sid) for sid in K.simplices(k)]
+    return Cochain(K, k + 1, {
+        sid: sum(x * values[j] for j, x in row.items())
+        for sid, row in zip(K.simplices(k + 1), _delta_matrix(K, k).num)})
 
 
 def _delta_matrix(K, k):
@@ -585,9 +565,9 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
         for sid, sign, move in terms:
             at = (K.dims[sid], *move)
             if at not in blocks:
-                moves = _moves(*at)
+                maps = _moves(*at)[1]
                 blocks[at] = monomial_columns(
-                    lambda m: _scaled_image(moves, at[0], m), bases[sid],
+                    lambda m: memo_linear({m: 1}, maps), bases[sid],
                     indices[n, k])
             parts.append((sid, sign, blocks[at]))
         system.append((len(indices[n, k]), parts))
@@ -625,27 +605,25 @@ def _assemble(K, degree, order, bases, var_index, vec):
 
 
 def _sample(K, degree, poly_cap, seed, closed):
+    if degree > K.top_dim:
+        return GlobalForm(K, degree, {}, check=False)
     order, bases, var_index, kernel = _compatibility_kernel(
         K, degree, poly_cap, closed)
     rng = random.Random(seed)
     coeffs = {c: rng.randint(-3, 3) for c in kernel}
     return _assemble(K, degree, order, bases, var_index,
-                     combine(coeffs, kernel, prescaled=True))
+                     ratios(*scaled_sum(coeffs, kernel)))
 
 
 def sample_global_form(K, degree, poly_cap, seed):
     """A reproducible pseudorandom compatible family of degree-k forms:
     a random rational point of the compatibility solution space (the zero
     form when that space is trivial)."""
-    if degree > K.top_dim:
-        return GlobalForm(K, degree, {}, check=False)
     return _sample(K, degree, poly_cap, seed, closed=False)
 
 
 def sample_closed_global_form(K, degree, poly_cap, seed):
     """Like sample_global_form but restricted to d-closed families."""
-    if degree > K.top_dim:
-        return GlobalForm(K, degree, {}, check=False)
     return _sample(K, degree, poly_cap, seed, closed=True)
 
 
@@ -718,12 +696,9 @@ def parse_scomplex_file(text, filename="<scomplex>", check=True):
     name = None
     dims = {}
     faces = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kw = parts[0]
+    lines = {}  # (simplex, face index) -> line
+    for lineno, kw, rest in directives(text):
+        parts = [kw] + rest.split()
         if kw == "scomplex":
             if len(parts) != 2:
                 raise FormError(f"{filename}:{lineno}: expected: scomplex <name>")
@@ -774,10 +749,15 @@ def parse_scomplex_file(text, filename="<scomplex>", check=True):
                 raise FormError(f"{filename}:{lineno}: repeated face {i} of "
                                 f"{sid}")
             faces[(sid, i)] = (tgt, tuple(word))
+            lines[(sid, i)] = lineno
         else:
             raise FormError(f"{filename}:{lineno}: unknown keyword {kw!r}")
     if name is None:
         raise FormError(f"{filename}:1: missing scomplex header line")
+    for (sid, i), (tgt, _) in faces.items():
+        if tgt not in dims:  # a later line may declare it
+            raise FormError(f"{filename}:{lines[sid, i]}: face ({sid},{i}) "
+                            f"hits unknown simplex {tgt}")
     try:
         return SimplicialComplexFin(name, dims, faces, check=check)
     except FormError as exc:

@@ -262,6 +262,9 @@ def test_file_errors_carry_line_numbers():
         parse_cdga_file("cdga t\ndiff y (no equals)\n", filename="f")
     with pytest.raises(CdgaFileError, match="declared"):
         parse_cdga_file("cdga t\ngen y 2\nrel 6 : y^2\n", filename="f")
+    with pytest.raises(CdgaFileError) as exc:
+        parse_cdga_file("cdga t\n# y\n\ngen y 0\n", filename="f")
+    assert str(exc.value) == "f:4: generator y has degree 0"
 
 
 # a comment and a blank line first, so that line 1 would be wrong

@@ -35,6 +35,26 @@ def test_validate_reports_defects(capsys, tmp_path):
     assert "d^2" in out
 
 
+def test_validate_names_the_line_of_an_unknown_face_target(capsys, tmp_path):
+    bad = tmp_path / "bad.scx"
+    bad.write_text("scomplex k\nsimplex a 0\nsimplex b 1\n"
+                   "face b 0 = a\nface b 1 = c\n")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert out == ""
+    assert f"{bad}:5: face (b,1) hits unknown simplex c" in err
+
+
+def test_classify_rejects_a_presentation_without_a_unit(capsys, tmp_path):
+    """`rel 0 : 1` kills H^0: no space has it, and the scan finds no top
+    nonzero degree to read a formal dimension from."""
+    f = tmp_path / "zero.cdga"
+    f.write_text("cdga z\ngen x 2\nrel 0 : 1\n")
+    code, out, err = run(capsys, "classify", str(f))
+    assert (code, out) == (1, "")
+    assert err == "error: z: H^0 = 0, not a connected space\n"
+
+
 def test_parse_error_carries_line_number(capsys, tmp_path):
     f = tmp_path / "oops.cdga"
     f.write_text("cdga oops\ngen y 2\ndiff q = y\n")

@@ -61,6 +61,22 @@ def test_degeneracies_of_t1_on_the_interval():
     assert f.degen(0) == PolyForm.parse(2, "t2")
 
 
+def test_degen_word_checks_each_letter_where_it_applies():
+    """A word (outermost first) applies its letters from the innermost
+    up, each to the simplex the one before it landed on."""
+    f = PolyForm.parse(1, "t1")
+    assert f.degen_word(()) is f
+    assert f.degen_word((2, 0)) == f.degen(0).degen(2)
+    with pytest.raises(FormError,
+                       match="^degeneracy index 2 out of range for "
+                             "dimension 1$"):
+        f.degen_word((0, 2))
+    with pytest.raises(FormError,
+                       match="^degeneracy index 3 out of range for "
+                             "dimension 2$"):
+        f.degen_word((3, 0))
+
+
 def test_form_differential():
     assert PolyForm.parse(1, "t1^2").d() == PolyForm.parse(1, "2*t1*y1")
     assert PolyForm.parse(2, "t1*y2").d() == PolyForm.parse(2, "y1*y2")
@@ -522,7 +538,11 @@ def test_integration_is_not_multiplicative():
      "face index 5 out of range for a 1-simplex"),
     (["simplex p 0", "simplex T 2", "face T 0 = p s5"],
      "degeneracy s5 out of range in face 0 of a 2-simplex"),
-], ids=["negative-dimension", "face-index", "degeneracy-index"])
+    # a forward reference (a) stays allowed; c is never declared
+    (["simplex b 1", "face b 0 = a", "simplex a 0", "face b 1 = c"],
+     "face (b,1) hits unknown simplex c"),
+], ids=["negative-dimension", "face-index", "degeneracy-index",
+        "unknown-target"])
 def test_malformed_scx_is_rejected_at_its_line(tmp_path, lines, message):
     path = tmp_path / "bad.scx"
     path.write_text("\n".join(["scomplex bad"] + lines) + "\n")
