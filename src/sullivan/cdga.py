@@ -210,8 +210,9 @@ class Cdga:
             if not 0 <= i < len(basis):
                 raise CdgaError(f"coordinate {i} outside the degree-{k} "
                                 f"basis of size {len(basis)}")
-        return AlgElement(self.algebra, {basis[i]: Fraction(c)
-                                         for i, c in coords.items() if c})
+        return AlgElement(self.algebra, {
+            basis[i]: c if type(c) is Fraction else Fraction(c)
+            for i, c in coords.items() if c})
 
     def d(self, elem):
         return self.reduce(self.differential.apply(self.reduce(elem)))

@@ -516,12 +516,11 @@ def on_monomials(f, algebra):
     return lambda m: scaled(f(AlgElement(algebra, {m: _ONE})).terms)
 
 
-def memo_linear(terms, maps):
-    """Sparse terms {monomial: coefficient} carried through the linear
-    maps `maps` in turn, as `scaled` integer terms (den, {monomial: int}).
-    A map is (image, table): `image` sends a monomial to its `scaled`
-    image, which `table` keeps, filled here where it lacks a monomial."""
-    den = 1
+def memo_linear(terms, maps, den=1):
+    """Sparse terms {monomial: coefficient} over `den` carried through the
+    linear maps `maps` in turn, as `scaled` integer terms (den, {monomial:
+    int}).  A map is (image, table): `image` sends a monomial to its
+    `scaled` image, which `table` keeps, filled where it lacks one."""
     for image, table in maps:
         for mono, coeff in terms.items():
             if mono not in table and coeff:

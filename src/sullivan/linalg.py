@@ -247,8 +247,7 @@ class SubspaceBasis:
 
     @cached_property
     def rows(self):
-        return [{j: Fraction(x, p) for j, x in row.items()}
-                for p, row in self.scaled_rows.values()]
+        return [ratios(p, row) for p, row in self.scaled_rows.values()]
 
     def reduce(self, v):
         """Residue of a sparse row v modulo the subspace, as a sparse

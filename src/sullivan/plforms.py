@@ -3,10 +3,10 @@
 A form on the n-simplex lives in the coordinate algebra on t_1..t_n
 (degree 0) and y_1..y_n (degree 1) with dt_i = y_i; the index-0
 coordinates are always eliminated through t_0 = 1 - sum t_i and
-y_0 = -sum y_i, and reintroduced transiently inside the face
-substitutions.  Faces, degeneracies and d keep tables of their monomial
-images as scaled integers; the sampler builds its compatibility system
-from them and keeps its kernel in integer rows.  Finite simplicial sets
+y_0 = -sum y_i.  Faces, degeneracies and d keep tables of their monomial
+images as scaled integers, a pullback's filled one letter at a time; the
+sampler builds its compatibility system from them, keeps its kernel in
+integer rows and checks its samples on scaled rows.  Finite simplicial sets
 are given by nondegenerate simplices with face data carrying degeneracy
 words; integration sends a compatible family of k-forms to a normalized
 rational k-cochain, exactly, via the Dirichlet simplex integral
@@ -26,13 +26,12 @@ from .graded import (
     FreeAlgebra,
     directives,
     memo_linear,
+    mono_mul,
     monomial_columns,
-    on_monomials,
     read_text,
-    substitute,
 )
 from .linalg import (RatMatrix, homology_dim, kernel_basis, rank, ratios,
-                     scaled_sum)
+                     scaled, scaled_sum)
 
 __all__ = [
     "FormError",
@@ -74,20 +73,10 @@ def form_algebra(n):
     return _ALGEBRAS[n]
 
 
-def _coordinate(alg, n, letter, i):
-    """t_i or y_i (letter "t" or "y") on the n-simplex in reduced
-    coordinates, where t_0 = 1 - sum t_j and y_0 = -sum y_j."""
-    if i:
-        return alg.gen_elem(f"{letter}{i}")
-    out = alg.one() if letter == "t" else alg.zero()
-    for j in range(1, n + 1):
-        out = out - alg.gen_elem(f"{letter}{j}")
-    return out
-
-
 _DIFFS = {}  # n -> (leibniz of d on the n-simplex, its table)
 _PULLBACKS = {}  # (n, m, vertex map) -> (monomial image, its table)
 _INTEGRALS = {}  # k -> (monomial integral over the k-simplex, its table)
+_MOVES = {}  # (n, move name, *args) -> what `_moves` gives for them
 
 
 def _form_diff(n):
@@ -101,33 +90,61 @@ def _form_diff(n):
 def _pullback(n, m, vertices):
     """The pullback along the simplicial map from the m-simplex with vertex
     map `vertices`: t_k and y_k go to the sums of t_j and y_j over the
-    vertices j sent to k.  It is linear, so `_PULLBACKS` keeps, per map,
-    the image of every monomial met so far, and `substitute` runs once per
-    (map, monomial)."""
+    vertices j sent to k.  `_PULLBACKS` keeps, per map, the integer image
+    of every monomial met so far and of its tails, filled one letter at a
+    time by `_pullback_image`."""
     key = (n, m, tuple(vertices))
     if key not in _PULLBACKS:
-        src, tgt = form_algebra(n), form_algebra(m)
-        images = {src.generator(f"{letter}{k}").ordinal:
-                  sum((_coordinate(tgt, m, letter, j)
-                       for j, v in enumerate(vertices) if v == k), tgt.zero())
-                  for letter in "ty" for k in range(1, n + 1)}
-        _PULLBACKS[key] = (on_monomials(
-            lambda e: substitute(e, images, tgt), src), {})
+        letters = {}  # t_k has ordinal k - 1, y_k ordinal n + k - 1
+        for first, at, unit in ((0, 0, {(): 1}), (n, m, {})):
+            coords = {j + 1: (1, {((at + j, 1),): 1}) for j in range(m)}
+            coords[0] = 1, {**unit, **{((at + j, 1),): -1 for j in range(m)}}
+            for k in range(1, n + 1):
+                letters[first + k - 1] = scaled_sum(
+                    {j: 1 for j, v in enumerate(vertices) if v == k}, coords)[1]
+        table, tgt = {(): (1, {(): 1})}, form_algebra(m)
+        _PULLBACKS[key] = (lambda mono: _pullback_image(
+            table, letters, tgt, mono), table)
     return _PULLBACKS[key]
 
 
+def _pullback_image(table, letters, alg, mono):
+    """The image (1, {monomial: int}) of the monomial x * rest, x its first
+    letter: letters[x] times the image of rest in `table`, which is filled
+    first where it lacks rest; `mono_mul` gives the Koszul sign."""
+    (o, p), rest = mono[0], mono[1:]
+    rest = ((o, p - 1),) + rest if p > 1 else rest
+    if rest not in table:
+        table[rest] = _pullback_image(table, letters, alg, rest)
+    out = {}
+    for m2, c2 in table[rest][1].items():
+        for m1, c1 in letters[o].items():
+            hit = mono_mul(alg, m1, m2)
+            if hit:
+                out[hit[1]] = out.get(hit[1], 0) + hit[0] * c1 * c2
+    return 1, {m: c for m, c in out.items() if c}
+
+
 def _moves(n, name, *args):
-    """The dimension that a face, a degeneracy word (outermost first) or d
-    of the n-simplex lands on, and the maps of `memo_linear` it applies in
-    turn."""
-    if name == "d":
-        return n, [_form_diff(n)]
-    if name == "face":
-        return n - 1, [_pullback(n, n - 1,
-                                 [j + (j >= args[0]) for j in range(n)])]
-    return n + len(args[0]), [
-        _pullback(m, m + 1, [j - (j > i) for j in range(m + 2)])
-        for m, i in enumerate(reversed(args[0]), start=n)]
+    """Where a face, a degeneracy word (outermost first, each letter
+    checked at the dimension it applies to) or d of the n-simplex lands,
+    and the maps of `memo_linear` it applies in turn, kept in `_MOVES`."""
+    key = (n, name, *args)
+    if key not in _MOVES:
+        if name == "d":
+            _MOVES[key] = n, [_form_diff(n)]
+        elif name == "face":
+            _MOVES[key] = n - 1, [_pullback(
+                n, n - 1, [j + (j >= args[0]) for j in range(n)])]
+        else:
+            for m, i in enumerate(reversed(args[0]), start=n):
+                if not 0 <= i <= m:
+                    raise FormError(f"degeneracy index {i} out of range for "
+                                    f"dimension {m}")
+            _MOVES[key] = n + len(args[0]), [
+                _pullback(m, m + 1, [j - (j > i) for j in range(m + 2)])
+                for m, i in enumerate(reversed(args[0]), start=n)]
+    return _MOVES[key]
 
 
 class PolyForm:
@@ -172,11 +189,7 @@ class PolyForm:
         pass; each letter is checked at the dimension it applies to."""
         if not word:
             return self
-        for n, i in enumerate(reversed(word), start=self.dim):
-            if not 0 <= i <= n:
-                raise FormError(f"degeneracy index {i} out of range for "
-                                f"dimension {n}")
-        return self._move(*_moves(self.dim, "degen_word", word))
+        return self._move(*_moves(self.dim, "degen_word", tuple(word)))
 
     def _move(self, m, maps):
         return PolyForm(m, AlgElement(form_algebra(m), ratios(
@@ -331,6 +344,15 @@ class SimplicialComplexFin:
         return f"SimplicialComplexFin({self.name}; dims {counts})"
 
 
+def _same_row(move_a, row_a, move_b, row_b):
+    """Whether two `scaled` rows carried through the maps of two moves land
+    on one dimension and agree there, by cross-multiplication."""
+    den_a, a = memo_linear(row_a[1], move_a[1], row_a[0])
+    den_b, b = memo_linear(row_b[1], move_b[1], row_b[0])
+    return move_a[0] == move_b[0] and a.keys() == b.keys() and all(
+        x * den_b == b[m] * den_a for m, x in a.items())
+
+
 class GlobalForm:
     """A compatible family of degree-k polynomial forms, one per
     nondegenerate simplex."""
@@ -349,23 +371,28 @@ class GlobalForm:
         return self.assignment.get(sid) or PolyForm.zero(self.complex.dims[sid])
 
     def validate(self):
-        defects = []
-        for sid in sorted(self.complex.dims):
-            own = self.form(sid)
-            degrees = {own.element.algebra.mono_degree(m)
+        """Defects of the family.  Each form is read as a `scaled` row once,
+        and each face check compares two rows through `_same_row`."""
+        dims, defects = self.complex.dims, []
+        forms = {sid: self.form(sid) for sid in dims}
+        rows = {sid: scaled(f.element.terms) for sid, f in forms.items()}
+        for sid in sorted(dims):
+            own = forms[sid]
+            y1 = len(own.element.algebra.generators) // 2  # y_i follow t_i
+            degrees = {sum(p for o, p in m if o >= y1)
                        for m in own.element.terms}
-            if own.dim != self.complex.dims[sid] or len(degrees) > 1:
+            if own.dim != dims[sid] or len(degrees) > 1:
                 defects.append(f"form on {sid} is not a homogeneous form "
-                               f"on a {self.complex.dims[sid]}-simplex")
+                               f"on a {dims[sid]}-simplex")
             elif degrees - {self.degree}:
                 defects.append(f"form on {sid} has degree {degrees.pop()}, "
                                f"expected {self.degree}")
             else:
                 for i in range(own.dim + 1 if own.dim else 0):
                     tgt, word = self.complex.faces[(sid, i)]
-                    other = self.form(tgt)
-                    if (other.dim != self.complex.dims[tgt]
-                            or own.face(i) != other.degen_word(word)):
+                    if forms[tgt].dim != dims[tgt] or not _same_row(
+                            _moves(own.dim, "face", i), rows[sid],
+                            _moves(dims[tgt], "degen_word", word), rows[tgt]):
                         defects.append(f"face {i} of {sid} disagrees "
                                        f"with {tgt}")
         return defects
@@ -654,11 +681,11 @@ def verify_stokes(K, trials, poly_cap, seed):
     """Check integrate(d w) = delta(integrate(w)) exactly on sampled
     global forms, and compare the rank of integration on sampled cocycles
     with the cochain cohomology dimensions.  The pullback tables start
-    empty, and so do the tables of d and of integrals, so a call does the
-    same work whatever ran before it."""
+    empty, and so do the tables of d, of integrals and of move maps, so a
+    call does the same work whatever ran before it."""
     if trials < 1:
         raise FormError("need at least one trial")
-    for table in (_PULLBACKS, _DIFFS, _INTEGRALS):
+    for table in (_PULLBACKS, _DIFFS, _INTEGRALS, _MOVES):
         table.clear()
     records = []
     for t in range(trials):

@@ -7,14 +7,18 @@ Leibniz rule as pre * dg * suf per letter, a morphism reducing modulo
 the target's relations after every product, and faces and degeneracies
 through explicit image tables of the coordinates.
 
-The pullbacks keep a table of monomial images; the pullback tests check
-that it drops explicit zero coefficients, is read on repeated calls,
-cannot be changed through a returned element, composes along degeneracy
-words, and starts empty in every `verify_stokes` call.  `memo_linear`,
-which keeps those tables as scaled integer rows and sums them with
-`scaled_sum`, is checked against the Fraction loop it replaced, and the
-face-compatibility system, built once per (simplex dimension, map),
-against its assembly per (simplex, face).
+The pullbacks keep a table of monomial images, filled one letter at a
+time; the pullback tests check every image in it against `substitute`,
+and check that it drops explicit zero coefficients, is read on repeated
+calls (counting the entries filled), cannot be changed through a
+returned element, composes along degeneracy words, and starts empty in
+every `verify_stokes` call.  `memo_linear`, which keeps those tables as
+scaled integer rows and sums them with `scaled_sum`, is checked against
+the Fraction loop it replaced, and the face-compatibility system, built
+once per (simplex dimension, map), against its assembly per (simplex,
+face).  `GlobalForm.validate`, which checks sampled forms face by face
+on scaled rows, is checked against the comparison of `PolyForm.face`
+with `PolyForm.degen_word` it replaced.
 
 Differential matrices are assembled from the integer Leibniz kernel
 `Derivation.leibniz`; they are checked against the assembly they
@@ -98,7 +102,10 @@ from sullivan.models import (
     minimal_model,
 )
 from sullivan.plforms import (
+    FormError,
+    GlobalForm,
     PolyForm,
+    SimplicialComplexFin,
     builtin_complex,
     form_algebra,
     form_basis,
@@ -350,8 +357,10 @@ def _y(alg, n, i):
     return alg.gen_elem(f"y{i}")
 
 
-def reference_face(form, i):
-    n = form.dim
+def reference_face_images(n, i):
+    """The images of t_k and y_k under the i-th face of the n-simplex, by
+    source ordinal: t_k and y_k drop their index past i, and t_i, y_i go
+    to 0."""
     src, tgt = form_algebra(n), form_algebra(n - 1)
     images = {}
     for k in range(1, n + 1):
@@ -363,11 +372,13 @@ def reference_face(form, i):
             tk, yk = _t(tgt, n - 1, k - 1), _y(tgt, n - 1, k - 1)
         images[src.generator(f"t{k}").ordinal] = tk
         images[src.generator(f"y{k}").ordinal] = yk
-    return PolyForm(n - 1, reference_substitute(form.element, images, tgt))
+    return images
 
 
-def reference_degen(form, i):
-    n = form.dim
+def reference_degen_images(n, i):
+    """The images of t_k and y_k under the i-th codegeneracy of the
+    n-simplex, by source ordinal: t_i goes to t_i + t_(i+1), and later
+    letters move up one index."""
     src, tgt = form_algebra(n), form_algebra(n + 1)
     images = {}
     for k in range(1, n + 1):
@@ -380,7 +391,44 @@ def reference_degen(form, i):
             tk, yk = tgt.gen_elem(f"t{k + 1}"), tgt.gen_elem(f"y{k + 1}")
         images[src.generator(f"t{k}").ordinal] = tk
         images[src.generator(f"y{k}").ordinal] = yk
-    return PolyForm(n + 1, reference_substitute(form.element, images, tgt))
+    return images
+
+
+def reference_face(form, i):
+    n = form.dim
+    return PolyForm(n - 1, reference_substitute(
+        form.element, reference_face_images(n, i), form_algebra(n - 1)))
+
+
+def reference_degen(form, i):
+    n = form.dim
+    return PolyForm(n + 1, reference_substitute(
+        form.element, reference_degen_images(n, i), form_algebra(n + 1)))
+
+
+def reference_validate(gf):
+    """`GlobalForm.validate` through `PolyForm.face` and
+    `PolyForm.degen_word`, each face check comparing two new forms, and
+    the degree of a monomial from `mono_degree`."""
+    K, defects = gf.complex, []
+    for sid in sorted(K.dims):
+        own = gf.form(sid)
+        degrees = {own.element.algebra.mono_degree(m)
+                   for m in own.element.terms}
+        if own.dim != K.dims[sid] or len(degrees) > 1:
+            defects.append(f"form on {sid} is not a homogeneous form "
+                           f"on a {K.dims[sid]}-simplex")
+        elif degrees - {gf.degree}:
+            defects.append(f"form on {sid} has degree {degrees.pop()}, "
+                           f"expected {gf.degree}")
+        else:
+            for i in range(own.dim + 1 if own.dim else 0):
+                tgt, word = K.faces[(sid, i)]
+                other = gf.form(tgt)
+                if (other.dim != K.dims[tgt]
+                        or own.face(i) != other.degen_word(word)):
+                    defects.append(f"face {i} of {sid} disagrees with {tgt}")
+    return defects
 
 
 def reference_compatibility_rows(K, degree, poly_cap, closed):
@@ -575,24 +623,45 @@ def _moves(n):
     return out
 
 
-class _CountingSubstitute:
-    """Counts the calls `plforms` makes to `substitute` while installed."""
+class _CountingFills:
+    """Counts the pullback table entries `plforms` fills, one letter at a
+    time, while installed."""
 
     def __init__(self):
         self.calls = 0
 
     def __enter__(self):
-        self.original = plforms.substitute
+        self.original = plforms._pullback_image
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             self.calls += 1
-            return self.original(*args, **kwargs)
+            return self.original(*args)
 
-        plforms.substitute = counted
+        plforms._pullback_image = counted
         return self
 
     def __exit__(self, *exc):
-        plforms.substitute = self.original
+        plforms._pullback_image = self.original
+
+
+def _empty_tables():
+    """Empty the tables of `plforms` as `verify_stokes` does on entry."""
+    for table in (plforms._PULLBACKS, plforms._DIFFS, plforms._INTEGRALS,
+                  plforms._MOVES):
+        table.clear()
+
+
+def _tails(mono):
+    """The monomials a pullback table fills for `mono`: the monomial, then
+    it with its first letter taken off once, and so on, the unit left
+    out."""
+    out = []
+    while mono:
+        out.append(mono)
+        (o, p), mono = mono[0], mono[1:]
+        if p > 1:
+            mono = ((o, p - 1),) + mono
+    return out
 
 
 @contextmanager
@@ -787,6 +856,28 @@ def test_face_and_degeneracy_match_explicit_image_tables(form):
         assert form.degen(i) == reference_degen(form, i)
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_letter_by_letter_tables_match_substitute(n):
+    """Filled one letter at a time from every monomial of
+    form_basis(n, k, 3), each pullback table holds, for every monomial it
+    keeps, what `substitute` gives with the reference coordinate images:
+    every face and every codegeneracy of the n-simplex."""
+    monos = [m for k in range(n + 1) for m in form_basis(n, k, 3)]
+    maps = [(n - 1, ("face", i), reference_face_images(n, i))
+            for i in range(n + 1) if n]
+    maps += [(n + 1, ("degen_word", (i,)), reference_degen_images(n, i))
+             for i in range(n + 1)]
+    for m, move, images in maps:
+        _empty_tables()
+        [(image, table)] = plforms._moves(n, *move)[1]
+        memo_linear(dict.fromkeys(monos, 1), [(image, table)])
+        assert table.keys() >= set(monos)
+        for mono, (den, row) in table.items():
+            want = substitute(AlgElement(form_algebra(n), {mono: Fraction(1)}),
+                              images, form_algebra(m))
+            assert den == 1 and row == want.terms
+
+
 @settings(max_examples=100, deadline=None)
 @given(raw_form_cases())
 def test_pullbacks_drop_explicit_zero_coefficients(form):
@@ -799,12 +890,18 @@ def test_pullbacks_drop_explicit_zero_coefficients(form):
 @settings(max_examples=100, deadline=None)
 @given(form_cases())
 def test_repeated_pullbacks_read_the_table(form):
+    """From empty tables, a face or a codegeneracy fills one entry per
+    tail of each monomial of the form; a repeat fills none."""
+    fills = len({tail for m, c in form.element.terms.items() if c
+                 for tail in _tails(m)})
     for move, reference in _moves(form.dim):
         want = reference(form)
-        assert move(form) == want
-        with _CountingSubstitute() as counter:
+        _empty_tables()
+        with _CountingFills() as first:
             assert move(form) == want
-        assert counter.calls == 0
+        with _CountingFills() as again:
+            assert move(form) == want
+        assert (first.calls, again.calls) == (fills, 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -845,14 +942,14 @@ def test_degeneracy_words_match_composed_references(form):
 
 
 def test_stokes_work_does_not_depend_on_earlier_calls():
-    """verify_stokes starts from an empty pullback table, so repeating a
-    call repeats its substitutions instead of reading the first call's."""
+    """verify_stokes starts from empty pullback tables, so repeating a
+    call repeats its table fills instead of reading the first call's."""
     counts = []
     for _ in range(2):
-        with _CountingSubstitute() as counter:
+        with _CountingFills() as counter:
             assert verify_stokes(builtin_complex("delta2"), 3, 2, seed=1).ok
         counts.append(counter.calls)
-    assert counts[0] == counts[1] > 0
+    assert counts == [79, 79]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1112,3 +1209,79 @@ def test_blocks_built_once_match_the_per_face_assembly(
             assert seen == [want]
             assert [{j: Fraction(x, p) for j, x in row.items()}
                     for p, row in kernel.values()] == kernel_basis(want).rows
+
+
+# ----- face checks on scaled rows against PolyForm.face / degen_word -----
+
+def _perturbations(K, degree, form, rng):
+    """Forms to put in place of `form` (on a simplex of K): one monomial
+    of the right degree added, a monomial of the wrong degree in place of
+    the form or added to it, an explicit zero coefficient, and a form on
+    the wrong dimension."""
+    n, alg = form.dim, form.element.algebra
+    same = form_basis(n, degree, 2)
+    wrong = form_basis(n, degree + 1, 2) + form_basis(n, degree - 1, 2)
+    out = [PolyForm(n + 1, form_algebra(n + 1).one())]
+    if same:
+        out.append(PolyForm(n, form.element + AlgElement(
+            alg, {rng.choice(same): Fraction(rng.choice([-2, 1, 3]), 2)})))
+        out.append(PolyForm(n, AlgElement(
+            alg, {**form.element.terms, rng.choice(same): Fraction(0)})))
+    if wrong:
+        mono = rng.choice(wrong)
+        out.append(PolyForm(n, AlgElement(alg, {mono: Fraction(1)})))
+        out.append(PolyForm(n, form.element + AlgElement(
+            alg, {mono: Fraction(1)})))
+    return out
+
+
+SHAPES = ("disagrees with", "not a homogeneous form", "has degree")
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_COMPLEXES))
+def test_validate_matches_the_face_and_degeneracy_path(name):
+    """Sampled forms changed on one simplex at a time: the defects found
+    on scaled rows equal those found by comparing `PolyForm.face` with
+    `PolyForm.degen_word`, message for message.  s2_one_cell reaches
+    every face of its 2-cell through the word s0."""
+    K, rng, kinds = BLOCK_COMPLEXES[name](), random.Random(5), set()
+    for degree in range(K.top_dim + 1):
+        gf = plforms.sample_global_form(K, degree, 2, seed=degree)
+        assert gf.validate() == reference_validate(gf) == []
+        for sid in sorted(K.dims):
+            for form in _perturbations(K, degree, gf.form(sid), rng):
+                bad = GlobalForm(K, degree, {**gf.assignment, sid: form},
+                                 check=False)
+                defects = bad.validate()
+                assert defects == reference_validate(bad)
+                kinds.update(kind for d in defects for kind in SHAPES
+                             if kind in d)
+    assert kinds == set(SHAPES)
+
+
+def test_validate_refuses_an_out_of_range_degeneracy_as_before():
+    """On an unchecked complex whose face word does not apply to its
+    target, validate raises the FormError of `PolyForm.degen_word`."""
+    K = SimplicialComplexFin("bad", {"p": 0, "T": 2},
+                             {("T", i): ("p", (3,)) for i in range(3)},
+                             check=False)
+    gf = GlobalForm(K, 0, {"p": PolyForm.parse(0, "1"),
+                           "T": PolyForm.parse(2, "1")}, check=False)
+    with pytest.raises(FormError) as want:
+        reference_validate(gf)
+    with pytest.raises(FormError) as got:
+        gf.validate()
+    assert str(got.value) == str(want.value) == (
+        "degeneracy index 3 out of range for dimension 0")
+
+
+def test_validate_reports_a_face_word_landing_on_the_wrong_dimension():
+    """On an unchecked complex whose faces of T land on a vertex with no
+    degeneracy, the zero forms on both sides still disagree: the face of
+    T lives on dimension 1, the vertex form on dimension 0."""
+    K = SimplicialComplexFin("bad", {"p": 0, "T": 2},
+                             {("T", i): ("p", ()) for i in range(3)},
+                             check=False)
+    gf = GlobalForm(K, 0, {}, check=False)
+    assert gf.validate() == reference_validate(gf) == [
+        f"face {i} of T disagrees with p" for i in range(3)]

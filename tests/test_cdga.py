@@ -75,6 +75,17 @@ def test_element_rejects_coordinate_outside_basis():
             c.element(2, {i: 1})
 
 
+def test_element_takes_fraction_coordinates_as_they_are():
+    """A Fraction coordinate goes into the element itself, not a copy of
+    it; an int coordinate becomes a Fraction."""
+    c = sphere_cohomology(2)
+    half = Fraction(1, 2)
+    [kept] = c.element(2, {0: half}).terms.values()
+    [made] = c.element(2, {0: 3}).terms.values()
+    assert kept is half
+    assert type(made) is Fraction and made == 3
+
+
 def test_nonformal_cohomology_table():
     c = nonformal_model()
     rep = c.cohomology(12)
