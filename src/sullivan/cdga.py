@@ -84,9 +84,6 @@ class CohomologyReport:
         self.dims = dims
         self.representatives = representatives
 
-    def dim(self, k):
-        return self.dims[k] if 0 <= k <= self.max_degree else 0
-
     def __repr__(self):
         return f"CohomologyReport(dims={self.dims})"
 

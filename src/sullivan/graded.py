@@ -313,8 +313,6 @@ class AlgElement:
         return AlgElement(self.algebra, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         self._need_same(other)
         alg = self.algebra
         out = {}
@@ -326,11 +324,6 @@ class AlgElement:
                 c = c1 * c2
                 _add_term(out, sm[1], c if sm[0] > 0 else -c)
         return AlgElement(alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def degree(self):
         """Degree of a homogeneous element (None for 0); raises on

@@ -14,9 +14,6 @@ the dichotomy window [2n, 3n-2].
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from .cdga import Cdga, CdgaError, word_length_quotient
 from .graded import Derivation, FreeAlgebra, monomial_columns, on_monomials
 from .linalg import RatMatrix, homology_dim, rank
@@ -43,7 +40,6 @@ __all__ = [
     "toomer_rank",
     "PoincareSeries",
     "loop_poincare_series",
-    "growth_classify",
     "gap_probe",
     "full_invariants",
 ]
@@ -263,10 +259,6 @@ class EllipticityReport:
         self.h0_dims = h0_dims
         self.v_dims = v_dims
         self.gap_report = gap_report
-
-    @property
-    def chi_v(self):
-        return self.euler["chi_V"] if self.euler else None
 
     def __repr__(self):
         return f"EllipticityReport({self.verdict})"
@@ -529,44 +521,6 @@ def loop_poincare_series(model, order):
         else:
             den.append(g.degree - 1)
     return PoincareSeries(num, den, order)
-
-
-class GrowthVerdict:
-    def __init__(self, kind, estimate=None):
-        self.kind = kind  # "Exponential" | "Polynomial" | "Constant"
-        self.estimate = estimate
-
-    def __repr__(self):
-        if self.estimate is None:
-            return f"GrowthVerdict({self.kind})"
-        return f"GrowthVerdict({self.kind}, {self.estimate:.3f})"
-
-
-def growth_classify(coeffs, eps=Fraction(1, 20)):
-    """Heuristic growth class of a nonnegative coefficient table, judged
-    on partial sums over the trailing half: geometric mean ratio above
-    1 + eps is exponential, a flat tail is constant, anything else is
-    polynomial (with a log-log slope estimate)."""
-    sums = []
-    acc = 0
-    for v in coeffs:
-        acc += v
-        sums.append(acc)
-    n = len(sums) - 1
-    if n < 1 or sums[n] == 0:
-        return GrowthVerdict("Constant")
-    half = n // 2
-    if sums[half] == sums[n] and half < n:
-        return GrowthVerdict("Constant")
-    steps = n - half
-    if sums[half] > 0 and Fraction(sums[n], sums[half]) > (1 + eps) ** steps:
-        est = float(Fraction(sums[n], sums[half])) ** (1.0 / steps)
-        return GrowthVerdict("Exponential", est)
-    slope = None
-    if half >= 1 and sums[half] > 0:
-        slope = (math.log(sums[n]) - math.log(sums[half])) \
-            / (math.log(n) - math.log(half))
-    return GrowthVerdict("Polynomial", slope)
 
 
 def full_invariants(model, max_degree, bound, report=None):

@@ -35,10 +35,11 @@ class LinalgError(ValueError):
 
 
 def scaled(row):
-    """A sparse rational row as (d, {index: integer numerator over d})."""
+    """A sparse rational row as (d, {index: integer numerator over d}); an
+    explicit zero entry is left out."""
     den = lcm(*[x.denominator for x in row.values()])
-    return den, {j: x.numerator * (den // x.denominator)
-                 for j, x in row.items()}
+    return den, {j: n for j, x in row.items()
+                 if (n := x.numerator * (den // x.denominator))}
 
 
 def ratio(num, den):

@@ -200,10 +200,8 @@ class PolyForm:
         return PolyForm(self.dim, self.element + other.element)
 
     def __mul__(self, other):
-        if isinstance(other, PolyForm):
-            self._same(other)
-            return PolyForm(self.dim, self.element * other.element)
-        return PolyForm(self.dim, self.element.scale(other))
+        self._same(other)
+        return PolyForm(self.dim, self.element * other.element)
 
     def _same(self, other):
         if self.dim != other.dim:
@@ -371,8 +369,9 @@ class GlobalForm:
         return self.assignment.get(sid) or PolyForm.zero(self.complex.dims[sid])
 
     def validate(self):
-        """Defects of the family.  Each form is read as a `scaled` row once,
-        and each face check compares two rows through `_same_row`."""
+        """Defects of the family.  Each form is read as a `scaled` row once
+        (so an explicit zero coefficient is no term), and each face check
+        compares two rows through `_same_row`."""
         dims, defects = self.complex.dims, []
         forms = {sid: self.form(sid) for sid in dims}
         rows = {sid: scaled(f.element.terms) for sid, f in forms.items()}
@@ -417,21 +416,6 @@ class Cochain:
 
     def value(self, sid):
         return self.values.get(sid, Fraction(0))
-
-    def __add__(self, other):
-        self._same(other)
-        out = dict(self.values)
-        for sid, v in other.values.items():
-            s = out.get(sid, 0) + v
-            if s:
-                out[sid] = s
-            else:
-                out.pop(sid, None)
-        return Cochain(self.complex, self.degree, out)
-
-    def _same(self, other):
-        if self.complex is not other.complex or self.degree != other.degree:
-            raise FormError("cochain mismatch")
 
     def is_zero(self):
         return not self.values

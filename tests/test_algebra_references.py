@@ -406,10 +406,15 @@ def reference_degen(form, i):
         form.element, reference_degen_images(n, i), form_algebra(n + 1)))
 
 
+def _nonzero(form):
+    return form.dim, {m: c for m, c in form.element.terms.items() if c}
+
+
 def reference_validate(gf):
     """`GlobalForm.validate` through `PolyForm.face` and
-    `PolyForm.degen_word`, each face check comparing two new forms, and
-    the degree of a monomial from `mono_degree`."""
+    `PolyForm.degen_word`, each face check comparing the dimensions and
+    nonzero terms of two new forms (an explicit zero coefficient is no
+    term), and the degree of a monomial from `mono_degree`."""
     K, defects = gf.complex, []
     for sid in sorted(K.dims):
         own = gf.form(sid)
@@ -426,7 +431,8 @@ def reference_validate(gf):
                 tgt, word = K.faces[(sid, i)]
                 other = gf.form(tgt)
                 if (other.dim != K.dims[tgt]
-                        or own.face(i) != other.degen_word(word)):
+                        or _nonzero(own.face(i))
+                        != _nonzero(other.degen_word(word))):
                     defects.append(f"face {i} of {sid} disagrees with {tgt}")
     return defects
 

@@ -168,6 +168,33 @@ def test_classify_wedge_hyperbolic(capsys):
     assert doc["vDims"]["7"] == 2
 
 
+def test_classify_contractible_presentation_is_elliptic_of_dimension_0(
+        capsys, tmp_path):
+    """d y = x kills all cohomology above degree 0: the formal dimension
+    is 0, and the report is the point's, with no model synthesized."""
+    f = tmp_path / "contractible.cdga"
+    f.write_text("cdga contractible\ngen x 4\ngen y 3\ndiff y = x\n")
+    code, out, err = run(capsys, "classify", str(f), "-B", "10", "--json")
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    assert doc["verdict"] == "Elliptic"
+    assert doc["formalDimension"] == 0
+    assert doc["hDims"] == [1]
+    assert doc["chi"] == {"H": 1, "V": 0, "pi": 0}
+
+
+def test_classify_without_a_top_degree_is_inconclusive(capsys, tmp_path):
+    """A non-minimal presentation of H = Q[x]: cohomology never vanishes
+    within the bound, so no formal dimension is found."""
+    f = tmp_path / "polynomial.cdga"
+    f.write_text("cdga polynomial\ngen x 2\ngen a 3\ngen b 4\ndiff a = b\n")
+    code, out, err = run(capsys, "classify", str(f), "-B", "10", "--json")
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    assert doc["verdict"] == "Inconclusive"
+    assert doc["hDims"] == [1, 0] * 5 + [1]
+
+
 @pytest.mark.parametrize("argv", [
     ["elliptic6.cdga", "-B", "60"], ["elliptic6.cdga", "-B", "60", "--json"],
     ["h_wedge_s3s3.cdga", "--json"]])

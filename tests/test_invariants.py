@@ -30,7 +30,6 @@ from sullivan.invariants import (
     finiteness_test,
     full_invariants,
     gap_probe,
-    growth_classify,
     is_pure,
     loop_poincare_series,
     pure_filtration_homology,
@@ -311,30 +310,6 @@ def test_loop_series_matches_loop_cohomology_on_fixtures():
         lc = loop_cohomology(m, 20)
         s = loop_poincare_series(m, 20)
         assert s.coefficients == lc.dims
-
-
-def test_growth_classify_polynomial_and_constant():
-    assert growth_classify([1] * 41).kind == "Polynomial"
-    assert growth_classify([1] + [0] * 20).kind == "Constant"
-    quad = [k * k for k in range(100)]
-    assert growth_classify(quad).kind == "Polynomial"
-
-
-def test_growth_classify_exponential():
-    geo = [2 ** k for k in range(16)]
-    v = growth_classify(geo)
-    assert v.kind == "Exponential"
-    assert v.estimate > 1.5
-
-
-def test_growth_classify_on_wedge_model_generators():
-    # generator growth table of the minimal model of a wedge of spheres
-    res = minimal_model(wedge_cohomology(3, 3), 12)
-    hist = {}
-    for g in res.model.algebra.generators:
-        hist[g.degree] = hist.get(g.degree, 0) + 1
-    table = [hist.get(k, 0) for k in range(13)]
-    assert growth_classify(table).kind == "Exponential"
 
 
 def test_full_invariants_cp2():

@@ -228,6 +228,36 @@ def test_delta_squared_zero_on_random_cochains():
         assert cochain_differential(cochain_differential(c)).is_zero()
 
 
+def test_cup_product_of_the_two_edges_of_a_path():
+    K = builtin_complex("delta2")
+    a, b = Cochain(K, 1, {"01": 1}), Cochain(K, 1, {"12": 1})
+    assert cochain_cup(a, b) == Cochain(K, 2, {"012": 1})
+    assert cochain_cup(b, a).is_zero()
+
+
+@pytest.mark.parametrize("name", ["delta3", "bddelta3", "s2_one_cell"])
+def test_cup_product_satisfies_leibniz_on_random_cochains(name):
+    """delta(a u b) = delta a u b + (-1)^p a u delta b."""
+    K = (load_scomplex(DATA / "s2_one_cell.scx") if name == "s2_one_cell"
+         else builtin_complex(name))
+    rng = random.Random(5)
+    nonzero = 0
+    for p in range(K.top_dim):
+        for q in range(K.top_dim - p):
+            for _ in range(4):
+                a, b = (Cochain(K, k, {sid: rng.randint(-3, 3)
+                                       for sid in K.simplices(k)})
+                        for k in (p, q))
+                lhs = cochain_differential(cochain_cup(a, b))
+                first = cochain_cup(cochain_differential(a), b)
+                second = cochain_cup(a, cochain_differential(b))
+                nonzero += not cochain_cup(a, b).is_zero()
+                assert all(lhs.value(sid) == first.value(sid)
+                           + (-1) ** p * second.value(sid)
+                           for sid in K.simplices(p + q + 1))
+    assert nonzero
+
+
 # ----- integration -----
 
 def test_integrate_volume_form_of_triangle():
@@ -449,6 +479,14 @@ def test_validation_reports_a_face_target_on_the_wrong_dimension():
         "face 0 of T disagrees with p", "face 1 of T disagrees with p",
         "face 2 of T disagrees with p",
         "form on p is not a homogeneous form on a 0-simplex"]
+
+
+def test_validation_reads_an_explicit_zero_coefficient_as_zero():
+    """A vertex form that stores 0 for its one monomial is the zero form:
+    its faces of the edges agree with it."""
+    K = builtin_complex("delta2")
+    zero = PolyForm(0, AlgElement(form_algebra(0), {(): Fraction(0)}))
+    assert GlobalForm(K, 0, {"0": zero}, check=False).validate() == []
 
 
 @pytest.mark.parametrize("name", ["delta3", "bddelta3", "s2_one_cell"])
