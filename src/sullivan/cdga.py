@@ -110,7 +110,6 @@ class Cdga:
         self._quotient_cache = {}
         self._rel_cache = {}
         self._diff_cache = {}
-        self._kernels = {}
         self._rank_cache = {}
         self._h_cache, self._class_mats = {}, {}
         if check:
@@ -219,8 +218,9 @@ class Cdga:
         d extended by `images` {name: element}.  It takes over, re-indexed,
         the differential matrices of the degrees in `carry`: d of an old
         monomial stays, so only new monomials need new columns, and an old
-        one is scaled by new den // old den (d keeps the old images).  A
-        kernel of d whose basis gains nothing stays, and is carried."""
+        one is scaled by new den // old den (d keeps the old images).  Below
+        the lowest new degree d_k keeps its columns and gains zero rows, so
+        its rank is carried too."""
         if not self.is_free:
             raise CdgaError(f"{self.name}: only a free CDGA extends")
         alg = self.algebra.extend(specs)
@@ -228,6 +228,8 @@ class Cdga:
             k: AlgElement(alg, e.terms)
             for k, e in {**self.differential.images, **images}.items()},
             check=False), check=False)
+        new._rank_cache = {k: r for k, r in self._rank_cache.items()
+                           if all(k < deg for _, deg in specs)}
         for k in (k for k in carry if k in self._diff_cache):
             old_rows, rows = self.basis(k + 1), new._quotient_basis(k + 1)[1]
             m, den = self._diff_cache[k], new.differential.den
@@ -236,8 +238,6 @@ class Cdga:
                 {rows[old_rows[i]]: s * x for i, x in old[mono].items()}
                 if mono in old else new._d_columns(k, [mono])[1][0]
                 for mono in new.basis(k)], len(rows), den)
-            if k in self._kernels and new.basis(k) == self.basis(k):
-                new._kernels[k] = self._kernels[k]
         return new
 
     def mult(self, a, b):
@@ -291,11 +291,7 @@ class Cdga:
     def _h_data(self, k):
         """(sparse H^k representatives, the SubspaceBasis B^k)."""
         if k not in self._h_cache:
-            z = self._kernels.pop(k, None)  # carried in by `extend`
-            if z is None:  # the top kernel taken here is kept for `extend`
-                z = kernel_basis(self.diff_matrix(k))
-                if k >= max(self._kernels, default=k):
-                    self._kernels = {k: z}
+            z = kernel_basis(self.diff_matrix(k))
             b = image_basis(self.diff_matrix(k - 1))  # d_(-1) has no columns
             self._h_cache[k] = (quotient_basis(b, z), b)
         return self._h_cache[k]

@@ -7,10 +7,12 @@ vanish).  Elements store monomial -> Fraction maps with no zero
 coefficients, so element equality is dict equality.  All values are
 immutable by convention and all arithmetic is exact.
 
-Two facts about the free algebra carry the rest of the package, and each
-has one routine here: a map out of it is fixed by the images of the
-generators (`substitute`, the one multiplicative extension), and so is a
-derivation (`Derivation.leibniz`, the one Leibniz rule, in integers).
+Two facts about the free algebra carry the rest of the package: a map out
+of it is fixed by the images of the generators (`substitute` extends them
+multiplicatively for morphisms and renamings; the face and degeneracy
+pullbacks of `plforms` fill integer tables one letter at a time instead),
+and so is a derivation (`Derivation.leibniz`, the one Leibniz rule, in
+integers).
 Linear maps in monomial bases are read off as integer columns over one
 denominator by one assembler, `monomial_columns`, and memoised per
 monomial by one, `memo_linear`.  Each algebra keeps those bases in a
@@ -294,6 +296,8 @@ class AlgElement:
                      tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
+        if not isinstance(other, AlgElement):
+            return NotImplemented
         self._need_same(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -313,6 +317,8 @@ class AlgElement:
         return AlgElement(self.algebra, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
+        if not isinstance(other, AlgElement):
+            return NotImplemented
         self._need_same(other)
         alg = self.algebra
         out = {}

@@ -14,8 +14,8 @@ the dichotomy window [2n, 3n-2].
 
 from __future__ import annotations
 
-from .cdga import Cdga, CdgaError, word_length_quotient
-from .graded import Derivation, FreeAlgebra, monomial_columns, on_monomials
+from .cdga import Cdga, CdgaError, check_quasi_iso, word_length_quotient
+from .graded import AlgElement, Derivation, FreeAlgebra, monomial_columns
 from .linalg import RatMatrix, homology_dim, rank
 from .models import check_minimal_sullivan, minimal_model
 
@@ -184,27 +184,13 @@ def finiteness_test(c, bound):
     classify_ellipticity checks a Finite verdict against the cohomology of
     `c` itself."""
     pure = c if is_pure(c) else associated_pure(c)
-    even_degs = [g.degree for g in c.algebra.generators if g.degree % 2 == 0]
-    window = max(even_degs, default=1)
-    alg = pure.algebra
-
-    odd_gens = [g for g in alg.generators if g.degree % 2 == 1]
-    # the even monomials of alg, in its canonical order
-    even = FreeAlgebra([g for g in alg.generators if g.degree % 2 == 0])
-
-    def h0_dim(m):
-        tgt = even.basis_of_degree(m)
-        index = {mono: i for i, mono in enumerate(tgt)}
-        vectors = []
-        for g in odd_gens:
-            dg = pure.differential.images.get(g.ordinal)
-            if dg is not None:
-                vectors += monomial_columns(
-                    on_monomials(lambda e, dg=dg: e * dg, alg),
-                    even.basis_of_degree(m - (g.degree + 1)), index)[1]
-        return len(tgt) - rank(RatMatrix.from_rows(vectors, len(tgt)))
-
-    dims, last = _zero_window_scan(h0_dim, bound, window)
+    # H_0: the even polynomials modulo the ideal of the pure images
+    even = FreeAlgebra([g for g in c.algebra.generators if g.degree % 2 == 0])
+    h0 = Cdga(f"{pure.name}-H0", even, Derivation(even, +1, {}), relations=[
+        AlgElement(even, dg.terms) for dg in pure.differential.images.values()],
+        check=False)
+    window = max((g.degree for g in even.generators), default=1)
+    dims, last = _zero_window_scan(h0.dim, bound, window)
     if last is not None:
         return Finite(sum(dims), last, dims)
     top = max((i for i, v in enumerate(dims) if v), default=-1)
@@ -378,9 +364,7 @@ def classify_space(target, bound):
     in_window = [j for j in range(2 * fdim, 3 * fdim - 1)
                  if v_hist.get(j, 0)]
     if not in_window:
-        report = classify_ellipticity(res.model, bound)
-        report.v_dims = v_hist
-        return report
+        return classify_ellipticity(res.model, bound)
     return EllipticityReport(
         "HyperbolicEvidence", bound=bound, formal_dimension=fdim,
         h_dims=dims, v_dims=v_hist,
@@ -458,22 +442,14 @@ def toomer_rank(c, cap, max_degree):
     if not check_minimal_sullivan(c):
         raise InvariantsError("word-length quotients need a minimal model")
     details = []
-    first = None
     for n in range(1, cap + 1):
-        q, proj = word_length_quotient(c, n)
-        ranks = []
-        injective = True
-        for k in range(max_degree + 1):
-            m = proj.h_matrix(k)
-            r = rank(m)
-            ranks.append({"degree": k, "source_dim": m.cols, "rank": r})
-            if r != m.cols:
-                injective = False
+        proj = word_length_quotient(c, n)[1]
+        ranks = check_quasi_iso(proj, max_degree).table
+        injective = all(row["injective"] for row in ranks)
         details.append({"n": n, "injective": injective, "ranks": ranks})
         if injective:
-            first = n
-            break
-    return first, details
+            return n, details
+    return None, details
 
 
 class PoincareSeries:

@@ -374,8 +374,9 @@ def minimal_model(target, max_degree):
     degree max_degree + 2.
 
     One model grows through the stages, carrying the differential
-    matrices the next stage reads (`Cdga.extend`), and the morphisms share
-    one table of phi per monomial, each degree dropped after its last read.
+    matrices and ranks the next stage reads (`Cdga.extend`), and the
+    morphisms share one table of phi per monomial, each degree dropped
+    after its last read.
     H^k(phi) is taken only where H^k(target) != 0: elsewhere stage k adds
     no closed generator, and stage k - 1 kills all of H^k(model).
     Stage n certifies its generators (d^2 = 0 and the chain-map identity)
@@ -396,13 +397,11 @@ def minimal_model(target, max_degree):
         # H^(n-1) is final: no generator of degree n or more changes it.
         # Equal dimensions (from ranks) and a surjection make H^(n-1)(phi)
         # an isomorphism; only a nonzero target needs representatives.
-        # Nothing reads d_(n-2) after this check.
         dim = target.h_dim(n - 1)
         if (model.h_dim(n - 1) != dim
                 or (dim and rank(phi.h_matrix(n - 1)) != dim)):
             raise ModelError(f"constructed map is not a quasi-isomorphism "
                              f"in degree {n - 1}")
-        model._diff_cache.pop(n - 2, None)
         new_d, new_phi = {}, {}
 
         def fresh_name():
@@ -446,7 +445,7 @@ def minimal_model(target, max_degree):
 
         if new_phi:
             model = model.extend([(name, n) for name in new_phi], new_d,
-                                 range(n - 1, n + 2) if n < max_degree else ())
+                                 range(n, n + 2) if n < max_degree else ())
             phi = CdgaMorphism(model, target, {**phi.images, **new_phi},
                                check=False, table=phi_table)
             d_target = target.diff_matrix(n).columns()

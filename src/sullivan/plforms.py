@@ -73,39 +73,24 @@ def form_algebra(n):
     return _ALGEBRAS[n]
 
 
-_DIFFS = {}  # n -> (leibniz of d on the n-simplex, its table)
-_PULLBACKS = {}  # (n, m, vertex map) -> (monomial image, its table)
-_INTEGRALS = {}  # k -> (monomial integral over the k-simplex, its table)
 _MOVES = {}  # (n, move name, *args) -> what `_moves` gives for them
-
-
-def _form_diff(n):
-    if n not in _DIFFS:
-        alg = form_algebra(n)
-        _DIFFS[n] = Derivation(alg, +1, {f"t{i}": alg.gen_elem(f"y{i}")
-                                         for i in range(1, n + 1)}).leibniz, {}
-    return _DIFFS[n]
 
 
 def _pullback(n, m, vertices):
     """The pullback along the simplicial map from the m-simplex with vertex
     map `vertices`: t_k and y_k go to the sums of t_j and y_j over the
-    vertices j sent to k.  `_PULLBACKS` keeps, per map, the integer image
-    of every monomial met so far and of its tails, filled one letter at a
-    time by `_pullback_image`."""
-    key = (n, m, tuple(vertices))
-    if key not in _PULLBACKS:
-        letters = {}  # t_k has ordinal k - 1, y_k ordinal n + k - 1
-        for first, at, unit in ((0, 0, {(): 1}), (n, m, {})):
-            coords = {j + 1: (1, {((at + j, 1),): 1}) for j in range(m)}
-            coords[0] = 1, {**unit, **{((at + j, 1),): -1 for j in range(m)}}
-            for k in range(1, n + 1):
-                letters[first + k - 1] = scaled_sum(
-                    {j: 1 for j, v in enumerate(vertices) if v == k}, coords)[1]
-        table, tgt = {(): (1, {(): 1})}, form_algebra(m)
-        _PULLBACKS[key] = (lambda mono: _pullback_image(
-            table, letters, tgt, mono), table)
-    return _PULLBACKS[key]
+    vertices j sent to k.  Its table keeps the integer image of every
+    monomial met so far and of its tails, filled one letter at a time by
+    `_pullback_image`."""
+    letters = {}  # t_k has ordinal k - 1, y_k ordinal n + k - 1
+    for first, at, unit in ((0, 0, {(): 1}), (n, m, {})):
+        coords = {j + 1: (1, {((at + j, 1),): 1}) for j in range(m)}
+        coords[0] = 1, {**unit, **{((at + j, 1),): -1 for j in range(m)}}
+        for k in range(1, n + 1):
+            letters[first + k - 1] = scaled_sum(
+                {j: 1 for j, v in enumerate(vertices) if v == k}, coords)[1]
+    table, tgt = {(): (1, {(): 1})}, form_algebra(m)
+    return (lambda mono: _pullback_image(table, letters, tgt, mono), table)
 
 
 def _pullback_image(table, letters, alg, mono):
@@ -126,24 +111,32 @@ def _pullback_image(table, letters, alg, mono):
 
 
 def _moves(n, name, *args):
-    """Where a face, a degeneracy word (outermost first, each letter
-    checked at the dimension it applies to) or d of the n-simplex lands,
-    and the maps of `memo_linear` it applies in turn, kept in `_MOVES`."""
+    """Where d, the integral, a face, a degeneracy or a degeneracy word
+    (outermost first) of the n-simplex lands, and the maps of `memo_linear`
+    it applies in turn, kept in `_MOVES`.  A word's maps are its letters',
+    each checked at the dimension it applies to, so words share tables."""
     key = (n, name, *args)
     if key not in _MOVES:
         if name == "d":
-            _MOVES[key] = n, [_form_diff(n)]
+            alg = form_algebra(n)
+            d = Derivation(alg, +1, {f"t{i}": alg.gen_elem(f"y{i}")
+                                     for i in range(1, n + 1)})
+            _MOVES[key] = n, [(d.leibniz, {})]
+        elif name == "integral":
+            _MOVES[key] = 0, [(lambda mono: _integral(n, mono), {})]
         elif name == "face":
             _MOVES[key] = n - 1, [_pullback(
                 n, n - 1, [j + (j >= args[0]) for j in range(n)])]
+        elif name == "degen":
+            if not 0 <= args[0] <= n:
+                raise FormError(f"degeneracy index {args[0]} out of range "
+                                f"for dimension {n}")
+            _MOVES[key] = n + 1, [_pullback(
+                n, n + 1, [j - (j > args[0]) for j in range(n + 2)])]
         else:
-            for m, i in enumerate(reversed(args[0]), start=n):
-                if not 0 <= i <= m:
-                    raise FormError(f"degeneracy index {i} out of range for "
-                                    f"dimension {m}")
             _MOVES[key] = n + len(args[0]), [
-                _pullback(m, m + 1, [j - (j > i) for j in range(m + 2)])
-                for m, i in enumerate(reversed(args[0]), start=n)]
+                f for m, i in enumerate(reversed(args[0]), start=n)
+                for f in _moves(m, "degen", i)[1]]
     return _MOVES[key]
 
 
@@ -196,10 +189,14 @@ class PolyForm:
             *memo_linear(self.element.terms, maps))))
 
     def __add__(self, other):
+        if not isinstance(other, PolyForm):
+            return NotImplemented
         self._same(other)
         return PolyForm(self.dim, self.element + other.element)
 
     def __mul__(self, other):
+        if not isinstance(other, PolyForm):
+            return NotImplemented
         self._same(other)
         return PolyForm(self.dim, self.element * other.element)
 
@@ -439,11 +436,12 @@ def integrate(gf):
     degree-k form over its k-simplex.  A monomial t^a y_1...y_k (the
     exterior part of a k-form on the k-simplex) integrates to the
     Dirichlet integral prod(a_i!) / (k + sum a_i)!, which `_integral`
-    gives as a `scaled` row {0: numerator} and `_INTEGRALS[k]` keeps."""
+    gives as a `scaled` row {0: numerator} and `_moves(k, "integral")`
+    keeps."""
     K, k = gf.complex, gf.degree
-    move = _INTEGRALS.setdefault(k, (lambda mono: _integral(k, mono), {}))
+    maps = _moves(k, "integral")[1]
     return Cochain(K, k, {sid: ratios(*memo_linear(
-        gf.form(sid).element.terms, [move])).get(0)
+        gf.form(sid).element.terms, maps)).get(0)
         for sid in K.simplices(k)})
 
 
@@ -664,13 +662,12 @@ class StokesReport:
 def verify_stokes(K, trials, poly_cap, seed):
     """Check integrate(d w) = delta(integrate(w)) exactly on sampled
     global forms, and compare the rank of integration on sampled cocycles
-    with the cochain cohomology dimensions.  The pullback tables start
-    empty, and so do the tables of d, of integrals and of move maps, so a
-    call does the same work whatever ran before it."""
+    with the cochain cohomology dimensions.  The tables of the moves
+    (pullbacks, d and integrals) start empty, so a call does the same work
+    whatever ran before it."""
     if trials < 1:
         raise FormError("need at least one trial")
-    for table in (_PULLBACKS, _DIFFS, _INTEGRALS, _MOVES):
-        table.clear()
+    _MOVES.clear()
     records = []
     for t in range(trials):
         degree = t % (K.top_dim + 1)

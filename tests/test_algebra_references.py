@@ -652,9 +652,7 @@ class _CountingFills:
 
 def _empty_tables():
     """Empty the tables of `plforms` as `verify_stokes` does on entry."""
-    for table in (plforms._PULLBACKS, plforms._DIFFS, plforms._INTEGRALS,
-                  plforms._MOVES):
-        table.clear()
+    plforms._MOVES.clear()
 
 
 def _tails(mono):
@@ -963,7 +961,7 @@ def test_stokes_work_does_not_depend_on_earlier_calls():
 def test_form_differential_reads_its_table(form):
     """The table keeps the bound `leibniz` it was made with, so a repeat
     is profiled rather than patched: cProfile sees no `leibniz` call."""
-    diff = plforms._form_diff(form.dim)[0].__self__
+    diff = plforms._moves(form.dim, "d")[1][0][0].__self__
     want = PolyForm(form.dim, reference_derivation_apply(diff, form.element))
     assert form.d() == want
     profile = cProfile.Profile()

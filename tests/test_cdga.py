@@ -29,6 +29,7 @@ from sullivan.cdga import (
     word_length_quotient,
 )
 from sullivan.graded import Derivation, FreeAlgebra
+from sullivan.linalg import rank
 
 
 def all_fixtures():
@@ -145,17 +146,31 @@ def test_inclusion_fails_quasi_iso_at_degree_four():
     assert row["source_dim"] == 1 and row["rank"] == 0
 
 
+def _assert_carries_ranks_below(old, new, degree):
+    """`new` holds every rank of d_k that `old` had for k below the degree
+    of its new generators, and only those, each the rank of its own d_k."""
+    assert set(new._rank_cache) == {k for k in old._rank_cache if k < degree}
+    for k, r in new._rank_cache.items():
+        assert r == rank(new.diff_matrix(k))
+
+
 def test_extension_carries_the_matrices_it_is_asked_for():
     """Every differential matrix of an extension, carried over or built
-    afresh, is the one a CDGA built from scratch on the same data has."""
+    afresh, is the one a CDGA built from scratch on the same data has;
+    the ranks below the new degree come along unchanged."""
     base = nonformal_model()
     for k in range(12):
         base.diff_matrix(k)
+        base.h_dim(k)
     ext = base.extend([("t", 4)], {}, carry=range(12))
+    _assert_carries_ranks_below(base, ext, 4)
     for k in range(12):
         ext.diff_matrix(k)
+        ext.h_dim(k)
     t = ext.algebra.gen_elem("t")
-    ext = ext.extend([("s", 7)], {"s": t * t}, carry=range(3, 9))
+    old, ext = ext, ext.extend([("s", 7)], {"s": t * t}, carry=range(3, 9))
+    _assert_carries_ranks_below(old, ext, 7)
+    assert ext._rank_cache[5] == 1  # d w = uv
     fresh = Cdga("fresh", ext.algebra, ext.differential)
     assert ext.differential.image_of("s").terms == (t * t).terms
     for k in range(12):

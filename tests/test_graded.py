@@ -1,5 +1,6 @@
 """Graded-commutative arithmetic: signs, Leibniz, bases, parsing."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -39,6 +40,17 @@ def test_universe_mismatch_names_generator():
     b = FreeAlgebra.build([("w", 3)])
     with pytest.raises(AlgebraError, match="w|x"):
         a.gen_elem("x") * b.gen_elem("w")
+
+
+@pytest.mark.parametrize("other", [2, Fraction(1, 2), "y"])
+@pytest.mark.parametrize("op", [operator.add, operator.mul])
+def test_foreign_operands_raise_type_error_in_either_order(op, other):
+    """An element meets a non-element in + or * with `NotImplemented`, so
+    Python raises its `TypeError` whichever operand comes first."""
+    x = FreeAlgebra.build([("y", 2)]).gen_elem("y")
+    for a, b in ((x, other), (other, x)):
+        with pytest.raises(TypeError):
+            op(a, b)
 
 
 def test_derivation_matches_even_sphere_differential():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sullivan import cdga, graded, models
+from sullivan import cdga, graded, linalg, models
 from sullivan.catalog import (
     cp_cohomology,
     cp_model,
@@ -163,13 +163,14 @@ def test_synthesis_calls_the_leibniz_rule_at_most_half_as_often(
     assert calls <= 1949 // 2
 
 
-def test_synthesis_reuses_the_kernel_carried_into_each_stage(monkeypatch):
-    """Stage n takes the kernel of d_(n+1) for H^(n+1); stage n+1 reads it
-    again, carried through `Cdga.extend`, since d_(n+1) only gained zero
-    rows.  Taking it afresh at every stage made 37 calls.  Taking H(phi)
-    also where the target has no cohomology made 29: 9 more kernels of
-    0-row H(phi) matrices and 8 more of 0x0 differentials.  What is left
-    takes each nontrivial kernel (7x6 ... 471x300) once."""
+def test_synthesis_takes_each_kernel_once(monkeypatch):
+    """Stage n takes the kernel of d_(n+1) for H^(n+1); the next stage's
+    H^(n+1) check reads ranks alone, and H(S2 v S2) is zero above degree
+    2, so no stage takes that kernel again and none is carried.  Taking
+    it afresh at every stage once made 37 calls.  Taking H(phi) also
+    where the target has no cohomology made 29: 9 more kernels of 0-row
+    H(phi) matrices and 8 more of 0x0 differentials.  What is left takes
+    each nontrivial kernel (7x6 ... 471x300) once."""
     calls = 0
     original = cdga.kernel_basis
 
@@ -182,6 +183,25 @@ def test_synthesis_reuses_the_kernel_carried_into_each_stage(monkeypatch):
     monkeypatch.setattr(models, "kernel_basis", counted)
     minimal_model(wedge_cohomology(2, 2), 10)
     assert calls == 12
+
+
+def test_synthesis_ranks_each_differential_once(monkeypatch):
+    """Stage n ranks the model's d_(n-1) for its H^(n-1) check and reads
+    the rank of d_(n-2) carried by `Cdga.extend`, which d_(n-2) keeps as
+    it gains only zero rows.  Carrying the matrix of d_(n-2) instead, to
+    rank it again, made 31 calls."""
+    calls = 0
+    original = linalg.rank
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return original(m)
+
+    for module in (linalg, models):
+        monkeypatch.setattr(module, "rank", counted)
+    minimal_model(wedge_cohomology(2, 2), 10)
+    assert calls == 23
 
 
 def test_synthesis_takes_h_phi_only_where_the_target_has_cohomology(

@@ -1,6 +1,7 @@
 """Polynomial forms on simplices, simplicial sets, integration, Stokes."""
 
 import cProfile
+import operator
 import pathlib
 import pstats
 import random
@@ -75,6 +76,17 @@ def test_degen_word_checks_each_letter_where_it_applies():
                        match="^degeneracy index 3 out of range for "
                              "dimension 2$"):
         f.degen_word((3, 0))
+
+
+@pytest.mark.parametrize("other", [2, Fraction(1, 2), "t1"])
+@pytest.mark.parametrize("op", [operator.add, operator.mul])
+def test_forms_meet_foreign_operands_with_type_error(op, other):
+    """A form meets a non-form in + or * with `NotImplemented`, so Python
+    raises its `TypeError` whichever operand comes first."""
+    f = PolyForm.parse(1, "t1")
+    for a, b in ((f, other), (other, f)):
+        with pytest.raises(TypeError):
+            op(a, b)
 
 
 def test_form_differential():
