@@ -29,9 +29,10 @@ from .graded import (
     format_element,
     memo_linear,
     monomial_columns,
-    on_monomials,
+    multiplicative,
     parse_poly,
     read_text,
+    row_product,
     substitute,
 )
 from .linalg import (
@@ -43,6 +44,7 @@ from .linalg import (
     quotient_basis,
     rank,
     ratios,
+    scaled,
     solve,
     span_basis,
 )
@@ -108,7 +110,8 @@ class Cdga:
                 raise CdgaError("relations must be nonzero homogeneous")
         self._basis_cache = {}
         self._quotient_cache = {}
-        self._rel_cache = {}
+        self._rel_cache, self._rel_rows = {}, [
+            (r.degree(), scaled(r.terms)) for r in self.relations]
         self._diff_cache = {}
         self._rank_cache = {}
         self._h_cache, self._class_mats = {}, {}
@@ -146,14 +149,16 @@ class Cdga:
         return self._basis_cache[k]
 
     def _rel_echelon(self, k):
-        """Echelon basis of the relation ideal's degree-k component."""
+        """Echelon basis of the relation ideal's degree-k component, spanned by
+        the m * r: pivots (all `dim` reads) now, rows at its first `reduce`."""
         if k not in self._rel_cache:
             monos, index = self.free_basis(k)
             vectors = []
-            for r in self.relations:
+            for degree, row in self._rel_rows:
                 vectors += monomial_columns(
-                    on_monomials(lambda e, r=r: e * r, self.algebra),
-                    self.free_basis(k - r.degree())[0], index)[1]
+                    lambda m, row=row: row_product(
+                        self.algebra, (1, {m: 1}), row),
+                    self.free_basis(k - degree)[0], index)[1]
             self._rel_cache[k] = span_basis(vectors, len(monos))
         return self._rel_cache[k]
 
@@ -336,8 +341,9 @@ class Cdga:
 class CdgaMorphism:
     """Algebra map determined by generator images; checked to commute
     with the differentials.  Generators without an image map to zero.
-    A `table` {monomial: image terms}, which morphisms agreeing on its
-    monomials may share, makes `apply` expand each monomial once."""
+    `apply` extends the images by `multiplicative` in the free target, via
+    `table` (shared by morphisms agreeing on its monomials; else fresh per
+    call), and reduces once: exact, as relations and word caps are ideals."""
 
     def __init__(self, source, target, images, check=True, table=None):
         self.source = source
@@ -357,6 +363,7 @@ class CdgaMorphism:
                                     f"expected {g.degree}")
             imgs[g.ordinal] = elem
         self.images = imgs
+        self._letters = {o: scaled(e.terms) for o, e in imgs.items()}
         if check:
             for g in source.algebra.generators:
                 lhs = self.apply(source.d(source.algebra.gen_elem(g.name)))
@@ -372,15 +379,9 @@ class CdgaMorphism:
         return self.images.get(g.ordinal, self.target.algebra.zero())
 
     def apply(self, elem):
-        if self._table is None:
-            return self._apply(elem)
-        return AlgElement(self.target.algebra, ratios(*memo_linear(
-            elem.terms, [(on_monomials(self._apply, elem.algebra),
-                          self._table)])))
-
-    def _apply(self, elem):
-        return self.target.reduce(substitute(
-            elem, self.images, self.target.algebra, missing_zero=True))
+        alg = self.target.algebra
+        return self.target.reduce(AlgElement(alg, ratios(*memo_linear(
+            elem.terms, [multiplicative(self._letters, alg, self._table)]))))
 
     def h_matrix(self, k):
         """Matrix of H^k(phi) from source to target class coordinates."""

@@ -8,11 +8,11 @@ coefficients, so element equality is dict equality.  All values are
 immutable by convention and all arithmetic is exact.
 
 Two facts about the free algebra carry the rest of the package: a map out
-of it is fixed by the images of the generators (`substitute` extends them
-multiplicatively for morphisms and renamings; the face and degeneracy
-pullbacks of `plforms` fill integer tables one letter at a time instead),
-and so is a derivation (`Derivation.leibniz`, the one Leibniz rule, in
-integers).
+of it is fixed by the images of the generators (`multiplicative`, the one
+multiplicative extension, fills a table of `scaled` integer images one
+letter at a time through `row_product`, for `substitute`, morphisms and
+the face and degeneracy pullbacks of `plforms`), and so is a derivation
+(`Derivation.leibniz`, the one Leibniz rule, in integers).
 Linear maps in monomial bases are read off as integer columns over one
 denominator by one assembler, `monomial_columns`, and memoised per
 monomial by one, `memo_linear`.  Each algebra keeps those bases in a
@@ -29,8 +29,6 @@ from math import lcm
 
 from .linalg import ratios, scaled, scaled_sum
 
-_ONE = Fraction(1)  # the coefficient of a lone monomial, shared
-
 __all__ = [
     "AlgebraError",
     "Generator",
@@ -38,8 +36,9 @@ __all__ = [
     "AlgElement",
     "Derivation",
     "substitute",
+    "row_product",
+    "multiplicative",
     "monomial_columns",
-    "on_monomials",
     "memo_linear",
     "parse_poly",
     "format_element",
@@ -320,16 +319,8 @@ class AlgElement:
         if not isinstance(other, AlgElement):
             return NotImplemented
         self._need_same(other)
-        alg = self.algebra
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sm = mono_mul(alg, m1, m2)
-                if sm is None:
-                    continue
-                c = c1 * c2
-                _add_term(out, sm[1], c if sm[0] > 0 else -c)
-        return AlgElement(alg, out)
+        return AlgElement(self.algebra, ratios(*row_product(
+            self.algebra, scaled(self.terms), scaled(other.terms))))
 
     def degree(self):
         """Degree of a homogeneous element (None for 0); raises on
@@ -471,48 +462,64 @@ class Derivation:
 
 
 def substitute(elem, images, target, missing_zero=False):
-    """Multiplicative extension of a generator-image map.
+    """Multiplicative extension (`multiplicative`) of `images` {source
+    ordinal: target element}.  An ordinal absent from it raises (the
+    first in term and letter order), unless missing_zero is set (then it
+    kills the term, as in setting base generators to zero)."""
+    used = dict.fromkeys(o for mono in elem.terms for o, _ in mono)
+    missing = [o for o in used if o not in images]
+    if missing and not missing_zero:
+        raise AlgebraError(f"no image for generator ordinal {missing[0]}")
+    letters = {o: scaled(images[o].terms) for o in used if o in images}
+    return AlgElement(target, ratios(*memo_linear(
+        elem.terms, [multiplicative(letters, target)])))
 
-    `images` maps source ordinals to target elements.  Ordinals absent
-    from the map raise, unless missing_zero is set (then they kill the
-    term, as in setting base generators to zero).
-    """
+
+def row_product(alg, a, b):
+    """Product of two `scaled` rows (den, {monomial: int}) of `alg`, over
+    the product of their denominators; `mono_mul` gives the Koszul sign."""
     out = {}
-    for mono, coeff in elem.terms.items():
-        acc = target.scalar(coeff)
-        for o, p in mono:
-            if o not in images:
-                if missing_zero:
-                    break
-                raise AlgebraError(f"no image for generator ordinal {o}")
-            for _ in range(p):
-                acc = acc * images[o]
-            if not acc.terms:
-                break
-        else:
-            for m, c in acc.terms.items():
-                _add_term(out, m, c)
-    return AlgElement(target, out)
+    for m1, c1 in a[1].items():
+        for m2, c2 in b[1].items():
+            hit = mono_mul(alg, m1, m2)
+            if hit:
+                out[hit[1]] = out.get(hit[1], 0) + hit[0] * c1 * c2
+    return a[0] * b[0], {m: c for m, c in out.items() if c}
+
+
+def multiplicative(letters, alg, table=None):
+    """The algebra map sending letter o to the `scaled` row letters[o] of
+    `alg` (0 if it has none), as the (image, table) pair of `memo_linear`;
+    maps agreeing on a table's monomials may share it.  x * rest (x its
+    first letter) goes to letters[x] * image(rest), tails kept, in a loop."""
+    table = {} if table is None else table
+
+    def image(mono):
+        tails = []
+        while mono and mono not in table:
+            tails.append(mono)
+            (o, p), mono = mono[0], mono[1:]
+            mono = ((o, p - 1),) + mono if p > 1 else mono
+        row = table.get(mono, (1, {UNIT: 1}))
+        for tail in reversed(tails):
+            row = table[tail] = row_product(
+                alg, letters.get(tail[0][0], (1, {})), row)
+        return row
+    return image, table
 
 
 def monomial_columns(f, monos, index):
     """A linear map in monomial bases as (den, integer columns): for each
     monomial m of `monos`, the sparse column {index[n]: c * (den // d)}
     over the terms n: c of f(m) = (d, {n: integer c}), as
-    `Derivation.leibniz` and the maps of `on_monomials` give them, with
-    den the lcm of the d.  A monomial missing from `index` is dropped,
-    which projects onto a word-capped basis."""
+    `Derivation.leibniz` and `row_product` give them, with den the lcm of
+    the d.  A monomial missing from `index` is dropped, which projects
+    onto a word-capped basis."""
     cols = [(d, {index[n]: c for n, c in terms.items() if n in index})
             for d, terms in map(f, monos)]
     den = lcm(*[d for d, _ in cols])
     return den, [v if d == den else
                  {i: c * (den // d) for i, c in v.items()} for d, v in cols]
-
-
-def on_monomials(f, algebra):
-    """The linear map f on elements of `algebra` as the map that sends a
-    monomial m to the `scaled` terms of f(m)."""
-    return lambda m: scaled(f(AlgElement(algebra, {m: _ONE})).terms)
 
 
 def memo_linear(terms, maps, den=1):

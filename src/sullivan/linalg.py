@@ -11,9 +11,9 @@ kept so far (pivot: leftmost nonzero column, taken by the first row
 there).  `rank` counts the kept rows and makes no Fraction.  `_reduced`
 back-substitutes to the reduced echelon form, each row up to its pivot
 entry, which a `SubspaceBasis` keeps as it is for `quotient_basis` to
-read.  Fractions are made only for the vectors that leave, most by
-`ratios`: basis rows when first read, representatives and solutions,
-and the views `columns()` and `data`.
+read (a span's rows on first read).  Fractions are made only for the
+vectors that leave, most by `ratios`: basis rows when first read,
+representatives and solutions, and the views `columns()` and `data`.
 
 The reduced echelon basis of a subspace is unique, so every result but
 the NoSolution certificate is independent of the elimination order.
@@ -263,10 +263,21 @@ class SubspaceBasis:
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient})"
 
 
+class _Span(SubspaceBasis):
+    """Span from one forward pass: pivots now, rows reduced on first read."""
+
+    def __init__(self, ambient, piv):
+        self.ambient, self.pivots, self.dim = ambient, sorted(piv), len(piv)
+        self._piv = piv
+
+    @cached_property
+    def scaled_rows(self):
+        return {c: (row[c], row) for c, row in _reduced(self._piv).items()}
+
+
 def span_basis(vectors, ambient):
-    """Canonical SubspaceBasis spanned by sparse rows."""
-    rows = RatMatrix.from_rows(vectors, ambient).num
-    return SubspaceBasis(ambient, _reduced(_eliminate(rows)))
+    """Canonical SubspaceBasis spanned by sparse rows (a `_Span`)."""
+    return _Span(ambient, _eliminate(RatMatrix.from_rows(vectors, ambient).num))
 
 
 def kernel_basis(m):

@@ -375,8 +375,8 @@ def minimal_model(target, max_degree):
 
     One model grows through the stages, carrying the differential
     matrices and ranks the next stage reads (`Cdga.extend`), and the
-    morphisms share one table of phi per monomial, each degree dropped
-    after its last read.
+    morphisms share one table of phi per monomial and tail (unreduced),
+    each degree dropped after its last read.
     H^k(phi) is taken only where H^k(target) != 0: elsewhere stage k adds
     no closed generator, and stage k - 1 kills all of H^k(model).
     Stage n certifies its generators (d^2 = 0 and the chain-map identity)

@@ -4,10 +4,10 @@ A form on the n-simplex lives in the coordinate algebra on t_1..t_n
 (degree 0) and y_1..y_n (degree 1) with dt_i = y_i; the index-0
 coordinates are always eliminated through t_0 = 1 - sum t_i and
 y_0 = -sum y_i.  Faces, degeneracies and d keep tables of their monomial
-images as scaled integers, a pullback's filled one letter at a time; the
-sampler builds its compatibility system from them, keeps its kernel in
-integer rows and checks its samples on scaled rows.  Finite simplicial sets
-are given by nondegenerate simplices with face data carrying degeneracy
+images as scaled integers, a pullback's that of `graded.multiplicative`;
+the sampler builds its compatibility system from them, keeps its kernel
+in integer rows and checks its samples on scaled rows.  Finite simplicial
+sets are given by nondegenerate simplices with face data carrying degeneracy
 words; integration sends a compatible family of k-forms to a normalized
 rational k-cochain, exactly, via the Dirichlet simplex integral
 prod(a_i!) / (k + sum a_i)! for the monomial t^a dt_1...dt_k (a table).
@@ -26,8 +26,8 @@ from .graded import (
     FreeAlgebra,
     directives,
     memo_linear,
-    mono_mul,
     monomial_columns,
+    multiplicative,
     read_text,
 )
 from .linalg import (RatMatrix, homology_dim, kernel_basis, rank, ratios,
@@ -79,35 +79,15 @@ _MOVES = {}  # (n, move name, *args) -> what `_moves` gives for them
 def _pullback(n, m, vertices):
     """The pullback along the simplicial map from the m-simplex with vertex
     map `vertices`: t_k and y_k go to the sums of t_j and y_j over the
-    vertices j sent to k.  Its table keeps the integer image of every
-    monomial met so far and of its tails, filled one letter at a time by
-    `_pullback_image`."""
+    vertices j sent to k, and `graded.multiplicative` extends them."""
     letters = {}  # t_k has ordinal k - 1, y_k ordinal n + k - 1
     for first, at, unit in ((0, 0, {(): 1}), (n, m, {})):
         coords = {j + 1: (1, {((at + j, 1),): 1}) for j in range(m)}
         coords[0] = 1, {**unit, **{((at + j, 1),): -1 for j in range(m)}}
         for k in range(1, n + 1):
             letters[first + k - 1] = scaled_sum(
-                {j: 1 for j, v in enumerate(vertices) if v == k}, coords)[1]
-    table, tgt = {(): (1, {(): 1})}, form_algebra(m)
-    return (lambda mono: _pullback_image(table, letters, tgt, mono), table)
-
-
-def _pullback_image(table, letters, alg, mono):
-    """The image (1, {monomial: int}) of the monomial x * rest, x its first
-    letter: letters[x] times the image of rest in `table`, which is filled
-    first where it lacks rest; `mono_mul` gives the Koszul sign."""
-    (o, p), rest = mono[0], mono[1:]
-    rest = ((o, p - 1),) + rest if p > 1 else rest
-    if rest not in table:
-        table[rest] = _pullback_image(table, letters, alg, rest)
-    out = {}
-    for m2, c2 in table[rest][1].items():
-        for m1, c1 in letters[o].items():
-            hit = mono_mul(alg, m1, m2)
-            if hit:
-                out[hit[1]] = out.get(hit[1], 0) + hit[0] * c1 * c2
-    return 1, {m: c for m, c in out.items() if c}
+                {j: 1 for j, v in enumerate(vertices) if v == k}, coords)
+    return multiplicative(letters, form_algebra(m))
 
 
 def _moves(n, name, *args):

@@ -7,12 +7,17 @@ Leibniz rule as pre * dg * suf per letter, a morphism reducing modulo
 the target's relations after every product, and faces and degeneracies
 through explicit image tables of the coordinates.
 
-The pullbacks keep a table of monomial images, filled one letter at a
-time; the pullback tests check every image in it against `substitute`,
-and check that it drops explicit zero coefficients, is read on repeated
-calls (counting the entries filled), cannot be changed through a
-returned element, composes along degeneracy words, and starts empty in
-every `verify_stokes` call.  `memo_linear`, which keeps those tables as
+`graded.multiplicative`, the one multiplicative extension behind
+`substitute`, morphisms and the pullbacks, keeps a table of monomial
+images filled one letter at a time; its tests check every tail in a
+table, also one that two maps share, against `reference_substitute`,
+and that `substitute` loops rather than recurses and names a missing
+image as it did.  The pullback tests check every image in a pullback's
+table against `reference_substitute`, and check that it drops explicit
+zero coefficients, is read on repeated calls (counting the entries
+filled, one `row_product` each), cannot be changed through a returned
+element, composes along degeneracy words, and starts empty in every
+`verify_stokes` call.  `memo_linear`, which keeps those tables as
 scaled integer rows and sums them with `scaled_sum`, is checked against
 the Fraction loop it replaced, and the face-compatibility system, built
 once per (simplex dimension, map), against its assembly per (simplex,
@@ -81,7 +86,7 @@ from sullivan.graded import (
     Generator,
     format_element,
     memo_linear,
-    on_monomials,
+    multiplicative,
     substitute,
 )
 from sullivan.linalg import (
@@ -92,6 +97,7 @@ from sullivan.linalg import (
     kernel_basis,
     quotient_basis,
     ratios,
+    scaled,
     solve,
 )
 from sullivan.models import (
@@ -575,7 +581,7 @@ def memo_cases(draw):
     coefficients, which cancel."""
     if draw(st.booleans()):
         phi, x = draw(morphism_cases())
-        f, target = phi._apply, phi.target.algebra
+        f, target = phi.apply, phi.target.algebra
     else:
         src, tgt = SWAP_SOURCE, SWAP_TARGET
         ab = _combination(draw, tgt, tgt.basis_of_degree(2))
@@ -593,6 +599,37 @@ def memo_cases(draw):
     for m in draw(st.lists(st.sampled_from(basis), max_size=3)):
         terms[m] = Fraction(0)
     return f, AlgElement(x.algebra, terms), target
+
+
+MULT_TARGET = FreeAlgebra.build([("u", 1), ("w", 2), ("w_2", 2), ("z", 3)])
+
+
+@st.composite
+def multiplicative_cases(draw):
+    """(algebra, images, first, x, y) for `multiplicative`: odd and even
+    letters in a random order, images in MULT_TARGET with mixed
+    denominators for some letters (the others have none), x a combination
+    of monomials in the letters of ordinal < first, y one in all letters,
+    even letters up to the fourth power."""
+    degrees = draw(st.permutations(
+        draw(st.lists(st.sampled_from([1, 3]), min_size=1, max_size=2))
+        + draw(st.lists(st.sampled_from([2, 4]), min_size=1, max_size=3))))
+    alg = FreeAlgebra.build([(f"g{i}", d) for i, d in enumerate(degrees)])
+    images = {g.ordinal: _combination(draw, MULT_TARGET,
+                                      MULT_TARGET.basis_of_degree(g.degree),
+                                      MIXED)
+              for g in alg.generators if draw(st.booleans())}
+    first = draw(st.integers(0, len(degrees)))
+
+    def element(letters):
+        powers = st.tuples(*[st.integers(0, 1 if alg.degree_of(o) % 2 else 4)
+                             for o in letters])
+        monos = {tuple((o, p) for o, p in zip(letters, ps) if p)
+                 for ps in draw(st.lists(powers, min_size=1, max_size=6))}
+        return alg.element({m: draw(MIXED.filter(bool)) for m in monos})
+
+    return (alg, images, first, element(range(first)),
+            element(range(len(degrees))))
 
 
 @st.composite
@@ -630,24 +667,24 @@ def _moves(n):
 
 
 class _CountingFills:
-    """Counts the pullback table entries `plforms` fills, one letter at a
-    time, while installed."""
+    """Counts the table entries `graded.multiplicative` fills, one
+    `row_product` each, while installed."""
 
     def __init__(self):
         self.calls = 0
 
     def __enter__(self):
-        self.original = plforms._pullback_image
+        self.original = graded.row_product
 
         def counted(*args):
             self.calls += 1
             return self.original(*args)
 
-        plforms._pullback_image = counted
+        graded.row_product = counted
         return self
 
     def __exit__(self, *exc):
-        plforms._pullback_image = self.original
+        graded.row_product = self.original
 
 
 def _empty_tables():
@@ -832,8 +869,9 @@ def test_memo_linear_matches_the_fraction_loop(case):
         calls.append(e)
         return f(e)
 
-    def apply():
-        maps = [(on_monomials(counted, x.algebra), table)]
+    def apply():  # f on monomials, as the `scaled` terms of f(m)
+        maps = [(lambda m: scaled(counted(AlgElement(
+            x.algebra, {m: Fraction(1)})).terms), table)]
         return AlgElement(target, ratios(*memo_linear(x.terms, maps)))
 
     want = reference_memo_linear(f, x, ref_table, target)
@@ -850,6 +888,67 @@ def test_memo_linear_matches_the_fraction_loop(case):
     assert calls == []
 
 
+@settings(max_examples=150, deadline=None)
+@given(multiplicative_cases())
+def test_every_tail_of_a_shared_table_matches_the_reference(case):
+    """Two maps share one table, the first defined on the letters of
+    ordinal < first alone, as the morphisms of successive synthesis
+    stages are: the table keeps every tail of every monomial met, and
+    each entry, like each image, is what `reference_substitute` gives."""
+    alg, images, first, x, y = case
+    letters = {o: scaled(e.terms) for o, e in images.items()}
+    table = {}
+    low = multiplicative({o: r for o, r in letters.items() if o < first},
+                         MULT_TARGET, table)
+    high = multiplicative(letters, MULT_TARGET, table)
+    assert high[1] is table
+    for z, maps in ((x, [low]), (y, [high])):
+        assert AlgElement(MULT_TARGET, ratios(*memo_linear(z.terms, maps))) \
+            == reference_substitute(z, images, MULT_TARGET, missing_zero=True)
+    assert table.keys() == {t for z in (x, y) for m in z.terms
+                            for t in _tails(m) or [m]}
+    for mono, row in table.items():
+        assert AlgElement(MULT_TARGET, ratios(*row)) == reference_substitute(
+            AlgElement(alg, {mono: Fraction(1)}), images, MULT_TARGET,
+            missing_zero=True)
+
+
+def test_substitute_fills_a_long_power_in_a_loop():
+    """x^5000 is 5000 tails deep, past the interpreter's recursion
+    limit."""
+    alg, tgt = FreeAlgebra.build([("x", 2)]), FreeAlgebra.build([("w", 2)])
+    half = tgt.element({((0, 1),): Fraction(1, 2)})
+    x = alg.element({((0, 5000),): 3})
+    assert substitute(x, {0: half}, tgt).terms == {
+        ((0, 5000),): Fraction(3, 2 ** 5000)}
+
+
+@pytest.mark.parametrize("text, ordinal", [
+    ("a*e + b*c^2", 3), ("b*c^2 + a*e", 1), ("a*c*e + b", 2), ("a^2", None)])
+def test_a_missing_image_names_the_first_in_term_and_letter_order(
+        text, ordinal):
+    """a alone has an image: the error names the first letter without
+    one, in the order of the terms and then of their letters, as the
+    element-by-element `substitute` did; with missing_zero those terms
+    are dropped."""
+    alg = FreeAlgebra.build([("a", 2), ("b", 3), ("c", 2), ("e", 3)])
+    tgt = FreeAlgebra.build([("w", 2)])
+    images = {0: tgt.element({((0, 1),): Fraction(2, 3)})}
+    x = alg.parse(text)
+    assert substitute(x, images, tgt, missing_zero=True) == \
+        reference_substitute(x, images, tgt, missing_zero=True)
+    if ordinal is None:
+        assert substitute(x, images, tgt) == reference_substitute(
+            x, images, tgt)
+    else:
+        with pytest.raises(AlgebraError) as got:
+            substitute(x, images, tgt)
+        with pytest.raises(AlgebraError) as want:
+            reference_substitute(x, images, tgt)
+        assert str(got.value) == str(want.value) == (
+            f"no image for generator ordinal {ordinal}")
+
+
 @settings(max_examples=100, deadline=None)
 @given(form_cases())
 def test_face_and_degeneracy_match_explicit_image_tables(form):
@@ -864,8 +963,8 @@ def test_face_and_degeneracy_match_explicit_image_tables(form):
 def test_letter_by_letter_tables_match_substitute(n):
     """Filled one letter at a time from every monomial of
     form_basis(n, k, 3), each pullback table holds, for every monomial it
-    keeps, what `substitute` gives with the reference coordinate images:
-    every face and every codegeneracy of the n-simplex."""
+    keeps, what `reference_substitute` gives with the reference coordinate
+    images: every face and every codegeneracy of the n-simplex."""
     monos = [m for k in range(n + 1) for m in form_basis(n, k, 3)]
     maps = [(n - 1, ("face", i), reference_face_images(n, i))
             for i in range(n + 1) if n]
@@ -877,8 +976,9 @@ def test_letter_by_letter_tables_match_substitute(n):
         memo_linear(dict.fromkeys(monos, 1), [(image, table)])
         assert table.keys() >= set(monos)
         for mono, (den, row) in table.items():
-            want = substitute(AlgElement(form_algebra(n), {mono: Fraction(1)}),
-                              images, form_algebra(m))
+            want = reference_substitute(
+                AlgElement(form_algebra(n), {mono: Fraction(1)}), images,
+                form_algebra(m))
             assert den == 1 and row == want.terms
 
 

@@ -28,6 +28,7 @@ from sullivan.cdga import (
     tensor_product,
     word_length_quotient,
 )
+from sullivan import linalg
 from sullivan.graded import Derivation, FreeAlgebra
 from sullivan.linalg import rank
 
@@ -112,6 +113,21 @@ def test_quotient_presentation_cohomology():
     assert rep.dims == [1, 0, 1, 0, 0, 0, 0]
     rep = cp_cohomology(3).cohomology(8)
     assert rep.dims == [1, 0, 1, 0, 1, 0, 1, 0, 0]
+
+
+def test_relation_quotient_dims_take_no_back_substitution(monkeypatch):
+    """The relation span's pivots come from one forward pass, so `dim`
+    back-substitutes nothing; its rows are reduced at the first `reduce`
+    in a degree, and only there."""
+    c, calls = cp_cohomology(3), []
+    original = linalg._reduced
+    monkeypatch.setattr(linalg, "_reduced",
+                        lambda piv: calls.append(piv) or original(piv))
+    assert [c.dim(k) for k in range(13)] == [1, 0] * 4 + [0] * 5
+    assert calls == []
+    u4 = c.algebra.parse("u^4")
+    assert c.reduce(u4).is_zero() and c.reduce(u4.scale(3)).is_zero()
+    assert len(calls) == 1
 
 
 def test_euler_identity_dims_vs_ranks():
