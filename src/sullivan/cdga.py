@@ -123,15 +123,14 @@ class Cdga:
     # ----- constructors -----
 
     @classmethod
-    def build(cls, name, gen_specs, diff_strings=None, relation_strings=None,
-              check=True):
+    def build(cls, name, gen_specs, diff_strings=None, relation_strings=None):
         """From (name, degree) generator pairs and polynomial strings."""
         alg = FreeAlgebra.build(gen_specs)
         diff_strings = diff_strings or {}
         images = {g: parse_poly(s, alg) for g, s in diff_strings.items()}
         d = Derivation(alg, +1, images)
         rels = [parse_poly(s, alg) for s in (relation_strings or [])]
-        return cls(name, alg, d, relations=rels, check=check)
+        return cls(name, alg, d, relations=rels)
 
     @property
     def is_free(self):
@@ -294,18 +293,19 @@ class Cdga:
     # ----- cohomology -----
 
     def _h_data(self, k):
-        """(sparse H^k representatives, the SubspaceBasis B^k)."""
+        """(sparse H^k representatives, the SubspaceBasis B^k); the ranks
+        of d_k and d_(k-1) this learns go to the table `h_dim` reads."""
         if k not in self._h_cache:
             z = kernel_basis(self.diff_matrix(k))
             b = image_basis(self.diff_matrix(k - 1))  # d_(-1) has no columns
+            self._rank_cache[k] = self.dim(k) - z.dim
+            self._rank_cache[k - 1] = b.dim
             self._h_cache[k] = (quotient_basis(b, z), b)
         return self._h_cache[k]
 
     def h_dim(self, k):
-        """dim H^k = dim C^k - rank d_k - rank d_(k-1), from ranks alone
-        unless the representatives are already known."""
-        if k in self._h_cache:
-            return len(self._h_cache[k][0])
+        """dim H^k = dim C^k - rank d_k - rank d_(k-1), from ranks alone;
+        each rank is taken once, by `h_dim` or by `_h_data`."""
         return homology_dim(self.dim(k), k, k - 1, self._rank_cache,
                             self.diff_matrix)
 
@@ -464,7 +464,7 @@ def _joined(factors):
     return per, alg, images, relations
 
 
-def tensor_product(a, b, name=None):
+def tensor_product(a, b):
     """Tensor CDGA with the two inclusions; Kunneth holds degreewise."""
     for c in (a, b):
         if c.word_cap is not None:
@@ -472,7 +472,7 @@ def tensor_product(a, b, name=None):
                             "are not supported")
     per, alg, images, relations = _joined([a, b])
     d = Derivation(alg, +1, images)
-    t = Cdga(name or f"{a.name}(x){b.name}", alg, d, relations=relations)
+    t = Cdga(f"{a.name}(x){b.name}", alg, d, relations=relations)
     incl_a = CdgaMorphism(a, t, {
         g.name: alg.gen_elem(per[0][1][g.ordinal])
         for g in a.algebra.generators})
@@ -596,9 +596,8 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
         raise CdgaFileError(filename, 1, str(exc)) from None
 
 
-def load_cdga(path, check=True):
-    return parse_cdga_file(read_text(path, CdgaError), filename=str(path),
-                           check=check)
+def load_cdga(path):
+    return parse_cdga_file(read_text(path, CdgaError), filename=str(path))
 
 
 def format_cdga(c, comments=()):

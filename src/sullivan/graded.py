@@ -223,16 +223,17 @@ def mono_word(m):
     return sum(p for _, p in m)
 
 
-def mono_mul(alg, m1, m2, odd1=None, odd2=None):
+def odd_letters(alg, m):
+    """The odd-degree letters of a monomial, in order; each has power 1."""
+    degrees = alg._degrees
+    return [o for o, _ in m if degrees[o] % 2]
+
+
+def mono_mul(m1, m2, odd1, odd2):
     """Product of two monomials: (sign, monomial), or None when an odd
     generator repeats.  The Koszul sign counts the odd-odd inversions
-    needed to merge the two sorted letter sequences; `odd1` and `odd2`,
-    the odd letters of m1 and m2 in order, may be passed precomputed."""
-    degrees = alg._degrees
-    if odd1 is None:
-        odd1 = [o for o, _ in m1 if degrees[o] % 2]
-    if odd2 is None:
-        odd2 = [o for o, _ in m2 if degrees[o] % 2]
+    needed to merge the two sorted letter sequences; `odd1` and `odd2`
+    are the `odd_letters` of m1 and m2, which callers keep per term."""
     inversions = 0
     for a in odd1:
         k = bisect_left(odd2, a)
@@ -395,13 +396,11 @@ class Derivation:
                         f"expected {g.degree + shift}")
             imgs[g.ordinal] = elem
         self.images = imgs
-        degrees = algebra._degrees
         self.den = den = lcm(*[c.denominator for e in imgs.values()
                                for c in e.terms.values()])
         self._scaled = {
             o: [(m, c.numerator * (den // c.denominator),
-                 [a for a, _ in m if degrees[a] % 2])
-                for m, c in e.terms.items()]
+                 odd_letters(algebra, m)) for m, c in e.terms.items()]
             for o, e in imgs.items()}
 
     def image_of(self, name):
@@ -415,8 +414,8 @@ class Derivation:
         d(pre g^p suf) = (-1)^(|pre||g|) p dg (pre g^(p-1) suf).  Moving
         dg past pre g^(p-1) gives that sign because |dg| = |g| + shift
         and the shift is odd."""
-        alg, degrees = self.algebra, self.algebra._degrees
-        odd = [o for o, _ in mono if degrees[o] % 2]
+        degrees = self.algebra._degrees
+        odd = odd_letters(self.algebra, mono)
         out = {}
         prefix_deg = 0
         for i, (o, p) in enumerate(mono):
@@ -428,7 +427,7 @@ class Derivation:
                 rest_odd = [a for a in odd if a != o] if gdeg % 2 else odd
                 c0 = -p if prefix_deg * gdeg % 2 else p
                 for m, c, m_odd in img:
-                    sm = mono_mul(alg, m, rest, m_odd, rest_odd)
+                    sm = mono_mul(m, rest, m_odd, rest_odd)
                     if sm is not None:
                         x = c0 * c if sm[0] > 0 else -c0 * c
                         out[sm[1]] = out.get(sm[1], 0) + x
@@ -479,9 +478,11 @@ def row_product(alg, a, b):
     """Product of two `scaled` rows (den, {monomial: int}) of `alg`, over
     the product of their denominators; `mono_mul` gives the Koszul sign."""
     out = {}
+    right = [(m2, c2, odd_letters(alg, m2)) for m2, c2 in b[1].items()]
     for m1, c1 in a[1].items():
-        for m2, c2 in b[1].items():
-            hit = mono_mul(alg, m1, m2)
+        odd1 = odd_letters(alg, m1)
+        for m2, c2, odd2 in right:
+            hit = mono_mul(m1, m2, odd1, odd2)
             if hit:
                 out[hit[1]] = out.get(hit[1], 0) + hit[0] * c1 * c2
     return a[0] * b[0], {m: c for m, c in out.items() if c}

@@ -15,9 +15,10 @@ the dichotomy window [2n, 3n-2].
 from __future__ import annotations
 
 from .cdga import Cdga, CdgaError, check_quasi_iso, word_length_quotient
-from .graded import AlgElement, Derivation, FreeAlgebra, monomial_columns
+from .graded import (AlgElement, Derivation, FreeAlgebra, monomial_columns,
+                     odd_letters)
 from .linalg import RatMatrix, homology_dim, rank
-from .models import check_minimal_sullivan, minimal_model
+from .models import check_minimal_sullivan, degree_counts, minimal_model
 
 __all__ = [
     "InvariantsError",
@@ -91,7 +92,7 @@ class ExponentProfile:
 def _even_part(elem):
     alg = elem.algebra
     return alg.element({m: c for m, c in elem.terms.items()
-                        if all(alg.degree_of(o) % 2 == 0 for o, _ in m)})
+                        if not odd_letters(alg, m)})
 
 
 def is_pure(c):
@@ -115,10 +116,6 @@ def associated_pure(c):
     return Cdga(f"{c.name}-pure", c.algebra, d)
 
 
-def _odd_count(alg, mono):
-    return sum(p for o, p in mono if alg.degree_of(o) % 2 == 1)
-
-
 def pure_filtration_homology(c, k, max_degree):
     """Dimension table (degrees 0..max_degree) of the odd-word-count k
     layer H_k = ker(d on count k) / d(count k+1) of a pure algebra."""
@@ -130,7 +127,8 @@ def pure_filtration_homology(c, k, max_degree):
         if m not in layers:
             layers[m] = {}
             for mono in alg.basis_of_degree(m) if m >= 0 else ():
-                layers[m].setdefault(_odd_count(alg, mono), []).append(mono)
+                layers[m].setdefault(len(odd_letters(alg, mono)),
+                                     []).append(mono)
         return layers[m].get(j, [])
 
     def d_matrix(key):  # d on layer j of degree m
@@ -275,13 +273,6 @@ def report_json(rep):
     return out
 
 
-def _v_histogram(c):
-    hist = {}
-    for g in c.algebra.generators:
-        hist[g.degree] = hist.get(g.degree, 0) + 1
-    return hist
-
-
 def classify_ellipticity(c, bound):
     """Classify a minimal Sullivan algebra with finitely many generators.
 
@@ -297,16 +288,15 @@ def classify_ellipticity(c, bound):
     if isinstance(ft, ExceededBound):
         verdict = "Inconclusive" if ft.trailing_zeros else "HyperbolicEvidence"
         return EllipticityReport(verdict, bound=bound, profile=profile,
-                                 h0_dims=ft.h0_dims, v_dims=_v_histogram(c))
+                                 h0_dims=ft.h0_dims, v_dims=degree_counts(c))
     n = profile.formal_dimension_candidate
     window = c.max_generator_degree()
     h_dims = [c.h_dim(k) for k in range(n + window + 1)]
     fdim = max((k for k, d in enumerate(h_dims) if d), default=0)
-    window_clear = all(d == 0 for d in h_dims[fdim + 1:])
-    if not window_clear or fdim != n:
+    if fdim != n:
         return EllipticityReport("Inconclusive", bound=bound, profile=profile,
                                  formal_dimension=fdim, h_dims=h_dims,
-                                 h0_dims=ft.h0_dims, v_dims=_v_histogram(c))
+                                 h0_dims=ft.h0_dims, v_dims=degree_counts(c))
     numerology = exponent_numerology(profile, n)
     euler = euler_characteristics(c, n, h_dims=h_dims[:n + 1])
     consequences = {
@@ -320,7 +310,7 @@ def classify_ellipticity(c, bound):
                              h_dims=h_dims, numerology=numerology,
                              profile=profile, euler=euler,
                              consequences=consequences, h0_dims=ft.h0_dims,
-                             v_dims=_v_histogram(c))
+                             v_dims=degree_counts(c))
 
 
 def gap_probe(v_dims, n, computed_to):
@@ -360,7 +350,7 @@ def classify_space(target, bound):
                                  consequences={}, v_dims={})
     depth = 3 * fdim - 2
     res = minimal_model(target, depth)
-    v_hist = _v_histogram(res.model)
+    v_hist = degree_counts(res.model)
     in_window = [j for j in range(2 * fdim, 3 * fdim - 1)
                  if v_hist.get(j, 0)]
     if not in_window:
@@ -430,7 +420,7 @@ def cat_bounds(c, max_degree):
         return low, 0
     fdim = nonzero[-1]
     window = c.max_generator_degree()
-    if max_degree - fdim < window or any(h_dims[fdim + 1:]):
+    if max_degree - fdim < window:
         return low, None
     r = nonzero[0]
     return low, fdim // r

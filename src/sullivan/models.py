@@ -84,19 +84,29 @@ def check_minimal_sullivan(c):
                for dg in c.differential.images.values())
 
 
+def _require_minimal(c, what):
+    _require_free(c, what)
+    if not check_minimal_sullivan(c):
+        raise ModelError(f"{what} needs a minimal model")
+
+
+def degree_counts(c):
+    """{degree: number of generators of that degree}."""
+    counts = {}
+    for g in c.algebra.generators:
+        counts[g.degree] = counts.get(g.degree, 0) + 1
+    return counts
+
+
 class RelativeSullivanAlgebra:
     """Base CDGA extended by well-ordered fiber generators with a twisted
     differential: D restricts to the base differential and D(w) only
     involves earlier fiber generators."""
 
-    def __init__(self, base, fiber_names, total, check=True):
+    def __init__(self, base, fiber_names, total):
         self.base = base
         self.total = total
         self.fiber = tuple(total.algebra.generator(n) for n in fiber_names)
-        if check:
-            self._validate()
-
-    def _validate(self):
         _require_free(self.total, "relative Sullivan algebra")
         base_ords = {g.ordinal for g in self.base.algebra.generators}
         fiber_ords = [g.ordinal for g in self.fiber]
@@ -188,9 +198,7 @@ def acyclic_closure(model, verify_to=0):
     """Extension by vbar (degree |v| - 1) with D vbar = v - C(v), the
     correction C solved degreewise so that D^2 vbar = 0; verified acyclic
     in degrees 1..verify_to."""
-    _require_free(model, "acyclic closure")
-    if not check_minimal_sullivan(model):
-        raise ModelError("acyclic closure needs a minimal model")
+    _require_minimal(model, "acyclic closure")
     total = model
     bar_ordinals = set()
     for v in _bar_order(model):
@@ -239,18 +247,14 @@ class LoopCohomology:
         bar_alg = FreeAlgebra.build(self.bar_specs)
         self.dims = [len(bar_alg.basis_of_degree(k))
                      for k in range(max_degree + 1)]
-        self.pi_ranks = {}
-        for g in model.algebra.generators:
-            self.pi_ranks[g.degree] = self.pi_ranks.get(g.degree, 0) + 1
+        self.pi_ranks = degree_counts(model)
 
     def pi_rank(self, k):
         return self.pi_ranks.get(k, 0)
 
 
 def loop_cohomology(model, max_degree):
-    _require_free(model, "loop cohomology")
-    if not check_minimal_sullivan(model):
-        raise ModelError("loop cohomology needs a minimal model")
+    _require_minimal(model, "loop cohomology")
     return LoopCohomology(model, max_degree)
 
 
@@ -258,9 +262,7 @@ def path_space_model(model, series_cap=64):
     """Model of the unbased path space over two base copies: the fiber
     differential is D vbar = v_p1 - v_p0 - sum_n (SD)^n/n! (v_p0),
     evaluated term by term until it vanishes."""
-    _require_free(model, "path space model")
-    if not check_minimal_sullivan(model):
-        raise ModelError("path space model needs a minimal model")
+    _require_minimal(model, "path space model")
     gens = list(model.algebra.generators)
     bars = _bar_order(model)
     specs = ([(f"{g.name}_p0", g.degree) for g in gens]
@@ -328,9 +330,7 @@ def multiplication_morphism(model, doubled):
 def free_loop_model(model):
     """Model of the free loop space: adjoin vbar with D vbar = -S(dv),
     where S is the degree -1 derivation sending v to vbar."""
-    _require_free(model, "free loop model")
-    if not check_minimal_sullivan(model):
-        raise ModelError("free loop model needs a minimal model")
+    _require_minimal(model, "free loop model")
     gens = list(model.algebra.generators)
     bars = _bar_order(model)
     alg = model.algebra.extend([(f"{g.name}_bar", g.degree - 1) for g in bars])
@@ -376,7 +376,7 @@ def minimal_model(target, max_degree):
     One model grows through the stages, carrying the differential
     matrices and ranks the next stage reads (`Cdga.extend`), and the
     morphisms share one table of phi per monomial and tail (unreduced),
-    each degree dropped after its last read.
+    each filled once and emptied when the synthesis ends.
     H^k(phi) is taken only where H^k(target) != 0: elsewhere stage k adds
     no closed generator, and stage k - 1 kills all of H^k(model).
     Stage n certifies its generators (d^2 = 0 and the chain-map identity)
@@ -389,7 +389,7 @@ def minimal_model(target, max_degree):
         raise ModelError("target has H^1 != 0; minimal model synthesis "
                          "needs a simply connected target")
     phi_table = {}
-    model = Cdga.build(f"model({target.name})", [], check=False)
+    model = Cdga.build(f"model({target.name})", [])
     phi = CdgaMorphism(model, target, {}, check=False, table=phi_table)
     stages = []
 
@@ -454,13 +454,10 @@ def minimal_model(target, max_degree):
                         != target.coords(phi.apply(
                             model.differential.image_of(name)), n + 1)):
                     raise ModelError(f"not a chain map at {name}")
-        for mono in [m for m in phi_table
-                     if model.algebra.mono_degree(m) <= n]:
-            del phi_table[mono]
         stages.append({"degree": n, "cocycle_gens": cocycle_names,
                        "kernel_gens": list(new_d)})
 
-    if model.algebra.generators and not check_minimal_sullivan(model):
+    if not check_minimal_sullivan(model):
         raise ModelError("constructed model is not minimal")
     phi_table.clear()
     return MinimalModelResult(model, phi, max_degree, stages)

@@ -28,6 +28,7 @@ from .graded import (
     memo_linear,
     monomial_columns,
     multiplicative,
+    odd_letters,
     read_text,
 )
 from .linalg import (RatMatrix, homology_dim, kernel_basis, rank, ratios,
@@ -96,28 +97,30 @@ def _moves(n, name, *args):
     it applies in turn, kept in `_MOVES`.  A word's maps are its letters',
     each checked at the dimension it applies to, so words share tables."""
     key = (n, name, *args)
-    if key not in _MOVES:
+    move = _MOVES.get(key)
+    if move is None:
         if name == "d":
             alg = form_algebra(n)
             d = Derivation(alg, +1, {f"t{i}": alg.gen_elem(f"y{i}")
                                      for i in range(1, n + 1)})
-            _MOVES[key] = n, [(d.leibniz, {})]
+            move = n, [(d.leibniz, {})]
         elif name == "integral":
-            _MOVES[key] = 0, [(lambda mono: _integral(n, mono), {})]
+            move = 0, [(lambda mono: _integral(n, mono), {})]
         elif name == "face":
-            _MOVES[key] = n - 1, [_pullback(
+            move = n - 1, [_pullback(
                 n, n - 1, [j + (j >= args[0]) for j in range(n)])]
         elif name == "degen":
             if not 0 <= args[0] <= n:
                 raise FormError(f"degeneracy index {args[0]} out of range "
                                 f"for dimension {n}")
-            _MOVES[key] = n + 1, [_pullback(
+            move = n + 1, [_pullback(
                 n, n + 1, [j - (j > args[0]) for j in range(n + 2)])]
         else:
-            _MOVES[key] = n + len(args[0]), [
+            move = n + len(args[0]), [
                 f for m, i in enumerate(reversed(args[0]), start=n)
                 for f in _moves(m, "degen", i)[1]]
-    return _MOVES[key]
+        _MOVES[key] = move  # returned as built: `verify_stokes` may empty it
+    return move
 
 
 class PolyForm:
@@ -354,8 +357,7 @@ class GlobalForm:
         rows = {sid: scaled(f.element.terms) for sid, f in forms.items()}
         for sid in sorted(dims):
             own = forms[sid]
-            y1 = len(own.element.algebra.generators) // 2  # y_i follow t_i
-            degrees = {sum(p for o, p in m if o >= y1)
+            degrees = {len(odd_letters(own.element.algebra, m))
                        for m in own.element.terms}
             if own.dim != dims[sid] or len(degrees) > 1:
                 defects.append(f"form on {sid} is not a homogeneous form "
@@ -490,7 +492,7 @@ def _subset_id(vertices):
     return "".join(str(v) for v in vertices)
 
 
-def delta_complex(n, name=None):
+def delta_complex(n):
     """The standard n-simplex with all its faces."""
     dims = {}
     faces = {}
@@ -502,16 +504,16 @@ def delta_complex(n, name=None):
                 if k > 0:
                     rest = vs[:i] + vs[i + 1:]
                     faces[(sid, i)] = (_subset_id(rest), ())
-    return SimplicialComplexFin(name or f"delta{n}", dims, faces)
+    return SimplicialComplexFin(f"delta{n}", dims, faces)
 
 
-def boundary_delta(n, name=None):
+def boundary_delta(n):
     """The boundary of the standard n-simplex."""
     full = delta_complex(n)
     dims = {sid: d for sid, d in full.dims.items() if d < n}
     faces = {key: val for key, val in full.faces.items()
              if full.dims[key[0]] < n}
-    return SimplicialComplexFin(name or f"bddelta{n}", dims, faces)
+    return SimplicialComplexFin(f"bddelta{n}", dims, faces)
 
 
 _BUILTINS = {"delta2": (delta_complex, 2), "delta3": (delta_complex, 3),
@@ -752,6 +754,5 @@ def parse_scomplex_file(text, filename="<scomplex>", check=True):
         raise FormError(f"{filename}:1: {exc}") from None
 
 
-def load_scomplex(path, check=True):
-    return parse_scomplex_file(read_text(path, FormError),
-                               filename=str(path), check=check)
+def load_scomplex(path):
+    return parse_scomplex_file(read_text(path, FormError), filename=str(path))

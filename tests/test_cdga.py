@@ -130,6 +130,22 @@ def test_relation_quotient_dims_take_no_back_substitution(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("build, k", [
+    (elliptic_six, 5), (lambda: wedge_cohomology(2, 3), 4),
+    (lambda: cp_model(3), 4)], ids=["elliptic_six", "h_s2_v_s3", "cp3"])
+def test_h_dim_reads_the_ranks_representatives_learned(monkeypatch, build, k):
+    """Choosing H^k representatives ranks d_k and d_(k-1) on the way, so
+    `h_dim(k)` ranks nothing more and `h_dim(k + 1)` ranks d_(k+1) alone."""
+    want = build().h_dim(k + 1)
+    c, calls = build(), []
+    original = linalg.rank
+    monkeypatch.setattr(linalg, "rank",
+                        lambda m: calls.append(m) or original(m))
+    reps = c.h_basis(k)
+    assert c.h_dim(k) == len(reps) and len(calls) == 0
+    assert c.h_dim(k + 1) == want and len(calls) == 1
+
+
 def test_euler_identity_dims_vs_ranks():
     # dim H^k = dim A^k - rank d^k - rank d^(k-1), exactly
     from sullivan.linalg import rref

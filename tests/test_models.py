@@ -143,6 +143,31 @@ def test_minimal_model_stage_log():
     assert by_degree[3]["kernel_gens"] != []
 
 
+@pytest.mark.parametrize("degrees, top, monomials", [
+    ((2, 2), 10, 407), ((3, 3), 20, 306), ((2, 3), 12, 161)],
+    ids=["h_s2_v_s2", "h_s3_v_s3", "h_s2_v_s3"])
+def test_synthesis_fills_each_phi_table_entry_once(
+        monkeypatch, degrees, top, monomials):
+    """The stages' morphisms share one table of phi, kept whole until the
+    synthesis ends, so no monomial or tail of one is filled twice."""
+    fills = []
+    original = cdga.multiplicative
+
+    def counted(letters, alg, table=None):
+        image, table = original(letters, alg, table)
+
+        def filling(mono):
+            before = set(table)
+            row = image(mono)
+            fills.extend(table.keys() - before)
+            return row
+        return filling, table
+
+    monkeypatch.setattr(cdga, "multiplicative", counted)
+    minimal_model(wedge_cohomology(*degrees), top)
+    assert len(fills) == len(set(fills)) == monomials
+
+
 # ----- the synthesis certificate -----
 
 def test_synthesis_calls_the_leibniz_rule_at_most_half_as_often(

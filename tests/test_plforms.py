@@ -149,6 +149,22 @@ def test_d_squared_zero_on_random_forms():
         assert w.d().d().is_zero()
 
 
+class _ForgetfulTable(dict):
+    """A move table that keeps nothing, like one emptied by a concurrent
+    `verify_stokes` just after each store."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_moves_return_what_they_build_when_the_table_forgets_it(
+        monkeypatch):
+    form = PolyForm.parse(2, "t1*y2")
+    want = [form.face(0), form.d(), form.degen_word((1, 0))]
+    monkeypatch.setattr(plforms, "_MOVES", _ForgetfulTable())
+    assert [form.face(0), form.d(), form.degen_word((1, 0))] == want
+
+
 # ----- degeneracy words -----
 
 def test_normalize_word():
