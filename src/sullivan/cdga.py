@@ -426,13 +426,19 @@ def check_quasi_iso(phi, max_degree):
 
 # ----- constructions -----
 
-def _disjoint_specs(factors):
-    """Generator specs for a disjoint union, renaming clashes with _2, _3..."""
+def _joined(factors):
+    """The free algebra on the factors' generators, clashes renamed with
+    _2, _3.., with their differentials and relations moved over:
+    (per-factor renames {ordinal: name}, algebra, images, relations).
+    Word-capped factors are refused."""
     used = set()
-    per_factor = []
+    renames = []
+    specs = []
     for c in factors:
-        renames = {}
-        specs = []
+        if c.word_cap is not None:
+            raise CdgaError("word-capped factors are not supported")
+        rename = {}
+        renames.append(rename)
         for g in c.algebra.generators:
             name = g.name
             n = 1
@@ -440,45 +446,29 @@ def _disjoint_specs(factors):
                 n += 1
                 name = f"{g.name}_{n}"
             used.add(name)
-            renames[g.ordinal] = name
+            rename[g.ordinal] = name
             specs.append((name, g.degree))
-        per_factor.append((specs, renames))
-    return per_factor
-
-
-def _joined(factors):
-    """The free algebra on the factors' generators (clashes renamed) with
-    their differentials and relations moved over:
-    (per-factor specs and renames, algebra, images, relations)."""
-    per = _disjoint_specs(factors)
-    alg = FreeAlgebra.build([s for fspecs, _ in per for s in fspecs])
+    alg = FreeAlgebra.build(specs)
     images = {}
     relations = []
-    for c, (_, renames) in zip(factors, per):
-        move = {o: alg.gen_elem(name) for o, name in renames.items()}
+    for c, rename in zip(factors, renames):
+        move = {o: alg.gen_elem(name) for o, name in rename.items()}
         for g in c.algebra.generators:
             dg = c.differential.images.get(g.ordinal)
             if dg is not None:
-                images[renames[g.ordinal]] = substitute(dg, move, alg)
+                images[rename[g.ordinal]] = substitute(dg, move, alg)
         relations.extend(substitute(r, move, alg) for r in c.relations)
-    return per, alg, images, relations
+    return renames, alg, images, relations
 
 
 def tensor_product(a, b):
     """Tensor CDGA with the two inclusions; Kunneth holds degreewise."""
-    for c in (a, b):
-        if c.word_cap is not None:
-            raise CdgaError("tensor products of word-capped quotients "
-                            "are not supported")
-    per, alg, images, relations = _joined([a, b])
+    renames, alg, images, relations = _joined([a, b])
     d = Derivation(alg, +1, images)
     t = Cdga(f"{a.name}(x){b.name}", alg, d, relations=relations)
-    incl_a = CdgaMorphism(a, t, {
-        g.name: alg.gen_elem(per[0][1][g.ordinal])
-        for g in a.algebra.generators})
-    incl_b = CdgaMorphism(b, t, {
-        g.name: alg.gen_elem(per[1][1][g.ordinal])
-        for g in b.algebra.generators})
+    incl_a, incl_b = (CdgaMorphism(c, t, {
+        g.name: alg.gen_elem(rename[g.ordinal])
+        for g in c.algebra.generators}) for c, rename in zip((a, b), renames))
     return t, incl_a, incl_b
 
 
@@ -491,16 +481,13 @@ def fibered_product_augmented(factors, name=None):
         raise CdgaError("need at least one factor")
     if len(factors) == 1:
         return factors[0]
-    for c in factors:
-        if c.word_cap is not None:
-            raise CdgaError("word-capped factors are not supported")
-    per, alg, images, relations = _joined(factors)
+    renames, alg, images, relations = _joined(factors)
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             for gi in factors[i].algebra.generators:
                 for gj in factors[j].algebra.generators:
-                    cross = (alg.gen_elem(per[i][1][gi.ordinal])
-                             * alg.gen_elem(per[j][1][gj.ordinal]))
+                    cross = (alg.gen_elem(renames[i][gi.ordinal])
+                             * alg.gen_elem(renames[j][gj.ordinal]))
                     if not cross.is_zero():
                         relations.append(cross)
     d = Derivation(alg, +1, images)
@@ -525,7 +512,7 @@ def word_length_quotient(c, n):
 def parse_cdga_file(text, filename="<cdga>", check=True):
     """Parse the `cdga/gen/diff/rel` line format."""
     name = None
-    specs = []
+    specs = {}
     diffs = []
     rels = []
     for lineno, kw, rest in directives(text):
@@ -544,12 +531,12 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
                 deg = int(deg)
             except ValueError:
                 raise CdgaFileError(filename, lineno, f"bad degree {deg!r}") from None
-            if any(gname == s[0] for s in specs):
+            if gname in specs:
                 raise CdgaFileError(filename, lineno, f"duplicate generator {gname}")
             if deg < 1:
                 raise CdgaFileError(filename, lineno,
                                     f"generator {gname} has degree {deg}")
-            specs.append((gname, deg))
+            specs[gname] = deg
         elif kw == "diff":
             if "=" not in rest:
                 raise CdgaFileError(filename, lineno, "expected: diff <ident> = <poly>")
@@ -564,7 +551,7 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
             raise CdgaFileError(filename, lineno, f"unknown keyword {kw!r}")
     if name is None:
         raise CdgaFileError(filename, 1, "missing cdga header line")
-    alg = FreeAlgebra.build(specs)  # the gen lines have been checked
+    alg = FreeAlgebra.build(specs.items())  # the gen lines have been checked
     images = {}
     for lineno, gname, poly in diffs:
         try:
@@ -583,6 +570,8 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
             raise CdgaFileError(filename, lineno, f"bad degree {deg!r}") from None
         try:
             r = parse_poly(poly, alg)
+            if r.is_zero():
+                raise AlgebraError("relation is zero")
             if r.degree() != deg:
                 raise AlgebraError(
                     f"relation has degree {r.degree()}, declared {deg}")

@@ -233,7 +233,7 @@ def mono_mul(m1, m2, odd1, odd2):
     """Product of two monomials: (sign, monomial), or None when an odd
     generator repeats.  The Koszul sign counts the odd-odd inversions
     needed to merge the two sorted letter sequences; `odd1` and `odd2`
-    are the `odd_letters` of m1 and m2, which callers keep per term."""
+    are the `odd_letters` of m1 and m2; the row loops keep them per term."""
     inversions = 0
     for a in odd1:
         k = bisect_left(odd2, a)
@@ -540,104 +540,24 @@ def memo_linear(terms, maps, den=1):
 # ----- parsing and printing -----
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
+_SEPARATORS = {"+": 1, "-": -1, "*": 0}  # a new term's sign, or 0 for `*`
 
 
 def _tokenize(text):
-    # comments run to end of line
-    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    """Tokens: ints, generator names and operators; `#` starts a comment."""
+    text = "\n".join(line.split("#", 1)[0]
+                     for line in text.splitlines()).rstrip()
     pos = 0
     toks = []
     while pos < len(text):
-        if not text[pos:].strip():
-            break
         m = _TOKEN.match(text, pos)
         if not m:
             raise AlgebraError(
                 f"bad character {text[pos:].strip()[0]!r} in polynomial")
-        num, ident, op = m.groups()
-        if num is not None:
-            toks.append(("num", int(num)))
-        elif ident is not None:
-            toks.append(("ident", ident))
-        else:
-            toks.append(("op", op))
+        num, name, op = m.groups()
+        toks.append(int(num) if num is not None else name or op)
         pos = m.end()
     return toks
-
-
-class _Parser:
-    def __init__(self, toks, algebra):
-        self.toks = toks
-        self.i = 0
-        self.alg = algebra
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
-
-    def next(self):
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def parse(self):
-        # poly := ['-'] term (('+'|'-') term)*
-        sign = 1
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        out = self.term().scale(sign)
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                t = self.term()
-                out = out + (t if val == "+" else -t)
-            else:
-                break
-        if self.i != len(self.toks):
-            raise AlgebraError("trailing junk in polynomial")
-        return out
-
-    def term(self):
-        # term := rat ['*' factor ...] | factor ('*' factor)*
-        out = (self.alg.scalar(self.rat()) if self.peek()[0] == "num"
-               else self.factor())
-        while self.peek() == ("op", "*"):
-            self.next()
-            out = out * self.factor()
-        return out
-
-    def rat(self):
-        kind, val = self.next()
-        if kind != "num":
-            raise AlgebraError("expected a number")
-        num = val
-        kind, nxt = self.peek()
-        if kind == "op" and nxt == "/":
-            self.next()
-            kind, den = self.next()
-            if kind != "num" or den == 0:
-                raise AlgebraError("expected a positive denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def factor(self):
-        kind, val = self.next()
-        if kind != "ident":
-            raise AlgebraError(f"expected a generator name, got {val!r}")
-        g = self.alg.generator(val)
-        power = 1
-        kind, nxt = self.peek()
-        if kind == "op" and nxt == "^":
-            self.next()
-            kind, p = self.next()
-            if kind != "num" or p <= 0:
-                raise AlgebraError("expected a positive exponent")
-            power = p
-        if g.is_odd and power > 1:
-            return self.alg.zero()
-        return AlgElement(self.alg, {((g.ordinal, power),): Fraction(1)})
 
 
 def read_text(path, error):
@@ -664,11 +584,53 @@ def directives(text):
 
 
 def parse_poly(text, algebra):
-    """Parse `rat*x^2*y - z + 1/2` style expressions over `algebra`."""
+    """Parse `rat*x^2*y - z + 1/2` style expressions over `algebra` in one
+    pass, a separator and an item per step: a sign starts a term, which
+    may open with a rational, and `*` multiplies in `name` or `name^k`
+    by `mono_mul`.  A term ends where no `*` follows."""
     toks = _tokenize(text)
     if not toks:
         raise AlgebraError("empty polynomial")
-    return _Parser(toks, algebra).parse()
+    if not _SEPARATORS.get(toks[0]):
+        toks.insert(0, "+")
+    toks.append(None)
+    terms = {}
+    i = 0
+    while toks[i] in _SEPARATORS:
+        sign, tok = _SEPARATORS[toks[i]], toks[i + 1]
+        i += 2
+        if sign:
+            coeff, mono = Fraction(sign), UNIT
+        if sign and type(tok) is int:
+            coeff *= tok
+            if toks[i] == "/":
+                den = toks[i + 1]
+                if type(den) is not int or den == 0:
+                    raise AlgebraError("expected a positive denominator")
+                coeff /= den
+                i += 2
+        elif not (isinstance(tok, str) and tok.isidentifier()):
+            raise AlgebraError(f"expected a generator name, got {tok!r}")
+        else:
+            g = algebra.generator(tok)
+            power = 1
+            if toks[i] == "^":
+                power = toks[i + 1]
+                if type(power) is not int or power <= 0:
+                    raise AlgebraError("expected a positive exponent")
+                i += 2
+            if g.is_odd and power > 1:
+                coeff = 0
+            elif coeff:
+                sign, mono = mono_mul(
+                    mono, ((g.ordinal, power),), odd_letters(algebra, mono),
+                    [g.ordinal] if g.is_odd else []) or (0, mono)
+                coeff *= sign
+        if coeff and toks[i] != "*":
+            _add_term(terms, mono, coeff)
+    if toks[i] is not None:
+        raise AlgebraError("trailing junk in polynomial")
+    return AlgElement(algebra, terms)
 
 
 def _format_mono(alg, mono):

@@ -265,6 +265,16 @@ def test_fibered_product_single_factor():
     assert fibered_product_augmented([c]) is c
 
 
+def test_products_refuse_word_capped_factors():
+    q, _ = word_length_quotient(sphere_model(3), 1)
+    with pytest.raises(CdgaError, match="word-capped"):
+        tensor_product(q, sphere_model(2))
+    with pytest.raises(CdgaError, match="word-capped"):
+        tensor_product(sphere_model(2), q)
+    with pytest.raises(CdgaError, match="word-capped"):
+        fibered_product_augmented([sphere_model(2), q])
+
+
 def test_fibered_product_cross_terms_vanish():
     w = wedge_cohomology(2, 2)
     assert w.cohomology(4).dims == [1, 0, 2, 0, 0]
@@ -323,6 +333,15 @@ def test_file_errors_carry_line_numbers():
     with pytest.raises(CdgaFileError) as exc:
         parse_cdga_file("cdga t\n# y\n\ngen y 0\n", filename="f")
     assert str(exc.value) == "f:4: generator y has degree 0"
+
+
+def test_zero_relation_is_named_at_its_line():
+    with pytest.raises(CdgaFileError) as exc:
+        parse_cdga_file("cdga t\ngen x 3\nrel 6 : x^2\n", filename="f")
+    assert str(exc.value) == "f:3: relation is zero"
+    with pytest.raises(CdgaFileError) as exc:
+        parse_cdga_file("cdga t\ngen y 2\n\nrel 4 : 0\n", filename="f")
+    assert str(exc.value) == "f:4: relation is zero"
 
 
 # a comment and a blank line first, so that line 1 would be wrong

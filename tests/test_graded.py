@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sullivan.graded import (
+    AlgElement,
     AlgebraError,
     Derivation,
     FreeAlgebra,
@@ -224,3 +225,55 @@ def test_extend_keeps_old_monomials_valid():
     big = alg.extend([("z", 3)])
     e2 = e.in_algebra(big)
     assert e2 == big.parse("y^2")
+
+
+# u, y, x of degrees 1, 2, 3 have ordinals 0, 1, 2
+PARSE_GENS = [("u", 1), ("y", 2), ("x", 3)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty polynomial"),
+    ("é", "bad character 'é' in polynomial"),
+    ("2 y", "trailing junk in polynomial"),
+    ("y^2^3", "trailing junk in polynomial"),
+    ("1/0*y", "expected a positive denominator"),
+    ("y^0", "expected a positive exponent"),
+    ("x*", "expected a generator name, got None"),
+    ("(y)", "expected a generator name, got '('"),
+    ("2*3", "expected a generator name, got 3"),
+    ("y - - x", "expected a generator name, got '-'"),
+    ("x^2*q", "unknown generator q"),
+])
+def test_parse_error_messages(text, message):
+    alg = FreeAlgebra.build(PARSE_GENS)
+    with pytest.raises(AlgebraError) as exc:
+        parse_poly(text, alg)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("x*u", {((0, 1), (2, 1)): -1}),
+    ("x*x", {}),
+    ("y*y*y", {((1, 3),): 1}),
+    ("0*x + 1", {(): 1}),
+    ("-1/2*y*x - x*y", {((1, 1), (2, 1)): Fraction(-3, 2)}),
+    ("+3", {(): 3}),
+    ("y # c", {((1, 1),): 1}),
+])
+def test_parse_valid_inputs(text, terms):
+    e = parse_poly(text, FreeAlgebra.build(PARSE_GENS))
+    assert e.terms == terms
+    assert all(type(c) is Fraction for c in e.terms.values())
+
+
+def test_parse_does_no_element_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("parsing did element arithmetic")
+
+    for name in ("__mul__", "__add__", "__neg__", "scale"):
+        monkeypatch.setattr(AlgElement, name, refuse)
+    monkeypatch.setattr(FreeAlgebra, "scalar", refuse)
+    e = parse_poly("2*x*u - 1/2*y^2*x + u + 3", FreeAlgebra.build(PARSE_GENS))
+    assert list(e.terms.items()) == [
+        (((0, 1), (2, 1)), -2), (((1, 2), (2, 1)), Fraction(-1, 2)),
+        (((0, 1),), 1), ((), 3)]

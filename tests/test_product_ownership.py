@@ -1,9 +1,9 @@
 """`graded` alone multiplies monomials: every product of two elements,
 and every algebra map out of a free algebra, goes through its Koszul
 sign rule `mono_mul` (in `row_product`, the one multiplicative
-extension, and the Leibniz rule), which takes both monomials' odd
-letters as `odd_letters` gives them, so no other module keeps a product
-loop of its own.  Checked on the syntax tree of each module."""
+extension, the Leibniz rule and `parse_poly`), which takes both
+monomials' odd letters as `odd_letters` gives them, so no other module
+keeps a product loop of its own.  Checked on the syntax tree of each module."""
 
 import ast
 import pathlib
