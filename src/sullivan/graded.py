@@ -126,7 +126,7 @@ class FreeAlgebra:
         return self.by_ordinal(o).degree
 
     def same_universe(self, other):
-        return self.generators == other.generators
+        return self is other or self.generators == other.generators
 
     def foreign_generator(self, other):
         """Name a generator witnessing that two universes differ."""
@@ -272,8 +272,6 @@ class AlgElement:
         self.terms = terms
 
     def _need_same(self, other):
-        if self.algebra is other.algebra:
-            return
         if not self.algebra.same_universe(other.algebra):
             bad = self.algebra.foreign_generator(other.algebra)
             raise AlgebraError(f"operands over different universes "
@@ -438,7 +436,7 @@ class Derivation:
         """d of an element: `leibniz` of each monomial, through
         `memo_linear` with a fresh table."""
         alg = self.algebra
-        if elem.algebra is not alg and not elem.algebra.same_universe(alg):
+        if not elem.algebra.same_universe(alg):
             bad = alg.foreign_generator(elem.algebra)
             raise AlgebraError(f"derivation applied across universes "
                                f"(generator {bad})")

@@ -3,14 +3,14 @@
 A form on the n-simplex lives in the coordinate algebra on t_1..t_n
 (degree 0) and y_1..y_n (degree 1) with dt_i = y_i; the index-0
 coordinates are always eliminated through t_0 = 1 - sum t_i and
-y_0 = -sum y_i.  Faces, degeneracies and d keep tables of their monomial
-images as scaled integers, a pullback's that of `graded.multiplicative`;
-the sampler builds its compatibility system from them, keeps its kernel
-in integer rows and checks its samples on scaled rows.  Finite simplicial
-sets are given by nondegenerate simplices with face data carrying degeneracy
-words; integration sends a compatible family of k-forms to a normalized
-rational k-cochain, exactly, via the Dirichlet simplex integral
-prod(a_i!) / (k + sum a_i)! for the monomial t^a dt_1...dt_k (a table).
+y_0 = -sum y_i.  A form is its `scaled` integer row.  Faces, degeneracies
+and d keep tables of their monomial images as scaled integers, a
+pullback's that of `graded.multiplicative`; the sampler builds its
+compatibility system from them and hands integer sums of its kernel rows
+to the forms.  Finite simplicial sets are given by nondegenerate simplices
+with face data carrying degeneracy words; integration sends a compatible
+family of k-forms to a normalized rational k-cochain, exactly, via the
+Dirichlet integral prod(a_i!) / (k + sum a_i)! of t^a dt_1...dt_k (a table).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .graded import (
     multiplicative,
     odd_letters,
     read_text,
+    row_product,
 )
 from .linalg import (RatMatrix, homology_dim, kernel_basis, rank, ratios,
                      scaled, scaled_sum)
@@ -124,24 +125,33 @@ def _moves(n, name, *args):
 
 
 class PolyForm:
-    """A polynomial differential form on the n-simplex."""
+    """A polynomial differential form on the n-simplex, kept as its
+    `scaled` row (den, {monomial: int}) of `form_algebra(n)`: an element is
+    brought over one denominator on entry (explicit zeros left out), and
+    `element` is a Fraction view, built when read."""
 
-    __slots__ = ("dim", "element")
+    __slots__ = ("dim", "row")
 
     def __init__(self, dim, element):
         self.dim = dim
-        self.element = element
+        self.row = scaled(element.terms)
 
     @classmethod
-    def zero(cls, dim):
-        return cls(dim, form_algebra(dim).zero())
+    def _of(cls, dim, row):
+        form = cls.__new__(cls)
+        form.dim, form.row = dim, row
+        return form
 
     @classmethod
     def parse(cls, dim, text):
         return cls(dim, form_algebra(dim).parse(text))
 
+    @property
+    def element(self):
+        return AlgElement(form_algebra(self.dim), ratios(*self.row))
+
     def is_zero(self):
-        return self.element.is_zero()
+        return not self.row[1]
 
     def d(self):
         """The exterior derivative, read through a table as faces are."""
@@ -168,28 +178,32 @@ class PolyForm:
         return self._move(*_moves(self.dim, "degen_word", tuple(word)))
 
     def _move(self, m, maps):
-        return PolyForm(m, AlgElement(form_algebra(m), ratios(
-            *memo_linear(self.element.terms, maps))))
+        return PolyForm._of(m, memo_linear(self.row[1], maps, self.row[0]))
 
     def __add__(self, other):
         if not isinstance(other, PolyForm):
             return NotImplemented
         self._same(other)
-        return PolyForm(self.dim, self.element + other.element)
+        return PolyForm._of(self.dim, scaled_sum(
+            {0: 1, 1: 1}, {0: self.row, 1: other.row}))
 
     def __mul__(self, other):
         if not isinstance(other, PolyForm):
             return NotImplemented
         self._same(other)
-        return PolyForm(self.dim, self.element * other.element)
+        return PolyForm._of(self.dim, row_product(
+            form_algebra(self.dim), self.row, other.row))
 
     def _same(self, other):
         if self.dim != other.dim:
             raise FormError("forms live on different simplex dimensions")
 
     def __eq__(self, other):
-        return (isinstance(other, PolyForm) and self.dim == other.dim
-                and self.element == other.element)
+        if not isinstance(other, PolyForm) or self.dim != other.dim:
+            return False
+        (den_a, a), (den_b, b) = self.row, other.row
+        return a.keys() == b.keys() and all(
+            x * den_b == b[m] * den_a for m, x in a.items())
 
     def __repr__(self):
         return f"PolyForm(dim {self.dim}: {self.element})"
@@ -200,7 +214,6 @@ def form_basis(n, k, poly_cap):
     <= poly_cap, in a fixed deterministic order."""
     if k < 0 or k > n:
         return []
-    alg = form_algebra(n)
     out = []
     for exps in product(range(poly_cap + 1), repeat=n):
         if sum(exps) > poly_cap:
@@ -322,15 +335,6 @@ class SimplicialComplexFin:
         return f"SimplicialComplexFin({self.name}; dims {counts})"
 
 
-def _same_row(move_a, row_a, move_b, row_b):
-    """Whether two `scaled` rows carried through the maps of two moves land
-    on one dimension and agree there, by cross-multiplication."""
-    den_a, a = memo_linear(row_a[1], move_a[1], row_a[0])
-    den_b, b = memo_linear(row_b[1], move_b[1], row_b[0])
-    return move_a[0] == move_b[0] and a.keys() == b.keys() and all(
-        x * den_b == b[m] * den_a for m, x in a.items())
-
-
 class GlobalForm:
     """A compatible family of degree-k polynomial forms, one per
     nondegenerate simplex."""
@@ -346,19 +350,20 @@ class GlobalForm:
                                 + "; ".join(defects))
 
     def form(self, sid):
-        return self.assignment.get(sid) or PolyForm.zero(self.complex.dims[sid])
+        return (self.assignment.get(sid)
+                or PolyForm._of(self.complex.dims[sid], (1, {})))
 
     def validate(self):
-        """Defects of the family.  Each form is read as a `scaled` row once
-        (so an explicit zero coefficient is no term), and each face check
-        compares two rows through `_same_row`."""
+        """Defects of the family.  Each face check compares the face of a
+        form with the pullback of its target's form along the face's
+        degeneracy word: two `PolyForm`s, each a `scaled` row carried
+        through the move tables, compared by cross-multiplication."""
         dims, defects = self.complex.dims, []
         forms = {sid: self.form(sid) for sid in dims}
-        rows = {sid: scaled(f.element.terms) for sid, f in forms.items()}
         for sid in sorted(dims):
             own = forms[sid]
-            degrees = {len(odd_letters(own.element.algebra, m))
-                       for m in own.element.terms}
+            degrees = {len(odd_letters(form_algebra(own.dim), m))
+                       for m in own.row[1]}
             if own.dim != dims[sid] or len(degrees) > 1:
                 defects.append(f"form on {sid} is not a homogeneous form "
                                f"on a {dims[sid]}-simplex")
@@ -368,9 +373,8 @@ class GlobalForm:
             else:
                 for i in range(own.dim + 1 if own.dim else 0):
                     tgt, word = self.complex.faces[(sid, i)]
-                    if forms[tgt].dim != dims[tgt] or not _same_row(
-                            _moves(own.dim, "face", i), rows[sid],
-                            _moves(dims[tgt], "degen_word", word), rows[tgt]):
+                    if (forms[tgt].dim != dims[tgt] or own.face(i)
+                            != forms[tgt].degen_word(word)):
                         defects.append(f"face {i} of {sid} disagrees "
                                        f"with {tgt}")
         return defects
@@ -422,9 +426,9 @@ def integrate(gf):
     keeps."""
     K, k = gf.complex, gf.degree
     maps = _moves(k, "integral")[1]
-    return Cochain(K, k, {sid: ratios(*memo_linear(
-        gf.form(sid).element.terms, maps)).get(0)
-        for sid in K.simplices(k)})
+    rows = {sid: gf.form(sid).row for sid in K.simplices(k)}
+    return Cochain(K, k, {sid: ratios(*memo_linear(terms, maps, den)).get(0)
+                          for sid, (den, terms) in rows.items()})
 
 
 def cochain_differential(c):
@@ -588,22 +592,16 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
     return result
 
 
-def _assemble(K, degree, order, bases, var_index, vec):
-    return GlobalForm(K, degree, {sid: PolyForm(K.dims[sid], AlgElement(
-        form_algebra(K.dims[sid]),
-        {mono: c for idx, mono in enumerate(bases[sid])
-         if (c := vec.get(var_index[sid, idx]))})) for sid in order})
-
-
 def _sample(K, degree, poly_cap, seed, closed):
     if degree > K.top_dim:
         return GlobalForm(K, degree, {}, check=False)
     order, bases, var_index, kernel = _compatibility_kernel(
         K, degree, poly_cap, closed)
     rng = random.Random(seed)
-    coeffs = {c: rng.randint(-3, 3) for c in kernel}
-    return _assemble(K, degree, order, bases, var_index,
-                     ratios(*scaled_sum(coeffs, kernel)))
+    den, vec = scaled_sum({c: rng.randint(-3, 3) for c in kernel}, kernel)
+    return GlobalForm(K, degree, {sid: PolyForm._of(K.dims[sid], (den, {
+        mono: c for idx, mono in enumerate(bases[sid])
+        if (c := vec.get(var_index[sid, idx]))})) for sid in order})
 
 
 def sample_global_form(K, degree, poly_cap, seed):
@@ -646,9 +644,12 @@ def verify_stokes(K, trials, poly_cap, seed):
     global forms, and compare the rank of integration on sampled cocycles
     with the cochain cohomology dimensions.  The tables of the moves
     (pullbacks, d and integrals) start empty, so a call does the same work
-    whatever ran before it."""
+    whatever ran before it.  A complex with no simplices is refused: it
+    leaves nothing to check."""
     if trials < 1:
         raise FormError("need at least one trial")
+    if not K.dims:
+        raise FormError(f"complex {K.name} has no simplices to check")
     _MOVES.clear()
     records = []
     for t in range(trials):

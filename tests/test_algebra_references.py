@@ -21,9 +21,9 @@ element, composes along degeneracy words, and starts empty in every
 scaled integer rows and sums them with `scaled_sum`, is checked against
 the Fraction loop it replaced, and the face-compatibility system, built
 once per (simplex dimension, map), against its assembly per (simplex,
-face).  `GlobalForm.validate`, which checks sampled forms face by face
-on scaled rows, is checked against the comparison of `PolyForm.face`
-with `PolyForm.degen_word` it replaced.
+face).  `GlobalForm.validate`, which compares `PolyForm.face` with
+`PolyForm.degen_word` as integer rows by cross-multiplication, is
+checked against a comparison of the nonzero terms of their elements.
 
 Differential matrices are assembled from the integer Leibniz kernel
 `Derivation.leibniz`; they are checked against the assembly they

@@ -313,6 +313,17 @@ def test_pl_verify_zero_trials_is_usage_error(capsys):
     assert "--trials" in err
 
 
+def test_pl_verify_refuses_a_complex_with_no_simplices(capsys, tmp_path):
+    """A complex with no simplices leaves nothing to check, so it is an
+    error rather than a pass."""
+    f = tmp_path / "empty.scx"
+    f.write_text("scomplex empty\n")
+    code, out, err = run(capsys, "pl-verify", str(f), "--json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: complex empty has no simplices to check\n"
+
+
 @pytest.mark.parametrize("extra, line", [
     ("scomplex again\n", 6), ("simplex e 1\n", 6), ("simplex e 2\n", 6),
     ("face e 0 = p\n", 6)])

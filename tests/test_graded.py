@@ -79,6 +79,32 @@ def test_derivation_rejects_bad_image_degree():
         Derivation(alg, +1, {"z": alg.gen_elem("y")})
 
 
+class _CountingTuple(tuple):
+    """A generator tuple that counts the comparisons made with it."""
+
+    def __eq__(self, other):
+        self.compared += 1
+        return tuple.__eq__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+def test_same_algebra_compares_no_generator_tuples():
+    """Images over the derivation's own algebra, and an element over it,
+    are known to share its universe without comparing generators; a copy
+    of the universe is still compared, and still accepted."""
+    alg = FreeAlgebra.build([("y", 2), ("z", 3), ("w", 5)])
+    alg.generators = _CountingTuple(alg.generators)
+    alg.generators.compared = 0
+    d = Derivation(alg, +1, {"z": alg.parse("y^2"), "w": alg.parse("y^3")})
+    assert d.apply(alg.parse("y*w")) == alg.parse("y^4")
+    assert alg.gen_elem("y") * alg.gen_elem("z") == alg.parse("y*z")
+    assert alg.generators.compared == 0
+    copy = FreeAlgebra.build([("y", 2), ("z", 3), ("w", 5)])
+    assert Derivation(alg, +1, {"z": copy.parse("y^2")}).images
+    assert alg.generators.compared == 1
+
+
 def test_basis_of_degree_exterior():
     alg = FreeAlgebra.build([("x", 3)])
     assert alg.basis_of_degree(3) == [((0, 1),)]

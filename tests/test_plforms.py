@@ -20,7 +20,6 @@ from sullivan.plforms import (
     GlobalForm,
     PolyForm,
     SimplicialComplexFin,
-    _assemble,
     _compatibility_kernel,
     boundary_delta,
     builtin_complex,
@@ -415,7 +414,8 @@ COMPLEXES = {
 def _dense_sample(K, degree, poly_cap, seed, closed):
     """The sampler as it was before sparse rows: the kernel vectors, read
     as Fractions from their integer rows over their pivot entries, summed
-    into a dense list of Fractions, one scaled entry at a time."""
+    into a dense list of Fractions, one scaled entry at a time, and each
+    simplex's form built from an element of those Fractions."""
     order, bases, var_index, kernel = _compatibility_kernel(
         K, degree, poly_cap, closed)
     rng = random.Random(seed)
@@ -425,7 +425,14 @@ def _dense_sample(K, degree, poly_cap, seed, closed):
         if c:
             for i, x in row.items():
                 vec[i] += c * Fraction(x, pivot_entry)
-    return _assemble(K, degree, order, bases, var_index, dict(enumerate(vec)))
+    assignment = {}
+    for sid in order:
+        n = K.dims[sid]
+        assignment[sid] = PolyForm(n, AlgElement(form_algebra(n), {
+            mono: vec[var_index[sid, idx]]
+            for idx, mono in enumerate(bases[sid])
+            if vec[var_index[sid, idx]]}))
+    return GlobalForm(K, degree, assignment)
 
 
 @pytest.mark.parametrize("name", ["delta3", "bddelta3", "s2_one_cell"])
@@ -517,6 +524,60 @@ def test_validation_reads_an_explicit_zero_coefficient_as_zero():
     assert GlobalForm(K, 0, {"0": zero}, check=False).validate() == []
 
 
+def test_an_explicit_zero_coefficient_is_no_term():
+    """A form is brought over one denominator on entry, which drops an
+    explicit zero coefficient: such a form is the zero form."""
+    for n in range(3):
+        alg = form_algebra(n)
+        zero = PolyForm(n, AlgElement(alg, {(): Fraction(0)}))
+        assert zero.is_zero()
+        assert zero == PolyForm.parse(n, "0")
+        assert zero.element.terms == {}
+    t1 = PolyForm(1, AlgElement(form_algebra(1), {
+        ((0, 1),): Fraction(1), ((1, 1),): Fraction(0)}))
+    assert t1 == PolyForm.parse(1, "t1")
+    assert t1.element.terms == {((0, 1),): 1}
+
+
+def test_rows_differing_by_a_common_factor_are_one_form():
+    """Two rows are compared as fractions, by cross-multiplication, so
+    rows that differ by a common factor are one form."""
+    t1 = ((0, 1),)
+    half = PolyForm._of(1, (2, {t1: 1}))
+    assert PolyForm._of(1, (4, {t1: 2})) == half
+    assert PolyForm._of(1, (6, {t1: 6})) == PolyForm.parse(1, "t1")
+    assert PolyForm._of(1, (6, {t1: 6})) != PolyForm._of(2, (1, {t1: 1}))
+    assert PolyForm._of(1, (4, {t1: 3})) != half
+    assert half + half == PolyForm.parse(1, "t1")
+
+
+@pytest.mark.parametrize("name", ["delta3", "bddelta3", "s2_one_cell"])
+def test_stokes_makes_no_element_view(monkeypatch, name):
+    """Sampling, checking, d and integration read the forms' integer rows
+    alone: with `PolyForm.element` raising, the report is the same."""
+    K = (load_scomplex(DATA / "s2_one_cell.scx") if name == "s2_one_cell"
+         else builtin_complex(name))
+
+    def report():
+        rep = verify_stokes(K, 8, 2, 3)
+        return rep.trials, rep.cocycle_ranks, rep.h_dims
+
+    want = report()
+
+    def refuse(form):
+        raise AssertionError("a form was read as an element")
+
+    monkeypatch.setattr(PolyForm, "element", property(refuse))
+    assert report() == want
+    assert all(t["passed"] for t in want[0])
+
+
+def test_stokes_refuses_a_complex_with_no_simplices():
+    K = parse_scomplex_file("scomplex empty\n")
+    with pytest.raises(FormError, match="complex empty has no simplices"):
+        verify_stokes(K, 3, 2, 1)
+
+
 @pytest.mark.parametrize("name", ["delta3", "bddelta3", "s2_one_cell"])
 def test_compatibility_system_reaches_the_kernel_as_integers(monkeypatch,
                                                               name):
@@ -541,16 +602,17 @@ def test_stokes_builds_each_face_block_once(monkeypatch):
     closed system and read from the pullback tables: 64 blocks for the
     four degrees of delta3, where one per (simplex, face) took 5,232 face
     pullbacks.  Every other face pullback is one of the 2,800 checks of a
-    sampled form in `GlobalForm.validate`."""
-    calls = {"monomial_columns": 0, "_same_row": 0}
-    for name in calls:
-        def counted(*args, name=name, original=getattr(plforms, name)):
+    sampled form in `GlobalForm.validate`, one `PolyForm.face` each."""
+    calls = {"monomial_columns": 0, "face": 0}
+    for name, owner in (("monomial_columns", plforms),
+                        ("face", plforms.PolyForm)):
+        def counted(*args, name=name, original=getattr(owner, name)):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(plforms, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     assert verify_stokes(builtin_complex("delta3"), 20, 3, 1).ok
-    assert calls == {"monomial_columns": 64, "_same_row": 2800}
+    assert calls == {"monomial_columns": 64, "face": 2800}
 
 
 def test_stokes_delta2():
