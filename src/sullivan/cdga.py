@@ -162,14 +162,15 @@ class Cdga:
         return self._rel_cache[k]
 
     def _quotient_basis(self, k):
-        """(degree-k quotient basis, its index): non-pivot monomials."""
+        """(degree-k quotient basis, its index): non-pivot monomials, or
+        the free basis itself when there are no relations."""
+        if not self.relations:
+            return self.free_basis(k)
         if k not in self._quotient_cache:
-            monos, index = self.free_basis(k)
-            if self.relations:
-                pivots = set(self._rel_echelon(k).pivots)
-                monos = [m for i, m in enumerate(monos) if i not in pivots]
-                index = {m: i for i, m in enumerate(monos)}
-            self._quotient_cache[k] = (monos, index)
+            pivots = set(self._rel_echelon(k).pivots)
+            monos = [m for i, m in enumerate(self.free_basis(k)[0])
+                     if i not in pivots]
+            self._quotient_cache[k] = monos, {m: i for i, m in enumerate(monos)}
         return self._quotient_cache[k]
 
     def basis(self, k):

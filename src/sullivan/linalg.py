@@ -8,12 +8,13 @@ and rational ones are brought over one denominator once, on entry.  One
 kernel does all elimination: `_eliminate` makes each integer row
 primitive and cancels it in turn, fraction-free, against the pivot rows
 kept so far (pivot: leftmost nonzero column, taken by the first row
-there).  `rank` counts the kept rows and makes no Fraction.  `_reduced`
-back-substitutes to the reduced echelon form, each row up to its pivot
-entry, which a `SubspaceBasis` keeps as it is for `quotient_basis` to
-read (a span's rows on first read).  Fractions are made only for the
-vectors that leave, most by `ratios`: basis rows when first read,
-representatives and solutions, and the views `columns()` and `data`.
+there).  `rank` counts the kept rows and makes no Fraction.  A
+`SubspaceBasis` keeps the rows it is given, a forward pass or a kernel's
+reduced rows, with their pivots; `_reduced` back-substitutes them to the
+reduced echelon form, each row up to its pivot entry, on first read.
+Fractions are made only for the vectors that leave, most by `ratios`:
+basis rows when first read, representatives and solutions, and the views
+`columns()` and `data`.
 
 The reduced echelon basis of a subspace is unique, so every result but
 the NoSolution certificate is independent of the elimination order.
@@ -230,41 +231,18 @@ def homology_dim(dim, d_out, d_in, ranks, matrix):
 
 def rref(m):
     """Reduced row echelon form: (RatMatrix, pivot columns, rank)."""
-    red = SubspaceBasis(m.cols, _reduced(_eliminate(m.num)))
+    red = SubspaceBasis(m.cols, _eliminate(m.num))
     return (RatMatrix.from_rows(red.rows + [{}] * (m.rows - red.dim), m.cols),
             red.pivots, red.dim)
 
 
 class SubspaceBasis:
-    """Subspace given by its reduced echelon basis.  `scaled_rows` keeps
-    it in integers, {pivot: (pivot entry, the reduced row times that
-    positive entry)} in pivot order, each a `scaled` row; `rows` views
-    them as sparse rows {column: Fraction}, 1 at their pivots, built on
-    first read."""
-
-    def __init__(self, ambient, piv):
-        self.ambient, self.pivots, self.dim = ambient, list(piv), len(piv)
-        self.scaled_rows = {c: (row[c], row) for c, row in piv.items()}
-
-    @cached_property
-    def rows(self):
-        return [ratios(p, row) for p, row in self.scaled_rows.values()]
-
-    def reduce(self, v):
-        """Residue of a sparse row v modulo the subspace, as a sparse
-        {column: Fraction}: its pivot coordinates eliminated."""
-        coeffs = {c: -x for c, x in v.items() if c in self.scaled_rows}
-        if not coeffs:
-            return {j: Fraction(x) for j, x in v.items() if x}
-        return ratios(*scaled_sum({-1: 1, **coeffs}, {-1: scaled(v), **{
-            c: self.scaled_rows[c] for c in coeffs}}))
-
-    def __repr__(self):
-        return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient})"
-
-
-class _Span(SubspaceBasis):
-    """Span from one forward pass: pivots now, rows reduced on first read."""
+    """Subspace spanned by echelon rows {pivot: integer row}, as given: a
+    forward pass, or rows already reduced.  Its pivots are known at once;
+    `scaled_rows` is its reduced echelon basis in integers, {pivot: (pivot
+    entry, the reduced row times that positive entry)} in pivot order,
+    each a `scaled` row, and `rows` views them as sparse rows {column:
+    Fraction}, 1 at their pivots: both built on first read."""
 
     def __init__(self, ambient, piv):
         self.ambient, self.pivots, self.dim = ambient, sorted(piv), len(piv)
@@ -274,10 +252,26 @@ class _Span(SubspaceBasis):
     def scaled_rows(self):
         return {c: (row[c], row) for c, row in _reduced(self._piv).items()}
 
+    @cached_property
+    def rows(self):
+        return [ratios(p, row) for p, row in self.scaled_rows.values()]
+
+    def reduce(self, v):
+        """Residue of a sparse row v modulo the subspace, as a sparse
+        {column: Fraction}: its pivot coordinates eliminated."""
+        coeffs = {c: -x for c, x in v.items() if c in self._piv}
+        return ratios(*scaled_sum({-1: 1, **coeffs}, {-1: scaled(v), **{
+            c: self.scaled_rows[c] for c in coeffs}}))
+
+    def __repr__(self):
+        return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient})"
+
 
 def span_basis(vectors, ambient):
-    """Canonical SubspaceBasis spanned by sparse rows (a `_Span`)."""
-    return _Span(ambient, _eliminate(RatMatrix.from_rows(vectors, ambient).num))
+    """Canonical SubspaceBasis spanned by sparse rows: its pivots from one
+    forward pass, its rows reduced on first read."""
+    return SubspaceBasis(ambient,
+                         _eliminate(RatMatrix.from_rows(vectors, ambient).num))
 
 
 def kernel_basis(m):
@@ -305,7 +299,7 @@ def kernel_basis(m):
 
 def image_basis(m):
     """Canonical basis of the column space."""
-    return SubspaceBasis(m.rows, _reduced(_eliminate(m.transpose().num)))
+    return SubspaceBasis(m.rows, _eliminate(m.transpose().num))
 
 
 def quotient_basis(sub, within):

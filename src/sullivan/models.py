@@ -26,6 +26,7 @@ from .graded import (
     AlgElement,
     Derivation,
     FreeAlgebra,
+    mono_word,
     substitute,
 )
 from .linalg import (
@@ -80,8 +81,8 @@ def check_minimal_sullivan(c):
     Raises on non-free input or generators of degree < 2."""
     _require_free(c, "minimality check")
     _require_simply_connected(c, "minimality check")
-    return all(min(dg.word_length_split()) >= 2
-               for dg in c.differential.images.values())
+    return all(mono_word(m) >= 2 for dg in c.differential.images.values()
+               for m in dg.terms)
 
 
 def _require_minimal(c, what):
@@ -448,11 +449,9 @@ def minimal_model(target, max_degree):
                                  range(n, n + 2) if n < max_degree else ())
             phi = CdgaMorphism(model, target, {**phi.images, **new_phi},
                                check=False, table=phi_table)
-            d_target = target.diff_matrix(n).columns()
-            for name in new_phi:  # d phi(v) = phi(dv), in coordinates
-                if (combine(target.coords(phi.image_of(name), n), d_target)
-                        != target.coords(phi.apply(
-                            model.differential.image_of(name)), n + 1)):
+            for name in new_phi:  # d phi(v) = phi(dv)
+                if target.d(phi.image_of(name)) != phi.apply(
+                        model.differential.image_of(name)):
                     raise ModelError(f"not a chain map at {name}")
         stages.append({"degree": n, "cocycle_gens": cocycle_names,
                        "kernel_gens": list(new_d)})

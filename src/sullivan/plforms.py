@@ -593,8 +593,6 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
 
 
 def _sample(K, degree, poly_cap, seed, closed):
-    if degree > K.top_dim:
-        return GlobalForm(K, degree, {}, check=False)
     order, bases, var_index, kernel = _compatibility_kernel(
         K, degree, poly_cap, closed)
     rng = random.Random(seed)

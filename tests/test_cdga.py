@@ -60,6 +60,20 @@ def test_validate_catches_broken_differential():
         Cdga("bad", alg, d)
 
 
+def test_validate_catches_a_relation_span_that_d_leaves():
+    """d y = x^2 leaves the span of the relation y, which has nothing in
+    degree 4."""
+    with pytest.raises(CdgaError) as exc:
+        Cdga.build("bad", [("x", 2), ("y", 3)], {"y": "x^2"}, ["y"])
+    assert str(exc.value) == ("bad: d does not preserve the relation span: "
+                              "d(y) = x^2")
+    alg = FreeAlgebra.build([("x", 2), ("y", 3)])
+    c = Cdga("bad", alg, Derivation(alg, +1, {"y": alg.parse("x^2")}),
+             relations=[alg.parse("y")], check=False)
+    assert c.validate() == [
+        "d does not preserve the relation span: d(y) = x^2"]
+
+
 def test_d_squared_zero_on_all_fixture_bases():
     for c in all_fixtures():
         for k in range(0, 10):
@@ -333,6 +347,16 @@ def test_file_errors_carry_line_numbers():
     with pytest.raises(CdgaFileError) as exc:
         parse_cdga_file("cdga t\n# y\n\ngen y 0\n", filename="f")
     assert str(exc.value) == "f:4: generator y has degree 0"
+
+
+def test_a_file_whose_d_squares_to_nonzero_is_refused_at_line_1():
+    """d^2 is a property of the whole presentation, so it is named at the
+    header line."""
+    with pytest.raises(CdgaFileError) as exc:
+        parse_cdga_file("cdga bad\ngen a 3\ngen b 4\ngen c 5\n"
+                        "diff a = b\ndiff b = c\n", filename="f")
+    assert str(exc.value) == "f:1: bad: d^2 a = c != 0"
+    assert exc.value.line == 1
 
 
 def test_zero_relation_is_named_at_its_line():

@@ -147,6 +147,13 @@ def test_word_length_split_same_length_terms():
     assert e.word_length_split() == {2: e}
 
 
+def test_scaling_by_zero_gives_the_zero_element():
+    alg = FreeAlgebra.build([("y", 2), ("z", 3)])
+    e = alg.parse("y^2 + z")
+    assert e.scale(0) == alg.zero() and e.scale(0).is_zero()
+    assert e.scale("1/2").scale(2) == e
+
+
 def test_parse_print_roundtrip():
     alg = FreeAlgebra.build([("y", 2), ("z", 3), ("w", 5)])
     rng = random.Random(11)

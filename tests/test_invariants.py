@@ -273,6 +273,20 @@ def test_cat_upper_none_when_window_not_visible():
     assert up is None
 
 
+def test_category_of_an_algebra_with_no_positive_classes():
+    """L(u, v) with du = v is acyclic: no class to multiply, and H+ = 0
+    gives the upper bound 0."""
+    cone = Cdga.build("cone", [("u", 3), ("v", 4)], {"u": "v"})
+    assert cuplength(cone, 8) == 0
+    assert cat_bounds(cone, 8) == (0, 0)
+
+
+def test_toomer_rank_with_no_injective_cap():
+    first, details = toomer_rank(cp_model(2), 1, 8)
+    assert first is None
+    assert [(row["n"], row["injective"]) for row in details] == [(1, False)]
+
+
 def test_toomer_rank_odd_sphere():
     first, details = toomer_rank(sphere_model(3), 3, 7)
     assert first == 1

@@ -44,6 +44,21 @@ def test_word_length_one_differential_is_not_minimal():
     assert not check_minimal_sullivan(c)
 
 
+def test_minimality_check_reads_word_lengths_from_monomials(monkeypatch):
+    """The check reads each image's least word length from its monomials:
+    it builds no word-length pieces."""
+    def refuse(self):
+        raise AssertionError("word_length_split called")
+
+    monkeypatch.setattr(graded.AlgElement, "word_length_split", refuse)
+    assert all(check_minimal_sullivan(m) for m in minimal_fixtures())
+    assert not check_minimal_sullivan(
+        Cdga.build("cone", [("u", 3), ("v", 2), ("w", 4)],
+                   {"u": "v^2 + w"}))
+    assert minimal_model(cp_cohomology(2), 8).generator_profile() == [
+        ("v2", 2), ("v5", 5)]
+
+
 def test_minimality_check_rejects_low_degrees():
     c = Cdga.build("circle-ish", [("t", 1)])
     with pytest.raises(ModelError, match="degree 1"):
@@ -341,6 +356,22 @@ def test_fiber_model_of_odd_cone():
     fib = fiber_model(rel)
     assert fib.d(fib.algebra.gen_elem("v")).is_zero()
     assert [fib.h_dim(k) for k in range(7)] == [1, 0, 1, 0, 1, 0, 1]
+
+
+def test_fiber_model_keeps_what_survives_the_base_going_to_zero():
+    """Over L(x), a has no D and Db = a^2 + x*a: the fiber keeps a closed
+    and db = a^2, the model of S^2."""
+    from sullivan.models import RelativeSullivanAlgebra
+    base = Cdga.build("Lx", [("x", 2)])
+    total = Cdga.build("total", [("x", 2), ("a", 2), ("b", 3)],
+                       {"b": "a^2 + x*a"})
+    fib = fiber_model(RelativeSullivanAlgebra(base, ["a", "b"], total))
+    alg = fib.algebra
+    assert [(g.name, g.degree) for g in alg.generators] == [("a", 2),
+                                                            ("b", 3)]
+    assert fib.differential.images == {
+        alg.generator("b").ordinal: alg.parse("a^2")}
+    assert [fib.h_dim(k) for k in range(7)] == [1, 0, 1, 0, 0, 0, 0]
 
 
 def test_pushout_along_identity_is_unchanged():

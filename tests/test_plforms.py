@@ -354,6 +354,19 @@ def test_sample_is_deterministic():
     assert any(a.assignment[s] != c.assignment[s] for s in a.assignment)
 
 
+@pytest.mark.parametrize("name", ["delta2", "bddelta3"])
+def test_a_sample_above_the_top_dimension_is_the_zero_family(name):
+    """The compatibility system has no unknowns above the top dimension,
+    so its kernel is zero: one zero form per simplex, integrating to the
+    zero cochain."""
+    K = builtin_complex(name)
+    gf = sample_global_form(K, K.top_dim + 1, 3, 0)
+    assert gf.is_zero() and gf.validate() == []
+    assert set(gf.assignment) == set(K.dims)
+    assert integrate(gf) == Cochain(K, K.top_dim + 1)
+    assert sample_closed_global_form(K, K.top_dim + 1, 3, 0).is_zero()
+
+
 def fractions_made(profile):
     return sum(calls for (path, _, name), (calls, *_) in
                pstats.Stats(profile).stats.items()
@@ -686,6 +699,101 @@ def test_validate_reports_out_of_range_faces():
     del K.dims["a"]
     assert K.validate() == [
         "face (e,5): face index 5 out of range for a 1-simplex"]
+
+
+def test_validate_reports_unknown_face_targets_and_dimension_mismatches():
+    K = SimplicialComplexFin("k", {"v": 0, "e": 1},
+                             {("e", 0): ("v", ()), ("e", 1): ("w", ())},
+                             check=False)
+    assert K.validate() == ["face (e,1) hits unknown simplex w"]
+    K.faces[("e", 1)] = ("e", ())
+    assert K.validate() == [
+        "face (e,1) dimension mismatch: 1 + 0 != 1 - 1"]
+
+
+# ----- faces of degenerate simplices -----
+
+def _operator(dim, word):
+    """The monotone surjection [dim + len(word)] -> [dim] of the degeneracy
+    word (outermost first) s_w0 ... s_wk x = (sigma^wk o ... o sigma^w0)^* x,
+    sigma^j hitting j twice, as the tuple of its values."""
+    values = range(dim + len(word) + 1)
+    for j in word:
+        values = [v - (v > j) for v in values]
+    return tuple(values)
+
+
+def _word(surjection):
+    """The strictly decreasing degeneracy word of a monotone surjection:
+    s_j for every j that it sends to the same place as j + 1."""
+    return tuple(sorted((j for j in range(len(surjection) - 1)
+                         if surjection[j] == surjection[j + 1]),
+                        reverse=True))
+
+
+def _face_by_maps(K, sid, word, i):
+    """d_i of s_word(sid), by composing monotone maps: the operator with
+    its i-th value dropped either stays onto [dim sid], or misses one
+    vertex v and factors through d_v sid, whose face data gives a
+    simplex and a word to compose with."""
+    dim = K.dims[sid]
+    op = _operator(dim, word)
+    op = op[:i] + op[i + 1:]
+    missing = set(range(dim + 1)) - set(op)
+    if not missing:
+        return sid, _word(op)
+    v = missing.pop()
+    tgt, w = K.faces[(sid, v)]
+    outer = _operator(K.dims[tgt], w)
+    return tgt, _word(tuple(outer[x - (x > v)] for x in op))
+
+
+def _words(dim, length):
+    """Every degeneracy word of that length that applies to a dim-simplex
+    (the innermost letter at most dim, the next at most dim + 1, ...)."""
+    if not length:
+        return [()]
+    return [(j,) + w for w in _words(dim, length - 1)
+            for j in range(dim + length)]
+
+
+def _one_vertex_three_sphere():
+    return SimplicialComplexFin(
+        "s3", {"v": 0, "S": 3}, {("S", i): ("v", (1, 0)) for i in range(4)})
+
+
+def _three_simplex_with_a_collapsed_edge():
+    """The 3-simplex [0123] with its edge [01] collapsed to the vertex p:
+    q = 2, r = 3, e1 = [pq], e2 = [pr], e3 = [qr], f = [pqr], and the
+    faces [013] and [012] of T become s0 e2 and s0 e1."""
+    dims = {"p": 0, "q": 0, "r": 0, "e1": 1, "e2": 1, "e3": 1, "f": 2,
+            "T": 3}
+    faces = {("e1", 0): ("q", ()), ("e1", 1): ("p", ()),
+             ("e2", 0): ("r", ()), ("e2", 1): ("p", ()),
+             ("e3", 0): ("r", ()), ("e3", 1): ("q", ()),
+             ("f", 0): ("e3", ()), ("f", 1): ("e2", ()), ("f", 2): ("e1", ()),
+             ("T", 0): ("f", ()), ("T", 1): ("f", ()),
+             ("T", 2): ("e2", (0,)), ("T", 3): ("e1", (0,))}
+    return SimplicialComplexFin("collapsed", dims, faces)
+
+
+@pytest.mark.parametrize("build", [_one_vertex_three_sphere,
+                                   _three_simplex_with_a_collapsed_edge],
+                         ids=["s3", "collapsed-edge"])
+def test_faces_of_degenerate_simplices_compose_as_monotone_maps(build):
+    K, branches = build(), set()
+    for sid, dim in K.dims.items():
+        for length in range(3):
+            for word in _words(dim, length):
+                expr = (sid, normalize_word(word))
+                for i in range(dim + length + (dim + length > 0)):
+                    if expr[1]:
+                        j = expr[1][0]
+                        branches.add("<" if i < j else ">" if i > j + 1
+                                     else "=")
+                    assert K.face_expr(expr, i) == _face_by_maps(
+                        K, sid, word, i), (expr, i)
+    assert branches == {"<", "=", ">"}
 
 
 # ----- fuzzing the .scx format -----
