@@ -27,7 +27,6 @@ from .graded import (
     FreeAlgebra,
     directives,
     format_element,
-    memo_linear,
     monomial_columns,
     multiplicative,
     parse_poly,
@@ -41,6 +40,7 @@ from .linalg import (
     homology_dim,
     image_basis,
     kernel_basis,
+    memo_linear,
     quotient_basis,
     rank,
     ratios,
@@ -109,11 +109,10 @@ class Cdga:
             if r.is_zero() or not r.is_homogeneous():
                 raise CdgaError("relations must be nonzero homogeneous")
         self._basis_cache = {}
-        self._quotient_cache = {}
+        self._quotient_cache = {} if self.relations else self._basis_cache
         self._rel_cache, self._rel_rows = {}, [
             (r.degree(), scaled(r.terms)) for r in self.relations]
-        self._diff_cache = {}
-        self._rank_cache = {}
+        self._diff_cache, self._rank_cache = {}, {}
         self._h_cache, self._class_mats = {}, {}
         if check:
             defects = self.validate()
@@ -163,14 +162,15 @@ class Cdga:
 
     def _quotient_basis(self, k):
         """(degree-k quotient basis, its index): non-pivot monomials, or
-        the free basis itself when there are no relations."""
+        the free basis itself (one table) when there are no relations."""
+        if k in self._quotient_cache:
+            return self._quotient_cache[k]
         if not self.relations:
             return self.free_basis(k)
-        if k not in self._quotient_cache:
-            pivots = set(self._rel_echelon(k).pivots)
-            monos = [m for i, m in enumerate(self.free_basis(k)[0])
-                     if i not in pivots]
-            self._quotient_cache[k] = monos, {m: i for i, m in enumerate(monos)}
+        pivots = set(self._rel_echelon(k).pivots)
+        monos = [m for i, m in enumerate(self.free_basis(k)[0])
+                 if i not in pivots]
+        self._quotient_cache[k] = monos, {m: i for i, m in enumerate(monos)}
         return self._quotient_cache[k]
 
     def basis(self, k):
@@ -556,11 +556,11 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
     images = {}
     for lineno, gname, poly in diffs:
         try:
-            alg.generator(gname)
+            g = alg.generator(gname)
             if gname in images:
                 raise AlgebraError(f"repeated diff for {gname}")
             images[gname] = parse_poly(poly, alg)
-            Derivation(alg, +1, {gname: images[gname]})  # degree check here
+            Derivation.check_degree(g, images[gname], +1)  # at its line
         except AlgebraError as exc:
             raise CdgaFileError(filename, lineno, str(exc)) from None
     relations = []
@@ -580,7 +580,7 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
             raise CdgaFileError(filename, lineno, str(exc)) from None
         relations.append(r)
     try:
-        d = Derivation(alg, +1, images)
+        d = Derivation(alg, +1, images, check=False)
         return Cdga(name, alg, d, relations=relations, check=check)
     except (AlgebraError, CdgaError) as exc:
         raise CdgaFileError(filename, 1, str(exc)) from None

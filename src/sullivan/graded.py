@@ -15,7 +15,7 @@ the face and degeneracy pullbacks of `plforms`), and so is a derivation
 (`Derivation.leibniz`, the one Leibniz rule, in integers).
 Linear maps in monomial bases are read off as integer columns over one
 denominator by one assembler, `monomial_columns`, and memoised per
-monomial by one, `memo_linear`.  Each algebra keeps those bases in a
+monomial by `linalg.memo_linear`.  Each algebra keeps those bases in a
 per-degree table, each degree built once from the lower ones.
 """
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import ratios, scaled, scaled_sum
+from .linalg import memo_linear, ratios, scaled
 
 __all__ = [
     "AlgebraError",
@@ -77,22 +77,21 @@ class FreeAlgebra:
 
     def __init__(self, generators, allow_degree0=False):
         gens = sorted(generators, key=lambda g: g.ordinal)
-        names = set()
-        ordinals = set()
+        self._by_ordinal, self._by_name = {}, {}
         for g in gens:
             if g.degree < 0 or (g.degree == 0 and not allow_degree0):
                 raise AlgebraError(f"generator {g.name} has degree {g.degree}")
-            if g.name in names:
+            if g.name in self._by_name:
                 raise AlgebraError(f"duplicate generator name {g.name}")
-            if g.ordinal in ordinals:
+            if g.ordinal in self._by_ordinal:
                 raise AlgebraError(f"duplicate ordinal {g.ordinal}")
-            names.add(g.name)
-            ordinals.add(g.ordinal)
+            self._by_name[g.name] = self._by_ordinal[g.ordinal] = g
         self.generators = tuple(gens)
         self.allow_degree0 = allow_degree0
-        self._by_ordinal = {g.ordinal: g for g in gens}
-        self._by_name = {g.name: g for g in gens}
         self._degrees = {g.ordinal: g.degree for g in gens}
+        # for `basis_of_degree`: an odd letter's top power is 1
+        self._letters = [(g.ordinal, g.degree, 1 if g.is_odd else None)
+                         for g in reversed(gens)]
         self._bases = {}
 
     @classmethod
@@ -104,11 +103,16 @@ class FreeAlgebra:
     def extend(self, specs):
         """New algebra with extra (name, degree) generators appended after
         the existing ones (ordinals continue, old monomials stay valid).
-        It starts its own basis table: new generators move every `ends`."""
+        It takes over each basis below the lowest new degree, the same list:
+        the new generators come last, so `ends` gains ends[0] for each."""
         nxt = max((g.ordinal for g in self.generators), default=-1) + 1
         new = [Generator(n, d, nxt + i) for i, (n, d) in enumerate(specs)]
-        return FreeAlgebra(self.generators + tuple(new),
-                           allow_degree0=self.allow_degree0)
+        alg = FreeAlgebra(self.generators + tuple(new),
+                          allow_degree0=self.allow_degree0)
+        alg._bases = {r: (basis, [ends[0]] * len(new) + ends)
+                      for r, (basis, ends) in self._bases.items()
+                      if all(r < g.degree for g in new)}
+        return alg
 
     def generator(self, name):
         try:
@@ -129,13 +133,11 @@ class FreeAlgebra:
         return self is other or self.generators == other.generators
 
     def foreign_generator(self, other):
-        """Name a generator witnessing that two universes differ."""
-        mine = set(self.generators)
-        theirs = set(other.generators)
-        for g in self.generators + other.generators:
-            if g not in mine or g not in theirs:
-                return g.name
-        return "?"
+        """Name a generator witnessing that two universes differ (as
+        generator sets, since their ordinal-sorted tuples differ)."""
+        unshared = set(self.generators) ^ set(other.generators)
+        return next(g.name for g in self.generators + other.generators
+                    if g in unshared)
 
     # ----- element constructors -----
 
@@ -200,12 +202,12 @@ class FreeAlgebra:
             if r in bases:
                 continue
             basis, ends = ([UNIT], [1]) if r == 0 else ([], [0])
-            for k, g in enumerate(reversed(self.generators)):
-                top = 1 if g.is_odd else r
-                for p in range(1, min(top, r // g.degree) + 1):
-                    lower, lower_ends = bases[r - p * g.degree]
-                    head = ((g.ordinal, p),)
-                    basis += [head + m for m in lower[:lower_ends[k]]]
+            for k, (o, deg, top) in enumerate(self._letters):
+                if deg <= r:
+                    for p in range(1, (top or r // deg) + 1):
+                        lower, lower_ends = bases[r - p * deg]
+                        head = ((o, p),)
+                        basis += [head + m for m in lower[:lower_ends[k]]]
                 ends.append(len(basis))
             # one store per degree: concurrent fillers store equal values
             bases[r] = (basis, ends)
@@ -341,13 +343,6 @@ class AlgElement:
             parts.setdefault(self.algebra.mono_degree(m), {})[m] = c
         return {k: AlgElement(self.algebra, t) for k, t in sorted(parts.items())}
 
-    def word_length_split(self):
-        """Decompose by word length: {length: piece}; pieces sum to self."""
-        parts = {}
-        for m, c in self.terms.items():
-            parts.setdefault(mono_word(m), {})[m] = c
-        return {w: AlgElement(self.algebra, t) for w, t in sorted(parts.items())}
-
     def word_truncate(self, cap):
         return AlgElement(self.algebra,
                           {m: c for m, c in self.terms.items()
@@ -387,11 +382,7 @@ class Derivation:
             if check:
                 if not elem.algebra.same_universe(algebra):
                     raise AlgebraError(f"image of {g.name} lives elsewhere")
-                d = elem.degree()
-                if d != g.degree + shift:
-                    raise AlgebraError(
-                        f"image of {g.name} has degree {d}, "
-                        f"expected {g.degree + shift}")
+                Derivation.check_degree(g, elem, shift)
             imgs[g.ordinal] = elem
         self.images = imgs
         self.den = den = lcm(*[c.denominator for e in imgs.values()
@@ -400,6 +391,13 @@ class Derivation:
             o: [(m, c.numerator * (den // c.denominator),
                  odd_letters(algebra, m)) for m, c in e.terms.items()]
             for o, e in imgs.items()}
+
+    @staticmethod
+    def check_degree(g, elem, shift):
+        """Raise unless the image `elem` of g is 0 or of degree |g| + shift."""
+        if elem and (d := elem.degree()) != g.degree + shift:
+            raise AlgebraError(f"image of {g.name} has degree {d}, "
+                               f"expected {g.degree + shift}")
 
     def image_of(self, name):
         g = self.algebra.generator(name)
@@ -519,20 +517,6 @@ def monomial_columns(f, monos, index):
     den = lcm(*[d for d, _ in cols])
     return den, [v if d == den else
                  {i: c * (den // d) for i, c in v.items()} for d, v in cols]
-
-
-def memo_linear(terms, maps, den=1):
-    """Sparse terms {monomial: coefficient} over `den` carried through the
-    linear maps `maps` in turn, as `scaled` integer terms (den, {monomial:
-    int}).  A map is (image, table): `image` sends a monomial to its
-    `scaled` image, which `table` keeps, filled where it lacks one."""
-    for image, table in maps:
-        for mono, coeff in terms.items():
-            if mono not in table and coeff:
-                table[mono] = image(mono)
-        d, terms = scaled_sum(terms, table)
-        den *= d
-    return den, terms
 
 
 # ----- parsing and printing -----

@@ -1,17 +1,18 @@
 """Exact linear algebra over the rationals, on sparse integer rows.
 
 Vectors go in and out as sparse rows {index: Fraction} of their nonzero
-entries; `combine` sums multiples of them fraction-free.  A `RatMatrix`
-keeps sparse integer rows {column: int} over one positive denominator
-`den`: integer entries, such as the Leibniz kernel's, go in as they are,
-and rational ones are brought over one denominator once, on entry.  One
-kernel does all elimination: `_eliminate` makes each integer row
-primitive and cancels it in turn, fraction-free, against the pivot rows
-kept so far (pivot: leftmost nonzero column, taken by the first row
+entries; `combine` sums multiples of them fraction-free, through the one
+integer summing loop, `memo_linear`, which fills its tables as it sums.
+A `RatMatrix` keeps sparse integer rows {column: int} over one positive
+denominator `den`: integer entries, such as the Leibniz kernel's, go in
+as they are, and rational ones are brought over one denominator once, on
+entry.  One kernel does all elimination: `_eliminate` makes each integer
+row primitive and cancels it in turn, fraction-free, against the pivot
+rows kept so far (pivot: leftmost nonzero column, taken by the first row
 there).  `rank` counts the kept rows and makes no Fraction.  A
-`SubspaceBasis` keeps the rows it is given, a forward pass or a kernel's
-reduced rows, with their pivots; `_reduced` back-substitutes them to the
-reduced echelon form, each row up to its pivot entry, on first read.
+`SubspaceBasis` keeps the rows it is given with their pivots: a forward
+pass, which `_reduced` back-substitutes to the reduced echelon form, each
+row up to its pivot entry, on first read, or a kernel's reduced rows.
 Fractions are made only for the vectors that leave, most by `ratios`:
 basis rows when first read, representatives and solutions, and the views
 `columns()` and `data`.
@@ -28,7 +29,6 @@ from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _SMALL = {k: Fraction(k) for k in (-2, -1, 1, 2)}  # shared coefficients
-_NO_ROW = (1, {})
 
 
 class LinalgError(ValueError):
@@ -51,25 +51,42 @@ def ratio(num, den):
             else Fraction(q))
 
 
+def memo_linear(terms, maps, den=1):
+    """Sparse terms {key: coefficient} (int or Fraction) over `den` carried
+    through the linear maps `maps` in turn, as `scaled` integer terms (den,
+    {key: int}).  A map is (image, table): `table` keeps the `scaled` row
+    of each key, filled by `image` on a miss.  One pass per map: a zero
+    coefficient needs no row, the sum is rescaled only when a row's
+    denominator does not divide its own, and a cancelled entry is left out."""
+    for image, table in maps:
+        common, acc = 1, {}
+        get = acc.get
+        for k, c in terms.items():
+            if not c:
+                continue
+            try:
+                d, row = table[k]
+            except KeyError:
+                d, row = table[k] = image(k)
+            if type(c) is not int:
+                d, c = d * c.denominator, c.numerator
+            if d != 1 and common % d and row:  # common becomes lcm
+                s = d // gcd(common, d)
+                for j in acc:
+                    acc[j] *= s
+                common *= s
+            f = c * (common // d)
+            for j, x in row.items():
+                acc[j] = get(j, 0) + f * x
+        den *= common
+        terms = {j: v for j, v in acc.items() if v}
+    return den, terms
+
+
 def scaled_sum(coeffs, rows):
-    """Sum of c * rows[k] over the coefficients {k: c} (int or Fraction)
-    of `scaled` rows, in integers: a scaled row (den, {index: int}), an
-    entry that cancels left out.  A term is skipped, before its
-    coefficient is read, when its row is empty or missing (a zero
-    coefficient needs no row)."""
-    terms, common = [], 1
-    for k, c in coeffs.items():
-        row_den, row = rows.get(k, _NO_ROW)
-        if row and c:
-            d = c.denominator * row_den
-            terms.append((c.numerator, d, row))
-            common = lcm(common, d) if common % d else common
-    acc = {}
-    for num, d, row in terms:
-        f = num * (common // d)
-        for j, x in row.items():
-            acc[j] = acc.get(j, 0) + f * x
-    return common, {j: v for j, v in acc.items() if v}
+    """Sum of c * rows[k] over the coefficients {k: c} of `scaled` rows, in
+    integers: `memo_linear` through `rows`, where a miss raises KeyError."""
+    return memo_linear(coeffs, [(rows.__getitem__, rows)])
 
 
 def ratios(den, row):
@@ -79,10 +96,8 @@ def ratios(den, row):
 
 def combine(coeffs, rows):
     """Sparse sum of c * rows[k] over the coefficients {k: c}, fraction-free:
-    the rows, read as `scaled`, are summed by `scaled_sum`, and one
-    `ratio` is made per entry of the sum."""
-    return ratios(*scaled_sum(coeffs, {k: scaled(rows[k])
-                                       for k, c in coeffs.items() if c}))
+    each row with a nonzero coefficient read as `scaled`, then summed."""
+    return ratios(*memo_linear(coeffs, [(lambda k: scaled(rows[k]), {})]))
 
 
 class RatMatrix:
@@ -242,7 +257,7 @@ class SubspaceBasis:
     `scaled_rows` is its reduced echelon basis in integers, {pivot: (pivot
     entry, the reduced row times that positive entry)} in pivot order,
     each a `scaled` row, and `rows` views them as sparse rows {column:
-    Fraction}, 1 at their pivots: both built on first read."""
+    Fraction}, 1 at their pivots: both built on first read (or given)."""
 
     def __init__(self, ambient, piv):
         self.ambient, self.pivots, self.dim = ambient, sorted(piv), len(piv)
@@ -279,8 +294,8 @@ def kernel_basis(m):
 
     With the columns of m reversed, the free-variable vector of a free
     column f is 1 at f and nonzero elsewhere only at pivots before f;
-    back in the original order, these are the reduced echelon basis,
-    each kept over the lcm of the pivot entries it reads."""
+    back in the original order, these are the reduced echelon basis
+    (set as `scaled_rows`), each over the lcm of the pivot entries it reads."""
     n = m.cols
     red = _reduced(_eliminate([{n - 1 - j: x for j, x in r.items()}
                                for r in m.num]))
@@ -294,7 +309,9 @@ def kernel_basis(m):
         den = lcm(*[p for _, _, p in ts])
         piv[n - 1 - f] = {n - 1 - f: den,
                           **{c: -x * (den // p) for c, x, p in ts}}
-    return SubspaceBasis(n, piv)
+    basis = SubspaceBasis(n, piv)
+    basis.scaled_rows = {c: (row[c], row) for c, row in piv.items()}
+    return basis
 
 
 def image_basis(m):

@@ -16,6 +16,7 @@ Dirichlet integral prod(a_i!) / (k + sum a_i)! of t^a dt_1...dt_k (a table).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, lcm, prod
@@ -25,15 +26,13 @@ from .graded import (
     Derivation,
     FreeAlgebra,
     directives,
-    memo_linear,
     monomial_columns,
     multiplicative,
-    odd_letters,
     read_text,
     row_product,
 )
-from .linalg import (RatMatrix, homology_dim, kernel_basis, rank, ratios,
-                     scaled, scaled_sum)
+from .linalg import (RatMatrix, homology_dim, kernel_basis, memo_linear,
+                     rank, ratios, scaled, scaled_sum)
 
 __all__ = [
     "FormError",
@@ -202,6 +201,8 @@ class PolyForm:
         if not isinstance(other, PolyForm) or self.dim != other.dim:
             return False
         (den_a, a), (den_b, b) = self.row, other.row
+        if den_a == den_b:
+            return a == b
         return a.keys() == b.keys() and all(
             x * den_b == b[m] * den_a for m, x in a.items())
 
@@ -357,13 +358,13 @@ class GlobalForm:
         """Defects of the family.  Each face check compares the face of a
         form with the pullback of its target's form along the face's
         degeneracy word: two `PolyForm`s, each a `scaled` row carried
-        through the move tables, compared by cross-multiplication."""
+        through the move tables.  A monomial's degree is its y count."""
         dims, defects = self.complex.dims, []
         forms = {sid: self.form(sid) for sid in dims}
         for sid in sorted(dims):
             own = forms[sid]
-            degrees = {len(odd_letters(form_algebra(own.dim), m))
-                       for m in own.row[1]}
+            y1 = (own.dim,)  # sorts after each t letter, before each y
+            degrees = {len(m) - bisect_left(m, y1) for m in own.row[1]}
             if own.dim != dims[sid] or len(degrees) > 1:
                 defects.append(f"form on {sid} is not a homogeneous form "
                                f"on a {dims[sid]}-simplex")
@@ -483,10 +484,8 @@ def cochain_cup(a, b):
     for sid in K.simplices(p + q):
         fa, wa = _end_face(K, sid, p, back=False)
         fb, wb = _end_face(K, sid, q, back=True)
-        va = a.value(fa) if not wa else Fraction(0)
-        vb = b.value(fb) if not wb else Fraction(0)
-        if va and vb:
-            values[sid] = va * vb
+        if not wa and not wb:  # a degenerate face takes the value 0
+            values[sid] = a.value(fa) * b.value(fb)
     return Cochain(K, p + q, values)
 
 

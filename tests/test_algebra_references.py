@@ -58,7 +58,7 @@ from threading import Barrier
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sullivan import graded, plforms
@@ -98,6 +98,7 @@ from sullivan.linalg import (
     quotient_basis,
     ratios,
     scaled,
+    scaled_sum,
     solve,
 )
 from sullivan.models import (
@@ -886,6 +887,82 @@ def test_memo_linear_matches_the_fraction_loop(case):
     calls.clear()
     assert apply() == want
     assert calls == []
+
+
+def reference_scaled_sum(coeffs, rows):
+    """sum of c * rows[k] as Fractions over the terms with a nonzero
+    coefficient, each key placed where it first appears, zeros dropped;
+    with the lcm of those terms' denominators (coefficient times row)."""
+    out, dens = {}, [1]
+    for k, c in coeffs.items():
+        if not c:
+            continue
+        den, row = rows[k]
+        if row:
+            dens.append(Fraction(c).denominator * den)
+        for j, x in row.items():
+            out[j] = out.get(j, 0) + Fraction(c) * x / den
+    return math.lcm(*dens), {j: v for j, v in out.items() if v}
+
+
+SCALED_ROWS = st.tuples(
+    st.sampled_from([1, 1, 2, 3, 4, 6]),
+    st.dictionaries(st.integers(0, 5),
+                    st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=4))
+
+
+@st.composite
+def scaled_sum_cases(draw):
+    """Coefficients (int or Fraction, some zero) over `scaled` rows (some
+    empty, denominators mixed); a zero coefficient's row may be missing."""
+    rows = draw(st.lists(SCALED_ROWS, max_size=6))
+    coeffs = {k: draw(st.one_of(st.integers(-3, 3), MIXED))
+              for k in range(len(rows))}
+    coeffs.update(dict.fromkeys(
+        draw(st.lists(st.integers(6, 8), max_size=2)), 0))
+    return coeffs, dict(enumerate(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_sum_cases())
+@example(({1: 0, 0: 1, 2: Fraction(0)}, {0: (1, {3: 2})}))  # zeros, no rows
+@example(({0: 1, 1: 1, 2: 1}, {0: (2, {0: 1, 1: 1}), 1: (3, {1: 1, 2: 1}),
+                               2: (4, {2: -1, 0: 1})}))  # 2, then 3, then 4
+@example(({0: Fraction(1, 2), 1: 3, 2: -2},
+          {0: (1, {}), 1: (5, {}), 2: (3, {4: 1})}))  # empty rows add no den
+@example(({0: 1, 1: -1}, {0: (2, {1: 1}), 1: (2, {1: 1})}))  # cancels
+def test_scaled_sum_matches_the_fraction_sum(case):
+    """One pass gives the two-pass result: the lcm of the denominators
+    read, the same integers over it, and the keys in first-seen order."""
+    coeffs, rows = case
+    common, terms = scaled_sum(coeffs, rows)
+    want_common, want = reference_scaled_sum(coeffs, rows)
+    assert common == want_common
+    assert list(terms) == list(want)
+    assert all(type(x) is int and x == want[j] * common
+               for j, x in terms.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(form_basis(2, 1, 2)), min_size=1,
+                max_size=4, unique=True),
+       st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=4,
+                max_size=4),
+       st.sampled_from([1, 2, 3]), st.sampled_from([2, 3, 5]))
+def test_form_equality_over_any_denominators(monos, values, den, k):
+    """Forms over different denominators are equal when their Fractions
+    are (2 against 6, say), and forms over one denominator differ when
+    one entry does, as their elements do."""
+    row = dict(zip(monos, values))
+    a = PolyForm._of(2, (den, row))
+    b = PolyForm._of(2, (den * k, {m: x * k for m, x in row.items()}))
+    assert a == b and b == a and a.element == b.element
+    first = next(iter(row))
+    for c in (row[first] + 1, -row[first]):
+        other = PolyForm._of(2, (den, {**row, first: c}))
+        assert a != other and other != a and a.element != other.element
+    fewer = PolyForm._of(2, (den, dict(list(row.items())[1:])))
+    assert a != fewer and fewer != a
 
 
 @settings(max_examples=150, deadline=None)

@@ -144,6 +144,57 @@ def test_relation_quotient_dims_take_no_back_substitution(monkeypatch):
     assert len(calls) == 1
 
 
+def test_kernel_rows_take_no_back_substitution(monkeypatch):
+    """`kernel_basis` builds its rows reduced already, so reading them, as
+    integers or as Fractions, back-substitutes nothing; they are the
+    reduced echelon basis all the same."""
+    c = elliptic_six()
+    kernels = [linalg.kernel_basis(c.diff_matrix(k)) for k in range(12)]
+    assert sum(z.dim for z in kernels) > 10
+    calls = []
+    original = linalg._reduced
+    monkeypatch.setattr(linalg, "_reduced",
+                        lambda piv: calls.append(piv) or original(piv))
+    rows = [(list(z.scaled_rows), z.rows) for z in kernels]
+    assert calls == []
+    for z, (pivots, fractions) in zip(kernels, rows):
+        assert pivots == z.pivots
+        assert fractions == linalg.span_basis(fractions, z.ambient).rows
+
+
+def test_a_free_cdga_reads_one_basis_table(monkeypatch):
+    """Without relations the quotient basis is the free basis, kept in one
+    table: after a degree's first read, `basis`, `dim`, `coords` and the
+    differential read it without calling `free_basis` again."""
+    c, calls = elliptic_six(), []
+    original = Cdga.free_basis
+    monkeypatch.setattr(Cdga, "free_basis",
+                        lambda self, k: calls.append(k) or original(self, k))
+    dims = [c.dim(k) for k in range(12)]
+    assert calls == list(range(12))
+    calls.clear()
+    for k in range(11):
+        assert len(c.basis(k)) == c.dim(k) == dims[k]
+        assert c.diff_matrix(k).cols == dims[k]
+        if dims[k]:
+            assert c.coords(c.element(k, {dims[k] - 1: 2}), k) == {
+                dims[k] - 1: 2}
+    assert calls == []
+
+
+def test_parsing_a_file_builds_one_derivation(monkeypatch):
+    """Each `diff` line's degree is checked at its line, without a
+    derivation of its own: parsing builds the one the CDGA keeps."""
+    want = elliptic_six()
+    calls = []
+    original = Derivation.__init__
+    monkeypatch.setattr(Derivation, "__init__", lambda self, *args, **kw:
+                        calls.append(args) or original(self, *args, **kw))
+    got = parse_cdga_file(format_cdga(want))
+    assert len(calls) == 1
+    assert got.differential == want.differential
+
+
 @pytest.mark.parametrize("build, k", [
     (elliptic_six, 5), (lambda: wedge_cohomology(2, 3), 4),
     (lambda: cp_model(3), 4)], ids=["elliptic_six", "h_s2_v_s3", "cp3"])

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sullivan.graded import (
     AlgElement,
@@ -128,23 +130,30 @@ def test_basis_word_filter():
     assert alg.basis_of_degree(4, word_max=2) == [((0, 2),)]
 
 
-def test_word_length_split():
-    alg = FreeAlgebra.build([("y", 2), ("z", 3)])
-    e = alg.parse("y^2 + z")
-    parts = e.word_length_split()
-    assert set(parts) == {1, 2}
-    assert parts[1] == alg.parse("z")
-    assert parts[2] == alg.parse("y^2")
-    assert parts[1] + parts[2] == e
-
-    one = alg.one().word_length_split()
-    assert set(one) == {0}
-
-
-def test_word_length_split_same_length_terms():
-    alg = FreeAlgebra.build([("a", 2), ("b", 2), ("u", 2), ("x", 2)])
-    e = alg.parse("a*b - u*x")
-    assert e.word_length_split() == {2: e}
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=4),
+       st.lists(st.lists(st.integers(1, 5), max_size=3), min_size=1,
+                max_size=2),
+       st.integers(0, 10))
+def test_extended_algebras_keep_the_low_basis_tables(base, steps, top):
+    """An algebra extended once or twice takes over the basis lists below
+    its lowest new degree, the same lists, and every degree's table, the
+    basis and its `ends`, is that of a fresh build."""
+    specs = [(f"a{i}", d) for i, d in enumerate(base)]
+    alg = FreeAlgebra.build(specs)
+    alg.basis_of_degree(top)
+    for step, degrees in enumerate(steps):
+        new = [(f"b{step}_{i}", d) for i, d in enumerate(degrees)]
+        ext = alg.extend(new)
+        for r in range(min(degrees, default=top + 1)):
+            if r in alg._bases:
+                assert ext._bases[r][0] is alg._bases[r][0]
+        specs += new
+        fresh = FreeAlgebra.build(specs)
+        top += 2
+        assert ext.basis_of_degree(top) == fresh.basis_of_degree(top)
+        assert ext._bases == fresh._bases
+        alg = ext
 
 
 def test_scaling_by_zero_gives_the_zero_element():

@@ -44,13 +44,10 @@ def test_word_length_one_differential_is_not_minimal():
     assert not check_minimal_sullivan(c)
 
 
-def test_minimality_check_reads_word_lengths_from_monomials(monkeypatch):
+def test_minimality_check_reads_word_lengths_from_monomials():
     """The check reads each image's least word length from its monomials:
-    it builds no word-length pieces."""
-    def refuse(self):
-        raise AssertionError("word_length_split called")
-
-    monkeypatch.setattr(graded.AlgElement, "word_length_split", refuse)
+    every minimal fixture passes, an image with a word-length-one term
+    fails, and synthesis output passes."""
     assert all(check_minimal_sullivan(m) for m in minimal_fixtures())
     assert not check_minimal_sullivan(
         Cdga.build("cone", [("u", 3), ("v", 2), ("w", 4)],
@@ -117,10 +114,10 @@ def test_minimal_model_idempotence_on_formal_fixtures():
         want = sorted(g.degree for g in model.algebra.generators)
         assert got == want
         got_wl = sorted(
-            max(e.word_length_split(), default=0)
+            max(map(graded.mono_word, e.terms), default=0)
             for e in res.model.differential.images.values())
         want_wl = sorted(
-            max(e.word_length_split(), default=0)
+            max(map(graded.mono_word, e.terms), default=0)
             for e in model.differential.images.values())
         assert got_wl == want_wl
 
@@ -132,7 +129,7 @@ def test_minimal_model_resynthesis_of_nonformal_algebra():
     assert sorted(g.degree for g in res.model.algebra.generators) == [3, 3, 5]
     images = list(res.model.differential.images.values())
     assert len(images) == 1
-    assert set(images[0].word_length_split()) == {2}
+    assert set(map(graded.mono_word, images[0].terms)) == {2}
 
 
 def test_minimal_model_of_wedge_grows():
