@@ -11,9 +11,11 @@ given on generators, optionally cut down by one of two quotients:
 * a word-length cap (`word_cap`): the quotient by the ideal of words of
   length > n, used by the category machinery.
 
-All per-degree data (bases, relation echelons, differential matrices,
-cocycle/boundary/cohomology bases) is computed lazily and cached, with
-deterministic echelon representatives throughout.
+Both quotients reduce through one linear map, `_project`, which sends a
+free monomial to its canonical representative.  Like all per-degree data
+(bases, relation echelons, differential matrices, cocycle/boundary/
+cohomology bases) it is computed lazily and cached, with deterministic
+echelon representatives throughout.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .graded import (
     FreeAlgebra,
     directives,
     format_element,
+    mono_word,
     monomial_columns,
     multiplicative,
     parse_poly,
@@ -114,6 +117,7 @@ class Cdga:
             (r.degree(), scaled(r.terms)) for r in self.relations]
         self._diff_cache, self._rank_cache = {}, {}
         self._h_cache, self._class_mats = {}, {}
+        self._projection_cache = {}
         if check:
             defects = self.validate()
             if defects:
@@ -148,7 +152,8 @@ class Cdga:
 
     def _rel_echelon(self, k):
         """Echelon basis of the relation ideal's degree-k component, spanned by
-        the m * r: pivots (all `dim` reads) now, rows at its first `reduce`."""
+        the m * r: pivots (all `dim` reads) now, rows when `_project` first
+        meets a pivot monomial of degree k."""
         if k not in self._rel_cache:
             monos, index = self.free_basis(k)
             vectors = []
@@ -180,19 +185,33 @@ class Cdga:
     def dim(self, k):
         return len(self.basis(k))
 
-    def reduce(self, elem):
-        """Canonical quotient representative of an element."""
+    def _project(self, mono):
+        """The canonical representative of a free monomial as a `scaled`
+        row: under a word cap itself or 0; modulo relations itself unless
+        it is a pivot c (not in the quotient index), which goes to
+        -(r_c - p_c e_c) / p_c, r_c its integer reduced row, p_c at c."""
         if self.word_cap is not None:
-            elem = elem.word_truncate(self.word_cap)
-        if not self.relations:
+            return 1, {mono: 1} if mono_word(mono) <= self.word_cap else {}
+        k = self.algebra.mono_degree(mono)
+        if mono in self._quotient_basis(k)[1]:
+            return 1, {mono: 1}
+        free, index = self.free_basis(k)
+        c = index[mono]
+        p, row = self._rel_echelon(k).scaled_rows[c]
+        return p, {free[j]: -x for j, x in row.items() if j != c}
+
+    def _projected(self, terms, maps=()):
+        """`scaled` terms carried through the linear maps `maps` and then,
+        in a quotient, `_project`, in one `memo_linear` chain."""
+        if not self.is_free:
+            maps = [*maps, (self._project, self._projection_cache)]
+        return memo_linear(terms, maps)
+
+    def reduce(self, elem):
+        """Canonical quotient representative of an element, by `_project`."""
+        if self.is_free:
             return elem
-        terms = {}
-        for k, piece in elem.degree_parts().items():
-            monos, index = self.free_basis(k)
-            v = self._rel_echelon(k).reduce(
-                {index[m]: c for m, c in piece.terms.items()})
-            terms.update((monos[i], c) for i, c in v.items())
-        return AlgElement(self.algebra, terms)
+        return AlgElement(self.algebra, ratios(*self._projected(elem.terms)))
 
     def coords(self, elem, k):
         """Sparse coordinates {index: Fraction} in the degree-k basis."""
@@ -251,16 +270,13 @@ class Cdga:
     def _d_columns(self, k, monos):
         """d on degree-k basis monomials as (den, sparse columns over den)
         from the Leibniz kernel.  A word cap drops what its basis lacks;
-        relations reduce each column in free coordinates, then reindex it."""
+        modulo relations each d(m) goes through `_project`, in integers."""
         index = self._quotient_basis(k + 1)[1]
         leibniz = self.differential.leibniz
-        if not self.relations:
-            return monomial_columns(leibniz, monos, index)
-        free, free_index = self.free_basis(k + 1)
-        rel = self._rel_echelon(k + 1)
-        den, cols = monomial_columns(leibniz, monos, free_index)
-        return den, [{index[free[i]]: c for i, c in rel.reduce(col).items()}
-                     for col in cols]
+        if self.relations:
+            return monomial_columns(lambda m: self._projected(
+                {m: 1}, [(leibniz, {})]), monos, index)
+        return monomial_columns(leibniz, monos, index)
 
     def diff_matrix(self, k):
         """Matrix of d: degree k -> degree k+1 over the quotient bases,
@@ -344,7 +360,8 @@ class CdgaMorphism:
     with the differentials.  Generators without an image map to zero.
     `apply` extends the images by `multiplicative` in the free target, via
     `table` (shared by morphisms agreeing on its monomials; else fresh per
-    call), and reduces once: exact, as relations and word caps are ideals."""
+    call), then the target's `_project` in the same `memo_linear` chain:
+    exact, as the relation span and the words past a cap are ideals."""
 
     def __init__(self, source, target, images, check=True, table=None):
         self.source = source
@@ -381,8 +398,8 @@ class CdgaMorphism:
 
     def apply(self, elem):
         alg = self.target.algebra
-        return self.target.reduce(AlgElement(alg, ratios(*memo_linear(
-            elem.terms, [multiplicative(self._letters, alg, self._table)]))))
+        return AlgElement(alg, ratios(*self.target._projected(
+            elem.terms, [multiplicative(self._letters, alg, self._table)])))
 
     def h_matrix(self, k):
         """Matrix of H^k(phi) from source to target class coordinates."""
@@ -597,7 +614,7 @@ def format_cdga(c, comments=()):
         lines.append(f"gen {g.name} {g.degree}")
     for g in c.algebra.generators:
         dg = c.differential.images.get(g.ordinal)
-        if dg is not None and not dg.is_zero():
+        if dg is not None:
             lines.append(f"diff {g.name} = {format_element(dg)}")
     for r in c.relations:
         lines.append(f"rel {r.degree()} : {format_element(r)}")

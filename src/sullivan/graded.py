@@ -336,18 +336,6 @@ class AlgElement:
     def is_homogeneous(self):
         return len({self.algebra.mono_degree(m) for m in self.terms}) <= 1
 
-    def degree_parts(self):
-        """Decompose into homogeneous pieces: {degree: piece}."""
-        parts = {}
-        for m, c in self.terms.items():
-            parts.setdefault(self.algebra.mono_degree(m), {})[m] = c
-        return {k: AlgElement(self.algebra, t) for k, t in sorted(parts.items())}
-
-    def word_truncate(self, cap):
-        return AlgElement(self.algebra,
-                          {m: c for m, c in self.terms.items()
-                           if mono_word(m) <= cap})
-
     def in_algebra(self, other):
         """Reinterpret over another universe containing the same ordinals."""
         for m in self.terms:

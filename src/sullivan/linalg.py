@@ -271,13 +271,6 @@ class SubspaceBasis:
     def rows(self):
         return [ratios(p, row) for p, row in self.scaled_rows.values()]
 
-    def reduce(self, v):
-        """Residue of a sparse row v modulo the subspace, as a sparse
-        {column: Fraction}: its pivot coordinates eliminated."""
-        coeffs = {c: -x for c, x in v.items() if c in self._piv}
-        return ratios(*scaled_sum({-1: 1, **coeffs}, {-1: scaled(v), **{
-            c: self.scaled_rows[c] for c in coeffs}}))
-
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient})"
 
@@ -330,8 +323,10 @@ def quotient_basis(sub, within):
         raise LinalgError("ambient dimensions differ")
     piv = _eliminate([row for b in (sub, within)
                       for _, row in b.scaled_rows.values()], full=True)
-    if len(piv) != within.dim:
-        i = next(i for i, v in enumerate(sub.rows) if within.reduce(v))
+    if len(piv) != within.dim:  # name the first row that raises the rank
+        rows = [row for _, row in within.scaled_rows.values()]
+        i = next(i for i, (_, v) in enumerate(sub.scaled_rows.values())
+                 if len(_eliminate(rows + [v])) > within.dim)
         raise LinalgError(f"containment violation: sub basis vector {i} "
                           f"is not in the larger subspace")
     return [ratios(row[c], row) for c, row in list(piv.items())[sub.dim:]]

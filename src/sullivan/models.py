@@ -149,11 +149,8 @@ def fiber_model(rel):
     d_images = {}
     for g in rel.fiber:
         dg = rel.total.differential.images.get(g.ordinal)
-        if dg is None:
-            continue
-        img = substitute(dg, images, alg, missing_zero=True)
-        if not img.is_zero():
-            d_images[g.name] = img
+        if dg is not None:
+            d_images[g.name] = substitute(dg, images, alg, missing_zero=True)
     d = Derivation(alg, +1, d_images)
     return Cdga(f"{rel.total.name}-fiber", alg, d)
 
@@ -183,9 +180,7 @@ def pushout_model(phi, rel):
     for g in rel.fiber:
         dg = rel.total.differential.images.get(g.ordinal)
         if dg is not None:
-            img = substitute(dg, sub, alg)
-            if not img.is_zero():
-                d_images[g.name] = img
+            d_images[g.name] = substitute(dg, sub, alg)
     d = Derivation(alg, +1, d_images)
     total = Cdga(f"{target.name}(x){rel.total.name}-fiber", alg, d)
     return RelativeSullivanAlgebra(target, [g.name for g in rel.fiber], total)
@@ -345,9 +340,7 @@ def free_loop_model(model):
     for g in bars:
         dg = model.differential.images.get(g.ordinal)
         if dg is not None:
-            img = -s.apply(dg.in_algebra(alg))
-            if not img.is_zero():
-                d_images[f"{g.name}_bar"] = img
+            d_images[f"{g.name}_bar"] = -s.apply(dg.in_algebra(alg))
     d = Derivation(alg, +1, d_images)
     return Cdga(f"{model.name}-loops", alg, d)
 

@@ -536,17 +536,21 @@ def builtin_complex(name):
 
 def _compatibility_kernel(K, degree, poly_cap, closed=False):
     """Kernel basis of the face-compatibility system (plus closedness when
-    asked) over the per-simplex monomial coefficient spaces, as the
-    `scaled_rows` of a SubspaceBasis."""
+    asked) over the per-simplex monomial coefficient spaces: (simplices in
+    column order, their form bases, their first columns, the kernel's
+    `scaled_rows`)."""
     key = (degree, poly_cap, closed)
     if key in K._sample_cache:
         return K._sample_cache[key]
     order = sorted(K.dims, key=lambda sid: (K.dims[sid], sid))
-    bases = {sid: form_basis(K.dims[sid], degree, poly_cap) for sid in order}
-    var_index = {key: j for j, key in enumerate(
-        (sid, idx) for sid in order for idx in range(len(bases[sid])))}
-    indices = {(n, k): {m: i for i, m in enumerate(form_basis(n, k, poly_cap))}
-               for n in range(K.top_dim + 1) for k in (degree, degree + 1)}
+    monos = {(n, k): form_basis(n, k, poly_cap)
+             for n in range(K.top_dim + 1) for k in (degree, degree + 1)}
+    indices = {nk: {m: i for i, m in enumerate(basis)}
+               for nk, basis in monos.items()}
+    bases, offsets, width = {}, {}, 0
+    for sid in order:
+        bases[sid] = monos[K.dims[sid], degree]
+        offsets[sid], width = width, width + len(bases[sid])
     system, blocks = [], K._sample_cache.setdefault((degree, poly_cap), {})
 
     def equate(n, k, terms):
@@ -580,25 +584,24 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
         block = [{} for _ in range(size)]
         for sid, sign, (d, cols) in parts:
             f = sign * (den // d)
-            for idx, col in enumerate(cols):
-                j = var_index[(sid, idx)]
+            for j, col in enumerate(cols, offsets[sid]):
                 for i, c in col.items():  # the terms' simplices differ
                     block[i][j] = f * c
         rows.extend(block)
-    kernel = kernel_basis(RatMatrix(rows, len(var_index), den))
-    result = (order, bases, var_index, kernel.scaled_rows)
+    kernel = kernel_basis(RatMatrix(rows, width, den))
+    result = (order, bases, offsets, kernel.scaled_rows)
     K._sample_cache[key] = result
     return result
 
 
 def _sample(K, degree, poly_cap, seed, closed):
-    order, bases, var_index, kernel = _compatibility_kernel(
+    order, bases, offsets, kernel = _compatibility_kernel(
         K, degree, poly_cap, closed)
     rng = random.Random(seed)
     den, vec = scaled_sum({c: rng.randint(-3, 3) for c in kernel}, kernel)
     return GlobalForm(K, degree, {sid: PolyForm._of(K.dims[sid], (den, {
-        mono: c for idx, mono in enumerate(bases[sid])
-        if (c := vec.get(var_index[sid, idx]))})) for sid in order})
+        mono: c for j, mono in enumerate(bases[sid], offsets[sid])
+        if (c := vec.get(j))})) for sid in order})
 
 
 def sample_global_form(K, degree, poly_cap, seed):

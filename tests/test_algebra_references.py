@@ -29,9 +29,11 @@ Differential matrices are assembled from the integer Leibniz kernel
 `Derivation.leibniz`; they are checked against the assembly they
 replaced, through elements (the reference Leibniz rule, then the
 quotient's reduction, then coordinates), on free algebras, word-length
-quotients and relation quotients.  `PolyForm.d` reads a table as the
-pullbacks do, and `integrate` one of monomial integrals, each emptied by
-every `verify_stokes` call.
+quotients and relation quotients.  That reduction, `Cdga.reduce`, which
+those references call, is checked against `reference_reduce`, plain
+Fraction elimination against the relations' monomial multiples.
+`PolyForm.d` reads a table as the pullbacks do, and `integrate` one of
+monomial integrals, each emptied by every `verify_stokes` call.
 
 Monomial bases are a per-degree table kept on each algebra; the basis
 tests check it against the backtracking search it replaced, whatever the
@@ -191,6 +193,40 @@ def reference_morphism_apply(phi, elem):
                 break
         out = out + acc
     return tgt.reduce(out)
+
+
+def reference_reduce(c, elem):
+    """`Cdga.reduce` by plain Fraction elimination: the words past a cap
+    dropped, then each degree part reduced against the multiples m * r
+    of the relations, brought to echelon form one at a time (pivot: the
+    leftmost nonzero column in basis order), pivot by pivot from the
+    left."""
+    def clear(v, row, p):
+        return [x - v[p] / row[p] * y for x, y in zip(v, row)]
+
+    def lead(v):
+        return next((i for i, x in enumerate(v) if x), None)
+
+    alg = c.algebra
+    terms = {m: x for m, x in elem.terms.items()
+             if c.word_cap is None or sum(p for _, p in m) <= c.word_cap}
+    out = {}
+    for k in {alg.mono_degree(m) for m in terms}:
+        basis = alg.basis_of_degree(k)
+        echelon = {}
+        for r in c.relations:
+            for m in alg.basis_of_degree(k - r.degree()):
+                w = (AlgElement(alg, {m: Fraction(1)}) * r).terms
+                v = [w.get(n, Fraction(0)) for n in basis]
+                while lead(v) in echelon:
+                    v = clear(v, echelon[lead(v)], lead(v))
+                if lead(v) is not None:
+                    echelon[lead(v)] = v
+        v = [terms.get(n, Fraction(0)) for n in basis]
+        for p in sorted(echelon):
+            v = clear(v, echelon[p], p)
+        out.update((n, x) for n, x in zip(basis, v) if x)
+    return AlgElement(alg, out)
 
 
 def reference_basis(alg, n, word_max=None):
@@ -550,14 +586,32 @@ TARGETS = {
 _TARGET_CACHE = {}
 
 
+def _target(draw):
+    """One of TARGETS, built once per session."""
+    name = draw(st.sampled_from(sorted(TARGETS)))
+    if name not in _TARGET_CACHE:
+        _TARGET_CACHE[name] = TARGETS[name]()
+    return _TARGET_CACHE[name]
+
+
+@st.composite
+def reduce_cases(draw):
+    """A CDGA of `cdga_cases` or of TARGETS, and an element of its free
+    algebra with parts in degrees 0..8 and mixed denominators, plus up to
+    three multiples of its relations, so that pivots are met."""
+    c = draw(cdga_cases()) if draw(st.booleans()) else _target(draw)
+    x = _element(draw, c.algebra, 8, MIXED)
+    for r in draw(st.lists(st.sampled_from(c.relations), max_size=3)
+                  if c.relations else st.just([])):
+        x = x + _element(draw, c.algebra, 4, MIXED) * r
+    return c, x
+
+
 @st.composite
 def morphism_cases(draw):
     """A map from a free algebra with zero differential to a target with
     relations or a word cap, with random images, and a source element."""
-    name = draw(st.sampled_from(sorted(TARGETS)))
-    if name not in _TARGET_CACHE:
-        _TARGET_CACHE[name] = TARGETS[name]()
-    target = _TARGET_CACHE[name]
+    target = _target(draw)
     degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     source = Cdga.build("src", [(f"s{i}", d) for i, d in enumerate(degrees)])
     images = {g.name: _combination(draw, target.algebra,
@@ -845,6 +899,13 @@ def test_free_loop_ranks_make_no_fraction():
             pstats.Stats(profile).stats.items()
             if name == "__new__" and pathlib.Path(path).name == "fractions.py"]
     assert sum(made) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(reduce_cases())
+def test_reduce_matches_plain_elimination(case):
+    c, x = case
+    assert c.reduce(x) == reference_reduce(c, x)
 
 
 @settings(max_examples=100, deadline=None)

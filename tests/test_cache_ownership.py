@@ -7,7 +7,8 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sullivan"
 CACHES = {"_diff_cache", "_rank_cache", "_h_cache", "_class_mats",
-          "_basis_cache", "_quotient_cache", "_rel_cache"}
+          "_basis_cache", "_quotient_cache", "_rel_cache",
+          "_projection_cache"}
 
 
 def test_no_module_but_cdga_names_a_cdga_cache():

@@ -144,6 +144,49 @@ def test_relation_quotient_dims_take_no_back_substitution(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_quotient_basis_monomial_is_projected_from_the_index(
+        monkeypatch):
+    """Modulo a*b = a^2, the degree-4 span has one pivot, a*b (leftmost
+    in the basis order b^2, a*b, a^2): b^2 and a^2 are their own
+    representatives, read off the quotient index with no `_reduced` call;
+    a*b goes to a^2 through the reduced row, with one."""
+    c = Cdga.build("q", [("a", 2), ("b", 2)], relation_strings=["a^2 - a*b"])
+    calls = []
+    original = linalg._reduced
+    monkeypatch.setattr(linalg, "_reduced",
+                        lambda piv: calls.append(piv) or original(piv))
+    a2, ab, b2 = (c.algebra.parse(s) for s in ("a^2", "a*b", "b^2"))
+    assert c.basis(4) == [next(iter(b2.terms)), next(iter(a2.terms))]
+    for x in (a2, b2.scale(3), a2 - b2):
+        assert c.reduce(x) == x
+    assert calls == []
+    assert c.reduce(ab.scale(2) + b2) == a2.scale(2) + b2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build, images, x, want", [
+    (lambda: wedge_cohomology(2, 3), {"s": "y", "t": "2*x"},
+     "s^2 + s*t + 1/2*t", "x"),
+    (lambda: word_length_quotient(elliptic_six(), 2)[0],
+     {"s": "a", "t": "-x"}, "1/3*s*t + s^2*t + s", "-1/3*a*x + a"),
+], ids=["relations", "word cap"])
+def test_morphisms_into_quotients_call_no_reduce(monkeypatch, build, images,
+                                                 x, want):
+    """`CdgaMorphism.apply` projects each image monomial in the one
+    `memo_linear` chain that extends the images, so a map into a relation
+    quotient or a word-capped one calls `Cdga.reduce` zero times."""
+    target = build()
+    source = Cdga.build("src", [("s", 2), ("t", 3)])
+    phi = CdgaMorphism(source, target, {
+        g: target.algebra.parse(e) for g, e in images.items()})
+    calls = []
+    original = Cdga.reduce
+    monkeypatch.setattr(Cdga, "reduce",
+                        lambda self, e: calls.append(e) or original(self, e))
+    assert phi.apply(source.algebra.parse(x)) == target.algebra.parse(want)
+    assert calls == []
+
+
 def test_kernel_rows_take_no_back_substitution(monkeypatch):
     """`kernel_basis` builds its rows reduced already, so reading them, as
     integers or as Fractions, back-substitutes nothing; they are the

@@ -429,10 +429,10 @@ def _dense_sample(K, degree, poly_cap, seed, closed):
     as Fractions from their integer rows over their pivot entries, summed
     into a dense list of Fractions, one scaled entry at a time, and each
     simplex's form built from an element of those Fractions."""
-    order, bases, var_index, kernel = _compatibility_kernel(
+    order, bases, offsets, kernel = _compatibility_kernel(
         K, degree, poly_cap, closed)
     rng = random.Random(seed)
-    vec = [Fraction(0)] * len(var_index)
+    vec = [Fraction(0)] * sum(len(basis) for basis in bases.values())
     for pivot_entry, row in kernel.values():
         c = rng.randint(-3, 3)
         if c:
@@ -442,9 +442,9 @@ def _dense_sample(K, degree, poly_cap, seed, closed):
     for sid in order:
         n = K.dims[sid]
         assignment[sid] = PolyForm(n, AlgElement(form_algebra(n), {
-            mono: vec[var_index[sid, idx]]
+            mono: vec[offsets[sid] + idx]
             for idx, mono in enumerate(bases[sid])
-            if vec[var_index[sid, idx]]}))
+            if vec[offsets[sid] + idx]}))
     return GlobalForm(K, degree, assignment)
 
 
