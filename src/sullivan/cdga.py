@@ -108,7 +108,9 @@ class Cdga:
         for g in algebra.generators:
             if g.degree < 1:
                 raise CdgaError(f"generator {g.name} has degree {g.degree}")
+        self._require_universe(differential.algebra, "differential")
         for r in self.relations:
+            self._require_universe(r.algebra, "relation")
             if r.is_zero() or not r.is_homogeneous():
                 raise CdgaError("relations must be nonzero homogeneous")
         self._basis_cache = {}
@@ -134,6 +136,13 @@ class Cdga:
         d = Derivation(alg, +1, images)
         rels = [parse_poly(s, alg) for s in (relation_strings or [])]
         return cls(name, alg, d, relations=rels)
+
+    def _require_universe(self, alg, what):
+        """Raise unless `alg` is this CDGA's universe; `what` lives there."""
+        if not self.algebra.same_universe(alg):
+            bad = self.algebra.foreign_generator(alg)
+            raise CdgaError(f"{self.name}: {what} over another universe "
+                            f"(generator {bad})")
 
     @property
     def is_free(self):
@@ -209,6 +218,7 @@ class Cdga:
 
     def reduce(self, elem):
         """Canonical quotient representative of an element, by `_project`."""
+        self._require_universe(elem.algebra, "element")
         if self.is_free:
             return elem
         return AlgElement(self.algebra, ratios(*self._projected(elem.terms)))
@@ -397,6 +407,10 @@ class CdgaMorphism:
         return self.images.get(g.ordinal, self.target.algebra.zero())
 
     def apply(self, elem):
+        src = self.source.algebra
+        if not src.same_universe(elem.algebra):
+            raise CdgaError(f"morphism applied across universes (generator "
+                            f"{src.foreign_generator(elem.algebra)})")
         alg = self.target.algebra
         return AlgElement(alg, ratios(*self.target._projected(
             elem.terms, [multiplicative(self._letters, alg, self._table)])))
@@ -470,11 +484,8 @@ def _joined(factors):
     images = {}
     relations = []
     for c, rename in zip(factors, renames):
+        images.update(c.differential.renamed(rename, alg))
         move = {o: alg.gen_elem(name) for o, name in rename.items()}
-        for g in c.algebra.generators:
-            dg = c.differential.images.get(g.ordinal)
-            if dg is not None:
-                images[rename[g.ordinal]] = substitute(dg, move, alg)
         relations.extend(substitute(r, move, alg) for r in c.relations)
     return renames, alg, images, relations
 

@@ -391,6 +391,14 @@ class Derivation:
         g = self.algebra.generator(name)
         return self.images.get(g.ordinal, self.algebra.zero())
 
+    def renamed(self, names, alg):
+        """The images of the generators in `names` {ordinal: new name},
+        moved to `alg` by `substitute` with each letter o renamed to
+        names[o] and every other letter sent to 0, as {names[o]: image}."""
+        move = {o: alg.gen_elem(name) for o, name in names.items()}
+        return {name: substitute(self.images[o], move, alg, missing_zero=True)
+                for o, name in names.items() if o in self.images}
+
     def leibniz(self, mono):
         """d of one monomial in integers, (den, {monomial: c}) for
         d(mono) = sum c/den * monomial: the Leibniz rule letter by letter,

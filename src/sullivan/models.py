@@ -13,7 +13,9 @@ The based path space is realized as an inductively corrected acyclic
 closure (D vbar = v - C with C solved degreewise so that D^2 = 0), the
 unbased path space by the divided-power series differential, and the free
 loop space by the suspension-derivation formula; the path/free-loop pair
-is related by pushout along the multiplication map.
+is related by pushout along the multiplication map.  Each construction
+moves a differential one way: it renames it (`Derivation.renamed`), or it
+takes the images over as they are into an algebra it built by `extend`.
 """
 
 from __future__ import annotations
@@ -118,6 +120,10 @@ class RelativeSullivanAlgebra:
             raise ModelError("total algebra must be base plus fiber")
         zero = self.total.algebra.zero()
         for g in self.base.algebra.generators:
+            if self.total.algebra.by_ordinal(g.ordinal) != g:
+                bad = self.base.algebra.foreign_generator(self.total.algebra)
+                raise ModelError(f"base over another universe than the "
+                                 f"total (generator {bad})")
             want = self.base.differential.images.get(g.ordinal)
             want = want.in_algebra(self.total.algebra) if want is not None else zero
             got = self.total.differential.images.get(g.ordinal, zero)
@@ -143,15 +149,9 @@ class RelativeSullivanAlgebra:
 
 def fiber_model(rel):
     """Quotient by the base: set base generators to zero."""
-    specs = [(g.name, g.degree) for g in rel.fiber]
-    alg = FreeAlgebra.build(specs)
-    images = {g.ordinal: alg.gen_elem(g.name) for g in rel.fiber}
-    d_images = {}
-    for g in rel.fiber:
-        dg = rel.total.differential.images.get(g.ordinal)
-        if dg is not None:
-            d_images[g.name] = substitute(dg, images, alg, missing_zero=True)
-    d = Derivation(alg, +1, d_images)
+    alg = FreeAlgebra.build([(g.name, g.degree) for g in rel.fiber])
+    d = Derivation(alg, +1, rel.total.differential.renamed(
+        {g.ordinal: g.name for g in rel.fiber}, alg))
     return Cdga(f"{rel.total.name}-fiber", alg, d)
 
 
@@ -164,19 +164,12 @@ def pushout_model(phi, rel):
                          "the source of the morphism")
     target = phi.target
     _require_free(target, "pushout")
-    specs = [(g.name, g.degree) for g in target.algebra.generators]
-    fiber_specs = [(g.name, g.degree) for g in rel.fiber]
-    alg = FreeAlgebra.build(specs + fiber_specs)
-    sub = {}
-    for g in rel.base.algebra.generators:
-        sub[g.ordinal] = phi.image_of(g.name).in_algebra(alg)
-    for g in rel.fiber:
-        sub[g.ordinal] = alg.gen_elem(g.name)
-    d_images = {}
-    for g in target.algebra.generators:
-        dg = target.differential.images.get(g.ordinal)
-        if dg is not None:
-            d_images[g.name] = dg.in_algebra(alg)
+    alg = target.algebra.extend([(g.name, g.degree) for g in rel.fiber])
+    sub = {g.ordinal: AlgElement(alg, phi.image_of(g.name).terms)
+           for g in rel.base.algebra.generators}
+    sub.update((g.ordinal, alg.gen_elem(g.name)) for g in rel.fiber)
+    d_images = {o: AlgElement(alg, e.terms)
+                for o, e in target.differential.images.items()}
     for g in rel.fiber:
         dg = rel.total.differential.images.get(g.ordinal)
         if dg is not None:
@@ -261,33 +254,21 @@ def path_space_model(model, series_cap=64):
     _require_minimal(model, "path space model")
     gens = list(model.algebra.generators)
     bars = _bar_order(model)
-    specs = ([(f"{g.name}_p0", g.degree) for g in gens]
-             + [(f"{g.name}_p1", g.degree) for g in gens]
-             + [(f"{g.name}_bar", g.degree - 1) for g in bars])
-    alg = FreeAlgebra.build(specs)
+    suffixes = ("_p0", "_p1")
+    base_alg = FreeAlgebra.build([(f"{g.name}{suffix}", g.degree)
+                                  for suffix in suffixes for g in gens])
+    base_d = {}
+    for suffix in suffixes:
+        base_d.update(model.differential.renamed(
+            {g.ordinal: f"{g.name}{suffix}" for g in gens}, base_alg))
+    base = Cdga(f"{model.name}^2", base_alg,
+                Derivation(base_alg, +1, base_d))
+    alg = base_alg.extend([(f"{g.name}_bar", g.degree - 1) for g in bars])
+    d_images = {o: AlgElement(alg, e.terms)
+                for o, e in base.differential.images.items()}
 
-    def copy_diff(suffix):
-        out = {}
-        ren = {g.ordinal: alg.gen_elem(f"{g.name}{suffix}") for g in gens}
-        for g in gens:
-            dg = model.differential.images.get(g.ordinal)
-            if dg is not None:
-                out[f"{g.name}{suffix}"] = substitute(dg, ren, alg)
-        return out
-
-    d_images = copy_diff("_p0")
-    d_images.update(copy_diff("_p1"))
-    base_alg = FreeAlgebra.build(specs[:2 * len(gens)])
-    base_d = Derivation(base_alg, +1,
-                        {n: e.in_algebra(base_alg)
-                         for n, e in d_images.items()})
-    base = Cdga(f"{model.name}^2", base_alg, base_d)
-
-    s_images = {}
-    for g in gens:
-        s_images[f"{g.name}_p0"] = alg.gen_elem(f"{g.name}_bar")
-        s_images[f"{g.name}_p1"] = alg.gen_elem(f"{g.name}_bar")
-    s = Derivation(alg, -1, s_images)
+    s = Derivation(alg, -1, {f"{g.name}{suffix}": alg.gen_elem(f"{g.name}_bar")
+                             for suffix in suffixes for g in gens})
 
     for g in bars:
         partial = Derivation(alg, +1, d_images, check=False)
@@ -332,15 +313,11 @@ def free_loop_model(model):
     alg = model.algebra.extend([(f"{g.name}_bar", g.degree - 1) for g in bars])
     s_images = {g.name: alg.gen_elem(f"{g.name}_bar") for g in gens}
     s = Derivation(alg, -1, s_images)
-    d_images = {}
-    for g in gens:
-        dg = model.differential.images.get(g.ordinal)
-        if dg is not None:
-            d_images[g.name] = dg.in_algebra(alg)
+    d_images = {o: AlgElement(alg, e.terms)
+                for o, e in model.differential.images.items()}
     for g in bars:
-        dg = model.differential.images.get(g.ordinal)
-        if dg is not None:
-            d_images[f"{g.name}_bar"] = -s.apply(dg.in_algebra(alg))
+        if g.ordinal in d_images:
+            d_images[f"{g.name}_bar"] = -s.apply(d_images[g.ordinal])
     d = Derivation(alg, +1, d_images)
     return Cdga(f"{model.name}-loops", alg, d)
 

@@ -32,6 +32,9 @@ quotient's reduction, then coordinates), on free algebras, word-length
 quotients and relation quotients.  That reduction, `Cdga.reduce`, which
 those references call, is checked against `reference_reduce`, plain
 Fraction elimination against the relations' monomial multiples.
+`Derivation.renamed`, which moves a differential into the algebra of a
+model construction, is checked against `reference_substitute` over
+random renamings that drop some generators and shift the ordinals.
 `PolyForm.d` reads a table as the pullbacks do, and `integrate` one of
 monomial integrals, each emptied by every `verify_stokes` call.
 
@@ -577,6 +580,20 @@ def cdga_cases(draw):
     return Cdga(kind, alg, d, relations=relations, check=False)
 
 
+@st.composite
+def renaming_cases(draw):
+    """The differential of a `cdga_cases` CDGA, a renaming {ordinal: new
+    name} of a random subset of its generators, and the algebra on the
+    new names, their ordinals shifted by 0..4."""
+    d = draw(cdga_cases()).differential
+    kept = [g for g in d.algebra.generators if draw(st.booleans())]
+    shift = draw(st.integers(0, 4))
+    names = {g.ordinal: f"r{g.ordinal}" for g in kept}
+    return d, names, FreeAlgebra([Generator(names[g.ordinal], g.degree,
+                                            g.ordinal + shift)
+                                  for g in kept])
+
+
 TARGETS = {
     "wedge S2vS3": lambda: wedge_cohomology(2, 3),
     "wedge S2vS2": lambda: wedge_cohomology(2, 2),
@@ -906,6 +923,22 @@ def test_free_loop_ranks_make_no_fraction():
 def test_reduce_matches_plain_elimination(case):
     c, x = case
     assert c.reduce(x) == reference_reduce(c, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(renaming_cases())
+def test_renamed_matches_the_reference_substitution(case):
+    """Each renamed image is its source image with letter o renamed to
+    names[o] and every other letter sent to 0, and only the generators of
+    `names` with an image have one."""
+    d, names, alg = case
+    move = {o: alg.gen_elem(name) for o, name in names.items()}
+    got = d.renamed(names, alg)
+    assert got.keys() == {names[o] for o in d.images if o in names}
+    for o, name in names.items():
+        want = reference_substitute(d.images.get(o, d.algebra.zero()), move,
+                                    alg, missing_zero=True)
+        assert got.get(name, alg.zero()) == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,9 @@ from sullivan.cdga import (
     Cdga,
     CdgaError,
     CdgaFileError,
+    CdgaMorphism,
     fibered_product_augmented,
+    identity_morphism,
     parse_cdga_file,
     word_length_quotient,
 )
@@ -83,6 +85,30 @@ def foreign_argument():
     return Derivation(alg, +1, {}).apply(other.gen_elem("w"))
 
 
+def q_power(k):
+    """q^k in the free algebra on q (degree 2), which has CP^n's ordinal
+    0 but not its generator u."""
+    return FreeAlgebra.build([("q", 2)]).parse(f"q^{k}")
+
+
+def foreign_image_morphism(check):
+    """S^3 -> L(b)/(b^2) with x sent to a letter of another universe."""
+    target = Cdga.build("t", [("b", 2)], {}, ["b^2"])
+    w = FreeAlgebra.build([("w", 2)]).gen_elem("w")
+    return CdgaMorphism(sphere_model(3), target, {"x": w}, check=check)
+
+
+def foreign_relation(check):
+    u = FreeAlgebra.build([("u", 2)])
+    return Cdga("c", u, Derivation(u, +1, {}), relations=[q_power(3)],
+                check=check)
+
+
+def foreign_differential():
+    u, q = FreeAlgebra.build([("u", 2)]), FreeAlgebra.build([("q", 2)])
+    return Cdga("c", u, Derivation(q, +1, {}), check=False)
+
+
 def missing_face():
     K = SimplicialComplexFin("k", {"e": 1, "a": 0}, {("e", 0): ("a", ())},
                              check=False)
@@ -112,6 +138,26 @@ REFUSALS = [
      lambda: sphere_model(2).class_coords(
          sphere_model(2).algebra.gen_elem("z"), 3),
      CdgaError, "element of degree 3 is not a cocycle modulo boundaries"),
+    ("cdga-reduce-foreign-element",
+     lambda: cp_cohomology(2).reduce(q_power(2)),
+     CdgaError, "H(CP2): element over another universe (generator u)"),
+    ("cdga-coords-foreign-element",
+     lambda: sphere_model(3).coords(xy().gen_elem("x"), 3),
+     CdgaError, "S3-model: element over another universe (generator x)"),
+    ("cdga-apply-foreign-element",
+     lambda: identity_morphism(sphere_model(3)).apply(xy().gen_elem("x")),
+     CdgaError, "morphism applied across universes (generator x)"),
+    ("cdga-morphism-foreign-image", lambda: foreign_image_morphism(False),
+     CdgaError, "t: element over another universe (generator b)"),
+    ("cdga-morphism-foreign-image-checked",
+     lambda: foreign_image_morphism(True),
+     CdgaError, "t: element over another universe (generator b)"),
+    ("cdga-foreign-relation", lambda: foreign_relation(False),
+     CdgaError, "c: relation over another universe (generator u)"),
+    ("cdga-foreign-relation-checked", lambda: foreign_relation(True),
+     CdgaError, "c: relation over another universe (generator u)"),
+    ("cdga-foreign-differential", foreign_differential,
+     CdgaError, "c: differential over another universe (generator u)"),
     ("cdga-no-factors", lambda: fibered_product_augmented([]),
      CdgaError, "need at least one factor"),
     ("cdga-cap-of-a-quotient",
@@ -204,6 +250,10 @@ REFUSALS = [
      lambda: relative([("y", 2), ("z", 3), ("w", 2)], {}, ["w"],
                       base=sphere_model(2)),
      ModelError, "D does not restrict to the base differential at z"),
+    ("models-base-generator-differs-in-the-total",
+     lambda: relative([("c", 4), ("z", 3)], {}, ["z"],
+                      base=Cdga.build("La", [("a", 2)])),
+     ModelError, "base over another universe than the total (generator a)"),
     ("models-d-uses-a-later-fiber-generator",
      lambda: relative([("u", 3), ("v", 2), ("w", 3)], {"v": "w"},
                       ["v", "w"]),
