@@ -249,19 +249,17 @@ class Cdga:
 
     def extend(self, specs, images, carry=()):
         """This free CDGA with (name, degree) generators `specs` adjoined and
-        d extended by `images` {name: element}.  It takes over, re-indexed,
-        the differential matrices of the degrees in `carry`: d of an old
-        monomial stays, so only new monomials need new columns, and an old
-        one is scaled by new den // old den (d keeps the old images).  Below
-        the lowest new degree d_k keeps its columns and gains zero rows, so
-        its rank is carried too."""
+        d grown by `images` {new name: element} (`Derivation.extended`,
+        which keeps d on the old generators).  It takes over, re-indexed, the
+        differential matrices of the degrees in `carry`: d of an old monomial
+        stays, so only new monomials need new columns, and an old one is
+        scaled by new den // old den.  Below the lowest new degree d_k keeps
+        its columns and gains zero rows, so its rank is carried too."""
         if not self.is_free:
             raise CdgaError(f"{self.name}: only a free CDGA extends")
         alg = self.algebra.extend(specs)
-        new = Cdga(self.name, alg, Derivation(alg, +1, {
-            k: AlgElement(alg, e.terms)
-            for k, e in {**self.differential.images, **images}.items()},
-            check=False), check=False)
+        new = Cdga(self.name, alg, self.differential.extended(alg, images),
+                   check=False)
         new._rank_cache = {k: r for k, r in self._rank_cache.items()
                            if all(k < deg for _, deg in specs)}
         for k in (k for k in carry if k in self._diff_cache):
@@ -460,9 +458,9 @@ def check_quasi_iso(phi, max_degree):
 
 def _joined(factors):
     """The free algebra on the factors' generators, clashes renamed with
-    _2, _3.., with their differentials and relations moved over:
-    (per-factor renames {ordinal: name}, algebra, images, relations).
-    Word-capped factors are refused."""
+    _2, _3.., with their differentials (`renamed`, into one Derivation) and
+    relations moved over: (per-factor renames {ordinal: name}, algebra,
+    derivation, relations).  Word-capped factors are refused."""
     used = set()
     renames = []
     specs = []
@@ -487,13 +485,12 @@ def _joined(factors):
         images.update(c.differential.renamed(rename, alg))
         move = {o: alg.gen_elem(name) for o, name in rename.items()}
         relations.extend(substitute(r, move, alg) for r in c.relations)
-    return renames, alg, images, relations
+    return renames, alg, Derivation(alg, +1, images), relations
 
 
 def tensor_product(a, b):
     """Tensor CDGA with the two inclusions; Kunneth holds degreewise."""
-    renames, alg, images, relations = _joined([a, b])
-    d = Derivation(alg, +1, images)
+    renames, alg, d, relations = _joined([a, b])
     t = Cdga(f"{a.name}(x){b.name}", alg, d, relations=relations)
     incl_a, incl_b = (CdgaMorphism(c, t, {
         g.name: alg.gen_elem(rename[g.ordinal])
@@ -510,7 +507,7 @@ def fibered_product_augmented(factors, name=None):
         raise CdgaError("need at least one factor")
     if len(factors) == 1:
         return factors[0]
-    renames, alg, images, relations = _joined(factors)
+    renames, alg, d, relations = _joined(factors)
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             for gi in factors[i].algebra.generators:
@@ -519,7 +516,6 @@ def fibered_product_augmented(factors, name=None):
                              * alg.gen_elem(renames[j][gj.ordinal]))
                     if not cross.is_zero():
                         relations.append(cross)
-    d = Derivation(alg, +1, images)
     label = name or "(" + " v ".join(c.name for c in factors) + ")"
     return Cdga(label, alg, d, relations=relations)
 
@@ -608,8 +604,8 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
             raise CdgaFileError(filename, lineno, str(exc)) from None
         relations.append(r)
     try:
-        d = Derivation(alg, +1, images, check=False)
-        return Cdga(name, alg, d, relations=relations, check=check)
+        return Cdga(name, alg, Derivation(alg, +1, images),
+                    relations=relations, check=check)
     except (AlgebraError, CdgaError) as exc:
         raise CdgaFileError(filename, 1, str(exc)) from None
 

@@ -358,7 +358,7 @@ class Derivation:
     over one common denominator `den`, as integer terms.
     """
 
-    def __init__(self, algebra, shift, images, check=True):
+    def __init__(self, algebra, shift, images):
         self.algebra = algebra
         self.shift = shift
         imgs = {}
@@ -367,10 +367,9 @@ class Derivation:
                  else algebra.by_ordinal(key))
             if elem.is_zero():
                 continue
-            if check:
-                if not elem.algebra.same_universe(algebra):
-                    raise AlgebraError(f"image of {g.name} lives elsewhere")
-                Derivation.check_degree(g, elem, shift)
+            if not elem.algebra.same_universe(algebra):
+                raise AlgebraError(f"image of {g.name} lives elsewhere")
+            Derivation.check_degree(g, elem, shift)
             imgs[g.ordinal] = elem
         self.images = imgs
         self.den = den = lcm(*[c.denominator for e in imgs.values()
@@ -390,6 +389,31 @@ class Derivation:
     def image_of(self, name):
         g = self.algebra.generator(name)
         return self.images.get(g.ordinal, self.algebra.zero())
+
+    def extended(self, alg, images):
+        """This derivation grown by `images` {name or ordinal: element of
+        `alg` or of this algebra} over `alg`, which starts with this
+        algebra's generators; over another algebra only the new generators
+        take images.  Old rows are shared, rescaled only if `den` grows."""
+        old = self.algebra.generators
+        if alg.generators[:len(old)] != old:
+            raise AlgebraError(f"{alg} does not extend {self.algebra}")
+        new = Derivation(alg, self.shift, {
+            k: AlgElement(alg, e.terms)
+            if e.algebra.same_universe(self.algebra) else e
+            for k, e in images.items()})
+        fixed = self.images if alg is self.algebra else self.algebra._degrees
+        if twice := [o for o in new.images if o in fixed]:
+            raise AlgebraError(
+                f"{alg.by_ordinal(twice[0]).name} already has an image")
+        den = lcm(self.den, new.den)
+        new._scaled = {o: row if den == d.den else [
+            (m, c * den // d.den, odd) for m, c, odd in row]
+            for d in (self, new) for o, row in d._scaled.items()}
+        new.images = {**{o: AlgElement(alg, e.terms)
+                         for o, e in self.images.items()}, **new.images}
+        new.den = den
+        return new
 
     def renamed(self, names, alg):
         """The images of the generators in `names` {ordinal: new name},

@@ -15,7 +15,7 @@ unbased path space by the divided-power series differential, and the free
 loop space by the suspension-derivation formula; the path/free-loop pair
 is related by pushout along the multiplication map.  Each construction
 moves a differential one way: it renames it (`Derivation.renamed`), or it
-takes the images over as they are into an algebra it built by `extend`.
+grows it by new images over an extension (`Derivation.extended`).
 """
 
 from __future__ import annotations
@@ -118,28 +118,23 @@ class RelativeSullivanAlgebra:
         if set(fiber_ords) | base_ords != \
                 {g.ordinal for g in self.total.algebra.generators}:
             raise ModelError("total algebra must be base plus fiber")
-        zero = self.total.algebra.zero()
+        base_d, total_d = self.base.differential, self.total.differential
         for g in self.base.algebra.generators:
             if self.total.algebra.by_ordinal(g.ordinal) != g:
                 bad = self.base.algebra.foreign_generator(self.total.algebra)
                 raise ModelError(f"base over another universe than the "
                                  f"total (generator {bad})")
-            want = self.base.differential.images.get(g.ordinal)
-            want = want.in_algebra(self.total.algebra) if want is not None else zero
-            got = self.total.differential.images.get(g.ordinal, zero)
-            if want != got:
+            if base_d.image_of(g.name).terms != total_d.image_of(g.name).terms:
                 raise ModelError(
                     f"D does not restrict to the base differential at {g.name}")
         allowed = set(base_ords)
         for g in self.fiber:
-            dg = self.total.differential.images.get(g.ordinal)
-            if dg is not None:
-                for mono in dg.terms:
-                    for o, _ in mono:
-                        if o not in allowed:
-                            bad = self.total.algebra.by_ordinal(o).name
-                            raise ModelError(
-                                f"D({g.name}) uses later fiber generator {bad}")
+            for mono in total_d.image_of(g.name).terms:
+                for o, _ in mono:
+                    if o not in allowed:
+                        bad = self.total.algebra.by_ordinal(o).name
+                        raise ModelError(
+                            f"D({g.name}) uses later fiber generator {bad}")
             allowed.add(g.ordinal)
 
     def __repr__(self):
@@ -168,13 +163,9 @@ def pushout_model(phi, rel):
     sub = {g.ordinal: AlgElement(alg, phi.image_of(g.name).terms)
            for g in rel.base.algebra.generators}
     sub.update((g.ordinal, alg.gen_elem(g.name)) for g in rel.fiber)
-    d_images = {o: AlgElement(alg, e.terms)
-                for o, e in target.differential.images.items()}
-    for g in rel.fiber:
-        dg = rel.total.differential.images.get(g.ordinal)
-        if dg is not None:
-            d_images[g.name] = substitute(dg, sub, alg)
-    d = Derivation(alg, +1, d_images)
+    d = target.differential.extended(alg, {
+        g.name: substitute(rel.total.differential.image_of(g.name), sub, alg)
+        for g in rel.fiber})
     total = Cdga(f"{target.name}(x){rel.total.name}-fiber", alg, d)
     return RelativeSullivanAlgebra(target, [g.name for g in rel.fiber], total)
 
@@ -211,12 +202,9 @@ def acyclic_closure(model, verify_to=0):
         total = total.extend([(bar, m - 1)],
                              {bar: alg.gen_elem(v.name) - correction})
         bar_ordinals.add(total.algebra.generator(bar).ordinal)
-    alg = total.algebra
-    total = Cdga(f"{model.name}-acyclic", alg,
-                 Derivation(alg, +1, total.differential.images))
+    total = Cdga(f"{model.name}-acyclic", total.algebra, total.differential)
     rel = RelativeSullivanAlgebra(
-        model, [g.name for g in alg.generators if g.ordinal in bar_ordinals],
-        total)
+        model, [f"{v.name}_bar" for v in _bar_order(model)], total)
     for k in range(1, verify_to + 1):
         if total.h_dim(k) != 0:
             raise ModelError(
@@ -264,21 +252,19 @@ def path_space_model(model, series_cap=64):
     base = Cdga(f"{model.name}^2", base_alg,
                 Derivation(base_alg, +1, base_d))
     alg = base_alg.extend([(f"{g.name}_bar", g.degree - 1) for g in bars])
-    d_images = {o: AlgElement(alg, e.terms)
-                for o, e in base.differential.images.items()}
+    d = base.differential.extended(alg, {})
 
     s = Derivation(alg, -1, {f"{g.name}{suffix}": alg.gen_elem(f"{g.name}_bar")
                              for suffix in suffixes for g in gens})
 
-    for g in bars:
-        partial = Derivation(alg, +1, d_images, check=False)
+    for g in bars:  # d grows by one bar image at a time
         v0 = alg.gen_elem(f"{g.name}_p0")
         v1 = alg.gen_elem(f"{g.name}_p1")
         total = v1 - v0
         term = v0
         n = 0
         while True:
-            term = s.apply(partial.apply(term))
+            term = s.apply(d.apply(term))
             if term.is_zero():
                 break
             n += 1
@@ -287,8 +273,7 @@ def path_space_model(model, series_cap=64):
                     f"path-space series for {g.name} did not terminate "
                     f"within {series_cap} iterations")
             total = total - term.scale(Fraction(1, factorial(n)))
-        d_images[f"{g.name}_bar"] = total
-    d = Derivation(alg, +1, d_images)
+        d = d.extended(alg, {f"{g.name}_bar": total})
     total_cdga = Cdga(f"{model.name}-paths", alg, d)
     return RelativeSullivanAlgebra(base, [f"{g.name}_bar" for g in bars],
                                    total_cdga)
@@ -308,17 +293,13 @@ def free_loop_model(model):
     """Model of the free loop space: adjoin vbar with D vbar = -S(dv),
     where S is the degree -1 derivation sending v to vbar."""
     _require_minimal(model, "free loop model")
-    gens = list(model.algebra.generators)
     bars = _bar_order(model)
     alg = model.algebra.extend([(f"{g.name}_bar", g.degree - 1) for g in bars])
-    s_images = {g.name: alg.gen_elem(f"{g.name}_bar") for g in gens}
-    s = Derivation(alg, -1, s_images)
-    d_images = {o: AlgElement(alg, e.terms)
-                for o, e in model.differential.images.items()}
-    for g in bars:
-        if g.ordinal in d_images:
-            d_images[f"{g.name}_bar"] = -s.apply(d_images[g.ordinal])
-    d = Derivation(alg, +1, d_images)
+    s = Derivation(alg, -1, {g.name: alg.gen_elem(f"{g.name}_bar")
+                             for g in bars})
+    d = model.differential.extended(alg, {})  # dv over alg, for S
+    d = d.extended(alg, {f"{g.name}_bar": -s.apply(d.images[g.ordinal])
+                         for g in bars if g.ordinal in d.images})
     return Cdga(f"{model.name}-loops", alg, d)
 
 

@@ -35,6 +35,10 @@ Fraction elimination against the relations' monomial multiples.
 `Derivation.renamed`, which moves a differential into the algebra of a
 model construction, is checked against `reference_substitute` over
 random renamings that drop some generators and shift the ordinals.
+`Derivation.extended`, which grows a differential by new images, is
+checked against the derivation built from all the images at once, over
+one algebra and over an extension, with the common denominator growing
+in some cases.
 `PolyForm.d` reads a table as the pullbacks do, and `integrate` one of
 monomial integrals, each emptied by every `verify_stokes` call.
 
@@ -281,7 +285,7 @@ def reference_minimal_model(target, max_degree):
     def current():
         d = Derivation(alg, +1,
                        {name: e.in_algebra(alg)
-                        for name, e in d_images.items()}, check=False)
+                        for name, e in d_images.items()})
         model = Cdga("model", alg, d, check=False)
         phi = CdgaMorphism(model, target, dict(phi_images), check=False)
         return model, phi
@@ -939,6 +943,50 @@ def test_renamed_matches_the_reference_substitution(case):
         want = reference_substitute(d.images.get(o, d.algebra.zero()), move,
                                     alg, missing_zero=True)
         assert got.get(name, alg.zero()) == want
+
+
+@st.composite
+def growth_cases(draw):
+    """(algebra, its extension or itself, shift, first images, second
+    images) from a `derivation_cases` derivation: over itself its images
+    split in two, over `extend` all of them first and a new generator t
+    second.  The second half is scaled by 1/q, q prime to every MIXED
+    denominator, so that the common denominator grows when q > 1."""
+    d, _ = draw(derivation_cases())
+    alg, shift = d.algebra, d.shift
+    q = Fraction(1, draw(st.sampled_from([1, 13, 17])))
+    if draw(st.booleans()):
+        second = draw(st.sets(st.sampled_from(
+            [g.ordinal for g in alg.generators])))
+        return alg, alg, shift, {
+            o: e for o, e in d.images.items() if o not in second}, {
+            o: e.scale(q) for o, e in d.images.items() if o in second}
+    degree = draw(st.integers(2, 4))
+    big = alg.extend([("t", degree)])
+    dt = _combination(draw, big, big.basis_of_degree(degree + shift), MIXED)
+    return alg, big, shift, d.images, {"t": dt.scale(q)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(growth_cases())
+def test_grown_derivation_matches_the_one_built_at_once(case):
+    """`extended` gives the images, den, scaled rows and Leibniz columns
+    of the derivation built from all the images at once.  It shares each
+    old row while den stays and leaves the derivation it grows as it was."""
+    alg, big, shift, first, second = case
+    small = Derivation(alg, shift, first)
+    rows = {o: list(row) for o, row in small._scaled.items()}
+    grown = small.extended(big, second)
+    fresh = Derivation(big, shift, {
+        **{o: AlgElement(big, e.terms) for o, e in first.items()}, **second})
+    assert grown == fresh and grown.images == fresh.images
+    assert grown.den == fresh.den and grown._scaled == fresh._scaled
+    for k in range(7):
+        for m in big.basis_of_degree(k):
+            assert grown.leibniz(m) == fresh.leibniz(m)
+    assert small._scaled == rows
+    for o, row in small._scaled.items():
+        assert (grown._scaled[o] is row) == (grown.den == small.den)
 
 
 @settings(max_examples=100, deadline=None)

@@ -109,6 +109,21 @@ def foreign_differential():
     return Cdga("c", u, Derivation(q, +1, {}), check=False)
 
 
+def image_of_old_generator():
+    """d x = y^2 given to an old generator while adjoining w: the carried
+    matrices would keep d x = 0."""
+    c = Cdga.build("c", [("y", 2), ("x", 3)], {})
+    for k in range(7):
+        c.h_dim(k)
+    return c.extend([("w", 9)], {"x": c.algebra.parse("y^2")}, carry=range(7))
+
+
+def image_twice():
+    alg = xy()
+    d = Derivation(alg, +1, {"y": alg.parse("x^2")})
+    return d.extended(alg, {"y": alg.parse("x^2")})
+
+
 def missing_face():
     K = SimplicialComplexFin("k", {"e": 1, "a": 0}, {("e", 0): ("a", ())},
                              check=False)
@@ -158,6 +173,8 @@ REFUSALS = [
      CdgaError, "c: relation over another universe (generator u)"),
     ("cdga-foreign-differential", foreign_differential,
      CdgaError, "c: differential over another universe (generator u)"),
+    ("cdga-extend-image-of-old-generator", image_of_old_generator,
+     AlgebraError, "x already has an image"),
     ("cdga-no-factors", lambda: fibered_product_augmented([]),
      CdgaError, "need at least one factor"),
     ("cdga-cap-of-a-quotient",
@@ -207,6 +224,12 @@ REFUSALS = [
      AlgebraError, "ordinal 0 disagrees between universes"),
     ("graded-foreign-image", foreign_image,
      AlgebraError, "image of y lives elsewhere"),
+    ("graded-derivation-extended-image-twice", image_twice,
+     AlgebraError, "y already has an image"),
+    ("graded-derivation-extended-not-an-extension",
+     lambda: Derivation(xy(), +1, {}).extended(
+         FreeAlgebra.build([("y", 3), ("x", 2)]), {}),
+     AlgebraError, "FreeAlgebra(y:3, x:2) does not extend FreeAlgebra(x:2, y:3)"),
     ("graded-foreign-argument", foreign_argument,
      AlgebraError, "derivation applied across universes (generator x)"),
     # invariants

@@ -1,27 +1,116 @@
 """A model construction moves a differential one way: it renames it with
-`Derivation.renamed`, or it takes the images over as they are into an
-algebra it built by `extend`.  So `substitute` is applied to a
+`Derivation.renamed`, or it grows it by new images over an extension of
+its algebra with `Derivation.extended`, where the old images keep their
+terms and their scaled rows.  So `substitute` is applied to a
 differential's images only in `renamed` and in the twisting terms of
 `pushout_model` (base letters sent along the morphism); `_joined` also
-moves its factors' relations with it.  `in_algebra`, a checked copy
-between universes, is left to the restriction check of
-`RelativeSullivanAlgebra`.  Checked on the syntax trees of the package."""
+moves its factors' relations with it.  `extended` is called by
+`Cdga.extend` (each synthesis stage and acyclic-closure step),
+`pushout_model`, `path_space_model` and `free_loop_model`, and it is the
+one function that rewraps a differential's images as elements of another
+algebra; no construction builds a `Derivation` from another one's images.
+`in_algebra`, a checked copy between universes, has no caller in the
+package.  Checked on the syntax trees of the package, and by counting the
+derivations a minimal-model synthesis makes."""
 
 import ast
 import pathlib
 
 from test_form_ownership import _callers
 
+from sullivan.catalog import wedge_cohomology
+from sullivan.cdga import Cdga
+from sullivan.graded import Derivation
+from sullivan.models import minimal_model
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sullivan"
 
 
-def test_differentials_move_by_renaming_or_by_extension():
-    found = {"substitute": [], "in_algebra": []}
+def _package_callers(names):
+    found = {name: [] for name in names}
     for path in sorted(SRC.glob("*.py")):
         calls = _callers(ast.parse(path.read_text(encoding="utf-8")), found)
         for name, scopes in calls.items():
             found[name] += [f"{path.stem}.{scope}" for scope in scopes]
-    assert found == {
+    return {name: sorted(set(scopes)) for name, scopes in found.items()}
+
+
+def test_differentials_move_by_renaming_or_by_extension():
+    assert _package_callers(["substitute", "in_algebra", "extended"]) == {
         "substitute": ["cdga._joined", "graded.Derivation.renamed",
                        "models.pushout_model"],
-        "in_algebra": ["models.RelativeSullivanAlgebra.__init__"]}
+        "in_algebra": [],
+        "extended": ["cdga.Cdga.extend", "models.free_loop_model",
+                     "models.path_space_model", "models.pushout_model"]}
+
+
+def _rewraps_of_images(tree):
+    """The functions calling `AlgElement(_, x.terms)` where x is read from
+    an `.images` attribute, directly or as a loop or comprehension target
+    over an expression that reads one."""
+
+    def reads_images(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "images"
+                   for n in ast.walk(node))
+
+    found = []
+
+    def visit(node, scope, bound):
+        bound = set(bound)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.For, ast.comprehension)) \
+                    and reads_images(child.iter):
+                bound |= {n.id for n in ast.walk(child.target)
+                          if isinstance(n, ast.Name)}
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), set())
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "AlgElement"
+                    and len(child.args) == 2
+                    and isinstance(child.args[1], ast.Attribute)
+                    and child.args[1].attr == "terms"):
+                x = child.args[1].value
+                if reads_images(x) or (isinstance(x, ast.Name)
+                                       and x.id in bound):
+                    found.append(".".join(scope))
+            visit(child, scope, bound)
+
+    visit(tree, (), set())
+    return found
+
+
+def test_only_extended_rewraps_a_differentials_images():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.stem}.{scope}" for scope in
+                  _rewraps_of_images(ast.parse(path.read_text("utf-8")))]
+    assert found == ["graded.Derivation.extended"]
+
+
+def test_each_synthesis_stage_makes_one_derivation_of_its_new_images(
+        monkeypatch):
+    """Each `Cdga.extend` of a synthesis makes one `Derivation`, and it
+    holds only the images of that stage's new generators."""
+    init, extend = Derivation.__init__, Cdga.extend
+    made, stages = [], []
+
+    def counted_init(self, algebra, shift, images, **options):
+        made.append(list(images))
+        init(self, algebra, shift, images, **options)
+
+    def counted_extend(self, specs, images, carry=()):
+        made.clear()
+        new = extend(self, specs, images, carry)
+        stages.append((list(made), list(images), [n for n, _ in specs]))
+        return new
+
+    monkeypatch.setattr(Derivation, "__init__", counted_init)
+    monkeypatch.setattr(Cdga, "extend", counted_extend)
+    minimal_model(wedge_cohomology(2, 2), 8)
+    assert len(stages) >= 5
+    for made_here, new_images, new_names in stages:
+        assert made_here == [new_images]
+        assert set(new_images) <= set(new_names)
