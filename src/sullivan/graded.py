@@ -391,21 +391,20 @@ class Derivation:
         return self.images.get(g.ordinal, self.algebra.zero())
 
     def extended(self, alg, images):
-        """This derivation grown by `images` {name or ordinal: element of
-        `alg` or of this algebra} over `alg`, which starts with this
-        algebra's generators; over another algebra only the new generators
-        take images.  Old rows are shared, rescaled only if `den` grows."""
+        """This derivation grown by `images` {name: element of `alg` or of
+        this algebra} over `alg`, which starts with this algebra's
+        generators; over another algebra no old generator takes an image,
+        not even 0.  Old rows are shared, rescaled only if `den` grows."""
         old = self.algebra.generators
         if alg.generators[:len(old)] != old:
             raise AlgebraError(f"{alg} does not extend {self.algebra}")
+        fixed = self.images if alg is self.algebra else self.algebra._degrees
+        if twice := [k for k in images if alg.generator(k).ordinal in fixed]:
+            raise AlgebraError(f"{twice[0]} already has an image")
         new = Derivation(alg, self.shift, {
             k: AlgElement(alg, e.terms)
             if e.algebra.same_universe(self.algebra) else e
             for k, e in images.items()})
-        fixed = self.images if alg is self.algebra else self.algebra._degrees
-        if twice := [o for o in new.images if o in fixed]:
-            raise AlgebraError(
-                f"{alg.by_ordinal(twice[0]).name} already has an image")
         den = lcm(self.den, new.den)
         new._scaled = {o: row if den == d.den else [
             (m, c * den // d.den, odd) for m, c, odd in row]

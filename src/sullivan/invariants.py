@@ -15,7 +15,8 @@ the dichotomy window [2n, 3n-2].
 from __future__ import annotations
 
 from .cdga import Cdga, CdgaError, check_quasi_iso, word_length_quotient
-from .graded import Derivation, FreeAlgebra, monomial_columns, odd_letters
+from .graded import (AlgElement, Derivation, FreeAlgebra, monomial_columns,
+                     odd_letters)
 from .linalg import RatMatrix, homology_dim, rank
 from .models import check_minimal_sullivan, degree_counts, minimal_model
 
@@ -184,7 +185,7 @@ def finiteness_test(c, bound):
     # H_0: the even polynomials modulo the ideal of the pure images
     even = FreeAlgebra([g for g in c.algebra.generators if g.degree % 2 == 0])
     h0 = Cdga(f"{pure.name}-H0", even, Derivation(even, +1, {}), relations=[
-        even.element(dg.terms) for dg in pure.differential.images.values()],
+        AlgElement(even, dg.terms) for dg in pure.differential.images.values()],
         check=False)
     window = max((g.degree for g in even.generators), default=1)
     dims, last = _zero_window_scan(h0.dim, bound, window)

@@ -960,7 +960,8 @@ def growth_cases(draw):
             [g.ordinal for g in alg.generators])))
         return alg, alg, shift, {
             o: e for o, e in d.images.items() if o not in second}, {
-            o: e.scale(q) for o, e in d.images.items() if o in second}
+            alg.by_ordinal(o).name: e.scale(q)
+            for o, e in d.images.items() if o in second}
     degree = draw(st.integers(2, 4))
     big = alg.extend([("t", degree)])
     dt = _combination(draw, big, big.basis_of_degree(degree + shift), MIXED)

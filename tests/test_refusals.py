@@ -118,10 +118,16 @@ def image_of_old_generator():
     return c.extend([("w", 9)], {"x": c.algebra.parse("y^2")}, carry=range(7))
 
 
-def image_twice():
+def zero_image_of_old_generator():
+    """d x = y^2 kept while adjoining w, though x is given the image 0."""
+    c = Cdga.build("c", [("y", 2), ("x", 3)], {"x": "y^2"})
+    return c.extend([("w", 9)], {"x": c.algebra.zero()})
+
+
+def image_twice(image):
     alg = xy()
     d = Derivation(alg, +1, {"y": alg.parse("x^2")})
-    return d.extended(alg, {"y": alg.parse("x^2")})
+    return d.extended(alg, {"y": alg.parse(image)})
 
 
 def missing_face():
@@ -175,6 +181,8 @@ REFUSALS = [
      CdgaError, "c: differential over another universe (generator u)"),
     ("cdga-extend-image-of-old-generator", image_of_old_generator,
      AlgebraError, "x already has an image"),
+    ("cdga-extend-zero-image-of-old-generator", zero_image_of_old_generator,
+     AlgebraError, "x already has an image"),
     ("cdga-no-factors", lambda: fibered_product_augmented([]),
      CdgaError, "need at least one factor"),
     ("cdga-cap-of-a-quotient",
@@ -224,7 +232,9 @@ REFUSALS = [
      AlgebraError, "ordinal 0 disagrees between universes"),
     ("graded-foreign-image", foreign_image,
      AlgebraError, "image of y lives elsewhere"),
-    ("graded-derivation-extended-image-twice", image_twice,
+    ("graded-derivation-extended-image-twice", lambda: image_twice("x^2"),
+     AlgebraError, "y already has an image"),
+    ("graded-derivation-extended-zero-image-twice", lambda: image_twice("0"),
      AlgebraError, "y already has an image"),
     ("graded-derivation-extended-not-an-extension",
      lambda: Derivation(xy(), +1, {}).extended(

@@ -7,8 +7,9 @@ differential's images only in `renamed` and in the twisting terms of
 moves its factors' relations with it.  `extended` is called by
 `Cdga.extend` (each synthesis stage and acyclic-closure step),
 `pushout_model`, `path_space_model` and `free_loop_model`, and it is the
-one function that rewraps a differential's images as elements of another
-algebra; no construction builds a `Derivation` from another one's images.
+one function that rewraps a differential's images as elements of an
+extension (`finiteness_test` rewraps a pure model's images, but as
+relations); no construction builds a `Derivation` from another one's images.
 `in_algebra`, a checked copy between universes, has no caller in the
 package.  Checked on the syntax trees of the package, and by counting the
 derivations a minimal-model synthesis makes."""
@@ -32,16 +33,21 @@ def _package_callers(names):
         calls = _callers(ast.parse(path.read_text(encoding="utf-8")), found)
         for name, scopes in calls.items():
             found[name] += [f"{path.stem}.{scope}" for scope in scopes]
-    return {name: sorted(set(scopes)) for name, scopes in found.items()}
+    return found
 
 
 def test_differentials_move_by_renaming_or_by_extension():
+    """One entry per call site: the path space extends its base's d to
+    the whole algebra and then grows it by one bar image per loop; the
+    free loop space extends d to the whole algebra, for S, then grows it
+    by the bar images."""
     assert _package_callers(["substitute", "in_algebra", "extended"]) == {
         "substitute": ["cdga._joined", "graded.Derivation.renamed",
                        "models.pushout_model"],
         "in_algebra": [],
-        "extended": ["cdga.Cdga.extend", "models.free_loop_model",
-                     "models.path_space_model", "models.pushout_model"]}
+        "extended": ["cdga.Cdga.extend", "models.pushout_model",
+                     "models.path_space_model", "models.path_space_model",
+                     "models.free_loop_model", "models.free_loop_model"]}
 
 
 def _rewraps_of_images(tree):
@@ -82,12 +88,15 @@ def _rewraps_of_images(tree):
     return found
 
 
-def test_only_extended_rewraps_a_differentials_images():
+def test_only_extended_rewraps_a_differentials_images_into_an_extension():
+    """The one other rewrap moves no differential: `finiteness_test` reads
+    the images of a pure model as the relations of its even subalgebra,
+    H_0 = Q[even generators] / (d of the odd ones)."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += [f"{path.stem}.{scope}" for scope in
                   _rewraps_of_images(ast.parse(path.read_text("utf-8")))]
-    assert found == ["graded.Derivation.extended"]
+    assert found == ["graded.Derivation.extended", "invariants.finiteness_test"]
 
 
 def test_each_synthesis_stage_makes_one_derivation_of_its_new_images(
