@@ -59,7 +59,6 @@ __all__ = [
     "CdgaMorphism",
     "CohomologyReport",
     "QuasiIsoReport",
-    "identity_morphism",
     "check_quasi_iso",
     "tensor_product",
     "fibered_product_augmented",
@@ -420,11 +419,6 @@ class CdgaMorphism:
         return RatMatrix.from_columns(cols, self.target.h_dim(k))
 
 
-def identity_morphism(c):
-    return CdgaMorphism(c, c, {g.name: c.algebra.gen_elem(g.name)
-                               for g in c.algebra.generators})
-
-
 class QuasiIsoReport:
     def __init__(self, max_degree, table):
         self.max_degree = max_degree
@@ -577,14 +571,14 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
     if name is None:
         raise CdgaFileError(filename, 1, "missing cdga header line")
     alg = FreeAlgebra.build(specs.items())  # the gen lines have been checked
-    images = {}
-    for lineno, gname, poly in diffs:
+    d, seen = Derivation(alg, +1, {}), set()
+    for lineno, gname, poly in diffs:  # d grows one diff line at a time
         try:
-            g = alg.generator(gname)
-            if gname in images:
+            alg.generator(gname)  # an unknown name before its polynomial
+            if gname in seen:  # after `diff x = 0`, `extended` takes x
                 raise AlgebraError(f"repeated diff for {gname}")
-            images[gname] = parse_poly(poly, alg)
-            Derivation.check_degree(g, images[gname], +1)  # at its line
+            seen.add(gname)
+            d = d.extended(alg, {gname: parse_poly(poly, alg)})
         except AlgebraError as exc:
             raise CdgaFileError(filename, lineno, str(exc)) from None
     relations = []
@@ -604,8 +598,7 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
             raise CdgaFileError(filename, lineno, str(exc)) from None
         relations.append(r)
     try:
-        return Cdga(name, alg, Derivation(alg, +1, images),
-                    relations=relations, check=check)
+        return Cdga(name, alg, d, relations=relations, check=check)
     except (AlgebraError, CdgaError) as exc:
         raise CdgaFileError(filename, 1, str(exc)) from None
 

@@ -332,7 +332,7 @@ def _usage_error(args):
     return None
 
 
-def main(argv=None):
+def main(argv):
     args = build_parser().parse_args(argv)
     message = _usage_error(args)
     if message:
@@ -352,8 +352,8 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

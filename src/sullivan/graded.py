@@ -147,10 +147,6 @@ class FreeAlgebra:
     def one(self):
         return AlgElement(self, {UNIT: Fraction(1)})
 
-    def scalar(self, c):
-        c = Fraction(c)
-        return AlgElement(self, {UNIT: c} if c else {})
-
     def gen_elem(self, name):
         g = self.generator(name)
         return AlgElement(self, {((g.ordinal, 1),): Fraction(1)})
@@ -336,16 +332,6 @@ class AlgElement:
     def is_homogeneous(self):
         return len({self.algebra.mono_degree(m) for m in self.terms}) <= 1
 
-    def in_algebra(self, other):
-        """Reinterpret over another universe containing the same ordinals."""
-        for m in self.terms:
-            for o, _ in m:
-                g0 = self.algebra.by_ordinal(o)
-                g1 = other.by_ordinal(o)
-                if (g0.name, g0.degree) != (g1.name, g1.degree):
-                    raise AlgebraError(f"ordinal {o} disagrees between universes")
-        return AlgElement(other, dict(self.terms))
-
     def __repr__(self):
         return format_element(self)
 
@@ -355,13 +341,17 @@ class Derivation:
     products by the graded Leibniz rule d(ab) = da*b + (-1)^|a| a*db.
 
     Generators missing from `images` map to zero.  `leibniz` reads them
-    over one common denominator `den`, as integer terms.
+    over one common denominator `den`, as integer terms; the one pass that
+    scales an image's terms checks that each has degree |g| + shift.
     """
 
     def __init__(self, algebra, shift, images):
         self.algebra = algebra
         self.shift = shift
-        imgs = {}
+        degrees = algebra._degrees
+        self.den = den = lcm(*[c.denominator for e in images.values()
+                               for c in e.terms.values()])
+        self.images, self._scaled = {}, {}
         for key, elem in images.items():
             g = (algebra.generator(key) if isinstance(key, str)
                  else algebra.by_ordinal(key))
@@ -369,22 +359,18 @@ class Derivation:
                 continue
             if not elem.algebra.same_universe(algebra):
                 raise AlgebraError(f"image of {g.name} lives elsewhere")
-            Derivation.check_degree(g, elem, shift)
-            imgs[g.ordinal] = elem
-        self.images = imgs
-        self.den = den = lcm(*[c.denominator for e in imgs.values()
-                               for c in e.terms.values()])
-        self._scaled = {
-            o: [(m, c.numerator * (den // c.denominator),
-                 odd_letters(algebra, m)) for m, c in e.terms.items()]
-            for o, e in imgs.items()}
-
-    @staticmethod
-    def check_degree(g, elem, shift):
-        """Raise unless the image `elem` of g is 0 or of degree |g| + shift."""
-        if elem and (d := elem.degree()) != g.degree + shift:
-            raise AlgebraError(f"image of {g.name} has degree {d}, "
-                               f"expected {g.degree + shift}")
+            want, row = g.degree + shift, []
+            for m, c in elem.terms.items():  # one pass: degree and row
+                deg, odd = 0, []  # and the `odd_letters` of m
+                for o, p in m:
+                    deg += p * degrees[o]
+                    if degrees[o] % 2:
+                        odd.append(o)
+                if deg != want:
+                    raise AlgebraError(f"image of {g.name} has degree "
+                                       f"{elem.degree()}, expected {want}")
+                row.append((m, c.numerator * (den // c.denominator), odd))
+            self.images[g.ordinal], self._scaled[g.ordinal] = elem, row
 
     def image_of(self, name):
         g = self.algebra.generator(name)
@@ -406,11 +392,13 @@ class Derivation:
             if e.algebra.same_universe(self.algebra) else e
             for k, e in images.items()})
         den = lcm(self.den, new.den)
-        new._scaled = {o: row if den == d.den else [
-            (m, c * den // d.den, odd) for m, c, odd in row]
-            for d in (self, new) for o, row in d._scaled.items()}
-        new.images = {**{o: AlgElement(alg, e.terms)
-                         for o, e in self.images.items()}, **new.images}
+        old_rows, new_rows = (d._scaled if den == d.den else {
+            o: [(m, c * den // d.den, odd) for m, c, odd in row]
+            for o, row in d._scaled.items()} for d in (self, new))
+        kept = self.images if alg is self.algebra else {
+            o: AlgElement(alg, e.terms) for o, e in self.images.items()}
+        new._scaled = {**old_rows, **new_rows}  # no loop over old images:
+        new.images = {**kept, **new.images}  # d may grow an image a call
         new.den = den
         return new
 

@@ -35,7 +35,6 @@ __all__ = [
     "report_json",
     "classify_ellipticity",
     "classify_space",
-    "torus_rank_bound",
     "cuplength",
     "cat_bounds",
     "toomer_rank",
@@ -359,14 +358,6 @@ def classify_space(target, bound):
         "HyperbolicEvidence", bound=bound, formal_dimension=fdim,
         h_dims=dims, v_dims=v_hist,
         gap_report=gap_probe(v_hist, fdim, depth))
-
-
-def torus_rank_bound(report):
-    """Upper bound -chi_pi for the rank of a free torus action; only
-    meaningful on an elliptic certificate."""
-    if report.verdict != "Elliptic":
-        raise InvariantsError("torus rank bound needs an elliptic verdict")
-    return -report.euler["chi_V"]
 
 
 def cuplength(c, max_degree):

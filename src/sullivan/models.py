@@ -56,9 +56,10 @@ __all__ = [
     "loop_cohomology",
     "LoopCohomology",
     "path_space_model",
-    "multiplication_morphism",
     "free_loop_model",
 ]
+
+_SERIES_CAP = 64  # terms of the path-space series before it is refused
 
 
 class ModelError(CdgaError):
@@ -226,19 +227,16 @@ class LoopCohomology:
                      for k in range(max_degree + 1)]
         self.pi_ranks = degree_counts(model)
 
-    def pi_rank(self, k):
-        return self.pi_ranks.get(k, 0)
-
 
 def loop_cohomology(model, max_degree):
     _require_minimal(model, "loop cohomology")
     return LoopCohomology(model, max_degree)
 
 
-def path_space_model(model, series_cap=64):
+def path_space_model(model):
     """Model of the unbased path space over two base copies: the fiber
     differential is D vbar = v_p1 - v_p0 - sum_n (SD)^n/n! (v_p0),
-    evaluated term by term until it vanishes."""
+    evaluated term by term until it vanishes, at most _SERIES_CAP terms."""
     _require_minimal(model, "path space model")
     gens = list(model.algebra.generators)
     bars = _bar_order(model)
@@ -268,25 +266,15 @@ def path_space_model(model, series_cap=64):
             if term.is_zero():
                 break
             n += 1
-            if n > series_cap:
+            if n > _SERIES_CAP:
                 raise ModelError(
                     f"path-space series for {g.name} did not terminate "
-                    f"within {series_cap} iterations")
+                    f"within {_SERIES_CAP} iterations")
             total = total - term.scale(Fraction(1, factorial(n)))
         d = d.extended(alg, {f"{g.name}_bar": total})
     total_cdga = Cdga(f"{model.name}-paths", alg, d)
     return RelativeSullivanAlgebra(base, [f"{g.name}_bar" for g in bars],
                                    total_cdga)
-
-
-def multiplication_morphism(model, doubled):
-    """The product map from the doubled base (v_p0, v_p1 copies) back to
-    the model: both copies of v map to v."""
-    images = {}
-    for g in model.algebra.generators:
-        images[f"{g.name}_p0"] = model.algebra.gen_elem(g.name)
-        images[f"{g.name}_p1"] = model.algebra.gen_elem(g.name)
-    return CdgaMorphism(doubled, model, images)
 
 
 def free_loop_model(model):

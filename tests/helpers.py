@@ -1,0 +1,33 @@
+"""Maps and copies that only tests build: the package itself never calls
+them, so they live here rather than in its public API."""
+
+from sullivan.cdga import CdgaMorphism
+from sullivan.graded import AlgebraError, AlgElement
+
+
+def identity_morphism(c):
+    """The identity of a CDGA, as a checked `CdgaMorphism`."""
+    return CdgaMorphism(c, c, {g.name: c.algebra.gen_elem(g.name)
+                               for g in c.algebra.generators})
+
+
+def multiplication_morphism(model, doubled):
+    """The product map from the doubled base (v_p0, v_p1 copies) of a
+    path space back to the model: both copies of v map to v."""
+    images = {}
+    for g in model.algebra.generators:
+        images[f"{g.name}_p0"] = model.algebra.gen_elem(g.name)
+        images[f"{g.name}_p1"] = model.algebra.gen_elem(g.name)
+    return CdgaMorphism(doubled, model, images)
+
+
+def in_algebra(elem, other):
+    """`elem` read over another universe that has the same generators at
+    the ordinals it uses; a disagreeing ordinal raises."""
+    for m in elem.terms:
+        for o, _ in m:
+            g0 = elem.algebra.by_ordinal(o)
+            g1 = other.by_ordinal(o)
+            if (g0.name, g0.degree) != (g1.name, g1.degree):
+                raise AlgebraError(f"ordinal {o} disagrees between universes")
+    return AlgElement(other, dict(elem.terms))

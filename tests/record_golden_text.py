@@ -34,7 +34,6 @@ from sullivan.cdga import (
     Cdga,
     CdgaMorphism,
     format_cdga,
-    identity_morphism,
     tensor_product,
 )
 from sullivan.cli import main as cli_main
@@ -42,10 +41,11 @@ from sullivan.models import (
     acyclic_closure,
     fiber_model,
     free_loop_model,
-    multiplication_morphism,
     path_space_model,
     pushout_model,
 )
+
+from helpers import identity_morphism, multiplication_morphism
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_TEXT = ROOT / "tests" / "data" / "golden_text.json"

@@ -130,6 +130,8 @@ from sullivan.plforms import (
     verify_stokes,
 )
 
+from helpers import in_algebra
+
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 # denominators 1..12, so that one element mixes several
 MIXED = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -141,7 +143,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def reference_substitute(elem, images, target, missing_zero=False):
     out = target.zero()
     for mono, coeff in elem.terms.items():
-        acc = target.scalar(coeff)
+        acc = target.one().scale(coeff)
         dead = False
         for o, p in mono:
             if o not in images:
@@ -186,7 +188,7 @@ def reference_morphism_apply(phi, elem):
     tgt = phi.target
     out = tgt.algebra.zero()
     for mono, coeff in elem.terms.items():
-        acc = tgt.algebra.scalar(coeff)
+        acc = tgt.algebra.one().scale(coeff)
         for o, p in mono:
             img = phi.images.get(o)
             if img is None:
@@ -284,7 +286,7 @@ def reference_minimal_model(target, max_degree):
 
     def current():
         d = Derivation(alg, +1,
-                       {name: e.in_algebra(alg)
+                       {name: in_algebra(e, alg)
                         for name, e in d_images.items()})
         model = Cdga("model", alg, d, check=False)
         phi = CdgaMorphism(model, target, dict(phi_images), check=False)
@@ -335,15 +337,15 @@ def reference_minimal_model(target, max_degree):
 
         if new_specs:
             alg = alg.extend(new_specs)
-            d_images = {k: e.in_algebra(alg) for k, e in d_images.items()}
+            d_images = {k: in_algebra(e, alg) for k, e in d_images.items()}
             for k, e in new_d.items():
-                d_images[k] = e.in_algebra(alg)
+                d_images[k] = in_algebra(e, alg)
             phi_images.update(new_phi)
         stages.append({"degree": n,
                        "cocycle_gens": cocycle_names,
                        "kernel_gens": kernel_names})
 
-    d = Derivation(alg, +1, {n: e.in_algebra(alg) for n, e in d_images.items()})
+    d = Derivation(alg, +1, {n: in_algebra(e, alg) for n, e in d_images.items()})
     model = Cdga(f"model({target.name})", alg, d)
     phi = CdgaMorphism(model, target, phi_images)
     if model.algebra.generators and not check_minimal_sullivan(model):

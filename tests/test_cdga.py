@@ -1,6 +1,7 @@
 """CDGA validation, cohomology, morphisms, tensor/fibered products,
 word-length quotients, and the file format."""
 
+import pathlib
 import random
 from fractions import Fraction
 
@@ -23,14 +24,18 @@ from sullivan.cdga import (
     check_quasi_iso,
     fibered_product_augmented,
     format_cdga,
-    identity_morphism,
+    load_cdga,
     parse_cdga_file,
     tensor_product,
     word_length_quotient,
 )
 from sullivan import linalg
-from sullivan.graded import Derivation, FreeAlgebra
+from sullivan.graded import AlgElement, Derivation, FreeAlgebra
 from sullivan.linalg import rank
+
+from helpers import identity_morphism
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def all_fixtures():
@@ -225,17 +230,22 @@ def test_a_free_cdga_reads_one_basis_table(monkeypatch):
     assert calls == []
 
 
-def test_parsing_a_file_builds_one_derivation(monkeypatch):
-    """Each `diff` line's degree is checked at its line, without a
-    derivation of its own: parsing builds the one the CDGA keeps."""
-    want = elliptic_six()
-    calls = []
-    original = Derivation.__init__
-    monkeypatch.setattr(Derivation, "__init__", lambda self, *args, **kw:
-                        calls.append(args) or original(self, *args, **kw))
-    got = parse_cdga_file(format_cdga(want))
-    assert len(calls) == 1
-    assert got.differential == want.differential
+def test_parsing_a_file_checks_each_image_once(monkeypatch):
+    """d grows one `diff` line at a time by `Derivation.extended`, so each
+    image enters one `Derivation`, whose scaling pass checks its degree
+    term by term: the 4 images of elliptic6 take 4 checks, and no element
+    is asked for its degree in a separate pass."""
+    entered, degrees = [], []
+    init, degree = Derivation.__init__, AlgElement.degree
+    monkeypatch.setattr(Derivation, "__init__", lambda self, alg, shift, images:
+                        entered.extend(k for k, e in images.items() if e)
+                        or init(self, alg, shift, images))
+    monkeypatch.setattr(AlgElement, "degree", lambda self:
+                        degrees.append(self) or degree(self))
+    got = load_cdga(ROOT / "data" / "elliptic6.cdga")
+    assert sorted(entered) == ["b", "u", "v", "w"]
+    assert degrees == []
+    assert got.differential == elliptic_six().differential
 
 
 @pytest.mark.parametrize("build, k", [

@@ -17,6 +17,8 @@ from sullivan.graded import (
     parse_poly,
 )
 
+from helpers import in_algebra
+
 
 def test_koszul_sign_two_odd():
     alg = FreeAlgebra.build([("x", 3), ("y", 3)])
@@ -265,8 +267,15 @@ def test_extend_keeps_old_monomials_valid():
     alg = FreeAlgebra.build([("y", 2)])
     e = alg.parse("y^2")
     big = alg.extend([("z", 3)])
-    e2 = e.in_algebra(big)
+    e2 = in_algebra(e, big)
     assert e2 == big.parse("y^2")
+
+
+def test_in_algebra_refuses_universes_that_disagree():
+    x = FreeAlgebra.build([("x", 2), ("y", 3)]).gen_elem("x")
+    with pytest.raises(AlgebraError) as info:
+        in_algebra(x, FreeAlgebra.build([("w", 2)]))
+    assert str(info.value) == "ordinal 0 disagrees between universes"
 
 
 # u, y, x of degrees 1, 2, 3 have ordinals 0, 1, 2
@@ -314,7 +323,7 @@ def test_parse_does_no_element_arithmetic(monkeypatch):
 
     for name in ("__mul__", "__add__", "__neg__", "scale"):
         monkeypatch.setattr(AlgElement, name, refuse)
-    monkeypatch.setattr(FreeAlgebra, "scalar", refuse)
+    monkeypatch.setattr(FreeAlgebra, "one", refuse)
     e = parse_poly("2*x*u - 1/2*y^2*x + u + 3", FreeAlgebra.build(PARSE_GENS))
     assert list(e.terms.items()) == [
         (((0, 1), (2, 1)), -2), (((1, 2), (2, 1)), Fraction(-1, 2)),

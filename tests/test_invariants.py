@@ -34,7 +34,6 @@ from sullivan.invariants import (
     loop_poincare_series,
     pure_filtration_homology,
     toomer_rank,
-    torus_rank_bound,
 )
 from sullivan.models import loop_cohomology, minimal_model
 
@@ -174,12 +173,12 @@ def test_classify_six_generator_example():
 def test_classify_spheres_chi_and_torus_rank():
     s3 = classify_ellipticity(sphere_model(3), 30)
     assert s3.euler["chi_V"] == -1
-    assert torus_rank_bound(s3) == 1
+    assert -s3.euler["chi_V"] == 1  # the torus-rank bound -chi_pi
     s2 = classify_ellipticity(sphere_model(2), 30)
-    assert torus_rank_bound(s2) == 0
+    assert -s2.euler["chi_V"] == 0
     t2 = classify_ellipticity(
         product_model(sphere_model(3), sphere_model(3)), 30)
-    assert torus_rank_bound(t2) == 2
+    assert -t2.euler["chi_V"] == 2
 
 
 def test_classify_nonformal_model_elliptic():

@@ -3,6 +3,7 @@ documented cohomology table of the six-generator example together."""
 
 import pytest
 
+from sullivan import models
 from sullivan.catalog import (
     cp_model,
     elliptic_six,
@@ -61,6 +62,7 @@ def test_elliptic_six_pure_cohomology_table_is_frozen():
     assert p.h_dim(14) == 1 and p.h_dim(18) == 0
 
 
-def test_path_space_series_cap_error_names_generator():
+def test_path_space_series_cap_error_names_generator(monkeypatch):
+    monkeypatch.setattr(models, "_SERIES_CAP", 1)
     with pytest.raises(ModelError, match="z.*did not terminate|did not terminate"):
-        path_space_model(sphere_model(2), series_cap=1)
+        path_space_model(sphere_model(2))

@@ -21,10 +21,11 @@ from sullivan.models import (
     free_loop_model,
     loop_cohomology,
     minimal_model,
-    multiplication_morphism,
     path_space_model,
     pushout_model,
 )
+
+from helpers import identity_morphism, multiplication_morphism
 
 
 def minimal_fixtures():
@@ -372,7 +373,6 @@ def test_fiber_model_keeps_what_survives_the_base_going_to_zero():
 
 
 def test_pushout_along_identity_is_unchanged():
-    from sullivan.cdga import identity_morphism
     m = sphere_model(2)
     rel = acyclic_closure(m)
     out = pushout_model(identity_morphism(m), rel)
@@ -395,7 +395,6 @@ def test_pushout_to_unit_gives_fiber():
 
 
 def test_pushout_base_mismatch():
-    from sullivan.cdga import identity_morphism
     rel = acyclic_closure(sphere_model(2))
     with pytest.raises(ModelError, match="base mismatch"):
         pushout_model(identity_morphism(sphere_model(3)), rel)
@@ -437,7 +436,7 @@ def test_fiber_of_acyclic_closure_has_zero_differential():
 def test_loop_cohomology_odd_sphere():
     lc = loop_cohomology(sphere_model(3), 20)
     assert lc.dims == [1 if k % 2 == 0 else 0 for k in range(21)]
-    assert lc.pi_rank(3) == 1 and lc.pi_rank(2) == 0
+    assert lc.pi_ranks.get(3, 0) == 1 and lc.pi_ranks.get(2, 0) == 0
 
 
 def test_loop_cohomology_even_sphere():
@@ -447,7 +446,7 @@ def test_loop_cohomology_even_sphere():
 
 def test_loop_cohomology_cp3_pi_ranks():
     lc = loop_cohomology(cp_model(3), 10)
-    assert lc.pi_rank(2) == 1 and lc.pi_rank(7) == 1
+    assert lc.pi_ranks.get(2, 0) == 1 and lc.pi_ranks.get(7, 0) == 1
     assert sum(lc.pi_ranks.values()) == 2
 
 
