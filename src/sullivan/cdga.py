@@ -23,12 +23,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import (
+    NAME,
     AlgebraError,
     AlgElement,
     Derivation,
     FreeAlgebra,
     directives,
     format_element,
+    int_field,
     mono_word,
     monomial_columns,
     multiplicative,
@@ -529,78 +531,68 @@ def word_length_quotient(c, n):
 # ----- file format -----
 
 def parse_cdga_file(text, filename="<cdga>", check=True):
-    """Parse the `cdga/gen/diff/rel` line format."""
-    name = None
-    specs = {}
-    diffs = []
-    rels = []
-    for lineno, kw, rest in directives(text):
-        if kw == "cdga":
-            if name is not None:
-                raise CdgaFileError(filename, lineno, "repeated cdga line")
-            if not rest:
-                raise CdgaFileError(filename, lineno, "missing name")
-            name = rest
-        elif kw == "gen":
-            bits = rest.split()
-            if len(bits) != 2:
-                raise CdgaFileError(filename, lineno, "expected: gen <ident> <degree>")
-            gname, deg = bits
-            try:
-                deg = int(deg)
-            except ValueError:
-                raise CdgaFileError(filename, lineno, f"bad degree {deg!r}") from None
-            if gname in specs:
-                raise CdgaFileError(filename, lineno, f"duplicate generator {gname}")
-            if deg < 1:
-                raise CdgaFileError(filename, lineno,
-                                    f"generator {gname} has degree {deg}")
-            specs[gname] = deg
-        elif kw == "diff":
-            if "=" not in rest:
-                raise CdgaFileError(filename, lineno, "expected: diff <ident> = <poly>")
-            gname, poly = rest.split("=", 1)
-            diffs.append((lineno, gname.strip(), poly.strip()))
-        elif kw == "rel":
-            if ":" not in rest:
-                raise CdgaFileError(filename, lineno, "expected: rel <degree> : <poly>")
-            deg, poly = rest.split(":", 1)
-            rels.append((lineno, deg.strip(), poly.strip()))
-        else:
-            raise CdgaFileError(filename, lineno, f"unknown keyword {kw!r}")
-    if name is None:
-        raise CdgaFileError(filename, 1, "missing cdga header line")
-    alg = FreeAlgebra.build(specs.items())  # the gen lines have been checked
-    d, seen = Derivation(alg, +1, {}), set()
-    for lineno, gname, poly in diffs:  # d grows one diff line at a time
-        try:
+    """Parse the `cdga/gen/diff/rel` line format.  A refusal names the line
+    being read, and line 1 when it is about the whole presentation."""
+    name, specs, diffs, rels = None, {}, [], []
+    lineno = 1
+    try:
+        for lineno, kw, rest in directives(text):
+            if kw == "cdga":
+                if name is not None:
+                    raise CdgaError("repeated cdga line")
+                if not rest:
+                    raise CdgaError("missing name")
+                name = rest
+            elif kw == "gen":
+                bits = rest.split()
+                if len(bits) != 2:
+                    raise CdgaError("expected: gen <ident> <degree>")
+                gname, deg = bits
+                if not NAME.fullmatch(gname):
+                    raise CdgaError(f"bad generator name {gname!r}")
+                deg = int_field(deg, CdgaError, f"bad degree {deg!r}")
+                if gname in specs:
+                    raise CdgaError(f"duplicate generator {gname}")
+                if deg < 1:
+                    raise CdgaError(f"generator {gname} has degree {deg}")
+                specs[gname] = deg
+            elif kw == "diff":
+                if "=" not in rest:
+                    raise CdgaError("expected: diff <ident> = <poly>")
+                gname, poly = rest.split("=", 1)
+                diffs.append((lineno, gname.strip(), poly.strip()))
+            elif kw == "rel":
+                if ":" not in rest:
+                    raise CdgaError("expected: rel <degree> : <poly>")
+                deg, poly = rest.split(":", 1)
+                rels.append((lineno, deg.strip(), poly.strip()))
+            else:
+                raise CdgaError(f"unknown keyword {kw!r}")
+        lineno = 1
+        if name is None:
+            raise CdgaError("missing cdga header line")
+        alg = FreeAlgebra.build(specs.items())  # the gen lines are checked
+        d, seen = Derivation(alg, +1, {}), set()
+        for lineno, gname, poly in diffs:  # d grows one diff line at a time
             alg.generator(gname)  # an unknown name before its polynomial
             if gname in seen:  # after `diff x = 0`, `extended` takes x
-                raise AlgebraError(f"repeated diff for {gname}")
+                raise CdgaError(f"repeated diff for {gname}")
             seen.add(gname)
             d = d.extended(alg, {gname: parse_poly(poly, alg)})
-        except AlgebraError as exc:
-            raise CdgaFileError(filename, lineno, str(exc)) from None
-    relations = []
-    for lineno, deg, poly in rels:
-        try:
-            deg = int(deg)
-        except ValueError:
-            raise CdgaFileError(filename, lineno, f"bad degree {deg!r}") from None
-        try:
+        relations = []
+        for lineno, deg, poly in rels:
+            deg = int_field(deg, CdgaError, f"bad degree {deg!r}")
             r = parse_poly(poly, alg)
             if r.is_zero():
-                raise AlgebraError("relation is zero")
+                raise CdgaError("relation is zero")
             if r.degree() != deg:
-                raise AlgebraError(
-                    f"relation has degree {r.degree()}, declared {deg}")
-        except AlgebraError as exc:
-            raise CdgaFileError(filename, lineno, str(exc)) from None
-        relations.append(r)
-    try:
+                raise CdgaError(f"relation has degree {r.degree()}, "
+                                f"declared {deg}")
+            relations.append(r)
+        lineno = 1
         return Cdga(name, alg, d, relations=relations, check=check)
     except (AlgebraError, CdgaError) as exc:
-        raise CdgaFileError(filename, 1, str(exc)) from None
+        raise CdgaFileError(filename, lineno, str(exc)) from None
 
 
 def load_cdga(path):

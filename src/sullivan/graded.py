@@ -528,7 +528,8 @@ def monomial_columns(f, monos, index):
 
 # ----- parsing and printing -----
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a generator name
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([-+*/^()]))")
 _SEPARATORS = {"+": 1, "-": -1, "*": 0}  # a new term's sign, or 0 for `*`
 
 
@@ -550,16 +551,16 @@ def _tokenize(text):
 
 
 def read_text(path, error):
-    """The text of a UTF-8 file.  Undecodable bytes raise `error` naming
-    the path and the line of the first bad byte."""
+    """The text of a UTF-8 file, less a byte-order mark.  Undecodable
+    bytes raise `error` naming the path and the line of the first bad byte."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object lacks the mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}:{line}: not UTF-8 text "
-                    f"(byte 0x{data[exc.start]:02x})") from None
+                    f"(byte 0x{exc.object[exc.start]:02x})") from None
 
 
 def directives(text):
@@ -570,6 +571,14 @@ def directives(text):
         if line:
             kw, *rest = line.split(None, 1)
             yield lineno, kw, "".join(rest)
+
+
+def int_field(text, error, msg):
+    """A line format's integer field, or `error(msg)`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise error(msg) from None
 
 
 def parse_poly(text, algebra):

@@ -26,6 +26,7 @@ from .graded import (
     Derivation,
     FreeAlgebra,
     directives,
+    int_field,
     monomial_columns,
     multiplicative,
     read_text,
@@ -231,15 +232,14 @@ def form_basis(n, k, poly_cap):
 def normalize_word(word):
     """Rewrite a degeneracy word (outermost first) into the canonical
     strictly decreasing form using s_i s_j = s_(j+1) s_i for i <= j."""
-    def insert(a, dec):
-        if not dec or a > dec[0]:
-            return (a,) + dec
-        return (dec[0] + 1,) + insert(a, dec[1:])
-
-    out = ()
+    out = []
     for a in reversed(word):
-        out = insert(a, out)
-    return out
+        k = 0
+        while k < len(out) and a <= out[k]:
+            out[k] += 1
+            k += 1
+        out.insert(k, a)
+    return tuple(out)
 
 
 def _face_defect(dim, i, word):
@@ -278,21 +278,20 @@ class SimplicialComplexFin:
         return self.by_dim.get(k, [])
 
     def face_expr(self, expr, i):
-        """Apply the i-th face to (simplex, degeneracy word)."""
+        """Apply the i-th face to (simplex, degeneracy word in normal
+        form), passing the face inward one letter at a time."""
         sid, word = expr
-        if not word:
-            try:
-                return self.faces[(sid, i)]
-            except KeyError:
-                raise FormError(f"missing face ({sid}, {i})") from None
-        j, rest = word[0], word[1:]
-        if i < j:
-            tgt, w = self.face_expr((sid, rest), i)
-            return tgt, normalize_word((j - 1,) + w)
-        if i in (j, j + 1):
-            return sid, rest
-        tgt, w = self.face_expr((sid, rest), i - 1)
-        return tgt, normalize_word((j,) + w)
+        outer = []  # the letters passed, as they stand after the face
+        for p, j in enumerate(word):
+            if j <= i <= j + 1:
+                return sid, normalize_word(tuple(outer) + word[p + 1:])
+            outer.append(j - (i < j))
+            i -= i > j + 1
+        try:
+            tgt, w = self.faces[(sid, i)]
+        except KeyError:
+            raise FormError(f"missing face ({sid}, {i})") from None
+        return tgt, normalize_word(tuple(outer) + w)
 
     def validate(self):
         defects = []
@@ -683,76 +682,61 @@ def verify_stokes(K, trials, poly_cap, seed):
 # ----- file format -----
 
 def parse_scomplex_file(text, filename="<scomplex>", check=True):
-    """Parse the `scomplex/simplex/face` line format."""
-    name = None
-    dims = {}
-    faces = {}
+    """Parse the `scomplex/simplex/face` line format.  A refusal names the
+    line being read, and line 1 when it is about the whole complex."""
+    name, dims, faces = None, {}, {}
     lines = {}  # (simplex, face index) -> line
-    for lineno, kw, rest in directives(text):
-        parts = [kw] + rest.split()
-        if kw == "scomplex":
-            if len(parts) != 2:
-                raise FormError(f"{filename}:{lineno}: expected: scomplex <name>")
-            if name is not None:
-                raise FormError(f"{filename}:{lineno}: repeated scomplex line")
-            name = parts[1]
-        elif kw == "simplex":
-            if len(parts) != 3:
-                raise FormError(f"{filename}:{lineno}: expected: "
-                                f"simplex <id> <dim>")
-            sid = parts[1]
-            if sid in dims:
-                raise FormError(f"{filename}:{lineno}: repeated simplex {sid}")
-            try:
-                dims[sid] = int(parts[2])
-            except ValueError:
-                raise FormError(f"{filename}:{lineno}: bad dimension") from None
-            if dims[sid] < 0:
-                raise FormError(f"{filename}:{lineno}: negative dimension "
-                                f"{dims[sid]}")
-        elif kw == "face":
-            if len(parts) < 5 or parts[3] != "=":
-                raise FormError(f"{filename}:{lineno}: expected: "
-                                f"face <id> <i> = <target> [s<j> ...]")
-            sid = parts[1]
-            try:
-                i = int(parts[2])
-            except ValueError:
-                raise FormError(f"{filename}:{lineno}: bad face index") from None
-            tgt = parts[4]
-            word = []
-            for tok in parts[5:]:
-                if not tok.startswith("s"):
-                    raise FormError(f"{filename}:{lineno}: bad degeneracy "
-                                    f"token {tok!r}")
-                try:
-                    word.append(int(tok[1:]))
-                except ValueError:
-                    raise FormError(f"{filename}:{lineno}: bad degeneracy "
-                                    f"token {tok!r}") from None
-            if sid not in dims:
-                raise FormError(f"{filename}:{lineno}: simplex {sid} not "
-                                f"declared before use")
-            bad = _face_defect(dims[sid], i, word)
-            if bad:
-                raise FormError(f"{filename}:{lineno}: {bad}")
-            if (sid, i) in faces:
-                raise FormError(f"{filename}:{lineno}: repeated face {i} of "
-                                f"{sid}")
-            faces[(sid, i)] = (tgt, tuple(word))
-            lines[(sid, i)] = lineno
-        else:
-            raise FormError(f"{filename}:{lineno}: unknown keyword {kw!r}")
-    if name is None:
-        raise FormError(f"{filename}:1: missing scomplex header line")
-    for (sid, i), (tgt, _) in faces.items():
-        if tgt not in dims:  # a later line may declare it
-            raise FormError(f"{filename}:{lines[sid, i]}: face ({sid},{i}) "
-                            f"hits unknown simplex {tgt}")
+    lineno = 1
     try:
+        for lineno, kw, rest in directives(text):
+            parts = [kw] + rest.split()
+            if kw == "scomplex":
+                if len(parts) != 2:
+                    raise FormError("expected: scomplex <name>")
+                if name is not None:
+                    raise FormError("repeated scomplex line")
+                name = parts[1]
+            elif kw == "simplex":
+                if len(parts) != 3:
+                    raise FormError("expected: simplex <id> <dim>")
+                sid = parts[1]
+                if sid in dims:
+                    raise FormError(f"repeated simplex {sid}")
+                dims[sid] = int_field(parts[2], FormError, "bad dimension")
+                if dims[sid] < 0:
+                    raise FormError(f"negative dimension {dims[sid]}")
+            elif kw == "face":
+                if len(parts) < 5 or parts[3] != "=":
+                    raise FormError("expected: face <id> <i> = <target> "
+                                    "[s<j> ...]")
+                sid, tgt = parts[1], parts[4]
+                i = int_field(parts[2], FormError, "bad face index")
+                word = []
+                for tok in parts[5:]:
+                    what = f"bad degeneracy token {tok!r}"
+                    if not tok.startswith("s"):
+                        raise FormError(what)
+                    word.append(int_field(tok[1:], FormError, what))
+                if sid not in dims:
+                    raise FormError(f"simplex {sid} not declared before use")
+                if bad := _face_defect(dims[sid], i, word):
+                    raise FormError(bad)
+                if (sid, i) in faces:
+                    raise FormError(f"repeated face {i} of {sid}")
+                faces[(sid, i)] = (tgt, tuple(word))
+                lines[(sid, i)] = lineno
+            else:
+                raise FormError(f"unknown keyword {kw!r}")
+        lineno = 1
+        if name is None:
+            raise FormError("missing scomplex header line")
+        for (sid, i), (tgt, _) in faces.items():
+            if tgt not in dims:  # a later line may declare it
+                lineno = lines[sid, i]
+                raise FormError(f"face ({sid},{i}) hits unknown simplex {tgt}")
         return SimplicialComplexFin(name, dims, faces, check=check)
     except FormError as exc:
-        raise FormError(f"{filename}:1: {exc}") from None
+        raise FormError(f"{filename}:{lineno}: {exc}") from None
 
 
 def load_scomplex(path):

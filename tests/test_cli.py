@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism, shipped data."""
 
+import codecs
 import json
 import os
 import pathlib
@@ -8,7 +9,9 @@ import sys
 
 import pytest
 
+from sullivan.cdga import format_cdga, load_cdga
 from sullivan.cli import main
+from sullivan.plforms import load_scomplex
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -357,6 +360,50 @@ def test_non_utf8_file_is_a_domain_error_at_its_line(capsys, tmp_path,
     assert code == 1
     assert err.startswith(f"error: {f}:{line}:")
     assert "Traceback" not in err
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_named_at_its_line(capsys,
+                                                                 tmp_path):
+    f = tmp_path / "bom.cdga"
+    f.write_bytes(b"\xef\xbb\xbfcdga s2\ngen y 2\n\xff\n")
+    code, out, err = run(capsys, "validate", str(f))
+    assert (code, out) == (1, "")
+    assert err == f"error: {f}:3: not UTF-8 text (byte 0xff)\n"
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(DATA)))
+def test_a_byte_order_mark_changes_nothing(capsys, tmp_path, monkeypatch,
+                                           name):
+    """A copy of a shipped file behind a UTF-8 byte-order mark parses to
+    the same presentation, and each command gives the same stdout."""
+    cdga = name.endswith(".cdga")
+    seen = []
+    for mark in (b"", codecs.BOM_UTF8):
+        where = tmp_path / ("bom" if mark else "plain")
+        where.mkdir()
+        monkeypatch.chdir(where)
+        pathlib.Path(name).write_bytes(mark + (DATA / name).read_bytes())
+        obj = load_cdga(name) if cdga else load_scomplex(name)
+        seen.append([format_cdga(obj) if cdga else
+                     (obj.name, obj.dims, obj.faces)]
+                    + [run(capsys, command, name) for command in
+                       ("validate", "cohomology" if cdga else "pl-verify")])
+    assert seen[0] == seen[1]
+    assert [code for code, _, _ in seen[0][1:]] == [0, 0]
+
+
+def test_validate_reports_the_defects_of_a_1500_letter_word(capsys,
+                                                             tmp_path):
+    """Faces 1..2000 of a and 0..499 of b are missing: each is reported,
+    and normalizing the word of face 0 takes no call per letter."""
+    f = tmp_path / "long.scx"
+    f.write_text("scomplex long\nsimplex a 2000\nsimplex b 499\n"
+                 "face a 0 = b " + " ".join(["s0"] * 1500) + "\n")
+    code, out, err = run(capsys, "validate", str(f))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == (
+        [f"{f}: simplex a missing face {i}" for i in range(1, 2001)]
+        + [f"{f}: simplex b missing face {i}" for i in range(500)])
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ presentations, shipped, from the catalog, or synthesized.
 """
 
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,13 @@ from sullivan.catalog import (
     sphere_model,
     wedge_cohomology,
 )
-from sullivan.cdga import CdgaError, format_cdga, load_cdga, parse_cdga_file
+from sullivan.cdga import (
+    CdgaError,
+    CdgaFileError,
+    format_cdga,
+    load_cdga,
+    parse_cdga_file,
+)
 from sullivan.cli import DOMAIN_ERRORS
 from sullivan.graded import FreeAlgebra, format_element, parse_poly
 from sullivan.models import free_loop_model, minimal_model, path_space_model
@@ -33,7 +40,8 @@ CDGA_FILES = sorted(DATA.glob("*.cdga"))
 
 CDGA_SEEDS = [p.read_text(encoding="utf-8").splitlines()
               for p in CDGA_FILES] + [["cdga empty"], []]
-NAMES = st.sampled_from(["x", "y", "u", "v", "w", "z", "x_bar", "q"])
+NAMES = st.sampled_from(["x", "y", "u", "v", "w", "z", "x_bar", "q",
+                         "2x", "x+y", "x'", "\u00e9"])
 NUMBERS = st.one_of(st.integers(-1, 7).map(str),
                     st.sampled_from(["x", "2.5", "", "1/2", "-0"]))
 POLYS = st.lists(st.one_of(NAMES, NUMBERS,
@@ -70,9 +78,13 @@ def cdga_texts(draw):
 @settings(max_examples=200, deadline=None)
 @given(cdga_texts())
 def test_cdga_parser_and_cohomology_raise_only_domain_errors(text):
+    """A refusal of the parser names a line of the text."""
     try:
-        c = parse_cdga_file(text)
-    except CdgaError:
+        c = parse_cdga_file(text, "fuzz.cdga")
+    except CdgaError as exc:
+        where = re.match(r"fuzz\.cdga:(\d+): ", str(exc))
+        assert where and isinstance(exc, CdgaFileError), exc
+        assert 1 <= exc.line == int(where[1]) <= len(text.splitlines())
         return
     try:
         c.cohomology(4)

@@ -5,6 +5,7 @@ import operator
 import pathlib
 import pstats
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -777,6 +778,24 @@ def _three_simplex_with_a_collapsed_edge():
     return SimplicialComplexFin("collapsed", dims, faces)
 
 
+def test_normalize_word_is_the_word_of_its_monotone_surjection():
+    for dim in range(3):
+        for length in range(5):
+            for word in _words(dim, length):
+                assert normalize_word(word) == _word(_operator(dim, word))
+
+
+def test_face_expr_on_a_1500_letter_word_is_a_loop():
+    """A word of 1,500 letters, past the interpreter's recursion limit if
+    each letter took a call, faced at both ends, inside and at its
+    letters."""
+    K, word = delta_complex(1), (0,) * 1500
+    expr = ("01", normalize_word(word))
+    assert expr[1] == tuple(range(1499, -1, -1))
+    for i in (0, 1, 2, 750, 1500, 1501):
+        assert K.face_expr(expr, i) == _face_by_maps(K, "01", word, i), i
+
+
 @pytest.mark.parametrize("build", [_one_vertex_three_sphere,
                                    _three_simplex_with_a_collapsed_edge],
                          ids=["s3", "collapsed-edge"])
@@ -838,9 +857,12 @@ def scx_texts(draw):
 @settings(max_examples=200, deadline=None)
 @given(scx_texts())
 def test_scx_parser_and_stokes_raise_only_form_errors(text):
+    """A refusal of the parser names a line of the text."""
     try:
-        K = parse_scomplex_file(text)
-    except FormError:
+        K = parse_scomplex_file(text, "fuzz.scx")
+    except FormError as exc:
+        where = re.match(r"fuzz\.scx:(\d+): ", str(exc))
+        assert where and 1 <= int(where[1]) <= len(text.splitlines()), exc
         return
     try:
         verify_stokes(K, 2, 1, 0)

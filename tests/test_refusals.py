@@ -199,6 +199,12 @@ REFUSALS = [
      CdgaFileError, "f:2: repeated cdga line"),
     ("cdga-file-gen-arity", lambda: parse_cdga_file("cdga a\ngen x\n", "f"),
      CdgaFileError, "f:2: expected: gen <ident> <degree>"),
+    ("cdga-file-gen-name-digit",
+     lambda: parse_cdga_file("cdga a\ngen 2x 2\n", "f"),
+     CdgaFileError, "f:2: bad generator name '2x'"),
+    ("cdga-file-gen-name-sum",
+     lambda: parse_cdga_file("cdga a\ngen x+y 2\n", "f"),
+     CdgaFileError, "f:2: bad generator name 'x+y'"),
     ("cdga-file-gen-degree",
      lambda: parse_cdga_file("cdga a\ngen x two\n", "f"),
      CdgaFileError, "f:2: bad degree 'two'"),
