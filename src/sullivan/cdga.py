@@ -23,18 +23,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import (
-    NAME,
     AlgebraError,
     AlgElement,
     Derivation,
     FreeAlgebra,
+    Generator,
     directives,
     format_element,
     int_field,
     mono_word,
     monomial_columns,
     multiplicative,
-    parse_poly,
     read_text,
     row_product,
     substitute,
@@ -132,10 +131,9 @@ class Cdga:
     def build(cls, name, gen_specs, diff_strings=None, relation_strings=None):
         """From (name, degree) generator pairs and polynomial strings."""
         alg = FreeAlgebra.build(gen_specs)
-        diff_strings = diff_strings or {}
-        images = {g: parse_poly(s, alg) for g, s in diff_strings.items()}
-        d = Derivation(alg, +1, images)
-        rels = [parse_poly(s, alg) for s in (relation_strings or [])]
+        d = Derivation(alg, +1, {g: alg.parse(s)
+                                 for g, s in (diff_strings or {}).items()})
+        rels = [alg.parse(s) for s in (relation_strings or [])]
         return cls(name, alg, d, relations=rels)
 
     def _require_universe(self, alg, what):
@@ -533,7 +531,7 @@ def word_length_quotient(c, n):
 def parse_cdga_file(text, filename="<cdga>", check=True):
     """Parse the `cdga/gen/diff/rel` line format.  A refusal names the line
     being read, and line 1 when it is about the whole presentation."""
-    name, specs, diffs, rels = None, {}, [], []
+    name, specs, diffs, rels, seen = None, {}, [], [], set()
     lineno = 1
     try:
         for lineno, kw, rest in directives(text):
@@ -547,15 +545,14 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
                 bits = rest.split()
                 if len(bits) != 2:
                     raise CdgaError("expected: gen <ident> <degree>")
-                gname, deg = bits
-                if not NAME.fullmatch(gname):
-                    raise CdgaError(f"bad generator name {gname!r}")
-                deg = int_field(deg, CdgaError, f"bad degree {deg!r}")
-                if gname in specs:
-                    raise CdgaError(f"duplicate generator {gname}")
-                if deg < 1:
-                    raise CdgaError(f"generator {gname} has degree {deg}")
-                specs[gname] = deg
+                g = Generator(bits[0], int_field(
+                    bits[1], CdgaError, f"bad degree {bits[1]!r}"), len(specs))
+                if g.name in specs:
+                    raise CdgaError(f"duplicate generator {g.name}")
+                if g.degree < 1:
+                    raise CdgaError(f"generator {g.name} has degree "
+                                    f"{g.degree}")
+                specs[g.name] = g
             elif kw == "diff":
                 if "=" not in rest:
                     raise CdgaError("expected: diff <ident> = <poly>")
@@ -571,18 +568,21 @@ def parse_cdga_file(text, filename="<cdga>", check=True):
         lineno = 1
         if name is None:
             raise CdgaError("missing cdga header line")
-        alg = FreeAlgebra.build(specs.items())  # the gen lines are checked
-        d, seen = Derivation(alg, +1, {}), set()
-        for lineno, gname, poly in diffs:  # d grows one diff line at a time
-            alg.generator(gname)  # an unknown name before its polynomial
-            if gname in seen:  # after `diff x = 0`, `extended` takes x
-                raise CdgaError(f"repeated diff for {gname}")
-            seen.add(gname)
-            d = d.extended(alg, {gname: parse_poly(poly, alg)})
+        alg = FreeAlgebra(specs.values())  # the gen lines are checked
+
+        def images():  # d reads one diff line at a time, and `lineno` with it
+            nonlocal lineno
+            for lineno, gname, poly in diffs:
+                alg.generator(gname)  # an unknown name before its polynomial
+                if gname in seen:
+                    raise CdgaError(f"repeated diff for {gname}")
+                seen.add(gname)
+                yield gname, alg.parse(poly)
+        d = Derivation(alg, +1, images())
         relations = []
         for lineno, deg, poly in rels:
             deg = int_field(deg, CdgaError, f"bad degree {deg!r}")
-            r = parse_poly(poly, alg)
+            r = alg.parse(poly)
             if r.is_zero():
                 raise CdgaError("relation is zero")
             if r.degree() != deg:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -45,17 +45,21 @@ __all__ = [
     "read_text",
     "directives",
 ]
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a generator name
 
 
 class AlgebraError(ValueError):
     """Malformed algebra data, or an operation across different universes."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    degree: int
-    ordinal: int
+class Generator(namedtuple("Generator", "name degree ordinal")):
+    """A letter of a free algebra; its name is checked once, here."""
+    __slots__ = ()
+
+    def __new__(cls, name, degree, ordinal):
+        if not NAME.fullmatch(name):
+            raise AlgebraError(f"bad generator name {name!r}")
+        return tuple.__new__(cls, (name, degree, ordinal))
 
     @property
     def is_odd(self):
@@ -79,19 +83,19 @@ class FreeAlgebra:
         gens = sorted(generators, key=lambda g: g.ordinal)
         self._by_ordinal, self._by_name = {}, {}
         for g in gens:
-            if g.degree < 0 or (g.degree == 0 and not allow_degree0):
-                raise AlgebraError(f"generator {g.name} has degree {g.degree}")
-            if g.name in self._by_name:
-                raise AlgebraError(f"duplicate generator name {g.name}")
-            if g.ordinal in self._by_ordinal:
-                raise AlgebraError(f"duplicate ordinal {g.ordinal}")
-            self._by_name[g.name] = self._by_ordinal[g.ordinal] = g
+            name, degree, ordinal = g
+            if degree < 0 or (degree == 0 and not allow_degree0):
+                raise AlgebraError(f"generator {name} has degree {degree}")
+            if name in self._by_name:
+                raise AlgebraError(f"duplicate generator name {name}")
+            if ordinal in self._by_ordinal:
+                raise AlgebraError(f"duplicate ordinal {ordinal}")
+            self._by_name[name] = self._by_ordinal[ordinal] = g
         self.generators = tuple(gens)
         self.allow_degree0 = allow_degree0
-        self._degrees = {g.ordinal: g.degree for g in gens}
+        self._degrees = {o: d for _, d, o in gens}
         # for `basis_of_degree`: an odd letter's top power is 1
-        self._letters = [(g.ordinal, g.degree, 1 if g.is_odd else None)
-                         for g in reversed(gens)]
+        self._letters = [(o, d, d % 2 or None) for _, d, o in reversed(gens)]
         self._bases = {}
 
     @classmethod
@@ -105,7 +109,7 @@ class FreeAlgebra:
         the existing ones (ordinals continue, old monomials stay valid).
         It takes over each basis below the lowest new degree, the same list:
         the new generators come last, so `ends` gains ends[0] for each."""
-        nxt = max((g.ordinal for g in self.generators), default=-1) + 1
+        nxt = self.generators[-1].ordinal + 1 if self.generators else 0
         new = [Generator(n, d, nxt + i) for i, (n, d) in enumerate(specs)]
         alg = FreeAlgebra(self.generators + tuple(new),
                           allow_degree0=self.allow_degree0)
@@ -143,9 +147,6 @@ class FreeAlgebra:
 
     def zero(self):
         return AlgElement(self, {})
-
-    def one(self):
-        return AlgElement(self, {UNIT: Fraction(1)})
 
     def gen_elem(self, name):
         g = self.generator(name)
@@ -340,19 +341,19 @@ class Derivation:
     """A degree-`shift` derivation given by generator images; extends to
     products by the graded Leibniz rule d(ab) = da*b + (-1)^|a| a*db.
 
-    Generators missing from `images` map to zero.  `leibniz` reads them
-    over one common denominator `den`, as integer terms; the one pass that
-    scales an image's terms checks that each has degree |g| + shift.
-    """
+    `images` {generator name or ordinal: element}, or its pairs, is read
+    once, in order; a generator missing from it maps to zero.  `leibniz`
+    reads them over one common denominator `den`, as integer terms; the
+    one pass that scales an image's terms checks that each has degree
+    |g| + shift."""
 
     def __init__(self, algebra, shift, images):
         self.algebra = algebra
         self.shift = shift
         degrees = algebra._degrees
-        self.den = den = lcm(*[c.denominator for e in images.values()
-                               for c in e.terms.values()])
-        self.images, self._scaled = {}, {}
-        for key, elem in images.items():
+        self.images, rows = {}, {}
+        pairs = images.items() if isinstance(images, dict) else images
+        for key, elem in pairs:
             g = (algebra.generator(key) if isinstance(key, str)
                  else algebra.by_ordinal(key))
             if elem.is_zero():
@@ -360,6 +361,7 @@ class Derivation:
             if not elem.algebra.same_universe(algebra):
                 raise AlgebraError(f"image of {g.name} lives elsewhere")
             want, row = g.degree + shift, []
+            den = lcm(*[c.denominator for c in elem.terms.values()])
             for m, c in elem.terms.items():  # one pass: degree and row
                 deg, odd = 0, []  # and the `odd_letters` of m
                 for o, p in m:
@@ -370,7 +372,11 @@ class Derivation:
                     raise AlgebraError(f"image of {g.name} has degree "
                                        f"{elem.degree()}, expected {want}")
                 row.append((m, c.numerator * (den // c.denominator), odd))
-            self.images[g.ordinal], self._scaled[g.ordinal] = elem, row
+            self.images[g.ordinal], rows[g.ordinal] = elem, (den, row)
+        self.den = den = lcm(*[d for d, _ in rows.values()])
+        self._scaled = {o: row if d == den else
+                        [(m, c * (den // d), odd) for m, c, odd in row]
+                        for o, (d, row) in rows.items()}
 
     def image_of(self, name):
         g = self.algebra.generator(name)
@@ -528,8 +534,7 @@ def monomial_columns(f, monos, index):
 
 # ----- parsing and printing -----
 
-NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a generator name
-_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([-+*/^()]))")
+_TOKEN = re.compile(rf"\s*(?:([0-9]+)|({NAME.pattern})|([-+*/^()]))")
 _SEPARATORS = {"+": 1, "-": -1, "*": 0}  # a new term's sign, or 0 for `*`
 
 
@@ -574,11 +579,10 @@ def directives(text):
 
 
 def int_field(text, error, msg):
-    """A line format's integer field, or `error(msg)`."""
-    try:
-        return int(text)
-    except ValueError:
-        raise error(msg) from None
+    """A line format's integer field, `-` and ASCII digits, or `error(msg)`."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise error(msg)
+    return int(text)
 
 
 def parse_poly(text, algebra):

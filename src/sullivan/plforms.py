@@ -142,10 +142,6 @@ class PolyForm:
         form.dim, form.row = dim, row
         return form
 
-    @classmethod
-    def parse(cls, dim, text):
-        return cls(dim, form_algebra(dim).parse(text))
-
     @property
     def element(self):
         return AlgElement(form_algebra(self.dim), ratios(*self.row))

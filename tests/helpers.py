@@ -1,8 +1,11 @@
 """Maps and copies that only tests build: the package itself never calls
 them, so they live here rather than in its public API."""
 
+from fractions import Fraction
+
 from sullivan.cdga import CdgaMorphism
 from sullivan.graded import AlgebraError, AlgElement
+from sullivan.plforms import PolyForm, form_algebra
 
 
 def identity_morphism(c):
@@ -31,3 +34,14 @@ def in_algebra(elem, other):
             if (g0.name, g0.degree) != (g1.name, g1.degree):
                 raise AlgebraError(f"ordinal {o} disagrees between universes")
     return AlgElement(other, dict(elem.terms))
+
+
+def one(alg):
+    """The unit of a free algebra."""
+    return AlgElement(alg, {(): Fraction(1)})
+
+
+def poly_form(dim, text):
+    """The polynomial form on the dim-simplex written as `text`, over
+    the coordinates of `form_algebra(dim)`."""
+    return PolyForm(dim, form_algebra(dim).parse(text))

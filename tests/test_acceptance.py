@@ -49,7 +49,7 @@ from sullivan.plforms import (
     verify_stokes,
 )
 
-from helpers import multiplication_morphism
+from helpers import multiplication_morphism, poly_form
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -162,9 +162,9 @@ def test_criterion_07_stokes():
     assert total == 60
     assert cochain_cohomology(builtin_complex("bddelta3"), 2) == [1, 0, 1]
     K = delta_complex(2)
-    vol = GlobalForm(K, 2, {"012": PolyForm.parse(2, "y1*y2")}, check=False)
+    vol = GlobalForm(K, 2, {"012": poly_form(2, "y1*y2")}, check=False)
     assert integrate(vol).value("012") == Fraction(1, 2)
-    tt = GlobalForm(K, 2, {"012": PolyForm.parse(2, "t1*t2*y1*y2")},
+    tt = GlobalForm(K, 2, {"012": poly_form(2, "t1*t2*y1*y2")},
                     check=False)
     assert integrate(tt).value("012") == Fraction(1, 24)
     _report(7, "60/60 exact Stokes identities; H(bd delta3) = (1,0,1); "

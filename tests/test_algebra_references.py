@@ -130,7 +130,7 @@ from sullivan.plforms import (
     verify_stokes,
 )
 
-from helpers import in_algebra
+from helpers import in_algebra, one, poly_form
 
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 # denominators 1..12, so that one element mixes several
@@ -143,7 +143,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 def reference_substitute(elem, images, target, missing_zero=False):
     out = target.zero()
     for mono, coeff in elem.terms.items():
-        acc = target.one().scale(coeff)
+        acc = one(target).scale(coeff)
         dead = False
         for o, p in mono:
             if o not in images:
@@ -188,7 +188,7 @@ def reference_morphism_apply(phi, elem):
     tgt = phi.target
     out = tgt.algebra.zero()
     for mono, coeff in elem.terms.items():
-        acc = tgt.algebra.one().scale(coeff)
+        acc = one(tgt.algebra).scale(coeff)
         for o, p in mono:
             img = phi.images.get(o)
             if img is None:
@@ -393,7 +393,7 @@ def reference_memo_linear(f, elem, table, target):
 
 def _t(alg, n, i):
     if i == 0:
-        out = alg.one()
+        out = one(alg)
         for j in range(1, n + 1):
             out = out - alg.gen_elem(f"t{j}")
         return out
@@ -1547,7 +1547,7 @@ def _perturbations(K, degree, form, rng):
     n, alg = form.dim, form.element.algebra
     same = form_basis(n, degree, 2)
     wrong = form_basis(n, degree + 1, 2) + form_basis(n, degree - 1, 2)
-    out = [PolyForm(n + 1, form_algebra(n + 1).one())]
+    out = [PolyForm(n + 1, one(form_algebra(n + 1)))]
     if same:
         out.append(PolyForm(n, form.element + AlgElement(
             alg, {rng.choice(same): Fraction(rng.choice([-2, 1, 3]), 2)})))
@@ -1591,8 +1591,8 @@ def test_validate_refuses_an_out_of_range_degeneracy_as_before():
     K = SimplicialComplexFin("bad", {"p": 0, "T": 2},
                              {("T", i): ("p", (3,)) for i in range(3)},
                              check=False)
-    gf = GlobalForm(K, 0, {"p": PolyForm.parse(0, "1"),
-                           "T": PolyForm.parse(2, "1")}, check=False)
+    gf = GlobalForm(K, 0, {"p": poly_form(0, "1"),
+                           "T": poly_form(2, "1")}, check=False)
     with pytest.raises(FormError) as want:
         reference_validate(gf)
     with pytest.raises(FormError) as got:

@@ -1,13 +1,17 @@
-"""Every public name of the package has a caller in `src/`, and so does
-every keyword parameter with a default on a public function.
+"""Every public name of the package has a caller in `src/`, and so do
+every public method and every keyword parameter with a default on a
+public function.
 
 The public names of a module are its `__all__`, or, where it has none,
 the functions, classes and constants it defines without a leading
-underscore; the public functions are those names and the methods of the
-public classes, `__init__` included.  A name counts as used when some
-module of the package reads it (a call, an attribute, a bare name)
-outside its own `def` or `class`, or when `pyproject.toml` names it as a
-console script; re-exports from `__init__.py` do not count.  A parameter
+underscore; its public methods are the methods of its public classes
+without a leading underscore; the public functions are those names and
+methods, with each public class's `__init__`.  A name or a method
+counts as used when some module of the package reads it (a
+call, an attribute, a bare name) outside its own `def` or `class`, or
+when `pyproject.toml` names it as a console script; re-exports from
+`__init__.py` do not count.  A method is known by its name alone, so a
+read of any attribute of that name counts.  A parameter
 counts as passed when some call in the package, outside the function's
 own body, gives it by keyword or by position.  What only tests reach is
 refused, unless ROADMAP.md names an item that will give it a caller:
@@ -38,6 +42,7 @@ UNCALLED = {
     "catalog.elliptic_six",
     "catalog.product_model",
     "catalog.wedge_cohomology",
+    "plforms.PolyForm.degen",  # item 1: perfbench's tracer patches it
 }
 # Keyword parameters that no call in the package passes.
 UNPASSED = {
@@ -103,15 +108,26 @@ def _console_scripts():
             for m, f in re.findall(r'"sullivan\.(\w+):(\w+)"', text)}
 
 
+def _public_methods(tree):
+    """(class name, method name) per public method of a public class."""
+    return [(name, f.name) for name, node in _public(tree).items()
+            if isinstance(node, ast.ClassDef) for f in node.body
+            if isinstance(f, ast.FunctionDef) and f.name[0] != "_"]
+
+
 def uncalled_names(modules):
-    """The public names that nothing in the package reads outside their
-    own `def` or `class`, as `module.name`."""
+    """The public names and methods that nothing in the package reads
+    outside their own `def` or `class`, as `module.name` and
+    `module.Class.method`."""
     readers, scripts = _readers(modules), _console_scripts()
-    return {f"{mod}.{name}" for mod, tree in modules.items()
-            for name in _public(tree)
-            if f"{mod}.{name}" not in scripts
-            and all(m == mod and scope[:1] == (name,)
-                    for m, scope in readers.get(name, []))}
+    owned = [(mod, (name,)) for mod, tree in modules.items()
+             for name in _public(tree)]
+    owned += [(mod, pair) for mod, tree in modules.items()
+              for pair in _public_methods(tree)]
+    return {".".join((mod, *own)) for mod, own in owned
+            if ".".join((mod, *own)) not in scripts
+            and all(m == mod and scope[:len(own)] == own
+                    for m, scope in readers.get(own[-1], []))}
 
 
 def _public_functions(modules):
@@ -189,13 +205,16 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
 
 def test_the_census_does_not_count_a_function_calling_itself():
     """The census itself: a public function that only its own body calls,
-    and a default that only its own recursion passes, are both found,
-    while a call from a sibling method counts."""
+    a public method that only its own body reads, and a default that only
+    its own recursion passes, are all found, while a call from a sibling
+    method counts."""
     modules = {"m": ast.parse(
         "__all__ = ['f', 'g', 'C']\n"
         "def f(n, cap=3):\n    return f(n - 1, cap) if n else g()\n"
         "def g(x=1):\n    return C(x).h()\n"
         "class C:\n    def __init__(self, v, w=0):\n        self.v = v\n"
-        "    def h(self, k=2):\n        return C(self.v, w=1)\n")}
-    assert uncalled_names(modules) == {"m.f"}
+        "    def h(self, k=2):\n        return C(self.v, w=1)\n"
+        "    def loop(self):\n        return self.loop()\n"
+        "    def _own(self):\n        return 0\n")}
+    assert uncalled_names(modules) == {"m.f", "m.C.loop"}
     assert unpassed_parameters(modules) == {"m.f.cap", "m.g.x", "m.C.h.k"}

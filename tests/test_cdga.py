@@ -230,22 +230,45 @@ def test_a_free_cdga_reads_one_basis_table(monkeypatch):
     assert calls == []
 
 
-def test_parsing_a_file_checks_each_image_once(monkeypatch):
-    """d grows one `diff` line at a time by `Derivation.extended`, so each
-    image enters one `Derivation`, whose scaling pass checks its degree
-    term by term: the 4 images of elliptic6 take 4 checks, and no element
-    is asked for its degree in a separate pass."""
-    entered, degrees = [], []
+def _chain_text(n):
+    """A presentation with n `diff` lines: d y_i = x_i^2 + x_(i-1) x_i."""
+    gens = "".join(f"gen x{i} 2\ngen y{i} 3\n" for i in range(n))
+    diffs = "".join(f"diff y{i} = x{i}^2" + (f" + x{i - 1}*x{i}" if i else "")
+                    + "\n" for i in range(n))
+    return f"cdga chain\n{gens}{diffs}"
+
+
+@pytest.mark.parametrize("text, images", [
+    ((ROOT / "data" / "elliptic6.cdga").read_text(encoding="utf-8"), 4),
+    (_chain_text(400), 400)], ids=["elliptic6", "chain400"])
+def test_parsing_a_file_builds_d_once_and_checks_each_image_once(
+        monkeypatch, text, images):
+    """The parser makes one `Derivation`, which reads the `diff` lines one
+    at a time, so the rows that the parse's derivations hold are one per
+    image: the work is linear in the number of lines.  Growing d a line at
+    a time with `extended` made one derivation per line, each holding
+    every row before it.  The scaling pass checks each image's degree term
+    by term, so no element is asked for its degree in a separate pass."""
+    made, degrees = [], []
     init, degree = Derivation.__init__, AlgElement.degree
-    monkeypatch.setattr(Derivation, "__init__", lambda self, alg, shift, images:
-                        entered.extend(k for k, e in images.items() if e)
-                        or init(self, alg, shift, images))
+    monkeypatch.setattr(Derivation, "__init__", lambda self, alg, shift, ims:
+                        made.append(self) or init(self, alg, shift, ims))
     monkeypatch.setattr(AlgElement, "degree", lambda self:
                         degrees.append(self) or degree(self))
-    got = load_cdga(ROOT / "data" / "elliptic6.cdga")
-    assert sorted(entered) == ["b", "u", "v", "w"]
+    got = parse_cdga_file(text, check=False)
+    assert len(made) == 1 and made[0] is got.differential
+    assert sum(len(d._scaled) for d in made) == images
     assert degrees == []
-    assert got.differential == elliptic_six().differential
+
+
+def test_a_parsed_file_has_the_differential_built_at_once():
+    assert load_cdga(ROOT / "data" / "elliptic6.cdga").differential \
+        == elliptic_six().differential
+    got = parse_cdga_file(_chain_text(30)).differential
+    alg = got.algebra
+    assert got == Derivation(alg, +1, {
+        f"y{i}": alg.parse(f"x{i}^2" + (f" + x{i - 1}*x{i}" if i else ""))
+        for i in range(30)})
 
 
 @pytest.mark.parametrize("build, k", [

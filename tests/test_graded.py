@@ -13,11 +13,12 @@ from sullivan.graded import (
     AlgebraError,
     Derivation,
     FreeAlgebra,
+    Generator,
     format_element,
     parse_poly,
 )
 
-from helpers import in_algebra
+from helpers import in_algebra, one
 
 
 def test_koszul_sign_two_odd():
@@ -47,6 +48,38 @@ def test_universe_mismatch_names_generator():
         a.gen_elem("x") * b.gen_elem("w")
 
 
+def test_a_generator_is_an_immutable_value():
+    """A generator hashes as the tuple of its fields, so set orders do not
+    depend on its type, and it compares equal to that tuple."""
+    g = Generator("x", 2, 0)
+    assert hash(g) == hash(("x", 2, 0)) and g == ("x", 2, 0)
+    assert repr(g) == "Generator(name='x', degree=2, ordinal=0)"
+    assert (g.name, g.degree, g.ordinal) == ("x", 2, 0)
+    for field in ("name", "degree", "ordinal", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, field, 1)
+    assert not g.is_odd and Generator("y", 3, 1).is_odd
+    assert Generator("x", 2, 0) == g and Generator("x", 2, 1) != g
+
+
+BASE = [("a", 2), ("b", 3), ("c", 4), ("d", 5)]
+
+
+@pytest.mark.parametrize("specs, forward, backward", [
+    ([("a", 2), ("b", 3), ("e", 4), ("d", 5)], "c", "e"),
+    ([("a", 2), ("b", 3), ("c", 6), ("d", 5)], "c", "c"),
+    (BASE + [("e", 7)], "e", "e"),
+    (BASE[:2] + BASE[3:], "c", "d")],
+    ids=["renamed", "regraded", "added", "dropped"])
+def test_foreign_generator_names_the_first_unshared_generator(
+        specs, forward, backward):
+    """Two universes that differ in one generator: each names the first
+    generator, its own before the other's, that the other lacks."""
+    a, b = FreeAlgebra.build(BASE), FreeAlgebra.build(specs)
+    assert a.foreign_generator(b) == forward
+    assert b.foreign_generator(a) == backward
+
+
 @pytest.mark.parametrize("other", [2, Fraction(1, 2), "y"])
 @pytest.mark.parametrize("op", [operator.add, operator.mul])
 def test_foreign_operands_raise_type_error_in_either_order(op, other):
@@ -68,7 +101,7 @@ def test_derivation_matches_even_sphere_differential():
 def test_derivation_kills_unit():
     alg = FreeAlgebra.build([("y", 2), ("z", 3)])
     d = Derivation(alg, +1, {"z": alg.parse("y^2")})
-    assert d.apply(alg.one()).is_zero()
+    assert d.apply(one(alg)).is_zero()
 
 
 def test_shift_minus_one_derivation_on_square():
@@ -323,7 +356,6 @@ def test_parse_does_no_element_arithmetic(monkeypatch):
 
     for name in ("__mul__", "__add__", "__neg__", "scale"):
         monkeypatch.setattr(AlgElement, name, refuse)
-    monkeypatch.setattr(FreeAlgebra, "one", refuse)
     e = parse_poly("2*x*u - 1/2*y^2*x + u + 3", FreeAlgebra.build(PARSE_GENS))
     assert list(e.terms.items()) == [
         (((0, 1), (2, 1)), -2), (((1, 2), (2, 1)), Fraction(-1, 2)),

@@ -39,33 +39,35 @@ from sullivan.plforms import (
     verify_stokes,
 )
 
+from helpers import poly_form
+
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 # ----- faces and degeneracies on the coordinate algebras -----
 
 def test_face_of_t1_on_the_interval():
-    f = PolyForm.parse(1, "t1")
-    assert f.face(0) == PolyForm.parse(0, "1")
+    f = poly_form(1, "t1")
+    assert f.face(0) == poly_form(0, "1")
     assert f.face(1).is_zero()
 
 
 def test_face_of_constant():
-    f = PolyForm.parse(2, "1")
+    f = poly_form(2, "1")
     for i in range(3):
-        assert f.face(i) == PolyForm.parse(1, "1")
+        assert f.face(i) == poly_form(1, "1")
 
 
 def test_degeneracies_of_t1_on_the_interval():
-    f = PolyForm.parse(1, "t1")
-    assert f.degen(1) == PolyForm.parse(2, "t1 + t2")
-    assert f.degen(0) == PolyForm.parse(2, "t2")
+    f = poly_form(1, "t1")
+    assert f.degen(1) == poly_form(2, "t1 + t2")
+    assert f.degen(0) == poly_form(2, "t2")
 
 
 def test_degen_word_checks_each_letter_where_it_applies():
     """A word (outermost first) applies its letters from the innermost
     up, each to the simplex the one before it landed on."""
-    f = PolyForm.parse(1, "t1")
+    f = poly_form(1, "t1")
     assert f.degen_word(()) is f
     assert f.degen_word((2, 0)) == f.degen(0).degen(2)
     with pytest.raises(FormError,
@@ -83,16 +85,16 @@ def test_degen_word_checks_each_letter_where_it_applies():
 def test_forms_meet_foreign_operands_with_type_error(op, other):
     """A form meets a non-form in + or * with `NotImplemented`, so Python
     raises its `TypeError` whichever operand comes first."""
-    f = PolyForm.parse(1, "t1")
+    f = poly_form(1, "t1")
     for a, b in ((f, other), (other, f)):
         with pytest.raises(TypeError):
             op(a, b)
 
 
 def test_form_differential():
-    assert PolyForm.parse(1, "t1^2").d() == PolyForm.parse(1, "2*t1*y1")
-    assert PolyForm.parse(2, "t1*y2").d() == PolyForm.parse(2, "y1*y2")
-    assert PolyForm.parse(1, "y1").d().is_zero()
+    assert poly_form(1, "t1^2").d() == poly_form(1, "2*t1*y1")
+    assert poly_form(2, "t1*y2").d() == poly_form(2, "y1*y2")
+    assert poly_form(1, "y1").d().is_zero()
 
 
 def _random_form(rng, n, k, cap=2):
@@ -159,7 +161,7 @@ class _ForgetfulTable(dict):
 
 def test_moves_return_what_they_build_when_the_table_forgets_it(
         monkeypatch):
-    form = PolyForm.parse(2, "t1*y2")
+    form = poly_form(2, "t1*y2")
     want = [form.face(0), form.d(), form.degen_word((1, 0))]
     monkeypatch.setattr(plforms, "_MOVES", _ForgetfulTable())
     assert [form.face(0), form.d(), form.degen_word((1, 0))] == want
@@ -290,20 +292,20 @@ def test_cup_product_satisfies_leibniz_on_random_cochains(name):
 
 def test_integrate_volume_form_of_triangle():
     K = delta_complex(2)
-    gf = GlobalForm(K, 2, {"012": PolyForm.parse(2, "y1*y2")}, check=False)
+    gf = GlobalForm(K, 2, {"012": poly_form(2, "y1*y2")}, check=False)
     ch = integrate(gf)
     assert ch.value("012") == Fraction(1, 2)
 
 
 def test_integrate_t_y_on_interval():
     K = delta_complex(1)
-    gf = GlobalForm(K, 1, {"01": PolyForm.parse(1, "t1*y1")}, check=False)
+    gf = GlobalForm(K, 1, {"01": poly_form(1, "t1*y1")}, check=False)
     assert integrate(gf).value("01") == Fraction(1, 2)
 
 
 def test_integrate_dirichlet_monomial():
     K = delta_complex(2)
-    gf = GlobalForm(K, 2, {"012": PolyForm.parse(2, "t1*t2*y1*y2")},
+    gf = GlobalForm(K, 2, {"012": poly_form(2, "t1*t2*y1*y2")},
                     check=False)
     assert integrate(gf).value("012") == Fraction(1, 24)
 
@@ -313,7 +315,7 @@ def test_volume_normalization_top_monomial():
         K = delta_complex(n)
         top = "".join(str(v) for v in range(n + 1))
         expr = "*".join(f"y{i}" for i in range(1, n + 1))
-        gf = GlobalForm(K, n, {top: PolyForm.parse(n, expr)}, check=False)
+        gf = GlobalForm(K, n, {top: poly_form(n, expr)}, check=False)
         import math
         assert integrate(gf).value(top) == Fraction(1, math.factorial(n))
 
@@ -506,8 +508,8 @@ def test_validation_rejects_the_wrong_exterior_degree(name):
         GlobalForm(K, 1, gf.assignment)
 
 
-@pytest.mark.parametrize("form", [PolyForm.parse(1, "t1"),
-                                  PolyForm.parse(2, "t1 + y1")],
+@pytest.mark.parametrize("form", [poly_form(1, "t1"),
+                                  poly_form(2, "t1 + y1")],
                          ids=["wrong-dimension", "inhomogeneous"])
 def test_validation_reports_a_form_that_is_no_form_on_its_simplex(form):
     K = builtin_complex("delta2")
@@ -523,7 +525,7 @@ def test_validation_reports_a_face_target_on_the_wrong_dimension():
     dimension 1 on it is reported, and so is each face of T, without
     pulling that form back."""
     K = load_scomplex(DATA / "s2_one_cell.scx")
-    gf = GlobalForm(K, 0, {"p": PolyForm.parse(1, "t1")}, check=False)
+    gf = GlobalForm(K, 0, {"p": poly_form(1, "t1")}, check=False)
     assert gf.validate() == [
         "face 0 of T disagrees with p", "face 1 of T disagrees with p",
         "face 2 of T disagrees with p",
@@ -545,11 +547,11 @@ def test_an_explicit_zero_coefficient_is_no_term():
         alg = form_algebra(n)
         zero = PolyForm(n, AlgElement(alg, {(): Fraction(0)}))
         assert zero.is_zero()
-        assert zero == PolyForm.parse(n, "0")
+        assert zero == poly_form(n, "0")
         assert zero.element.terms == {}
     t1 = PolyForm(1, AlgElement(form_algebra(1), {
         ((0, 1),): Fraction(1), ((1, 1),): Fraction(0)}))
-    assert t1 == PolyForm.parse(1, "t1")
+    assert t1 == poly_form(1, "t1")
     assert t1.element.terms == {((0, 1),): 1}
 
 
@@ -559,10 +561,10 @@ def test_rows_differing_by_a_common_factor_are_one_form():
     t1 = ((0, 1),)
     half = PolyForm._of(1, (2, {t1: 1}))
     assert PolyForm._of(1, (4, {t1: 2})) == half
-    assert PolyForm._of(1, (6, {t1: 6})) == PolyForm.parse(1, "t1")
+    assert PolyForm._of(1, (6, {t1: 6})) == poly_form(1, "t1")
     assert PolyForm._of(1, (6, {t1: 6})) != PolyForm._of(2, (1, {t1: 1}))
     assert PolyForm._of(1, (4, {t1: 3})) != half
-    assert half + half == PolyForm.parse(1, "t1")
+    assert half + half == poly_form(1, "t1")
 
 
 @pytest.mark.parametrize("name", ["delta3", "bddelta3", "s2_one_cell"])
@@ -657,11 +659,11 @@ def test_integration_is_not_multiplicative():
     # failure: the integration map is a cochain map, not an algebra map.
     K = delta_complex(1)
     f = GlobalForm(K, 0, {
-        "01": PolyForm.parse(1, "t1"),
-        "0": PolyForm.parse(0, "0"),
-        "1": PolyForm.parse(0, "1"),
+        "01": poly_form(1, "t1"),
+        "0": poly_form(0, "0"),
+        "1": poly_form(0, "1"),
     })
-    w = GlobalForm(K, 1, {"01": PolyForm.parse(1, "y1")})
+    w = GlobalForm(K, 1, {"01": poly_form(1, "y1")})
     fw = GlobalForm(K, 1, {sid: f.form(sid) * w.form(sid)
                            for sid in K.dims})
     lhs = integrate(fw)

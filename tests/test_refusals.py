@@ -35,14 +35,13 @@ from sullivan.models import (
 )
 from sullivan.plforms import (
     FormError,
-    PolyForm,
     SimplicialComplexFin,
     delta_complex,
     parse_scomplex_file,
     verify_stokes,
 )
 
-from helpers import identity_morphism
+from helpers import identity_morphism, poly_form
 
 
 def xy():
@@ -208,6 +207,24 @@ REFUSALS = [
     ("cdga-file-gen-degree",
      lambda: parse_cdga_file("cdga a\ngen x two\n", "f"),
      CdgaFileError, "f:2: bad degree 'two'"),
+    ("cdga-file-gen-degree-fullwidth",
+     lambda: parse_cdga_file("cdga a\ngen x \uff12\n", "f"),
+     CdgaFileError, "f:2: bad degree '\uff12'"),
+    ("cdga-file-gen-degree-underscore",
+     lambda: parse_cdga_file("cdga a\ngen y 1_0\n", "f"),
+     CdgaFileError, "f:2: bad degree '1_0'"),
+    ("cdga-file-gen-degree-plus",
+     lambda: parse_cdga_file("cdga a\ngen y +2\n", "f"),
+     CdgaFileError, "f:2: bad degree '+2'"),
+    ("cdga-file-gen-degree-negative",
+     lambda: parse_cdga_file("cdga a\ngen x -1\n", "f"),
+     CdgaFileError, "f:2: generator x has degree -1"),
+    ("cdga-file-rel-degree-fullwidth",
+     lambda: parse_cdga_file("cdga t\ngen x 2\nrel \uff14 : x^2\n", "f"),
+     CdgaFileError, "f:3: bad degree '\uff14'"),
+    ("cdga-file-fullwidth-exponent",
+     lambda: parse_cdga_file("cdga t\ngen x 2\nrel 4 : x^\uff12\n", "f"),
+     CdgaFileError, "f:3: bad character '\uff12' in polynomial"),
     ("cdga-file-rel-colon",
      lambda: parse_cdga_file("cdga a\ngen x 2\nrel 4 x^2\n", "f"),
      CdgaFileError, "f:3: expected: rel <degree> : <poly>"),
@@ -232,6 +249,15 @@ REFUSALS = [
      AlgebraError, "nonpositive power of x"),
     ("graded-odd-square", lambda: xy().element({((1, 2),): 1}),
      AlgebraError, "odd generator y with power 2"),
+    ("graded-generator-name",
+     lambda: FreeAlgebra([Generator("2x", 2, 0)]),
+     AlgebraError, "bad generator name '2x'"),
+    ("graded-generator-name-built",
+     lambda: Cdga.build("c", [("2x", 2), ("y", 3)], {}),
+     AlgebraError, "bad generator name '2x'"),
+    ("graded-generator-name-extended",
+     lambda: xy().extend([("x+y", 4)]),
+     AlgebraError, "bad generator name 'x+y'"),
     ("graded-foreign-image", foreign_image,
      AlgebraError, "image of y lives elsewhere"),
     ("graded-derivation-extended-image-twice", lambda: image_twice("x^2"),
@@ -293,12 +319,12 @@ REFUSALS = [
      lambda: minimal_model(Cdga.build("zero", [("x", 2)], {}, ["1"]), 4),
      ModelError, "target must be connected (degree 0 = Q)"),
     # plforms
-    ("plforms-no-faces-on-a-point", lambda: PolyForm.parse(0, "1").face(0),
+    ("plforms-no-faces-on-a-point", lambda: poly_form(0, "1").face(0),
      FormError, "no faces on the 0-simplex"),
-    ("plforms-face-index", lambda: PolyForm.parse(2, "t1").face(3),
+    ("plforms-face-index", lambda: poly_form(2, "t1").face(3),
      FormError, "face index 3 out of range for dimension 2"),
     ("plforms-dimensions-differ",
-     lambda: PolyForm.parse(1, "t1") + PolyForm.parse(2, "t1"),
+     lambda: poly_form(1, "t1") + poly_form(2, "t1"),
      FormError, "forms live on different simplex dimensions"),
     ("plforms-missing-face", missing_face,
      FormError, "missing face (e, 1)"),
@@ -310,6 +336,9 @@ REFUSALS = [
     ("plforms-file-degeneracy-index",
      lambda: parse_scomplex_file(SCX + "face e 1 = p sx\n", "f"),
      FormError, "f:5: bad degeneracy token 'sx'"),
+    ("plforms-file-degeneracy-index-fullwidth",
+     lambda: parse_scomplex_file(SCX + "face e 1 = p s\uff10\n", "f"),
+     FormError, "f:5: bad degeneracy token 's\uff10'"),
     ("plforms-file-header-arity",
      lambda: parse_scomplex_file("scomplex\n", "f"),
      FormError, "f:1: expected: scomplex <name>"),
@@ -319,11 +348,23 @@ REFUSALS = [
     ("plforms-file-simplex-dimension",
      lambda: parse_scomplex_file(SCX + "simplex q x\n", "f"),
      FormError, "f:5: bad dimension"),
+    ("plforms-file-simplex-dimension-plus",
+     lambda: parse_scomplex_file(SCX + "simplex q +1\n", "f"),
+     FormError, "f:5: bad dimension"),
+    ("plforms-file-simplex-dimension-fullwidth",
+     lambda: parse_scomplex_file(SCX + "simplex q \uff11\n", "f"),
+     FormError, "f:5: bad dimension"),
+    ("plforms-file-simplex-dimension-negative",
+     lambda: parse_scomplex_file(SCX + "simplex q -1\n", "f"),
+     FormError, "f:5: negative dimension -1"),
     ("plforms-file-face-arity",
      lambda: parse_scomplex_file(SCX + "face e 1 p\n", "f"),
      FormError, "f:5: expected: face <id> <i> = <target> [s<j> ...]"),
     ("plforms-file-face-index",
      lambda: parse_scomplex_file(SCX + "face e x = p\n", "f"),
+     FormError, "f:5: bad face index"),
+    ("plforms-file-face-index-fullwidth",
+     lambda: parse_scomplex_file(SCX + "face e \uff11 = p\n", "f"),
      FormError, "f:5: bad face index"),
     ("plforms-file-undeclared-simplex",
      lambda: parse_scomplex_file(SCX + "face q 1 = p\n", "f"),

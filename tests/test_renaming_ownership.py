@@ -6,13 +6,13 @@ differential's images only in `renamed` and in the twisting terms of
 `pushout_model` (base letters sent along the morphism); `_joined` also
 moves its factors' relations with it.  `extended` is called by
 `Cdga.extend` (each synthesis stage and acyclic-closure step),
-`parse_cdga_file` (one `diff` line at a time), `pushout_model`,
-`path_space_model` and `free_loop_model`, and it is the one function
-that rewraps a differential's images as elements of an extension
-(`finiteness_test` rewraps a pure model's images, but as relations); no
-construction builds a `Derivation` from another one's images.  Checked on
-the syntax trees of the package, and by counting the derivations a
-minimal-model synthesis makes."""
+`pushout_model`, `path_space_model` and `free_loop_model` (the parser
+builds its one `Derivation` as it reads the `diff` lines), and it is the
+one function that rewraps a differential's images as elements of an
+extension (`finiteness_test` rewraps a pure model's images, but as
+relations); no construction builds a `Derivation` from another one's
+images.  Checked on the syntax trees of the package, and by counting the
+derivations a minimal-model synthesis makes."""
 
 import ast
 import pathlib
@@ -44,8 +44,7 @@ def test_differentials_move_by_renaming_or_by_extension():
     assert _package_callers(["substitute", "extended"]) == {
         "substitute": ["cdga._joined", "graded.Derivation.renamed",
                        "models.pushout_model"],
-        "extended": ["cdga.Cdga.extend", "cdga.parse_cdga_file",
-                     "models.pushout_model",
+        "extended": ["cdga.Cdga.extend", "models.pushout_model",
                      "models.path_space_model", "models.path_space_model",
                      "models.free_loop_model", "models.free_loop_model"]}
 
