@@ -39,7 +39,6 @@ from .graded import (
     substitute,
 )
 from .linalg import (
-    NoSolution,
     RatMatrix,
     homology_dim,
     image_basis,
@@ -348,7 +347,7 @@ class Cdga:
             self._class_mats[k] = RatMatrix.from_columns(reps + b.rows,
                                                          self.dim(k))
         sol = solve(self._class_mats[k], self.coords(elem, k))
-        if isinstance(sol, NoSolution):
+        if sol is None:
             raise CdgaError(f"element of degree {k} is not a cocycle "
                             f"modulo boundaries")
         return {i: x for i, x in sol.items() if i < len(reps)}

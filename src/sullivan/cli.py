@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .cdga import (
@@ -352,7 +353,15 @@ def main(argv):
 
 
 def entry():
-    sys.exit(main(sys.argv[1:]))
+    """Run `main` on the command line and exit with its code; a reader
+    that closed the pipe early gets exit 1 and no traceback."""
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the exit flush then writes to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ generated in even-generator degrees D, so a run of D consecutive zero
 dimensions certifies vanishing in all higher degrees.  Ellipticity then
 pins the formal dimension through the exponent identity and is
 re-verified on the full cohomology table.  Hyperbolic verdicts are
-evidence, never proof: either unbounded pure-quotient mass within the
-scan bound, or (for space classification) nonzero homotopy ranks inside
-the dichotomy window [2n, 3n-2].
+evidence, never proof: either pure-quotient mass above the
+formal-dimension candidate within the scan bound, or (for space
+classification) nonzero homotopy ranks inside the dichotomy window
+[2n, 3n-2].
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .cdga import Cdga, CdgaError, check_quasi_iso, word_length_quotient
 from .graded import (AlgElement, Derivation, FreeAlgebra, monomial_columns,
                      odd_letters)
 from .linalg import RatMatrix, homology_dim, rank
-from .models import check_minimal_sullivan, degree_counts, minimal_model
+from .models import (check_minimal_sullivan, degree_counts, expand_series,
+                     loop_factors, minimal_model)
 
 __all__ = [
     "InvariantsError",
@@ -153,10 +155,9 @@ class Finite:
 
 
 class ExceededBound:
-    def __init__(self, bound, h0_dims, trailing_zeros):
+    def __init__(self, bound, h0_dims):
         self.bound = bound
         self.h0_dims = h0_dims
-        self.trailing_zeros = trailing_zeros
 
     def __repr__(self):
         return f"ExceededBound({self.bound})"
@@ -190,8 +191,7 @@ def finiteness_test(c, bound):
     dims, last = _zero_window_scan(h0.dim, bound, window)
     if last is not None:
         return Finite(sum(dims), last, dims)
-    top = max((i for i, v in enumerate(dims) if v), default=-1)
-    return ExceededBound(bound, dims, len(dims) - 1 - top)
+    return ExceededBound(bound, dims)
 
 
 def exponent_numerology(profile, n):
@@ -277,18 +277,21 @@ def classify_ellipticity(c, bound):
 
     Elliptic verdicts carry the formal dimension (pinned by exponent
     identity (1) and confirmed by an explicit zero window of cohomology
-    of length >= the maximal generator degree); a scan that runs out of
-    its bound yields hyperbolic evidence or an inconclusive report.
+    of length >= the maximal generator degree).  A scan that runs out of
+    its bound yields hyperbolic evidence if the pure quotient is nonzero
+    above the formal-dimension candidate, where an elliptic algebra's
+    vanishes, and an inconclusive report otherwise.
     """
     if not check_minimal_sullivan(c):
         raise InvariantsError(f"{c.name} is not a minimal Sullivan algebra")
     profile = ExponentProfile.of(c)
+    n = profile.formal_dimension_candidate
     ft = finiteness_test(c, bound)
-    if isinstance(ft, ExceededBound):
-        verdict = "Inconclusive" if ft.trailing_zeros else "HyperbolicEvidence"
+    if isinstance(ft, ExceededBound):  # an elliptic H_0 vanishes above n
+        verdict = ("HyperbolicEvidence" if any(ft.h0_dims[max(n + 1, 0):])
+                   else "Inconclusive")
         return EllipticityReport(verdict, bound=bound, profile=profile,
                                  h0_dims=ft.h0_dims, v_dims=degree_counts(c))
-    n = profile.formal_dimension_candidate
     window = c.max_generator_degree()
     h_dims = [c.h_dim(k) for k in range(n + window + 1)]
     fdim = max((k for k, d in enumerate(h_dims) if d), default=0)
@@ -440,23 +443,12 @@ class PoincareSeries:
         self.numerator_exponents = sorted(numerator_exponents)
         self.denominator_exponents = sorted(denominator_exponents)
         self.order = order
-        coeffs = [0] * (order + 1)
-        coeffs[0] = 1
-        for m in self.numerator_exponents:
-            if m <= 0:
-                raise InvariantsError("numerator factor exponent must be >= 1")
-            nxt = list(coeffs)
-            for i in range(m, order + 1):
-                nxt[i] += coeffs[i - m]
-            coeffs = nxt
-        for m in self.denominator_exponents:
-            if m <= 0:
-                raise InvariantsError("denominator factor exponent must be >= 1")
-            nxt = [0] * (order + 1)
-            for i in range(order + 1):
-                nxt[i] = coeffs[i] + (nxt[i - m] if i >= m else 0)
-            coeffs = nxt
-        self.coefficients = coeffs
+        for part, exps in (("numerator", self.numerator_exponents),
+                           ("denominator", self.denominator_exponents)):
+            if exps and exps[0] <= 0:
+                raise InvariantsError(f"{part} factor exponent must be >= 1")
+        self.coefficients = expand_series(self.numerator_exponents,
+                                          self.denominator_exponents, order)
 
     def __repr__(self):
         num = "".join(f"(1+z^{m})" for m in self.numerator_exponents) or "1"
@@ -470,14 +462,7 @@ def loop_poincare_series(model, order):
     of degree 2b-1."""
     if not check_minimal_sullivan(model):
         raise InvariantsError("loop series needs a minimal Sullivan algebra")
-    num = []
-    den = []
-    for g in model.algebra.generators:
-        if g.degree % 2 == 0:
-            num.append(g.degree - 1)
-        else:
-            den.append(g.degree - 1)
-    return PoincareSeries(num, den, order)
+    return PoincareSeries(*loop_factors(model), order)
 
 
 def full_invariants(model, max_degree, bound, report=None):

@@ -17,8 +17,8 @@ Fractions are made only for the vectors that leave, most by `ratios`:
 basis rows when first read, representatives and solutions, and the views
 `columns()` and `data`.
 
-The reduced echelon basis of a subspace is unique, so every result but
-the NoSolution certificate is independent of the elimination order.
+The reduced echelon basis of a subspace is unique, so every result is
+independent of the elimination order.
 """
 
 from __future__ import annotations
@@ -332,31 +332,11 @@ def quotient_basis(sub, within):
     return [ratios(row[c], row) for c, row in list(piv.items())[sub.dim:]]
 
 
-class NoSolution:
-    """Inconsistency certificate: y with y.m = 0 but y.b != 0."""
-
-    __slots__ = ("row", "certificate")
-
-    def __init__(self, row, certificate):
-        self.row = row
-        self.certificate = certificate
-
-    def __bool__(self):
-        return False
-
-    def __repr__(self):
-        return f"NoSolution(row {self.row})"
-
-
 def solve(m, b):
     """One exact solution of m x = b for a sparse right-hand side
     b {row: value}: a sparse row {column: Fraction} with the free
-    variables zero, or NoSolution.
-
-    The NoSolution certificate y, a sparse row {row: Fraction}, satisfies
-    y.m = 0 and y.b = 1: the first vector of the reduced echelon basis of
-    the left kernel of m that is not orthogonal to b, scaled.
-    """
+    variables zero, or None if there is none, from one forward pass over
+    [m | b]."""
     aug = list(m.num)  # row i of [num | den b], scaled to integers
     for i, x in b.items():
         if not 0 <= i < m.rows:
@@ -367,10 +347,6 @@ def solve(m, b):
             aug[i][m.cols] = x.numerator
     piv = _eliminate(aug)
     if m.cols in piv:
-        for y in kernel_basis(m.transpose()).rows:
-            t = sum(x * b[i] for i, x in y.items() if i in b)
-            if t:
-                return NoSolution(len(piv) - 1,
-                                  {i: x / t for i, x in y.items()})
+        return None
     return {c: Fraction(row[m.cols], row[c])
             for c, row in _reduced(piv).items() if m.cols in row}

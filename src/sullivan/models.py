@@ -21,6 +21,7 @@ grows it by new images over an extension (`Derivation.extended`).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
 
 from .cdga import Cdga, CdgaError, CdgaMorphism
@@ -32,7 +33,6 @@ from .graded import (
     substitute,
 )
 from .linalg import (
-    NoSolution,
     RatMatrix,
     combine,
     image_basis,
@@ -53,6 +53,8 @@ __all__ = [
     "fiber_model",
     "pushout_model",
     "acyclic_closure",
+    "loop_factors",
+    "expand_series",
     "loop_cohomology",
     "LoopCohomology",
     "path_space_model",
@@ -193,7 +195,7 @@ def acyclic_closure(model, verify_to=0):
             den, cols = total._d_columns(m, candidates)
             mat = RatMatrix.from_columns(cols, total.dim(m + 1), den)
             sol = solve(mat, total.coords(dv, m + 1))
-            if isinstance(sol, NoSolution):
+            if sol is None:
                 raise ModelError(
                     f"acyclic closure correction unsolvable for {v.name} "
                     f"in degree {m}")
@@ -213,18 +215,41 @@ def acyclic_closure(model, verify_to=0):
     return rel
 
 
+def loop_factors(model):
+    """The loop-space series of a model, prod (1+z^m) / prod (1-z^m), as
+    (numerator, denominator) exponents: m = |v| - 1, in the numerator for
+    an even generator v (its odd bar) and in the denominator for an odd
+    one (its even bar)."""
+    num, den = [], []
+    for g in model.algebra.generators:
+        (den if g.degree % 2 else num).append(g.degree - 1)
+    return num, den
+
+
+def expand_series(num, den, order):
+    """Coefficients of z^0..z^order of prod (1+z^m) over `num` / prod
+    (1-z^m) over `den`, exponents >= 1: the dimensions, degree by degree,
+    of the free algebra on odd generators of degrees `num` and even ones
+    of degrees `den`."""
+    coeffs = [1] + [0] * order if order >= 0 else []
+    for m in num:
+        for i in range(order, m - 1, -1):
+            coeffs[i] += coeffs[i - m]
+    for m in den:
+        for i in range(m, order + 1):
+            coeffs[i] += coeffs[i - m]
+    return coeffs
+
+
 class LoopCohomology:
-    """Loop-space cohomology dimensions (the free algebra on the
-    desuspended generators) plus homotopy-group ranks of the input."""
+    """Loop-space cohomology dimensions (those of the free algebra on the
+    desuspended generators, from its series) plus homotopy-group ranks of
+    the input."""
 
     def __init__(self, model, max_degree):
         self.model = model
         self.max_degree = max_degree
-        self.bar_specs = [(f"{g.name}_bar", g.degree - 1)
-                          for g in _bar_order(model)]
-        bar_alg = FreeAlgebra.build(self.bar_specs)
-        self.dims = [len(bar_alg.basis_of_degree(k))
-                     for k in range(max_degree + 1)]
+        self.dims = expand_series(*loop_factors(model), max_degree)
         self.pi_ranks = degree_counts(model)
 
 
@@ -255,23 +280,24 @@ def path_space_model(model):
     s = Derivation(alg, -1, {f"{g.name}{suffix}": alg.gen_elem(f"{g.name}_bar")
                              for suffix in suffixes for g in gens})
 
-    for g in bars:  # d grows by one bar image at a time
-        v0 = alg.gen_elem(f"{g.name}_p0")
-        v1 = alg.gen_elem(f"{g.name}_p1")
-        total = v1 - v0
-        term = v0
-        n = 0
-        while True:
-            term = s.apply(d.apply(term))
-            if term.is_zero():
-                break
-            n += 1
-            if n > _SERIES_CAP:
-                raise ModelError(
-                    f"path-space series for {g.name} did not terminate "
-                    f"within {_SERIES_CAP} iterations")
-            total = total - term.scale(Fraction(1, factorial(n)))
-        d = d.extended(alg, {f"{g.name}_bar": total})
+    # d grows once per generator degree: a minimal d(v) has only letters
+    # of degree < |v|, so no bar image reads a bar of its own degree
+    for _, same_degree in groupby(bars, key=lambda g: g.degree):
+        images = {}
+        for g in same_degree:
+            term = alg.gen_elem(f"{g.name}_p0")
+            total = alg.gen_elem(f"{g.name}_p1") - term
+            for n in range(1, _SERIES_CAP + 2):  # term n = (SD)^n (v_p0)
+                term = s.apply(d.apply(term))
+                if term.is_zero():
+                    break
+                if n > _SERIES_CAP:
+                    raise ModelError(
+                        f"path-space series for {g.name} did not terminate "
+                        f"within {_SERIES_CAP} iterations")
+                total = total - term.scale(Fraction(1, factorial(n)))
+            images[f"{g.name}_bar"] = total
+        d = d.extended(alg, images)
     total_cdga = Cdga(f"{model.name}-paths", alg, d)
     return RelativeSullivanAlgebra(base, [f"{g.name}_bar" for g in bars],
                                    total_cdga)
@@ -285,9 +311,10 @@ def free_loop_model(model):
     alg = model.algebra.extend([(f"{g.name}_bar", g.degree - 1) for g in bars])
     s = Derivation(alg, -1, {g.name: alg.gen_elem(f"{g.name}_bar")
                              for g in bars})
-    d = model.differential.extended(alg, {})  # dv over alg, for S
-    d = d.extended(alg, {f"{g.name}_bar": -s.apply(d.images[g.ordinal])
-                         for g in bars if g.ordinal in d.images})
+    dv = model.differential.images
+    d = model.differential.extended(alg, {
+        f"{g.name}_bar": -s.apply(AlgElement(alg, dv[g.ordinal].terms))
+        for g in bars if g.ordinal in dv})
     return Cdga(f"{model.name}-loops", alg, d)
 
 
@@ -375,7 +402,7 @@ def minimal_model(target, max_degree):
             b = target.algebra.zero()
             if not img.is_zero():
                 sol = solve(target.diff_matrix(n), target.coords(img, n + 1))
-                if isinstance(sol, NoSolution):
+                if sol is None:
                     raise ModelError(
                         f"internal consistency: phi of a kernel class is "
                         f"not exact in degree {n + 1}")

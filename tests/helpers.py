@@ -4,7 +4,7 @@ them, so they live here rather than in its public API."""
 from fractions import Fraction
 
 from sullivan.cdga import CdgaMorphism
-from sullivan.graded import AlgebraError, AlgElement
+from sullivan.graded import AlgebraError, AlgElement, FreeAlgebra
 from sullivan.plforms import PolyForm, form_algebra
 
 
@@ -45,3 +45,12 @@ def poly_form(dim, text):
     """The polynomial form on the dim-simplex written as `text`, over
     the coordinates of `form_algebra(dim)`."""
     return PolyForm(dim, form_algebra(dim).parse(text))
+
+
+def bar_algebra_dims(model, max_degree):
+    """The loop-space cohomology dimensions of a minimal model counted
+    directly: the monomial basis of the free algebra on its desuspended
+    generators vbar (degree |v| - 1), degree by degree."""
+    bars = FreeAlgebra.build([(f"{g.name}_bar", g.degree - 1)
+                              for g in model.algebra.generators])
+    return [len(bars.basis_of_degree(k)) for k in range(max_degree + 1)]

@@ -99,7 +99,6 @@ from sullivan.graded import (
     substitute,
 )
 from sullivan.linalg import (
-    NoSolution,
     RatMatrix,
     combine,
     image_basis,
@@ -325,7 +324,7 @@ def reference_minimal_model(target, max_degree):
             b = target.algebra.zero()
             if not img.is_zero():
                 sol = solve(target.diff_matrix(n), target.coords(img, n + 1))
-                if isinstance(sol, NoSolution):
+                if sol is None:
                     raise ModelError(
                         f"internal consistency: phi of a kernel class is "
                         f"not exact in degree {n + 1}")

@@ -23,7 +23,8 @@ SRC = ROOT / "src"
 # The standard library as `src/` imports it; a new import joins this list
 # on purpose, once its own footprint is known.
 STDLIB = ["__future__", "argparse", "bisect", "collections", "fractions",
-          "functools", "itertools", "json", "math", "random", "re", "sys"]
+          "functools", "itertools", "json", "math", "os", "random", "re",
+          "sys"]
 
 PROBE = """\
 import json, sys

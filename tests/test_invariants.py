@@ -1,5 +1,6 @@
 """Purity, finiteness, ellipticity numerology, category bounds, series."""
 
+import functools
 import pathlib
 
 import pytest
@@ -20,6 +21,7 @@ from sullivan.invariants import (
     ExponentProfile,
     Finite,
     InvariantsError,
+    PoincareSeries,
     associated_pure,
     cat_bounds,
     classify_ellipticity,
@@ -36,6 +38,8 @@ from sullivan.invariants import (
     toomer_rank,
 )
 from sullivan.models import loop_cohomology, minimal_model
+
+from helpers import bar_algebra_dims
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -151,12 +155,40 @@ def test_classify_even_sphere():
 
 
 @pytest.mark.parametrize("bound, verdict", [
-    (2, "HyperbolicEvidence"),  # h0 dims 1 0 1 end in a nonzero
-    (3, "Inconclusive"),        # 1 0 1 0: the scan stops in a zero run
-    (4, "Elliptic"),            # 1 0 1 0 0: a zero run as long as deg y
+    (2, "Inconclusive"),  # h0 dims 1 0 1: nothing above n = 3 - 1 = 2
+    (3, "Inconclusive"),  # 1 0 1 0: the scan stops in a zero run
+    (4, "Elliptic"),      # 1 0 1 0 0: a zero run as long as deg y
 ])
 def test_classify_even_sphere_by_scan_bound(bound, verdict):
     assert classify_ellipticity(sphere_model(2), bound).verdict == verdict
+
+
+@functools.lru_cache(maxsize=None)
+def _cut_scan_model(name):
+    if name == "s2_wedge_s2":  # 45 generators, n = -63
+        return minimal_model(wedge_cohomology(2, 2), 8).model
+    return {"elliptic6": elliptic_six, "cp3": lambda: cp_model(3)}[name]()
+
+
+@pytest.mark.parametrize("name, bound, verdict", [
+    ("elliptic6", 0, "Inconclusive"),  # n = 14: elliptic, so H_0 stops
+    ("elliptic6", 2, "Inconclusive"),  # at 14, and a scan cut below that
+    ("elliptic6", 4, "Inconclusive"),  # shows nothing either way
+    ("cp3", 0, "Inconclusive"),  # h0 dims 1 0 1 0 1 0 1 to n = 6
+    ("cp3", 2, "Inconclusive"),
+    ("cp3", 4, "Inconclusive"),
+    ("cp3", 6, "Inconclusive"),
+    ("s2_wedge_s2", 1, "HyperbolicEvidence"),  # H_0^0 = Q above n = -63
+    ("s2_wedge_s2", 3, "HyperbolicEvidence"),
+])
+def test_a_cut_scan_is_hyperbolic_evidence_only_above_the_formal_dimension(
+        name, bound, verdict):
+    """An elliptic algebra's pure quotient H_0 lies in the cohomology of
+    its associated pure algebra, which vanishes above the formal-dimension
+    candidate n; so a scan cut off by its bound is evidence of
+    hyperbolicity exactly when it has met a nonzero dimension above n."""
+    assert classify_ellipticity(_cut_scan_model(name), bound).verdict == \
+        verdict
 
 
 def test_classify_six_generator_example():
@@ -315,6 +347,14 @@ def test_loop_series_even_sphere():
     assert s.coefficients == [1] * 11
 
 
+def test_a_negative_order_has_no_coefficients():
+    """As `Cdga.cohomology(-1)` has no dimensions."""
+    assert loop_poincare_series(sphere_model(3), -1).coefficients == []
+    assert PoincareSeries([1], [2], -1).coefficients == []
+    assert loop_cohomology(sphere_model(3), -1).dims == []
+    assert sphere_model(3).cohomology(-1).dims == []
+
+
 def test_loop_series_matches_loop_cohomology_on_fixtures():
     fixtures = [sphere_model(2), sphere_model(3), cp_model(2), cp_model(3),
                 elliptic_six(),
@@ -322,7 +362,7 @@ def test_loop_series_matches_loop_cohomology_on_fixtures():
     for m in fixtures:
         lc = loop_cohomology(m, 20)
         s = loop_poincare_series(m, 20)
-        assert s.coefficients == lc.dims
+        assert s.coefficients == lc.dims == bar_algebra_dims(m, 20)
 
 
 def test_full_invariants_cp2():

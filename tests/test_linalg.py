@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sullivan import linalg
 from sullivan.cdga import load_cdga
 from sullivan.linalg import (
     LinalgError,
-    NoSolution,
     RatMatrix,
     _eliminate,
     combine,
@@ -112,25 +112,28 @@ def test_solve_zeroes_free_variables():
     assert dense(solve(m, sparse([2])), 2) == [Fraction(2), Fraction(0)]
 
 
-def test_solve_no_solution_with_certificate():
-    m = matrix([[0]], 1)
-    res = solve(m, sparse([1]))
-    assert isinstance(res, NoSolution)
-    assert not res
-    y = dense(res.certificate, 1)
-    assert sum(y[i] * m.data[i][0] for i in range(1)) == 0
-    assert sum(y[i] * Fraction(1) for i in range(1)) != 0
+def test_solve_no_solution_is_none():
+    assert solve(matrix([[0]], 1), sparse([1])) is None
 
 
-def test_solve_certificate_nontrivial():
+def test_solve_inconsistent_dependent_rows_is_none():
     m = matrix([[1, 2], [2, 4]], 2)
-    b = [Fraction(1), Fraction(3)]
-    res = solve(m, sparse(b))
-    assert isinstance(res, NoSolution)
-    y = dense(res.certificate, 2)
-    for c in range(2):
-        assert sum(y[r] * m.data[r][c] for r in range(2)) == 0
-    assert sum(y[r] * b[r] for r in range(2)) != 0
+    assert solve(m, sparse([Fraction(1), Fraction(3)])) is None
+    assert solve(m, sparse([Fraction(1), Fraction(2)])) == {0: 1}
+
+
+def test_an_inconsistent_solve_eliminates_once(monkeypatch):
+    """[m | b] is eliminated once; building a left-kernel certificate
+    of the inconsistency took a second elimination, of the transpose."""
+    calls = []
+
+    def counted(rows, full=False):
+        calls.append(full)
+        return _eliminate(rows, full)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert solve(matrix([[1, 2], [2, 4]], 2), sparse([1, 3])) is None
+    assert len(calls) == 1
 
 
 def _random_matrix(rng, rows, cols):
@@ -157,7 +160,7 @@ def test_solve_recovers_constructed_solution():
         x0 = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
         b = apply(m, sparse(x0))
         x = solve(m, sparse(b))
-        assert not isinstance(x, NoSolution)
+        assert x is not None
         assert apply(m, x) == b
 
 
@@ -464,12 +467,7 @@ def test_solve_matches_dense_reference_and_sympy(case):
             assert dense(x, cols) == want
             assert apply(m, x) == b
         else:
-            assert isinstance(x, NoSolution)
-            y = dense(x.certificate, len(data))
-            assert len(y) == len(data)
-            for j in range(cols):
-                assert sum(y[i] * data[i][j] for i in range(len(data))) == 0
-            assert sum(yi * bi for yi, bi in zip(y, b)) == 1
+            assert x is None
 
 
 def test_solve_rejects_rhs_index_outside_rows():

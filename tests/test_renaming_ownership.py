@@ -10,8 +10,8 @@ moves its factors' relations with it.  `extended` is called by
 builds its one `Derivation` as it reads the `diff` lines), and it is the
 one function that rewraps a differential's images as elements of an
 extension (`finiteness_test` rewraps a pure model's images, but as
-relations); no construction builds a `Derivation` from another one's
-images.  Checked on the syntax trees of the package, and by counting the
+relations, and `free_loop_model` each dv, but as the argument of S); no
+construction builds a `Derivation` from another one's images.  Checked on the syntax trees of the package, and by counting the
 derivations a minimal-model synthesis makes."""
 
 import ast
@@ -38,21 +38,22 @@ def _package_callers(names):
 
 def test_differentials_move_by_renaming_or_by_extension():
     """One entry per call site: the path space extends its base's d to
-    the whole algebra and then grows it by one bar image per loop; the
-    free loop space extends d to the whole algebra, for S, then grows it
-    by the bar images."""
+    the whole algebra and then grows it once per generator degree, by the
+    bar images of that degree; the free loop space grows d by all its bar
+    images at once."""
     assert _package_callers(["substitute", "extended"]) == {
         "substitute": ["cdga._joined", "graded.Derivation.renamed",
                        "models.pushout_model"],
         "extended": ["cdga.Cdga.extend", "models.pushout_model",
                      "models.path_space_model", "models.path_space_model",
-                     "models.free_loop_model", "models.free_loop_model"]}
+                     "models.free_loop_model"]}
 
 
 def _rewraps_of_images(tree):
     """The functions calling `AlgElement(_, x.terms)` where x is read from
-    an `.images` attribute, directly or as a loop or comprehension target
-    over an expression that reads one."""
+    an `.images` attribute, directly, through a name assigned from an
+    expression that reads one, or as a loop or comprehension target over
+    such an expression."""
 
     def reads_images(node):
         return any(isinstance(n, ast.Attribute) and n.attr == "images"
@@ -67,6 +68,9 @@ def _rewraps_of_images(tree):
                     and reads_images(child.iter):
                 bound |= {n.id for n in ast.walk(child.target)
                           if isinstance(n, ast.Name)}
+            elif isinstance(child, ast.Assign) and reads_images(child.value):
+                bound |= {n.id for t in child.targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name)}
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,), set())
@@ -78,8 +82,9 @@ def _rewraps_of_images(tree):
                     and isinstance(child.args[1], ast.Attribute)
                     and child.args[1].attr == "terms"):
                 x = child.args[1].value
-                if reads_images(x) or (isinstance(x, ast.Name)
-                                       and x.id in bound):
+                if reads_images(x) or any(isinstance(n, ast.Name)
+                                          and n.id in bound
+                                          for n in ast.walk(x)):
                     found.append(".".join(scope))
             visit(child, scope, bound)
 
@@ -88,14 +93,17 @@ def _rewraps_of_images(tree):
 
 
 def test_only_extended_rewraps_a_differentials_images_into_an_extension():
-    """The one other rewrap moves no differential: `finiteness_test` reads
+    """The two other rewraps move no differential: `finiteness_test` reads
     the images of a pure model as the relations of its even subalgebra,
-    H_0 = Q[even generators] / (d of the odd ones)."""
+    H_0 = Q[even generators] / (d of the odd ones), and `free_loop_model`
+    reads each dv in the extension only as the argument of S, whose value
+    -S(dv) is the new image of vbar that `extended` then checks."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += [f"{path.stem}.{scope}" for scope in
                   _rewraps_of_images(ast.parse(path.read_text("utf-8")))]
-    assert found == ["graded.Derivation.extended", "invariants.finiteness_test"]
+    assert found == ["graded.Derivation.extended", "invariants.finiteness_test",
+                     "models.free_loop_model"]
 
 
 def test_each_synthesis_stage_makes_one_derivation_of_its_new_images(
