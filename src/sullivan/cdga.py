@@ -264,9 +264,11 @@ class Cdga:
             old_rows, rows = self.basis(k + 1), new._quotient_basis(k + 1)[1]
             m, den = self._diff_cache[k], new.differential.den
             old, s = dict(zip(self.basis(k), m.transpose().num)), den // m.den
+            fresh = iter(new._d_columns(
+                k, [mono for mono in new.basis(k) if mono not in old])[1])
             new._diff_cache[k] = RatMatrix.from_columns([
                 {rows[old_rows[i]]: s * x for i, x in old[mono].items()}
-                if mono in old else new._d_columns(k, [mono])[1][0]
+                if mono in old else next(fresh)
                 for mono in new.basis(k)], len(rows), den)
         return new
 
@@ -275,14 +277,14 @@ class Cdga:
 
     def _d_columns(self, k, monos):
         """d on degree-k basis monomials as (den, sparse columns over den)
-        from the Leibniz kernel.  A word cap drops what its basis lacks;
-        modulo relations each d(m) goes through `_project`, in integers."""
-        index = self._quotient_basis(k + 1)[1]
-        leibniz = self.differential.leibniz
+        from the Leibniz kernel `Derivation.columns`, keyed by the basis
+        index.  A word cap drops what its basis lacks; modulo relations
+        each d(m) goes through `_project`, in integers."""
+        index, d = self._quotient_basis(k + 1)[1], self.differential
         if self.relations:
             return monomial_columns(lambda m: self._projected(
-                {m: 1}, [(leibniz, {})]), monos, index)
-        return monomial_columns(leibniz, monos, index)
+                {m: 1}, [(d.leibniz, {})]), monos, index)
+        return d.den, d.columns(monos, index)
 
     def diff_matrix(self, k):
         """Matrix of d: degree k -> degree k+1 over the quotient bases,

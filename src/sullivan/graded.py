@@ -12,10 +12,11 @@ of it is fixed by the images of the generators (`multiplicative`, the one
 multiplicative extension, fills a table of `scaled` integer images one
 letter at a time through `row_product`, for `substitute`, morphisms and
 the face and degeneracy pullbacks of `plforms`), and so is a derivation
-(`Derivation.leibniz`, the one Leibniz rule, in integers).
-Linear maps in monomial bases are read off as integer columns over one
-denominator by one assembler, `monomial_columns`, and memoised per
-monomial by `linalg.memo_linear`.  Each algebra keeps those bases in a
+(`Derivation.columns`, the one Leibniz rule, in integers, which keys each
+column of d by a basis index as it sums).  Other linear maps in monomial
+bases are read off as integer columns over one denominator by one
+assembler, `monomial_columns`, and memoised per monomial by
+`linalg.memo_linear`.  Each algebra keeps those bases in a
 per-degree table, each degree built once from the lower ones.
 """
 
@@ -342,7 +343,7 @@ class Derivation:
     products by the graded Leibniz rule d(ab) = da*b + (-1)^|a| a*db.
 
     `images` {generator name or ordinal: element}, or its pairs, is read
-    once, in order; a generator missing from it maps to zero.  `leibniz`
+    once, in order; a generator missing from it maps to zero.  `columns`
     reads them over one common denominator `den`, as integer terms; the
     one pass that scales an image's terms checks that each has degree
     |g| + shift."""
@@ -416,32 +417,42 @@ class Derivation:
         return {name: substitute(self.images[o], move, alg, missing_zero=True)
                 for o, name in names.items() if o in self.images}
 
+    def columns(self, monos, index=None):
+        """d of each monomial of `monos` as an integer column over `den`,
+        {index[n]: c} for d(mono) = sum c/den * n; a monomial missing from
+        `index` is dropped, and with no index the key is n itself.  The
+        Leibniz rule letter by letter, with dg moved to the front,
+        d(pre g^p suf) = (-1)^(|pre||g|) p dg (pre g^(p-1) suf), for any
+        shift: d passing pre gives |pre| shift and dg moving to the front
+        |pre| (|g| + shift), and the two shift terms cancel mod 2."""
+        degrees, images = self.algebra._degrees, self._scaled
+        cols = []
+        for mono in monos:
+            odd = odd_letters(self.algebra, mono)
+            out = {}
+            prefix_deg = 0
+            for i, (o, p) in enumerate(mono):
+                img = images.get(o)
+                gdeg = degrees[o]
+                if img is not None:
+                    rest = (mono[:i] + ((o, p - 1),) + mono[i + 1:] if p > 1
+                            else mono[:i] + mono[i + 1:])
+                    rest_odd = [a for a in odd if a != o] if gdeg % 2 else odd
+                    c0 = -p if prefix_deg * gdeg % 2 else p
+                    for m, c, m_odd in img:
+                        sm = mono_mul(m, rest, m_odd, rest_odd)
+                        if sm is not None:
+                            n = sm[1] if index is None else index.get(sm[1])
+                            if n is not None:
+                                x = c0 * c if sm[0] > 0 else -c0 * c
+                                out[n] = out.get(n, 0) + x
+                prefix_deg += p * gdeg
+            cols.append({n: c for n, c in out.items() if c})
+        return cols
+
     def leibniz(self, mono):
-        """d of one monomial in integers, (den, {monomial: c}) for
-        d(mono) = sum c/den * monomial: the Leibniz rule letter by letter,
-        with dg moved to the front,
-        d(pre g^p suf) = (-1)^(|pre||g|) p dg (pre g^(p-1) suf).  Moving
-        dg past pre g^(p-1) gives that sign because |dg| = |g| + shift
-        and the shift is odd."""
-        degrees = self.algebra._degrees
-        odd = odd_letters(self.algebra, mono)
-        out = {}
-        prefix_deg = 0
-        for i, (o, p) in enumerate(mono):
-            img = self._scaled.get(o)
-            gdeg = degrees[o]
-            if img is not None:
-                rest = (mono[:i] + ((o, p - 1),) + mono[i + 1:] if p > 1
-                        else mono[:i] + mono[i + 1:])
-                rest_odd = [a for a in odd if a != o] if gdeg % 2 else odd
-                c0 = -p if prefix_deg * gdeg % 2 else p
-                for m, c, m_odd in img:
-                    sm = mono_mul(m, rest, m_odd, rest_odd)
-                    if sm is not None:
-                        x = c0 * c if sm[0] > 0 else -c0 * c
-                        out[sm[1]] = out.get(sm[1], 0) + x
-            prefix_deg += p * gdeg
-        return self.den, {m: c for m, c in out.items() if c}
+        """d of one monomial in integers, (den, {monomial: c}): `columns`."""
+        return self.den, self.columns((mono,))[0]
 
     def apply(self, elem):
         """d of an element: `leibniz` of each monomial, through
@@ -521,10 +532,10 @@ def multiplicative(letters, alg, table=None):
 def monomial_columns(f, monos, index):
     """A linear map in monomial bases as (den, integer columns): for each
     monomial m of `monos`, the sparse column {index[n]: c * (den // d)}
-    over the terms n: c of f(m) = (d, {n: integer c}), as
-    `Derivation.leibniz` and `row_product` give them, with den the lcm of
-    the d.  A monomial missing from `index` is dropped, which projects
-    onto a word-capped basis."""
+    over the terms n: c of f(m) = (d, {n: integer c}), as `row_product`
+    and `memo_linear` chains give them, with den the lcm of the d.  A
+    monomial missing from `index` is dropped.  d of a free CDGA takes no
+    detour through here: `Derivation.columns` keys its sums by the index."""
     cols = [(d, {index[n]: c for n, c in terms.items() if n in index})
             for d, terms in map(f, monos)]
     den = lcm(*[d for d, _ in cols])

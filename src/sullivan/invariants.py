@@ -16,8 +16,7 @@ classification) nonzero homotopy ranks inside the dichotomy window
 from __future__ import annotations
 
 from .cdga import Cdga, CdgaError, check_quasi_iso, word_length_quotient
-from .graded import (AlgElement, Derivation, FreeAlgebra, monomial_columns,
-                     odd_letters)
+from .graded import AlgElement, Derivation, FreeAlgebra, odd_letters
 from .linalg import RatMatrix, homology_dim, rank
 from .models import (check_minimal_sullivan, degree_counts, expand_series,
                      loop_factors, minimal_model)
@@ -136,9 +135,8 @@ def pure_filtration_homology(c, k, max_degree):
         j, m = key
         tgt = layer(j - 1, m + 1)
         index = {mono: i for i, mono in enumerate(tgt)}
-        den, cols = monomial_columns(c.differential.leibniz, layer(j, m),
-                                     index)
-        return RatMatrix.from_columns(cols, len(tgt), den)
+        return RatMatrix.from_columns(c.differential.columns(
+            layer(j, m), index), len(tgt), c.differential.den)
 
     return [homology_dim(len(layer(k, m)), (k, m), (k + 1, m - 1), {},
                          d_matrix) for m in range(max_degree + 1)]

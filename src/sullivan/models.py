@@ -37,8 +37,10 @@ from .linalg import (
     combine,
     image_basis,
     kernel_basis,
+    memo_linear,
     quotient_basis,
     rank,
+    ratios,
     scaled,
     scaled_sum,
     solve,
@@ -281,14 +283,16 @@ def path_space_model(model):
                              for suffix in suffixes for g in gens})
 
     # d grows once per generator degree: a minimal d(v) has only letters
-    # of degree < |v|, so no bar image reads a bar of its own degree
+    # of degree < |v|, so no bar image reads a bar of its own degree; SD
+    # is one `memo_linear` chain, S's table kept throughout, d's per group
+    s_map = s.leibniz, {}
     for _, same_degree in groupby(bars, key=lambda g: g.degree):
-        images = {}
+        images, sd = {}, [(d.leibniz, {}), s_map]
         for g in same_degree:
             term = alg.gen_elem(f"{g.name}_p0")
             total = alg.gen_elem(f"{g.name}_p1") - term
             for n in range(1, _SERIES_CAP + 2):  # term n = (SD)^n (v_p0)
-                term = s.apply(d.apply(term))
+                term = AlgElement(alg, ratios(*memo_linear(term.terms, sd)))
                 if term.is_zero():
                     break
                 if n > _SERIES_CAP:

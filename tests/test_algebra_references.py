@@ -26,12 +26,15 @@ face).  `GlobalForm.validate`, which compares `PolyForm.face` with
 checked against a comparison of the nonzero terms of their elements.
 
 Differential matrices are assembled from the integer Leibniz kernel
-`Derivation.leibniz`; they are checked against the assembly they
-replaced, through elements (the reference Leibniz rule, then the
-quotient's reduction, then coordinates), on free algebras, word-length
-quotients and relation quotients.  That reduction, `Cdga.reduce`, which
-those references call, is checked against `reference_reduce`, plain
-Fraction elimination against the relations' monomial multiples.
+`Derivation.columns`, which keys each column by the basis index as it
+sums, and is checked itself against the reference Leibniz rule through
+random word-capped indices; the matrices are checked against the
+assembly they replaced, through elements (the reference Leibniz rule,
+then the quotient's reduction, then coordinates), on free algebras,
+word-length quotients and relation quotients.  That reduction,
+`Cdga.reduce`, which those references call, is checked against
+`reference_reduce`, plain Fraction elimination against the relations'
+monomial multiples.
 `Derivation.renamed`, which moves a differential into the algebra of a
 model construction, is checked against `reference_substitute` over
 random renamings that drop some generators and shift the ordinals.
@@ -784,19 +787,22 @@ def _tails(mono):
 
 @contextmanager
 def _counting_leibniz():
-    """The monomials passed to `Derivation.leibniz` while installed."""
+    """The monomials passed to the Leibniz kernel `Derivation.columns`
+    while installed, whether a differential matrix passes them or
+    `Derivation.leibniz` one at a time."""
     calls = []
-    original = graded.Derivation.leibniz
+    original = graded.Derivation.columns
 
-    def counted(self, mono):
-        calls.append(mono)
-        return original(self, mono)
+    def counted(self, monos, index=None):
+        monos = list(monos)
+        calls.extend(monos)
+        return original(self, monos, index)
 
-    graded.Derivation.leibniz = counted
+    graded.Derivation.columns = counted
     try:
         yield calls
     finally:
-        graded.Derivation.leibniz = original
+        graded.Derivation.columns = original
 
 
 # ----- tests -----
@@ -821,6 +827,62 @@ def test_leibniz_kernel_matches_letterwise_leibniz(case):
         want = reference_derivation_apply(d, AlgElement(d.algebra,
                                                         {m: Fraction(1)}))
         assert {n: Fraction(c, den) for n, c in terms.items()} == want.terms
+
+
+@st.composite
+def kernel_cases(draw):
+    """A derivation, the monomials of an element, and either no index or
+    an index, in a shuffled order, of the monomials of the degrees d
+    reaches from them, capped at a word length that may drop some."""
+    d, x = draw(derivation_cases())
+    monos = list(x.terms)
+    if draw(st.booleans()):
+        return d, monos, None
+    cap = draw(st.one_of(st.none(), st.integers(0, 3)))
+    degrees = {d.algebra.mono_degree(m) + d.shift for m in monos}
+    targets = sorted({n for k in degrees if k >= 0
+                      for n in d.algebra.basis_of_degree(k, word_max=cap)})
+    targets = draw(st.permutations(targets))
+    return d, monos, {n: i for i, n in enumerate(targets)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_columns_kernel_matches_letterwise_leibniz_through_an_index(case):
+    """Each column of `Derivation.columns` is d of its monomial by the
+    reference Leibniz rule, as nonzero integers over `den`, keyed through
+    the index with what it lacks dropped, or by monomial with no index;
+    `leibniz` is the kernel on one monomial."""
+    d, monos, index = case
+    key = (lambda n: n) if index is None else index.get
+    cols = d.columns(monos, index)
+    assert len(cols) == len(monos)
+    for m, col in zip(monos, cols):
+        want = reference_derivation_apply(d, AlgElement(d.algebra,
+                                                        {m: Fraction(1)}))
+        assert all(type(c) is int and c for c in col.values())
+        assert {n: Fraction(c, d.den) for n, c in col.items()} == {
+            key(n): c for n, c in want.terms.items() if key(n) is not None}
+        assert d.leibniz(m) == (d.den, d.columns((m,))[0])
+
+
+def test_columns_kernel_on_vanishing_and_capped_products():
+    """dz = xz/2 and dw = z^2/3 over den 6, x odd: d(xz) = -x dz has x
+    twice and vanishes; d(z^2) = x z^2 and d(xw) = -x z^2 / 3 have word
+    length 3, so the index of the degree-5 words of length <= 2, {zw},
+    drops them."""
+    alg = FreeAlgebra.build([("x", 1), ("z", 2), ("w", 3)])
+    x, z, w = (alg.gen_elem(name) for name in "xzw")
+    d = Derivation(alg, +1, {"z": (x * z).scale(Fraction(1, 2)),
+                             "w": (z * z).scale(Fraction(1, 3))})
+    xz, zz, xw, xzz, zw = (next(iter(e.terms)) for e in (
+        x * z, z * z, x * w, x * z * z, z * w))
+    assert d.den == 6
+    assert d.columns([xz, zz, xw]) == [{}, {xzz: 6}, {xzz: -2}]
+    assert alg.basis_of_degree(5, word_max=2) == [zw]
+    assert d.columns([zz, xw], {zw: 0}) == [{}, {}]
+    assert d.columns([zz, xw], {zw: 0, xzz: 1}) == [{1: 6}, {1: -2}]
+    assert d.leibniz(xz) == (6, {})
 
 
 def _assert_diff_matrices(c, top):
@@ -884,8 +946,9 @@ def test_named_quotients_match_the_element_assembly(name):
 def test_free_loop_ranks_apply_no_derivation_per_monomial(monkeypatch):
     """The free-loop model of S2xS2xS4 and its h_dim through degree 10:
     the 27 calls are the model's own d^2 check and S on the three
-    differentials; the differential matrices read `leibniz` alone (1,014
-    calls when they went through `apply` one monomial at a time)."""
+    differentials; the differential matrices call the Leibniz kernel
+    `Derivation.columns` alone, once per degree (1,014 calls when they
+    went through `apply` one monomial at a time)."""
     calls = 0
     original = graded.Derivation.apply
 
