@@ -107,9 +107,11 @@ class Cdga:
         for g in algebra.generators:
             if g.degree < 1:
                 raise CdgaError(f"generator {g.name} has degree {g.degree}")
-        self._require_universe(differential.algebra, "differential")
+        algebra.require_same(differential.algebra, CdgaError,
+                             f"{name}: differential over another universe")
         for r in self.relations:
-            self._require_universe(r.algebra, "relation")
+            algebra.require_same(r.algebra, CdgaError,
+                                 f"{name}: relation over another universe")
             if r.is_zero() or not r.is_homogeneous():
                 raise CdgaError("relations must be nonzero homogeneous")
         self._basis_cache = {}
@@ -118,7 +120,7 @@ class Cdga:
             (r.degree(), scaled(r.terms)) for r in self.relations]
         self._diff_cache, self._rank_cache = {}, {}
         self._h_cache, self._class_mats = {}, {}
-        self._projection_cache = {}
+        self._projection_cache, self._recorded = {}, {}
         if check:
             defects = self.validate()
             if defects:
@@ -134,13 +136,6 @@ class Cdga:
                                  for g, s in (diff_strings or {}).items()})
         rels = [alg.parse(s) for s in (relation_strings or [])]
         return cls(name, alg, d, relations=rels)
-
-    def _require_universe(self, alg, what):
-        """Raise unless `alg` is this CDGA's universe; `what` lives there."""
-        if not self.algebra.same_universe(alg):
-            bad = self.algebra.foreign_generator(alg)
-            raise CdgaError(f"{self.name}: {what} over another universe "
-                            f"(generator {bad})")
 
     @property
     def is_free(self):
@@ -216,7 +211,8 @@ class Cdga:
 
     def reduce(self, elem):
         """Canonical quotient representative of an element, by `_project`."""
-        self._require_universe(elem.algebra, "element")
+        self.algebra.require_same(elem.algebra, CdgaError, f"{self.name}: "
+                                  "element over another universe")
         if self.is_free:
             return elem
         return AlgElement(self.algebra, ratios(*self._projected(elem.terms)))
@@ -245,14 +241,14 @@ class Cdga:
     def d(self, elem):
         return self.reduce(self.differential.apply(self.reduce(elem)))
 
-    def extend(self, specs, images, carry=()):
+    def extend(self, specs, images):
         """This free CDGA with (name, degree) generators `specs` adjoined and
         d grown by `images` {new name: element} (`Derivation.extended`,
-        which keeps d on the old generators).  It takes over, re-indexed, the
-        differential matrices of the degrees in `carry`: d of an old monomial
-        stays, so only new monomials need new columns, and an old one is
-        scaled by new den // old den.  Below the lowest new degree d_k keeps
-        its columns and gains zero rows, so its rank is carried too."""
+        which keeps d on the old generators).  It records each matrix of d
+        this CDGA has built or recorded, with its two bases, for
+        `diff_matrix` to re-index when it is read, and keeps no reference
+        to this CDGA.  Below the lowest new degree d_k keeps its columns
+        and gains zero rows, so its rank is carried too."""
         if not self.is_free:
             raise CdgaError(f"{self.name}: only a free CDGA extends")
         alg = self.algebra.extend(specs)
@@ -260,16 +256,9 @@ class Cdga:
                    check=False)
         new._rank_cache = {k: r for k, r in self._rank_cache.items()
                            if all(k < deg for _, deg in specs)}
-        for k in (k for k in carry if k in self._diff_cache):
-            old_rows, rows = self.basis(k + 1), new._quotient_basis(k + 1)[1]
-            m, den = self._diff_cache[k], new.differential.den
-            old, s = dict(zip(self.basis(k), m.transpose().num)), den // m.den
-            fresh = iter(new._d_columns(
-                k, [mono for mono in new.basis(k) if mono not in old])[1])
-            new._diff_cache[k] = RatMatrix.from_columns([
-                {rows[old_rows[i]]: s * x for i, x in old[mono].items()}
-                if mono in old else next(fresh)
-                for mono in new.basis(k)], len(rows), den)
+        new._recorded = {**self._recorded, **{
+            k: (m, self.basis(k), self.basis(k + 1))
+            for k, m in self._diff_cache.items()}}
         return new
 
     def mult(self, a, b):
@@ -288,11 +277,21 @@ class Cdga:
 
     def diff_matrix(self, k):
         """Matrix of d: degree k -> degree k+1 over the quotient bases,
-        assembled from its sparse columns over their den."""
+        assembled from its sparse columns over their den.  A matrix that
+        `extend` recorded for k is taken once: d of an old monomial stays,
+        so its column is re-indexed by monomial and scaled by den // old
+        den, and only the new monomials go through `_d_columns`."""
         if k not in self._diff_cache:
-            den, cols = self._d_columns(k, self.basis(k))
-            self._diff_cache[k] = RatMatrix.from_columns(
-                cols, self.dim(k + 1), den)
+            basis, rows = self.basis(k), self._quotient_basis(k + 1)[1]
+            m, old_cols, old_rows = self._recorded.pop(k, (None, (), ()))
+            old = dict(zip(old_cols, m.transpose().num)) if old_cols else {}
+            den, cols = self._d_columns(
+                k, [x for x in basis if x not in old] if old else basis)
+            if old:  # a fresh build takes its columns as they are
+                s, fresh = den // m.den, iter(cols)
+                cols = [{rows[old_rows[i]]: s * c for i, c in old[x].items()}
+                        if x in old else next(fresh) for x in basis]
+            self._diff_cache[k] = RatMatrix.from_columns(cols, len(rows), den)
         return self._diff_cache[k]
 
     # ----- validation -----
@@ -405,10 +404,8 @@ class CdgaMorphism:
         return self.images.get(g.ordinal, self.target.algebra.zero())
 
     def apply(self, elem):
-        src = self.source.algebra
-        if not src.same_universe(elem.algebra):
-            raise CdgaError(f"morphism applied across universes (generator "
-                            f"{src.foreign_generator(elem.algebra)})")
+        self.source.algebra.require_same(elem.algebra, CdgaError,
+                                         "morphism applied across universes")
         alg = self.target.algebra
         return AlgElement(alg, ratios(*self.target._projected(
             elem.terms, [multiplicative(self._letters, alg, self._table)])))

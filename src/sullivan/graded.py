@@ -144,6 +144,12 @@ class FreeAlgebra:
         return next(g.name for g in self.generators + other.generators
                     if g in unshared)
 
+    def require_same(self, other, error, text):
+        """Raise `error` with `text` and a `foreign_generator` unless
+        `other` is this universe: the one wording of that refusal."""
+        if not self.same_universe(other):
+            raise error(f"{text} (generator {self.foreign_generator(other)})")
+
     # ----- element constructors -----
 
     def zero(self):
@@ -271,12 +277,6 @@ class AlgElement:
         self.algebra = algebra
         self.terms = terms
 
-    def _need_same(self, other):
-        if not self.algebra.same_universe(other.algebra):
-            bad = self.algebra.foreign_generator(other.algebra)
-            raise AlgebraError(f"operands over different universes "
-                               f"(generator {bad})")
-
     def is_zero(self):
         return not self.terms
 
@@ -296,7 +296,8 @@ class AlgElement:
     def __add__(self, other):
         if not isinstance(other, AlgElement):
             return NotImplemented
-        self._need_same(other)
+        self.algebra.require_same(other.algebra, AlgebraError,
+                                  "operands over different universes")
         terms = dict(self.terms)
         for m, c in other.terms.items():
             _add_term(terms, m, c)
@@ -317,7 +318,8 @@ class AlgElement:
     def __mul__(self, other):
         if not isinstance(other, AlgElement):
             return NotImplemented
-        self._need_same(other)
+        self.algebra.require_same(other.algebra, AlgebraError,
+                                  "operands over different universes")
         return AlgElement(self.algebra, ratios(*row_product(
             self.algebra, scaled(self.terms), scaled(other.terms))))
 
@@ -458,10 +460,8 @@ class Derivation:
         """d of an element: `leibniz` of each monomial, through
         `memo_linear` with a fresh table."""
         alg = self.algebra
-        if not elem.algebra.same_universe(alg):
-            bad = alg.foreign_generator(elem.algebra)
-            raise AlgebraError(f"derivation applied across universes "
-                               f"(generator {bad})")
+        alg.require_same(elem.algebra, AlgebraError,
+                         "derivation applied across universes")
         return AlgElement(alg, ratios(*memo_linear(
             elem.terms, [(self.leibniz, {})])))
 

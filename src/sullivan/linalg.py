@@ -134,10 +134,6 @@ class RatMatrix:
                     num[i][j] = x
         return cls(num, len(columns), den)
 
-    @staticmethod
-    def identity(n):
-        return RatMatrix([{i: 1} for i in range(n)], n)
-
     @property
     def data(self):
         """Dense Fraction rows, built on each read."""

@@ -34,6 +34,7 @@ from .graded import (
 )
 from .linalg import (
     RatMatrix,
+    SubspaceBasis,
     combine,
     image_basis,
     kernel_basis,
@@ -344,10 +345,11 @@ def minimal_model(target, max_degree):
     Requires H^0 = Q and H^1 = 0, and target bases computable through
     degree max_degree + 2.
 
-    One model grows through the stages, carrying the differential
-    matrices and ranks the next stage reads (`Cdga.extend`), and the
-    morphisms share one table of phi per monomial and tail (unreduced),
-    each filled once and emptied when the synthesis ends.
+    One model grows through the stages (`Cdga.extend`): the ranks below
+    a stage's degree come along, and a matrix of d a stage built is
+    re-indexed, not rebuilt, when a later stage reads it.  The morphisms
+    share one table of phi per monomial and tail (unreduced), each
+    filled once and emptied when the synthesis ends.
     H^k(phi) is taken only where H^k(target) != 0: elsewhere stage k adds
     no closed generator, and stage k - 1 kills all of H^k(model).
     Stage n certifies its generators (d^2 = 0 and the chain-map identity)
@@ -382,7 +384,8 @@ def minimal_model(target, max_degree):
         # H^n(phi) taken, where H^n(target) = 0
         if target.h_dim(n):
             hmat = phi.h_matrix(n)
-            full = image_basis(RatMatrix.identity(hmat.rows))
+            full = SubspaceBasis(hmat.rows, {i: {i: 1}
+                                             for i in range(hmat.rows)})
             for vec in quotient_basis(image_basis(hmat), full):
                 new_phi[fresh_name()] = target.element(
                     n, combine(vec, target.h_basis(n)))
@@ -415,8 +418,7 @@ def minimal_model(target, max_degree):
             new_d[name], new_phi[name] = zeta, b
 
         if new_phi:
-            model = model.extend([(name, n) for name in new_phi], new_d,
-                                 range(n, n + 2) if n < max_degree else ())
+            model = model.extend([(name, n) for name in new_phi], new_d)
             phi = CdgaMorphism(model, target, {**phi.images, **new_phi},
                                check=False, table=phi_table)
             for name in new_phi:  # d phi(v) = phi(dv)

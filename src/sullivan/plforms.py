@@ -667,7 +667,7 @@ def verify_stokes(K, trials, poly_cap, seed):
                 K, k, poly_cap, seed + 1000 + t)).values.items()}
             for t in range(trials)]
         # the rank of the sampled cocycles modulo the coboundaries
-        bnd = _delta_matrix(K, k - 1).columns() if k else []
+        bnd = _delta_matrix(K, k - 1).transpose().num if k else []
         sampled = (rank(RatMatrix.from_rows(bnd + cocycles, len(index)))
                    - rank(RatMatrix.from_rows(bnd, len(index))))
         cocycle_ranks.append({"degree": k, "sampled_rank": sampled,

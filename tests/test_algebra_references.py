@@ -308,7 +308,8 @@ def reference_minimal_model(target, max_degree):
 
         # (a) new closed generators spanning coker H^n(phi)
         hmat = phi.h_matrix(n)
-        full = image_basis(RatMatrix.identity(hmat.rows))
+        full = image_basis(RatMatrix([{i: 1} for i in range(hmat.rows)],
+                                     hmat.rows))
         coker = quotient_basis(image_basis(hmat), full)
         cocycle_names = []
         for vec in coker:
@@ -919,8 +920,67 @@ def extension_cases(draw):
 @given(extension_cases())
 def test_extend_carries_old_columns_and_assembles_new_ones(case):
     c, degree, dt = case
-    new = c.extend([("t", degree)], {"t": dt}, carry=range(8))
+    new = c.extend([("t", degree)], {"t": dt})
     _assert_diff_matrices(new, 7)
+
+
+@st.composite
+def extension_chains(draw):
+    """A free unchecked CDGA over a `derivation_cases` derivation and one
+    to three steps (degrees to read, then generators to adjoin with their
+    images): a new generator of degree 1..6 sits below, among or above
+    the old ones, and its image, if any, has denominators up to 12, so
+    den may grow."""
+    d, _ = draw(derivation_cases(shifts=(1,)))
+    alg, steps = d.algebra, []
+    for step in range(draw(st.integers(1, 3))):
+        read = draw(st.lists(st.integers(0, 7), unique=True))
+        specs = [(f"t{step}_{i}", draw(st.integers(1, 6)))
+                 for i in range(draw(st.integers(1, 2)))]
+        alg = alg.extend(specs)
+        images = {name: _combination(draw, alg, alg.basis_of_degree(deg + 1),
+                                     MIXED)
+                  for name, deg in specs if draw(st.booleans())}
+        steps.append((read, specs, images))
+    return Cdga("c", d.algebra, d, check=False), steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(extension_chains())
+def test_an_extension_chain_re_indexes_what_it_reads(chain):
+    """`extend` asks the Leibniz kernel for nothing, and a matrix of d
+    read later asks it only for the monomials that no ancestor's matrix
+    of that degree had; every matrix equals a fresh CDGA's, entry for
+    entry over the same den."""
+    c, steps = chain
+    built, asked, columns = {}, [], Cdga._d_columns
+
+    def counted(self, k, monos):
+        asked.append((k, list(monos)))
+        return columns(self, k, monos)
+
+    def read(k):
+        asked.clear()
+        c.diff_matrix(k)
+        assert asked == [(k, [x for x in c.basis(k)
+                              if x not in built.get(k, ())])]
+        built[k] = set(c.basis(k))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Cdga, "_d_columns", counted)
+        for degrees, specs, images in steps:
+            for k in degrees:
+                read(k)
+            asked.clear()
+            c = c.extend(specs, images)
+            assert asked == []
+        for k in range(8):
+            read(k)
+    for k in range(8):
+        got = c.diff_matrix(k)
+        want = Cdga("fresh", c.algebra, c.differential,
+                    check=False).diff_matrix(k)
+        assert (got.num, got.den, got.cols) == (want.num, want.den, want.cols)
 
 
 NAMED_CDGAS = {

@@ -1,14 +1,20 @@
 """`Cdga` alone reads and writes its per-degree caches: another module
 that reached into them (to drop or to seed an entry) would depend on
-when `Cdga` fills them.  Checked on the syntax tree of each module."""
+when `Cdga` fills them.  Within `Cdga`, `diff_matrix` alone writes a
+matrix of d, so a hook there sees every one.  Checked on the syntax tree
+of each module."""
 
 import ast
 import pathlib
 
+from test_api_ownership import _modules, _walk
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sullivan"
 CACHES = {"_diff_cache", "_rank_cache", "_h_cache", "_class_mats",
           "_basis_cache", "_quotient_cache", "_rel_cache",
-          "_projection_cache"}
+          "_projection_cache", "_recorded"}
+MUTATORS = {"clear", "pop", "popitem", "setdefault", "update", "__setitem__",
+            "__delitem__"}
 
 
 def test_no_module_but_cdga_names_a_cdga_cache():
@@ -22,3 +28,25 @@ def test_no_module_but_cdga_names_a_cdga_cache():
             if name in CACHES:
                 hits.append(f"{path.name}:{node.lineno} {name}")
     assert hits == []
+
+
+def _is_diff_cache(node):
+    return isinstance(node, ast.Attribute) and node.attr == "_diff_cache"
+
+
+def test_only_diff_matrix_writes_a_matrix_of_d():
+    """An entry of `_diff_cache` is stored or deleted, by subscript or by
+    a dict method, only in `Cdga.diff_matrix`, and the table is bound only
+    in `Cdga.__init__`."""
+    writes, binds = [], []
+    for mod, scope, node in _walk(_modules()):
+        where = ".".join((mod,) + scope)
+        if (isinstance(node, ast.Subscript) and _is_diff_cache(node.value)
+                and not isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr in MUTATORS
+                and _is_diff_cache(node.value)):
+            writes.append(where)
+        if _is_diff_cache(node) and not isinstance(node.ctx, ast.Load):
+            binds.append(where)
+    assert writes == ["cdga.Cdga.diff_matrix"]
+    assert binds == ["cdga.Cdga.__init__"]

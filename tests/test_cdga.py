@@ -1,8 +1,10 @@
 """CDGA validation, cohomology, morphisms, tensor/fibered products,
 word-length quotients, and the file format."""
 
+import gc
 import pathlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -328,20 +330,21 @@ def _assert_carries_ranks_below(old, new, degree):
 
 
 def test_extension_carries_the_matrices_it_is_asked_for():
-    """Every differential matrix of an extension, carried over or built
-    afresh, is the one a CDGA built from scratch on the same data has;
-    the ranks below the new degree come along unchanged."""
+    """Every differential matrix of an extension, re-indexed from the one
+    it recorded or built afresh, is the one a CDGA built from scratch on
+    the same data has; the ranks below the new degree come along
+    unchanged."""
     base = nonformal_model()
     for k in range(12):
         base.diff_matrix(k)
         base.h_dim(k)
-    ext = base.extend([("t", 4)], {}, carry=range(12))
+    ext = base.extend([("t", 4)], {})
     _assert_carries_ranks_below(base, ext, 4)
     for k in range(12):
         ext.diff_matrix(k)
         ext.h_dim(k)
     t = ext.algebra.gen_elem("t")
-    old, ext = ext, ext.extend([("s", 7)], {"s": t * t}, carry=range(3, 9))
+    old, ext = ext, ext.extend([("s", 7)], {"s": t * t})
     _assert_carries_ranks_below(old, ext, 7)
     assert ext._rank_cache[5] == 1  # d w = uv
     fresh = Cdga("fresh", ext.algebra, ext.differential)
@@ -350,6 +353,36 @@ def test_extension_carries_the_matrices_it_is_asked_for():
         assert ext.diff_matrix(k) == fresh.diff_matrix(k)
     with pytest.raises(CdgaError, match="free"):
         sphere_cohomology(2).extend([("t", 3)], {})
+
+
+def test_an_extension_outlives_its_parent_and_reuses_its_matrices(
+        monkeypatch):
+    """`extend` records the matrices of d, not the CDGA they came from:
+    the parent, with its cohomology tables, is freed, and the extension
+    still re-indexes what the parent built, asking the Leibniz kernel
+    only for the new monomials (dt = uw/2 grows den from 1 to 2)."""
+    parent = nonformal_model()
+    parent.cohomology(9)
+    old = {k: set(parent.basis(k)) for k in range(-1, 10)}
+    u, w = (parent.algebra.gen_elem(name) for name in "uw")
+    ext = parent.extend([("t", 7)], {"t": (u * w).scale(Fraction(1, 2))})
+    gone = weakref.ref(parent)
+    del parent
+    gc.collect()
+    assert gone() is None
+    asked, columns = [], Cdga._d_columns
+    monkeypatch.setattr(Cdga, "_d_columns", lambda self, k, monos: (
+        asked.append((k, list(monos))) or columns(self, k, monos)))
+    got = {k: ext.diff_matrix(k) for k in range(-1, 10)}
+    assert asked == [(k, [x for x in ext.basis(k) if x not in old[k]])
+                     for k in range(-1, 10)]
+    assert [x for _, monos in asked for x in monos] == [((3, 1),)]  # t
+    assert ext._recorded == {}  # each record is dropped once taken
+    monkeypatch.undo()
+    fresh = Cdga("fresh", ext.algebra, ext.differential)
+    assert ext.differential.den == 2
+    for k, m in got.items():
+        assert (m.num, m.den) == (fresh.diff_matrix(k).num, 2)
 
 
 def test_morphism_rejects_non_chain_map():

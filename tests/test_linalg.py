@@ -61,7 +61,7 @@ def test_rref_dependent_rows():
 
 
 def test_rref_identity():
-    m = RatMatrix.identity(3)
+    m = RatMatrix([{0: 1}, {1: 1}, {2: 1}], 3)
     r, pivots, rank = rref(m)
     assert r == m
     assert rank == 3
@@ -102,7 +102,7 @@ def test_quotient_containment_violation():
 
 
 def test_solve_identity():
-    m = RatMatrix.identity(3)
+    m = RatMatrix([{0: 1}, {1: 1}, {2: 1}], 3)
     b = [Fraction(5), Fraction(-1), Fraction(2, 3)]
     assert dense(solve(m, sparse(b)), 3) == b
 
@@ -471,7 +471,7 @@ def test_solve_matches_dense_reference_and_sympy(case):
 
 
 def test_solve_rejects_rhs_index_outside_rows():
-    m = RatMatrix.identity(2)
+    m = RatMatrix([{0: 1}, {1: 1}], 2)
     for i in (2, -1):
         with pytest.raises(LinalgError, match="rhs index"):
             solve(m, {i: Fraction(1)})

@@ -291,11 +291,11 @@ def test_certificate_catches_a_flipped_kernel_differential(monkeypatch):
     d phi(v3) = phi(dv3) can see the flip."""
     original = Cdga.extend
 
-    def flip_first(self, specs, images, carry=()):
+    def flip_first(self, specs, images):
         images = dict(images)
         for name in list(images)[:1]:
             images[name] = -images[name]
-        return original(self, specs, images, carry)
+        return original(self, specs, images)
 
     monkeypatch.setattr(Cdga, "extend", flip_first)
     with pytest.raises(ModelError, match="not a chain map at v3"):

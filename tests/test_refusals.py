@@ -2,6 +2,8 @@
 reached through a public call, with the type and the exact message it
 raises."""
 
+import ast
+
 import pytest
 
 from sullivan.catalog import cp_cohomology, sphere_model
@@ -42,6 +44,7 @@ from sullivan.plforms import (
 )
 
 from helpers import identity_morphism, poly_form
+from test_api_ownership import _modules, _walk
 
 
 def xy():
@@ -108,12 +111,12 @@ def foreign_differential():
 
 
 def image_of_old_generator():
-    """d x = y^2 given to an old generator while adjoining w: the carried
+    """d x = y^2 given to an old generator while adjoining w: the recorded
     matrices would keep d x = 0."""
     c = Cdga.build("c", [("y", 2), ("x", 3)], {})
     for k in range(7):
         c.h_dim(k)
-    return c.extend([("w", 9)], {"x": c.algebra.parse("y^2")}, carry=range(7))
+    return c.extend([("w", 9)], {"x": c.algebra.parse("y^2")})
 
 
 def zero_image_of_old_generator():
@@ -270,6 +273,12 @@ REFUSALS = [
      AlgebraError, "FreeAlgebra(y:3, x:2) does not extend FreeAlgebra(x:2, y:3)"),
     ("graded-foreign-argument", foreign_argument,
      AlgebraError, "derivation applied across universes (generator x)"),
+    ("graded-sum-across-universes",
+     lambda: xy().gen_elem("x") + FreeAlgebra.build([("w", 2)]).gen_elem("w"),
+     AlgebraError, "operands over different universes (generator x)"),
+    ("graded-product-across-universes",
+     lambda: xy().gen_elem("y") * FreeAlgebra.build([("w", 2)]).gen_elem("w"),
+     AlgebraError, "operands over different universes (generator x)"),
     # invariants
     ("invariants-pure-needs-free", lambda: is_pure(cp_cohomology(2)),
      InvariantsError, "purity is defined for free CDGAs"),
@@ -401,3 +410,15 @@ def test_validate_refuses_a_file_without_a_header(capsys, tmp_path):
     assert err == (f"error: {f}:1: expected a 'cdga' or 'scomplex' "
                    f"header line\n")
 
+
+def test_a_foreign_generator_is_named_in_one_wording():
+    """Every "different universe" refusal goes through
+    `FreeAlgebra.require_same`; `RelativeSullivanAlgebra.__init__` names a
+    foreign generator for its own check, a base letter that the total
+    algebra holds under another name or degree."""
+    readers = [".".join((mod,) + scope)
+               for mod, scope, node in _walk(_modules())
+               if isinstance(node, ast.Attribute)
+               and node.attr == "foreign_generator"]
+    assert readers == ["graded.FreeAlgebra.require_same",
+                       "models.RelativeSullivanAlgebra.__init__"]

@@ -117,9 +117,9 @@ def test_each_synthesis_stage_makes_one_derivation_of_its_new_images(
         made.append(list(images))
         init(self, algebra, shift, images, **options)
 
-    def counted_extend(self, specs, images, carry=()):
+    def counted_extend(self, specs, images):
         made.clear()
-        new = extend(self, specs, images, carry)
+        new = extend(self, specs, images)
         stages.append((list(made), list(images), [n for n, _ in specs]))
         return new
 
