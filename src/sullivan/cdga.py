@@ -119,7 +119,7 @@ class Cdga:
         self._rel_cache, self._rel_rows = {}, [
             (r.degree(), scaled(r.terms)) for r in self.relations]
         self._diff_cache, self._rank_cache = {}, {}
-        self._h_cache, self._class_mats = {}, {}
+        self._h_cache, self._class_mats, self._image_columns = {}, {}, {}
         self._projection_cache, self._recorded = {}, {}
         if check:
             defects = self.validate()
@@ -248,7 +248,8 @@ class Cdga:
         this CDGA has built or recorded, with its two bases, for
         `diff_matrix` to re-index when it is read, and keeps no reference
         to this CDGA.  Below the lowest new degree d_k keeps its columns
-        and gains zero rows, so its rank is carried too."""
+        and gains zero rows, so its rank is carried too; so are the columns
+        `_h_data` kept, read only while dim C^k, and so C^k, is unchanged."""
         if not self.is_free:
             raise CdgaError(f"{self.name}: only a free CDGA extends")
         alg = self.algebra.extend(specs)
@@ -256,6 +257,7 @@ class Cdga:
                    check=False)
         new._rank_cache = {k: r for k, r in self._rank_cache.items()
                            if all(k < deg for _, deg in specs)}
+        new._image_columns = dict(self._image_columns)
         new._recorded = {**self._recorded, **{
             k: (m, self.basis(k), self.basis(k + 1))
             for k, m in self._diff_cache.items()}}
@@ -318,10 +320,15 @@ class Cdga:
 
     def _h_data(self, k):
         """(sparse H^k representatives, the SubspaceBasis B^k); the ranks
-        of d_k and d_(k-1) this learns go to the table `h_dim` reads."""
+        of d_k and d_(k-1) this learns go to the table `h_dim` reads.  The
+        columns of d_k not free in its kernel, a basis of its image, are
+        kept under (k, dim C^k), which names the domain basis they index."""
         if k not in self._h_cache:
             z = kernel_basis(self.diff_matrix(k))
-            b = image_basis(self.diff_matrix(k - 1))  # d_(-1) has no columns
+            b = image_basis(self.diff_matrix(k - 1),  # d_(-1) has no columns
+                            self._image_columns.get((k - 1, self.dim(k - 1))))
+            self._image_columns[k, self.dim(k)] = sorted(
+                set(range(self.dim(k))).difference(z.pivots))
             self._rank_cache[k] = self.dim(k) - z.dim
             self._rank_cache[k - 1] = b.dim
             self._h_cache[k] = (quotient_basis(b, z), b)

@@ -26,7 +26,7 @@ import re
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import memo_linear, ratios, scaled
 
@@ -346,9 +346,9 @@ class Derivation:
 
     `images` {generator name or ordinal: element}, or its pairs, is read
     once, in order; a generator missing from it maps to zero.  `columns`
-    reads them over one common denominator `den`, as integer terms; the
-    one pass that scales an image's terms checks that each has degree
-    |g| + shift."""
+    reads them over one common denominator `den`, as integer terms: one
+    pass over an image's terms reads their denominators, scales them and
+    checks that each has degree |g| + shift."""
 
     def __init__(self, algebra, shift, images):
         self.algebra = algebra
@@ -363,9 +363,8 @@ class Derivation:
                 continue
             if not elem.algebra.same_universe(algebra):
                 raise AlgebraError(f"image of {g.name} lives elsewhere")
-            want, row = g.degree + shift, []
-            den = lcm(*[c.denominator for c in elem.terms.values()])
-            for m, c in elem.terms.items():  # one pass: degree and row
+            want, row, den = g.degree + shift, [], 1
+            for m, c in elem.terms.items():  # one pass: degree, den, row
                 deg, odd = 0, []  # and the `odd_letters` of m
                 for o, p in m:
                     deg += p * degrees[o]
@@ -374,7 +373,10 @@ class Derivation:
                 if deg != want:
                     raise AlgebraError(f"image of {g.name} has degree "
                                        f"{elem.degree()}, expected {want}")
-                row.append((m, c.numerator * (den // c.denominator), odd))
+                if den % (q := c.denominator):  # den becomes lcm(den, q)
+                    s, den = q // gcd(den, q), lcm(den, q)
+                    row = [(n, x * s, l) for n, x, l in row]
+                row.append((m, c.numerator * (den // q), odd))
             self.images[g.ordinal], rows[g.ordinal] = elem, (den, row)
         self.den = den = lcm(*[d for d, _ in rows.values()])
         self._scaled = {o: row if d == den else

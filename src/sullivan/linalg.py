@@ -17,8 +17,8 @@ Fractions are made only for the vectors that leave, most by `ratios`:
 basis rows when first read, representatives and solutions, and the views
 `columns()` and `data`.
 
-The reduced echelon basis of a subspace is unique, so every result is
-independent of the elimination order.
+The reduced echelon basis of a subspace is unique, so no result depends
+on the elimination order, nor an image on which spanning columns it reads.
 """
 
 from __future__ import annotations
@@ -303,9 +303,15 @@ def kernel_basis(m):
     return basis
 
 
-def image_basis(m):
-    """Canonical basis of the column space."""
-    return SubspaceBasis(m.rows, _eliminate(m.transpose().num))
+def image_basis(m, columns=None):
+    """Canonical basis of the column space, from the columns `columns`
+    (all by default), which must span it; only those are transposed."""
+    picked = {j: {} for j in (range(m.cols) if columns is None else columns)}
+    for i, row in enumerate(m.num):
+        for j, x in row.items():
+            if j in picked:
+                picked[j][i] = x
+    return SubspaceBasis(m.rows, _eliminate(picked.values()))
 
 
 def quotient_basis(sub, within):

@@ -886,6 +886,19 @@ def test_columns_kernel_on_vanishing_and_capped_products():
     assert d.leibniz(xz) == (6, {})
 
 
+def test_an_image_is_scaled_as_its_denominators_are_read():
+    """The one pass over an image's terms grows its denominator as it
+    meets them, 1, 2, 6, rescaling the integers it has already written:
+    dw = a^2 + ab/2 - b^2 + ac/3 is 6 dw = 6a^2 + 3ab - 6b^2 + 2ac."""
+    alg = FreeAlgebra.build([("a", 2), ("b", 2), ("c", 2), ("w", 3)])
+    aa, ab, bb, ac = ((0, 2),), ((0, 1), (1, 1)), ((1, 2),), ((0, 1), (2, 1))
+    image = AlgElement(alg, {aa: Fraction(1), ab: Fraction(1, 2),
+                             bb: Fraction(-1), ac: Fraction(1, 3)})
+    d = Derivation(alg, +1, {"w": image})
+    assert d.den == 6
+    assert d.columns([((3, 1),)]) == [{aa: 6, ab: 3, bb: -6, ac: 2}]
+
+
 def _assert_diff_matrices(c, top):
     for k in range(top + 1):
         got = c.diff_matrix(k)

@@ -8,6 +8,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sullivan.catalog import (
     cp_cohomology,
@@ -31,9 +33,10 @@ from sullivan.cdga import (
     tensor_product,
     word_length_quotient,
 )
-from sullivan import linalg
+from sullivan import cdga, linalg
 from sullivan.graded import AlgElement, Derivation, FreeAlgebra
 from sullivan.linalg import rank
+from sullivan.models import minimal_model
 
 from helpers import identity_morphism
 
@@ -383,6 +386,72 @@ def test_an_extension_outlives_its_parent_and_reuses_its_matrices(
     assert ext.differential.den == 2
     for k, m in got.items():
         assert (m.num, m.den) == (fresh.diff_matrix(k).num, 2)
+
+
+def _count_image_rows(monkeypatch):
+    """(rows eliminated, rank) of each image that `cdga` takes from now
+    on, counted in `linalg._eliminate`."""
+    counts, image, eliminate = [], cdga.image_basis, linalg._eliminate
+
+    def counted(rows, full=False):
+        rows = list(rows)
+        piv = eliminate(rows, full)
+        counts.append((len(rows), len(piv)))
+        return piv
+
+    def traced(*args):
+        linalg._eliminate = counted
+        try:
+            return image(*args)
+        finally:
+            linalg._eliminate = eliminate
+    monkeypatch.setattr(cdga, "image_basis", traced)
+    return counts
+
+
+def test_each_image_of_a_synthesis_eliminates_only_its_rank(monkeypatch):
+    """Each stage of synthesis takes the image of the d_k whose kernel the
+    stage before took: the new generators add no monomial of degree k,
+    so the columns that the kernel left free are dropped and only a
+    basis of the image is eliminated."""
+    counts = _count_image_rows(monkeypatch)
+    minimal_model(wedge_cohomology(2, 2, 2), 9)
+    assert [r for r, _ in counts] == [k for _, k in counts]
+    assert sum(r for r, _ in counts) == 924  # every column: 1,743
+
+
+def test_an_image_from_a_grown_domain_eliminates_every_column(monkeypatch):
+    """The columns the kernel of d_6 found independent are kept only while
+    the degree-6 basis is: a degree-1 generator t (dt = 0) adds yzt
+    before y^3, where the kept list (empty: d y^3 = 0) no longer spans
+    d_6 (d yzt = y^3 t), so the image of d_6 takes every column and H^7
+    matches a fresh build.  A degree-7 generator adds nothing in degree
+    6, and the image there eliminates only its rank, 0."""
+    counts = _count_image_rows(monkeypatch)
+    for degree, rows in [(1, [(2, 1)]), (7, [(0, 0)])]:
+        base = sphere_model(2)
+        base.h_basis(6)
+        ext = base.extend([("t", degree)], {})
+        fresh = Cdga("fresh", ext.algebra, ext.differential)
+        del counts[:]
+        assert ext.h_basis(7) == fresh.h_basis(7)
+        assert counts[:1] == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.lists(st.integers(1, 5), min_size=1, max_size=2))
+def test_an_extension_keeps_each_basis_whose_dimension_it_keeps(old, new):
+    """A free extension only adds monomials, and bases are canonically
+    ordered: where the dimension in a degree is unchanged, so is the
+    basis list, which the columns of d that `_h_data` keeps rely on."""
+    base = Cdga.build("base", [(f"a{i}", d) for i, d in enumerate(old)])
+    ext = base.extend([(f"b{i}", d) for i, d in enumerate(new)], {})
+    for k in range(9):
+        if ext.dim(k) == base.dim(k):
+            assert ext.basis(k) == base.basis(k)
+        else:
+            assert set(base.basis(k)) < set(ext.basis(k))
 
 
 def test_morphism_rejects_non_chain_map():

@@ -551,6 +551,61 @@ def test_from_columns_matches_the_transposed_rows(case):
                              for col in cols]
 
 
+@st.composite
+def sparse_integer_matrices(draw, max_rows=8, max_cols=10):
+    """A RatMatrix of small, mostly zero integers whose columns, in a drawn
+    order, are some random columns and integer combinations of them."""
+    rows = draw(st.integers(0, max_rows))
+    entries = st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3]),
+                       min_size=rows, max_size=rows)
+    base = draw(st.lists(entries, max_size=max_cols // 2))
+    weights = st.lists(st.integers(-2, 2), min_size=len(base),
+                       max_size=len(base))
+    mixed = [[sum(w * col[i] for w, col in zip(ws, base))
+              for i in range(rows)]
+             for ws in draw(st.lists(weights, max_size=max_cols // 2))]
+    cols = draw(st.permutations(base + mixed))
+    return RatMatrix.from_columns([sparse(col) for col in cols], rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_integer_matrices(), st.data())
+def test_the_columns_a_kernel_leaves_not_free_give_the_image(m, data):
+    """The columns that are not free in `kernel_basis(m)` are a basis of
+    the column space: eliminated alone, or within any spanning set of
+    columns in any order, they give the rows and pivots of
+    `image_basis(m)`."""
+    full, free = image_basis(m), kernel_basis(m).pivots
+    kept = [j for j in range(m.cols) if j not in free]
+    extra = data.draw(st.lists(st.sampled_from(free), unique=True)
+                      if free else st.just([]))
+    assert len(kept) == full.dim
+    for columns in (kept, data.draw(st.permutations(kept + extra))):
+        got = image_basis(m, columns)
+        assert (got.rows, got.pivots) == (full.rows, full.pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_integer_matrices(), st.data())
+def test_results_do_not_depend_on_the_order_of_the_rows(m, data):
+    """A subspace has one reduced echelon basis, so permuting the rows
+    that `_eliminate` takes changes what it costs, not what comes out:
+    rank, the kernel, the span of the rows, and the quotient of that
+    span by the span of some of them."""
+    order = data.draw(st.permutations(range(m.rows)))
+    some = data.draw(st.lists(st.sampled_from(order), unique=True)
+                     if order else st.just([]))
+    shuffled = RatMatrix([m.num[i] for i in order], m.cols, m.den)
+    assert rank(shuffled) == rank(m)
+    assert kernel_basis(shuffled).rows == kernel_basis(m).rows
+    within = [span_basis(rows, m.cols) for rows in (m.num, shuffled.num)]
+    assert within[0].rows == within[1].rows
+    sub = [span_basis([m.num[i] for i in idx], m.cols)
+           for idx in (sorted(some), some)]
+    assert (quotient_basis(sub[0], within[0])
+            == quotient_basis(sub[1], within[1]))
+
+
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 # top degree of each file in the README commands; -N 12 otherwise
 README_DEGREE = {"nonformal": 12, "h_cp2": 12, "model_s3": 20,
