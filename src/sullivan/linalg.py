@@ -108,31 +108,46 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, num, cols, den=1):
-        """From sparse rows {column: value} of nonzero entries over `den`,
-        kept as they are when all are integers, else cleared into den."""
-        dens = {x.denominator for row in num for x in row.values()
-                if type(x) is not int}
+        """From sparse integer rows {column: int} of nonzero entries over
+        `den`, kept as they are; `from_rows` and `from_columns` also take
+        Fractions."""
+        self.rows, self.cols, self.num, self.den = len(num), cols, num, den
+
+    @classmethod
+    def from_rows(cls, rows, cols):
+        """From sparse rows {column: int or Fraction}, zeros dropped."""
+        num, dens = [], set()
+        for r in rows:
+            num.append(row := {})
+            for j, x in r.items():
+                if x:
+                    if type(x) is not int:
+                        dens.add(x.denominator)
+                    row[j] = x
+        return cls._cleared(num, cols, 1, dens)
+
+    @classmethod
+    def from_columns(cls, columns, rows, den=1):
+        """From sparse columns {row: int or Fraction} over `den`, zeros
+        dropped, in one pass."""
+        num, dens = [{} for _ in range(rows)], set()
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                if x:
+                    if type(x) is not int:
+                        dens.add(x.denominator)
+                    num[i][j] = x
+        return cls._cleared(num, len(columns), den, dens)
+
+    @classmethod
+    def _cleared(cls, num, cols, den, dens):
+        """num over den, its entries' denominators `dens` cleared into den."""
         if dens:
             d = lcm(*dens)
             num = [{j: x.numerator * (d // x.denominator)
                     for j, x in row.items()} for row in num]
             den *= d
-        self.rows, self.cols, self.num, self.den = len(num), cols, num, den
-
-    @classmethod
-    def from_rows(cls, rows, cols):
-        """From sparse rows {column: value}, zeros dropped."""
-        return cls([{j: x for j, x in r.items() if x} for r in rows], cols)
-
-    @classmethod
-    def from_columns(cls, columns, rows, den=1):
-        """From sparse columns {row: value} over `den`, in one pass."""
-        num = [{} for _ in range(rows)]
-        for j, col in enumerate(columns):
-            for i, x in col.items():
-                if x:
-                    num[i][j] = x
-        return cls(num, len(columns), den)
+        return cls(num, cols, den)
 
     @property
     def data(self):

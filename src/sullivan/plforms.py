@@ -6,11 +6,15 @@ coordinates are always eliminated through t_0 = 1 - sum t_i and
 y_0 = -sum y_i.  A form is its `scaled` integer row.  Faces, degeneracies
 and d keep tables of their monomial images as scaled integers, a
 pullback's that of `graded.multiplicative`; the sampler builds its
-compatibility system from them and hands integer sums of its kernel rows
-to the forms.  Finite simplicial sets are given by nondegenerate simplices
-with face data carrying degeneracy words; integration sends a compatible
-family of k-forms to a normalized rational k-cochain, exactly, via the
-Dirichlet integral prod(a_i!) / (k + sum a_i)! of t^a dt_1...dt_k (a table).
+face-compatibility system from them, takes the closed families as the
+kernel of d within its kernel, and hands integer sums of the kernel rows
+to the forms.  On a simplex of dimension <= k, faces and d of k-forms land
+where there are no k-forms: no equation is written for them, and a face
+check moves no such face.  Finite simplicial sets are given by
+nondegenerate simplices with face data carrying degeneracy words;
+integration sends a compatible family of k-forms to a normalized rational
+k-cochain, exactly, via the Dirichlet integral prod(a_i!) / (k + sum
+a_i)! of t^a dt_1...dt_k (a table).
 """
 
 from __future__ import annotations
@@ -353,7 +357,11 @@ class GlobalForm:
         """Defects of the family.  Each face check compares the face of a
         form with the pullback of its target's form along the face's
         degeneracy word: two `PolyForm`s, each a `scaled` row carried
-        through the move tables.  A monomial's degree is its y count."""
+        through the move tables.  On a simplex of dimension <= k the face
+        of a k-form lands where there are no k-forms, so it is the zero
+        form there and is not moved; the pullback still is, and a word
+        that does not apply still raises.  A monomial's degree is its y
+        count."""
         dims, defects = self.complex.dims, []
         forms = {sid: self.form(sid) for sid in dims}
         for sid in sorted(dims):
@@ -367,10 +375,12 @@ class GlobalForm:
                 defects.append(f"form on {sid} has degree {degrees.pop()}, "
                                f"expected {self.degree}")
             else:
+                zero = PolyForm._of(own.dim - 1, (1, {}))
                 for i in range(own.dim + 1 if own.dim else 0):
                     tgt, word = self.complex.faces[(sid, i)]
-                    if (forms[tgt].dim != dims[tgt] or own.face(i)
-                            != forms[tgt].degen_word(word)):
+                    face = own.face(i) if own.dim > self.degree else zero
+                    if (forms[tgt].dim != dims[tgt]
+                            or face != forms[tgt].degen_word(word)):
                         defects.append(f"face {i} of {sid} disagrees "
                                        f"with {tgt}")
         return defects
@@ -533,27 +543,33 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
     """Kernel basis of the face-compatibility system (plus closedness when
     asked) over the per-simplex monomial coefficient spaces: (simplices in
     column order, their form bases, their first columns, the kernel's
-    `scaled_rows`)."""
+    `scaled_rows`), kept in `K._sample_cache`.  The closed kernel is that
+    of d within the open one (`_restricted_kernel`), which it takes from
+    the cache or computes first.  No equation is written where there are
+    no k-forms: on a simplex of dimension <= k both faces and d land in
+    such a space."""
     key = (degree, poly_cap, closed)
     if key in K._sample_cache:
         return K._sample_cache[key]
-    order = sorted(K.dims, key=lambda sid: (K.dims[sid], sid))
-    monos = {(n, k): form_basis(n, k, poly_cap)
-             for n in range(K.top_dim + 1) for k in (degree, degree + 1)}
-    indices = {nk: {m: i for i, m in enumerate(basis)}
-               for nk, basis in monos.items()}
-    bases, offsets, width = {}, {}, 0
-    for sid in order:
-        bases[sid] = monos[K.dims[sid], degree]
-        offsets[sid], width = width, width + len(bases[sid])
-    system, blocks = [], K._sample_cache.setdefault((degree, poly_cap), {})
+    if closed:
+        order, bases, offsets, kernel = _compatibility_kernel(
+            K, degree, poly_cap)
+    else:
+        order = sorted(K.dims, key=lambda sid: (K.dims[sid], sid))
+        bases, offsets, width = {}, {}, 0
+        for sid in order:
+            bases[sid] = form_basis(K.dims[sid], degree, poly_cap)
+            offsets[sid], width = width, width + len(bases[sid])
+    indices, blocks, system = {}, {}, []
 
     def equate(n, k, terms):
         """The equation sum(sign * move(form on sid)) = 0 in k-forms on the
         n-simplex, for terms (sid, sign, (move name, *args)).  The block of
         a move, integer columns over a denominator read from the tables of
-        `_moves`, is built once per simplex dimension, and shared by the
-        open and the closed system."""
+        `_moves`, is built once per simplex dimension."""
+        if (n, k) not in indices:
+            indices[n, k] = {m: i for i, m in
+                             enumerate(form_basis(n, k, poly_cap))}
         parts = []
         for sid, sign, move in terms:
             at = (K.dims[sid], *move)
@@ -567,12 +583,15 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
 
     for sid in order:
         dim = K.dims[sid]
-        for i in range(dim + 1 if dim else 0):
-            tgt, word = K.faces[(sid, i)]
-            equate(dim - 1, degree, [(sid, 1, ("face", i)),
-                                     (tgt, -1, ("degen_word", word))])
+        if dim <= degree:
+            continue
         if closed:
             equate(dim, degree + 1, [(sid, 1, ("d",))])
+        else:
+            for i in range(dim + 1):
+                tgt, word = K.faces[(sid, i)]
+                equate(dim - 1, degree, [(sid, 1, ("face", i)),
+                                         (tgt, -1, ("degen_word", word))])
     den = lcm(*[d for _, parts in system for _, _, (d, _) in parts])
     rows = []
     for size, parts in system:
@@ -583,10 +602,34 @@ def _compatibility_kernel(K, degree, poly_cap, closed=False):
                 for i, c in col.items():  # the terms' simplices differ
                     block[i][j] = f * c
         rows.extend(block)
-    kernel = kernel_basis(RatMatrix(rows, width, den))
-    result = (order, bases, offsets, kernel.scaled_rows)
-    K._sample_cache[key] = result
+    kernel = (_restricted_kernel(kernel, rows, den) if closed else
+              kernel_basis(RatMatrix(rows, width, den)).scaled_rows)
+    result = K._sample_cache[key] = order, bases, offsets, kernel
     return result
+
+
+def _restricted_kernel(kernel, rows, den):
+    """The kernel of the integer rows `rows` over `den` within the span of
+    the reduced echelon basis `kernel` {key: `scaled` row}, as such a
+    basis.  Only the products of `rows` with the basis rows are
+    eliminated, and `scaled_sum` maps their kernel back.  A basis row is 1
+    at its key and 0 at the other keys and before its own, so a
+    combination leads at the key of its first row and reads its
+    coefficients at the keys: the rows mapped back are reduced echelon,
+    keyed as the rows they lead with."""
+    keys, over = list(kernel), lcm(*[p for p, _ in kernel.values()])
+    columns = {}  # column j of the basis rows, integers over `over`
+    for f, (p, row) in enumerate(kernel.values()):
+        for j, x in row.items():
+            columns.setdefault(j, (1, {}))[1][f] = x * (over // p)
+    small = kernel_basis(RatMatrix(
+        [memo_linear(row, [(lambda j: (1, {}), columns)])[1] for row in rows],
+        len(keys), den * over)).scaled_rows
+    out = {}
+    for f, (q, w) in small.items():
+        d, vec = scaled_sum({keys[g]: x for g, x in w.items()}, kernel)
+        out[keys[f]] = d * q, vec
+    return out
 
 
 def _sample(K, degree, poly_cap, seed, closed):
@@ -638,14 +681,15 @@ def verify_stokes(K, trials, poly_cap, seed):
     """Check integrate(d w) = delta(integrate(w)) exactly on sampled
     global forms, and compare the rank of integration on sampled cocycles
     with the cochain cohomology dimensions.  The tables of the moves
-    (pullbacks, d and integrals) start empty, so a call does the same work
-    whatever ran before it.  A complex with no simplices is refused: it
-    leaves nothing to check."""
+    (pullbacks, d and integrals) and the kernels kept on K start empty,
+    so a call does the same work whatever ran before it, on K or not.  A
+    complex with no simplices is refused: it leaves nothing to check."""
     if trials < 1:
         raise FormError("need at least one trial")
     if not K.dims:
         raise FormError(f"complex {K.name} has no simplices to check")
     _MOVES.clear()
+    K._sample_cache.clear()
     records = []
     for t in range(trials):
         degree = t % (K.top_dim + 1)

@@ -1404,13 +1404,30 @@ def test_degeneracy_words_match_composed_references(form):
 
 def test_stokes_work_does_not_depend_on_earlier_calls():
     """verify_stokes starts from empty pullback tables, so repeating a
-    call repeats its table fills instead of reading the first call's."""
+    call repeats its table fills instead of reading the first call's (55
+    fills: no block is built, and no face of a sampled form is moved,
+    where no k-forms are)."""
     counts = []
     for _ in range(2):
         with _CountingFills() as counter:
             assert verify_stokes(builtin_complex("delta2"), 3, 2, seed=1).ok
         counts.append(counter.calls)
-    assert counts == [79, 79]
+    assert counts == [55, 55]
+
+
+def test_stokes_on_a_reused_complex_repeats_its_work(monkeypatch):
+    """verify_stokes also empties the kernels kept on the complex, so a
+    second call on the same object solves its eight systems (two for each
+    degree of delta3) and fills its tables again."""
+    K, kernels, counts = builtin_complex("delta3"), [], []
+    monkeypatch.setattr(plforms, "kernel_basis",
+                        lambda m: kernels.append(m) or kernel_basis(m))
+    for _ in range(2):
+        kernels.clear()
+        with _CountingFills() as counter:
+            assert verify_stokes(K, 20, 3, 1).ok
+        counts.append((len(kernels), counter.calls))
+    assert counts[0] == counts[1] and counts[0][0] == 8
 
 
 @settings(max_examples=100, deadline=None)
@@ -1654,8 +1671,11 @@ BLOCK_COMPLEXES = {
 @pytest.mark.parametrize("name", sorted(BLOCK_COMPLEXES))
 def test_blocks_built_once_match_the_per_face_assembly(
         monkeypatch, name, poly_cap):
-    """Every degree, open and closed: the rows handed to `kernel_basis`
-    and the kernel equal those of the per-(simplex, face) assembly."""
+    """Every degree, open and closed: the kernel equals that of the
+    per-(simplex, face) assembly, keys (pivots) and rational rows in key
+    order, and for the open system so do the rows handed to
+    `kernel_basis`.  The closed system hands it only d within the open
+    kernel."""
     K = BLOCK_COMPLEXES[name]()
     seen = []
     monkeypatch.setattr(plforms, "kernel_basis",
@@ -1667,9 +1687,82 @@ def test_blocks_built_once_match_the_per_face_assembly(
                                                    closed)[3]
             want = RatMatrix.from_rows(*reference_compatibility_rows(
                 K, degree, poly_cap, closed))
-            assert seen == [want]
+            assert len(seen) == 1
+            assert closed or seen == [want]
+            basis = kernel_basis(want)
+            assert list(kernel) == basis.pivots
             assert [{j: Fraction(x, p) for j, x in row.items()}
-                    for p, row in kernel.values()] == kernel_basis(want).rows
+                    for p, row in kernel.values()] == basis.rows
+
+
+@st.composite
+def restricted_systems(draw):
+    """Integer rows A and D over a few columns, some rows of D combined
+    from those of A, and a denominator for D."""
+    cols = draw(st.integers(1, 7))
+    entry = st.integers(-3, 3)
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    a = draw(st.lists(row, max_size=6))
+    d = draw(st.lists(row, max_size=4))
+    for coeffs in draw(st.lists(st.lists(entry, min_size=len(a),
+                                         max_size=len(a)), max_size=2)):
+        d.append([sum(c * r[j] for c, r in zip(coeffs, a))
+                  for j in range(cols)])
+    sparse = [[{j: x for j, x in enumerate(r) if x} for r in m]
+              for m in (a, d)]
+    return cols, *sparse, draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(restricted_systems())
+def test_a_kernel_within_a_kernel_is_that_of_both_systems(case):
+    """The kernel of D within that of A, from D times the rows of A's
+    kernel alone, has the keys and rational rows of the kernel of A and D
+    stacked."""
+    cols, a, d, den = case
+    inner = kernel_basis(RatMatrix(a, cols)).scaled_rows
+    got = plforms._restricted_kernel(inner, d, den)
+    want = kernel_basis(RatMatrix(a + d, cols))
+    assert list(got) == want.pivots
+    assert [ratios(p, row) for p, row in got.values()] == want.rows
+
+
+@pytest.mark.parametrize("name", ["delta3", "bddelta3", "s2_one_cell"])
+def test_closed_samples_at_cap_3_are_closed(name):
+    """Every closed sample at cap 3, in every degree, has d = 0 on every
+    simplex, and some is not zero in each degree below the top."""
+    K = BLOCK_COMPLEXES[name]()
+    for degree in range(K.top_dim + 1):
+        samples = [plforms.sample_closed_global_form(K, degree, 3, seed)
+                   for seed in range(4)]
+        assert all(gf.d().is_zero() for gf in samples)
+        assert degree == K.top_dim or not all(gf.is_zero()
+                                              for gf in samples)
+
+
+@pytest.mark.parametrize("name", ["delta3", "bddelta3", "s2_one_cell"])
+def test_samples_do_not_depend_on_the_order_of_the_system_rows(
+        monkeypatch, name):
+    """The integer rows of `kernel_basis` are not canonical (their scale,
+    and so the pivot entry, can change with the order of the rows), but
+    `_sample` reads only their rational values: with the rows of every
+    system shuffled, every sampled family is the same form."""
+    def samples():
+        K = BLOCK_COMPLEXES[name]()
+        return [sample(K, degree, 3, seed).assignment
+                for degree in range(K.top_dim + 1) for seed in (0, 7)
+                for sample in (plforms.sample_global_form,
+                               plforms.sample_closed_global_form)]
+
+    want, rng = samples(), random.Random(3)
+
+    def shuffled(m):
+        rows = list(m.num)
+        rng.shuffle(rows)
+        return kernel_basis(RatMatrix(rows, m.cols, m.den))
+
+    monkeypatch.setattr(plforms, "kernel_basis", shuffled)
+    assert samples() == want
 
 
 # ----- face checks on scaled rows against PolyForm.face / degen_word -----
@@ -1734,6 +1827,44 @@ def test_validate_refuses_an_out_of_range_degeneracy_as_before():
         gf.validate()
     assert str(got.value) == str(want.value) == (
         "degeneracy index 3 out of range for dimension 0")
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_COMPLEXES))
+def test_a_bad_target_of_a_face_with_no_k_forms_is_reported_as_before(name):
+    """On a simplex of dimension <= k the face of a k-form is not moved:
+    each target of such a face, changed, gives the defects of the
+    `PolyForm.face` path, message for message, and some of them are face
+    defects of the simplex whose face is not moved."""
+    K, rng, vacuous = BLOCK_COMPLEXES[name](), random.Random(9), set()
+    for degree in range(1, K.top_dim + 1):
+        gf = plforms.sample_global_form(K, degree, 2, seed=degree)
+        for (sid, i), (tgt, _) in sorted(K.faces.items()):
+            if K.dims[sid] > degree:
+                continue
+            for form in _perturbations(K, degree, gf.form(tgt), rng):
+                bad = GlobalForm(K, degree, {**gf.assignment, tgt: form},
+                                 check=False)
+                defects = bad.validate()
+                assert defects == reference_validate(bad)
+                vacuous.update(d for d in defects
+                               if d == f"face {i} of {sid} disagrees "
+                                       f"with {tgt}")
+    assert vacuous
+
+
+def test_a_word_that_does_not_apply_raises_on_a_face_with_no_k_forms():
+    """The face of the 1-form on the edge e is not moved, but the word s1
+    of that face, which does not apply to the vertex p, still raises."""
+    K = SimplicialComplexFin("bad", {"p": 0, "e": 1},
+                             {("e", i): ("p", (1,)) for i in range(2)},
+                             check=False)
+    gf = GlobalForm(K, 1, {"e": poly_form(1, "y1")}, check=False)
+    with pytest.raises(FormError) as want:
+        reference_validate(gf)
+    with pytest.raises(FormError) as got:
+        gf.validate()
+    assert str(got.value) == str(want.value) == (
+        "degeneracy index 1 out of range for dimension 0")
 
 
 def test_validate_reports_a_face_word_landing_on_the_wrong_dimension():

@@ -614,11 +614,13 @@ def test_compatibility_system_reaches_the_kernel_as_integers(monkeypatch,
 
 
 def test_stokes_builds_each_face_block_once(monkeypatch):
-    """One block per (simplex dimension, map), shared by the open and the
-    closed system and read from the pullback tables: 64 blocks for the
-    four degrees of delta3, where one per (simplex, face) took 5,232 face
-    pullbacks.  Every other face pullback is one of the 2,800 checks of a
-    sampled form in `GlobalForm.validate`, one `PolyForm.face` each."""
+    """One block per (simplex dimension, map) that lands where there are
+    k-forms, read from the pullback tables: 32 blocks for the four degrees
+    of delta3, where one per (simplex, face) took 5,232 face pullbacks and
+    one per dimension with the empty ones 64.  Every other face pullback
+    is one of the 1,200 checks of a sampled form in `GlobalForm.validate`
+    on a simplex of dimension > k, one `PolyForm.face` each (2,800 with
+    the faces of forms on the lower simplices, which are zero)."""
     calls = {"monomial_columns": 0, "face": 0}
     for name, owner in (("monomial_columns", plforms),
                         ("face", plforms.PolyForm)):
@@ -628,7 +630,7 @@ def test_stokes_builds_each_face_block_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     assert verify_stokes(builtin_complex("delta3"), 20, 3, 1).ok
-    assert calls == {"monomial_columns": 64, "face": 2800}
+    assert calls == {"monomial_columns": 32, "face": 1200}
 
 
 def test_stokes_delta2():
